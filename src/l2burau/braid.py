@@ -154,13 +154,6 @@ def free_cancel(a: BraidWord) -> BraidWord:
     return BraidWord(a.strands, tuple(out))
 
 
-def include(beta: BraidWord, strands: int) -> BraidWord:
-    """The same word regarded in a braid group with more strands."""
-    if strands < beta.strands:
-        raise ValueError("cannot include into fewer strands")
-    return BraidWord(strands, beta.letters)
-
-
 def random_braid(rng, strands: int, length: int) -> BraidWord:
     """Uniform random word of the given length (for property tests)."""
     gens = [i for i in range(1, strands)] + [-i for i in range(1, strands)]

@@ -1,7 +1,6 @@
 """Fuglede-Kadison determinant estimation over the computable groups.
 
-Three backends, one per coefficient group, plus an epsilon-regularization
-cross-check:
+Three backends, one per coefficient group, plus epsilon regularization:
 
 * ``det_integers`` - symbolic one-variable determinant, then the Mahler
   measure from polynomial roots (exact up to root-finding tolerance).
@@ -16,7 +15,9 @@ cross-check:
   free basis of the subgroup it generates.  The slowly decaying tail of
   the series is completed by a fitted power-law or geometric model.
 * ``det_epsilon_reg`` - determinants of A*A + eps Id for a decreasing
-  eps sequence, extrapolated to eps -> 0.
+  eps sequence, extrapolated to eps -> 0.  Every shifted series is derived
+  from the moments of one walk, so it checks the tail model and the eps
+  extrapolation, not the walk itself.
 
 The regular determinant flavor (zero on detected non-injective operators)
 is the default everywhere.
@@ -38,13 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .freegroup import FreeWord, word as make_word
-from .groupring import (
-    Free,
-    FreeAbelian,
-    GroupRingElement,
-    GroupRingMatrix,
-    Integers,
-)
+from .groupring import Free, FreeAbelian, GroupRingMatrix, Integers
 
 
 @dataclasses.dataclass
@@ -75,6 +70,15 @@ def _require_positive(t0) -> Fraction:
     if t0 <= 0:
         raise ValueError("t must be positive")
     return t0
+
+
+def _accumulate(acc: dict, key, c: Fraction) -> None:
+    """acc[key] += c, dropping the key when the sum cancels."""
+    s = acc.get(key, Fraction(0)) + c
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
 
 
 # --- roots backend (integers) -----------------------------------------------
@@ -131,12 +135,7 @@ def _drop_unused_axes(P: dict[tuple, Fraction]) -> tuple[dict[tuple, Fraction], 
     used = [ax for ax in range(d) if any(k[ax] for k in P)]
     out: dict[tuple, Fraction] = {}
     for k, c in P.items():
-        nk = tuple(k[ax] for ax in used)
-        s = out.get(nk, Fraction(0)) + c
-        if s:
-            out[nk] = s
-        else:
-            out.pop(nk, None)
+        _accumulate(out, tuple(k[ax] for ax in used), c)
     return out, len(used)
 
 
@@ -184,7 +183,11 @@ def det_free_abelian(M: GroupRingMatrix, t0, grid: int = 128) -> FKEstimate:
     n = grid
     while (4 * n) ** d > 2**26:  # keep even the doubled grids affordable
         n //= 2
-    n = max(n, 16)
+    if n < 16:
+        raise ValueError(
+            f"torus dimension {d} needs a grid below 16 to keep (4n)^{d} "
+            "within the 2^26-point quadrature budget"
+        )
     logs = [float(_log_abs_mean(P, d, m)) for m in (n, 2 * n, 4 * n)]
     e1, e2 = logs[1] - logs[0], logs[2] - logs[1]
     val_log, err_log = logs[2], abs(e2) * 2.0 + 1e-13
@@ -317,12 +320,8 @@ class FreeBall:
         self.radius = radius
         A = 2 * rank
         step = max(A - 1, 1)
-        sizes = [1]
-        for L in range(1, radius + 1):
-            sizes.append(A if L == 1 else sizes[-1] * step)
-        offsets = np.zeros(radius + 2, dtype=np.int64)
-        for L in range(radius + 1):
-            offsets[L + 1] = offsets[L] + sizes[L]
+        sizes = [1] + [A * step ** (L - 1) for L in range(1, radius + 1)]
+        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
         self.offsets = offsets
         self.size = int(offsets[-1])
         N = self.size
@@ -337,9 +336,7 @@ class FreeBall:
             plo, phi = int(offsets[L - 1]), int(offsets[L])
             last[phi : phi + sizes[L]] = table[last[plo:phi]].reshape(-1)
         self.last = last
-        level = np.zeros(N, dtype=np.int32)
-        for L in range(1, radius + 1):
-            level[offsets[L] : offsets[L + 1]] = L
+        level = np.repeat(np.arange(radius + 1, dtype=np.int32), sizes)
         self.level = level
         self._rel = np.arange(N, dtype=np.int64) - offsets[level]
         parent = np.full(N, -1, dtype=np.int64)
@@ -386,7 +383,8 @@ class FreeBall:
         self._letter_maps[a] = m
         return m
 
-    def word_map(self, w: FreeWord) -> np.ndarray:
+    def scatter_pairs(self, w: FreeWord) -> tuple[np.ndarray, np.ndarray]:
+        """(src, tgt) index arrays for in-ball right multiplication by w."""
         m = np.arange(self.size, dtype=np.int64)
         for g, s in w.letters():
             a = 2 * (g - 1) + (0 if s > 0 else 1)
@@ -395,11 +393,6 @@ class FreeBall:
             nm = np.full(self.size, -1, dtype=np.int64)
             nm[valid] = lm[m[valid]]
             m = nm
-        return m
-
-    def scatter_pairs(self, w: FreeWord) -> tuple[np.ndarray, np.ndarray]:
-        """(src, tgt) index arrays for in-ball right multiplication by w."""
-        m = self.word_map(w)
         src = np.where(m >= 0)[0]
         return src, m[src]
 
@@ -421,6 +414,23 @@ class _SeriesResult:
     log_det: float
     error_log: float
     diagnostics: dict
+
+
+@dataclasses.dataclass
+class _Moments:
+    """What one ball walk learns about a positive operator B (m x m)."""
+
+    m: int
+    rank: int
+    norm_bound: float  # c0
+    radius: int
+    taus: np.ndarray  # tr((Id - B/c0)^k), k = 1..K, on the radius-R ball
+    taus_small: np.ndarray | None  # the same on the radius-(R-1) ball, if R > 2
+
+
+def _norm_bound(entries: list[list[dict[FreeWord, float]]]) -> float:
+    """Max row sum of entry l1 norms; bounds the norm of a self-adjoint B."""
+    return max(sum(sum(abs(v) for v in e.values()) for e in row) for row in entries)
 
 
 def _fit_tail(taus: np.ndarray, series_len: int) -> tuple[float, float, dict]:
@@ -464,71 +474,69 @@ def _fit_tail(taus: np.ndarray, series_len: int) -> tuple[float, float, dict]:
     return float(best[1]), float(spread), {"tail_model": best[2], "tail_param": best[3]}
 
 
-def _trace_series(
+def _trace_moments(
     entries: list[list[dict[FreeWord, float]]],
     rank: int,
     series_len: int,
-    accel: bool,
     state_budget: int,
-    shift: float = 0.0,
-) -> _SeriesResult:
-    """log det of the positive operator B (+ shift Id) from its trace series.
+) -> _Moments:
+    """Walk tau_k = tr((Id - B/c0)^k), k = 1..series_len, for a positive B.
 
     ``entries`` holds B as an m x m matrix of {word: coefficient} sums over
-    Free(rank); the walk computes tr((Id - B/c)^k) on a truncated ball and
-    the tail of sum tau_k / k is completed by :func:`_fit_tail`.
+    Free(rank).  The walk runs on the largest ball the state budget allows
+    and, to measure the truncation, on the ball one level smaller.
     """
     m = len(entries)
-    c = 0.0  # max row sum of entry l1 norms bounds the norm (B self-adjoint)
-    for i in range(m):
-        c = max(c, sum(sum(abs(v) for v in e.values()) for e in entries[i]))
-    c += shift
+    c = _norm_bound(entries)
     if c == 0.0:
         raise ValueError("zero operator has no regular determinant")
-
     radius = _ball_radius_for(rank, state_budget)
+    words = {w for row in entries for e in row for w in e}
 
     def taus_at(ball: FreeBall) -> np.ndarray:
-        scatter: dict[FreeWord, tuple[np.ndarray, np.ndarray]] = {}
-        for row in entries:
-            for e in row:
-                for w in e:
-                    if w not in scatter:
-                        scatter[w] = ball.scatter_pairs(w)
+        scatter = {w: ball.scatter_pairs(w) for w in words}
         taus = np.zeros(series_len)
         for comp in range(m):
             v = np.zeros((m, ball.size))
             v[comp, 0] = 1.0
             for k in range(series_len):
-                nv = v * (1.0 - shift / c) if shift else v.copy()
+                nv = v.copy()
                 for i in range(m):
-                    row_out = nv[i]
                     for j in range(m):
-                        e = entries[i][j]
-                        if not e:
-                            continue
-                        src_vec = v[j]
-                        for w, cw in e.items():
+                        for w, cw in entries[i][j].items():
                             src, tgt = scatter[w]
-                            row_out[tgt] += (-cw / c) * src_vec[src]
+                            nv[i][tgt] += (-cw / c) * v[j][src]
                 v = nv
                 taus[k] += v[comp, 0]
         return taus
 
     taus = taus_at(FreeBall(rank, radius))
-    trunc_delta = 0.0
-    if radius > 2:
-        taus_small = taus_at(FreeBall(rank, radius - 1))
-        ks = np.arange(1, series_len + 1, dtype=float)
-        trunc_delta = float(np.abs((taus - taus_small) / ks).sum())
+    taus_small = taus_at(FreeBall(rank, radius - 1)) if radius > 2 else None
+    return _Moments(m, rank, c, radius, taus, taus_small)
 
+
+def _series_from_moments(mom: _Moments, accel: bool, eps: float = 0.0) -> _SeriesResult:
+    """log det(B + eps Id) from the walked moments of B, for any eps >= 0.
+
+    Id - (B + eps)/(c0 + eps) = q (Id - B/c0) with q = c0/(c0 + eps), so the
+    shifted traces and truncation delta are the walked ones scaled by q^k;
+    :func:`_fit_tail` completes the tail of sum tau_k / k.
+    """
+    series_len = len(mom.taus)
+    c = mom.norm_bound + eps
     ks = np.arange(1, series_len + 1, dtype=float)
+    scale = (mom.norm_bound / c) ** ks
+    taus = mom.taus * scale
+    trunc_delta = 0.0
+    if mom.taus_small is not None:
+        trunc_delta = float(np.abs((mom.taus - mom.taus_small) * scale / ks).sum())
+
     S = float(np.sum(taus / ks))
     tail, spread, tail_info = (0.0, 0.0, {"tail_model": "off"})
     if accel:
         tail, spread, tail_info = _fit_tail(taus, series_len)
     last_term = float(taus[-1] / series_len)
-    log_det = m * log(c) - S - tail
+    log_det = mom.m * log(c) - S - tail
     if accel and tail:
         error_log = 3.0 * spread + 0.05 * tail + 2.0 * trunc_delta + 1e-12
     else:
@@ -536,8 +544,8 @@ def _trace_series(
         # whose remaining sum is about twice the last whole term
         error_log = 3.0 * float(taus[-1]) + 2.0 * trunc_delta + 1e-12
     diagnostics = {
-        "rank": rank,
-        "radius": radius,
+        "rank": mom.rank,
+        "radius": mom.radius,
         "norm_bound": c,
         "series_len": series_len,
         "tail_completion": tail,
@@ -568,12 +576,7 @@ def _walk_matrix(support: list[list[dict[FreeWord, Fraction]]]):
             for j in range(m):
                 for w1, c1 in support[j][k].items():
                     for w2, c2 in support[j][i].items():
-                        w = w1 * w2.inverse()
-                        s = acc.get(w, Fraction(0)) + c1 * c2
-                        if s:
-                            acc[w] = s
-                        else:
-                            acc.pop(w, None)
+                        _accumulate(acc, w1 * w2.inverse(), c1 * c2)
             out[i][k] = acc
     return out
 
@@ -645,7 +648,8 @@ def det_free_group(
             return est
 
     rank, flat = _rewrite_entries(_walk_matrix(support))
-    res = _trace_series(flat, rank, series_len, accel, state_budget)
+    mom = _trace_moments(flat, rank, series_len, state_budget)
+    res = _series_from_moments(mom, accel)
     res.diagnostics["injectivity_assumed"] = True
     return _series_to_estimate(res, "trace_series")
 
@@ -665,14 +669,10 @@ def _det_free_single(
     b: dict[FreeWord, Fraction] = {}  # A* A over the subgroup basis
     for w1, c1 in a.items():
         for w2, c2 in a.items():
-            k = w1.inverse() * w2
-            s = b.get(k, Fraction(0)) + c1 * c2
-            if s:
-                b[k] = s
-            else:
-                b.pop(k, None)
+            _accumulate(b, w1.inverse() * w2, c1 * c2)
     bf = {k: float(v) for k, v in b.items()}
-    res = _trace_series([[bf]], rank, series_len, accel, state_budget)
+    mom = _trace_moments([[bf]], rank, series_len, state_budget)
+    res = _series_from_moments(mom, accel)
     res.diagnostics["subgroup_rank"] = rank
     return _series_to_estimate(res, "trace_series")
 
@@ -699,18 +699,9 @@ def _two_by_two_reduce(support):
             schur: dict[FreeWord, Fraction] = {}
             for w1, c1 in A.items():
                 for w2, c2 in D.items():
-                    k = (w1 * ginv) * w2
-                    s = schur.get(k, Fraction(0)) + c1 * inv_coeff * c2
-                    if s:
-                        schur[k] = s
-                    else:
-                        schur.pop(k, None)
+                    _accumulate(schur, (w1 * ginv) * w2, c1 * inv_coeff * c2)
             for w, cc in C.items():
-                s = schur.get(w, Fraction(0)) - cc
-                if s:
-                    schur[w] = s
-                else:
-                    schur.pop(w, None)
+                _accumulate(schur, w, -cc)
             return abs(float(gc)), schur
     return None
 
@@ -743,10 +734,11 @@ def det_epsilon_reg(
     """sqrt(det(A* A + eps Id)) extrapolated along a decreasing eps sequence.
 
     Each shifted operator has spectrum inside [eps, c], so its inner trace
-    series converges geometrically; the eps limit is then taken by
-    polynomial extrapolation, in both eps and sqrt(eps), keeping whichever
-    settles better.  Supported over Z and over free groups (Z embeds as
-    the rank-one free group for the walk).
+    series converges geometrically; all of them rescale the traces of one
+    walk over A* A (see :func:`_series_from_moments`).  The eps limit is
+    then taken by polynomial extrapolation, in both eps and sqrt(eps),
+    keeping whichever settles better.  Supported over Z and over free
+    groups (Z embeds as the rank-one free group for the walk).
     """
     _require_square(M)
     t0 = _require_positive(t0)
@@ -775,21 +767,16 @@ def det_epsilon_reg(
         )
 
     rank, flat = _rewrite_entries(_walk_matrix(as_words))
-    c_bound = max(
-        sum(sum(abs(v) for v in e.values()) for e in flat[i]) for i in range(m)
-    )
     if epsilons is None:
-        epsilons = [c_bound * 0.15 / (4.0**i) for i in range(6)]
+        epsilons = [_norm_bound(flat) * 0.15 / (4.0**i) for i in range(6)]
     epsilons = sorted((float(x) for x in epsilons), reverse=True)
     if not epsilons or epsilons[-1] <= 0:
         raise ValueError("epsilons must be positive and decreasing")
 
-    logs = []
-    series_err = 0.0
-    for eps in epsilons:
-        res = _trace_series(flat, rank, series_len, True, state_budget, shift=eps)
-        logs.append(res.log_det)
-        series_err = max(series_err, res.error_log)
+    mom = _trace_moments(flat, rank, series_len, state_budget)
+    series = [_series_from_moments(mom, True, eps) for eps in epsilons]
+    logs = [res.log_det for res in series]
+    series_err = max(res.error_log for res in series)
 
     v_lin, e_lin = _neville_to_zero(list(epsilons), logs)
     v_sqrt, e_sqrt = _neville_to_zero([sqrt(x) for x in epsilons], logs)
@@ -809,5 +796,9 @@ def det_epsilon_reg(
             "log_dets": logs,
             "extrapolation_variable": variable,
             "rank": rank,
+            "radius": mom.radius,
+            "series_len": series_len,
+            # the smallest eps scales the walked truncation delta the least
+            "truncation_delta": series[-1].diagnostics["truncation_delta"],
         },
     )

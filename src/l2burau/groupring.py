@@ -327,12 +327,6 @@ class GroupRingElement:
                 out[g] = v
         return out
 
-    def l1_at(self, t0: RationalLike) -> Fraction:
-        """Sum of absolute coefficient values at t0 (bounds the operator norm)."""
-        return sum(
-            (abs(v) for v in self.coefficients_at(t0).values()), Fraction(0)
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GroupRingElement)
@@ -556,12 +550,6 @@ class GroupRingMatrix:
                 [self.entries[i][j].adjoint() for i in range(self.rows)]
                 for j in range(self.cols)
             ],
-        )
-
-    def transpose(self) -> "GroupRingMatrix":
-        return GroupRingMatrix(
-            self.group,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
         )
 
     def evaluate_t(self, t0) -> "GroupRingMatrix":

@@ -225,11 +225,6 @@ def unreduced_burau(beta: BraidWord, family) -> BurauMatrix:
     return BurauMatrix(mat, family, beta, Basis.X)
 
 
-def burau_compose(a: BurauMatrix, b: BurauMatrix) -> GroupRingMatrix:
-    """Operator composition of two Burau matrices in display layout."""
-    return a.matrix.opposite_mul(b.matrix)
-
-
 # --- the candidate Markov function -------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -85,6 +86,14 @@ def test_backend_error_exit_code(capsys):
     # two-component closure: alexander rejects it after parsing succeeds
     code, _, err = run(capsys, "alexander", "-b", "1", "-n", "3")
     assert code == 3 and "error" in err
+
+
+def test_quadrature_grid_budget_fails_fast(capsys):
+    # torus dimension 5 leaves a grid below 16 under the quadrature budget
+    start = time.perf_counter()
+    code, _, err = run(capsys, "fq", "-f", "ab", "-b", "1 2 3 4 1 2 3 4", "-n", "5")
+    assert code == 3 and "torus dimension 5" in err
+    assert time.perf_counter() - start < 2.0
 
 
 def test_bad_flag_exit_code(capsys):

@@ -8,9 +8,15 @@ domains overlap.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from l2burau import fkdet
+from l2burau.braid import BraidWord
+from l2burau.epifamilies import TotalWinding
 from l2burau.fkdet import (
+    _series_from_moments,
+    _trace_moments,
     det_epsilon_reg,
     det_free_abelian,
     det_free_group,
@@ -18,7 +24,7 @@ from l2burau.fkdet import (
     fold_subgroup_basis,
     mahler_univariate,
 )
-from l2burau.freegroup import FreeWord, parse_word, random_word
+from l2burau.freegroup import FreeWord, parse_word, random_word, word
 from l2burau.groupring import (
     Free,
     FreeAbelian,
@@ -27,6 +33,7 @@ from l2burau.groupring import (
     Integers,
     TPoly,
 )
+from l2burau.torsion import reduced_burau
 
 BOYD = 1.3813564445184977  # Mahler measure of 1 + X + Y
 TWO_OVER_SQRT3 = 2.0 / math.sqrt(3.0)
@@ -259,6 +266,59 @@ def test_epsilon_agrees_with_series_on_boyd():
     s = det_free_group(m, 1)
     e = det_epsilon_reg(m, 1)
     assert abs(s.value - e.value) <= (s.error_bound or 0) + (e.error_bound or 0)
+
+
+def _minus_one_over_phi():
+    """E = Burau(sigma_1^-1) - Id over the total-winding family: -1 - z^-1 at t = 1."""
+    bm = reduced_burau(BraidWord(2, (-1,)), TotalWinding())
+    return bm.matrix - GroupRingMatrix.identity(bm.matrix.group, 1)
+
+
+def test_trace_moments_match_closed_form_over_z():
+    E = _minus_one_over_phi()
+    p = E.entries[0][0].coefficients_at(1)
+    b: dict[int, Fraction] = {}  # |p|^2 as a Laurent polynomial
+    for i, ci in p.items():
+        for j, cj in p.items():
+            b[i - j] = b.get(i - j, Fraction(0)) + ci * cj
+    c = sum(abs(v) for v in b.values())
+    step = {k: (1 if k == 0 else 0) - v / c for k, v in b.items()}
+    series_len, state_budget = 60, 400_000
+    mom = _trace_moments(
+        [[{word(1, ((1, k),)): float(v) for k, v in b.items()}]], 1, series_len, state_budget
+    )
+    assert mom.norm_bound == float(c)
+    power = {0: Fraction(1)}
+    for k in range(series_len):  # exact constant term of (1 - b/c)^(k+1)
+        nxt: dict[int, Fraction] = {}
+        for e1, c1 in power.items():
+            for e2, c2 in step.items():
+                nxt[e1 + e2] = nxt.get(e1 + e2, Fraction(0)) + c1 * c2
+        power = nxt
+        assert abs(mom.taus[k] - float(power.get(0, 0))) <= 1e-12
+
+    theta = 2.0 * np.pi * np.arange(4096) / 4096
+    p_on_circle = sum(float(v) * np.exp(1j * k * theta) for k, v in p.items())
+    est = det_epsilon_reg(E, 1, series_len=series_len, state_budget=state_budget)
+    for eps, log_det in zip(est.diagnostics["epsilons"], est.diagnostics["log_dets"]):
+        res = _series_from_moments(mom, True, eps)
+        assert log_det == pytest.approx(res.log_det, abs=1e-12)
+        trapezoid = float(np.mean(np.log(np.abs(p_on_circle) ** 2 + eps)))
+        assert abs(log_det - trapezoid) <= res.error_log
+
+
+def test_epsilon_walks_each_ball_once(monkeypatch):
+    radii = []
+
+    class CountingBall(fkdet.FreeBall):
+        def __init__(self, rank, radius):
+            radii.append(radius)
+            super().__init__(rank, radius)
+
+    monkeypatch.setattr(fkdet, "FreeBall", CountingBall)
+    est = det_epsilon_reg(_minus_one_over_phi(), 1)
+    assert len(est.diagnostics["epsilons"]) == 6
+    assert radii == [est.diagnostics["radius"], est.diagnostics["radius"] - 1]
 
 
 def test_epsilon_rejects_zd():

@@ -187,6 +187,20 @@ def test_fq_identity_family_free_value():
     assert abs(v.value - 2 / math.sqrt(3)) < 2e-2
 
 
+@pytest.mark.parametrize(
+    "letters, value, bound",
+    [
+        ((-1,), 0.9997862673460619, 0.028820535182988678),
+        ((-1, 2), 1.1778699080883486, 0.13406371675100415),
+    ],
+)
+def test_fq_identity_family_eps_pinned(letters, value, bound):
+    # pinned to separate walks per eps, which rescaled moments must reproduce
+    v = fq_value(BraidWord(max(map(abs, letters)) + 1, letters), Identity(), 1, method="eps")
+    assert v.value == pytest.approx(value, rel=1e-9)
+    assert v.error_bound == pytest.approx(bound, rel=1e-9)
+
+
 def test_fq_single_strand():
     # empty braid on one strand: det of the empty matrix is 1
     v = fq_value(BraidWord(1, ()), TotalWinding(), 2)
