@@ -99,27 +99,26 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--csv", action="store_true", help="emit CSV where meaningful")
         sp.add_argument("-o", "--output", default=None, help="write to a file")
 
+    def backend_options(sp):
+        sp.add_argument("--method", choices=["roots", "quad", "series", "eps"], default=None)
+        sp.add_argument("--grid", type=int, default=128)
+        sp.add_argument("--series-len", type=int, default=30)
+        sp.add_argument("--accel", action="store_true", default=True)
+        sp.add_argument("--no-accel", dest="accel", action="store_false")
+
     sp = sub.add_parser("burau", help="print the reduced Burau matrix")
     common(sp)
 
     sp = sub.add_parser("fq", help="evaluate det^r(Burau - Id)/max(1,t)^n")
     common(sp)
     sp.add_argument("-t", "--t-values", default="1", help="positive rationals, e.g. '1/2 1 2'")
-    sp.add_argument("--method", choices=["roots", "quad", "series", "eps"], default=None)
-    sp.add_argument("--grid", type=int, default=128)
-    sp.add_argument("--series-len", type=int, default=30)
-    sp.add_argument("--accel", action="store_true", default=True)
-    sp.add_argument("--no-accel", dest="accel", action="store_false")
+    backend_options(sp)
 
     sp = sub.add_parser("markov", help="apply Markov moves and compare values")
     common(sp)
     sp.add_argument("-t", "--t-values", default="1")
     sp.add_argument("--moves", required=True, help="'conj:<word>, stab:+1, ...'")
-    sp.add_argument("--method", choices=["roots", "quad", "series", "eps"], default=None)
-    sp.add_argument("--grid", type=int, default=128)
-    sp.add_argument("--series-len", type=int, default=30)
-    sp.add_argument("--accel", action="store_true", default=True)
-    sp.add_argument("--no-accel", dest="accel", action="store_false")
+    backend_options(sp)
 
     sp = sub.add_parser("alexander", help="Alexander polynomial of a knot closure")
     common(sp, family=False)

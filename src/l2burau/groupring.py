@@ -14,6 +14,7 @@ equality of elements and matrices is structural and decidable.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -369,6 +370,122 @@ class GroupRingElement:
         return out
 
 
+# --- Flat kernel ------------------------------------------------------------
+#
+# The exact hot loops (the Laplace determinant, the compose route of the
+# Burau assembly) run on flat {key: coefficient} dicts instead of nested
+# GroupRingElement -> TPoly -> Fraction objects.  A key stands for a pair
+# (group element, t exponent); see _keyed for its two forms.  A
+# coefficient stays a Python int while its denominator is 1, so nearly
+# every product is a plain integer multiply.  Zero coefficients are never
+# stored, so an empty dict is the zero element.
+
+
+def _flat(e: GroupRingElement) -> dict:
+    """{(group element, t exponent): coefficient} of one element."""
+    return {
+        (g, k): c.numerator if c.denominator == 1 else c
+        for g, tp in e.terms.items()
+        for k, c in tp.coeffs.items()
+    }
+
+
+def _unflat(group: CoefficientGroup, d: dict) -> GroupRingElement:
+    terms: dict = {}
+    for (g, k), c in d.items():
+        terms.setdefault(g, {})[k] = c
+    return GroupRingElement(group, {g: TPoly(cs) for g, cs in terms.items()})
+
+
+def _flat_addmul(acc: dict, a: dict, b: dict, mul, sign: int = 1) -> None:
+    """acc += sign * a * b, where the key of a term product is mul(key_a, key_b)."""
+    get = acc.get
+    for k1, c1 in a.items():
+        if sign < 0:
+            c1 = -c1
+        for k2, c2 in b.items():
+            key = mul(k1, k2)
+            s = get(key, 0) + c1 * c2
+            if s:
+                acc[key] = s
+            else:
+                del acc[key]
+
+
+def _coords(group: CoefficientGroup, g) -> tuple:
+    """A commutative group element as an integer vector; the group law is +."""
+    if isinstance(group, Integers):
+        return (g,)
+    if isinstance(group, FreeAbelian):
+        return g
+    return (sum(e for _, e in g.syllables),)  # a power of the one generator
+
+
+def _from_coords(group: CoefficientGroup, v: list):
+    if isinstance(group, Integers):
+        return v[0]
+    if isinstance(group, FreeAbelian):
+        return tuple(v)
+    return FreeWord.gen(group.rank, 1, v[0])
+
+
+def _keyed(group: CoefficientGroup, rows: list[list[dict]]):
+    """Choose the kernel's keys for sums of products of flat entries.
+
+    Every term the caller builds must be a product of at most one entry
+    term from each of ``rows`` (a row of a Laplace expansion, or the
+    column of one braid letter).  Returns the re-keyed rows, the key
+    product, the key of one, and the map from a keyed dict back to an
+    element.
+
+    Over a commutative group (Z^d under +: an int, an int tuple, or a
+    power of the generator of a rank <= 1 free group) a key is one int
+    whose balanced digits in an odd base are the group coordinates and then
+    the t exponent, so the key product is the int sum.  The base exceeds
+    twice the sum over rows of each row's largest coordinate, which bounds
+    every coordinate a product can reach, so no digit ever carries.  Over
+    a free group of rank >= 2 a key stays the (element, exponent) pair.
+    """
+    if not is_commutative(group):
+        gmul = group.mul
+        return (
+            rows,
+            lambda a, b: (gmul(a[0], b[0]), a[1] + b[1]),
+            (group.identity(), 0),
+            lambda d: _unflat(group, d),
+        )
+    vrows = [
+        [{(*_coords(group, g), k): c for (g, k), c in d.items()} for d in row]
+        for row in rows
+    ]
+    half = sum(max((abs(x) for d in row for v in d for x in v), default=0) for row in vrows)
+    base = 2 * half + 1
+    dim = len(_coords(group, group.identity())) + 1
+
+    def pack(v) -> int:
+        key = 0
+        for x in reversed(v):
+            key = key * base + x
+        return key
+
+    def unpack(key: int):
+        v = []
+        for _ in range(dim):
+            x = key % base
+            if x > half:
+                x -= base
+            v.append(x)
+            key = (key - x) // base
+        return _from_coords(group, v[:-1]), v[-1]
+
+    return (
+        [[{pack(v): c for v, c in d.items()} for d in row] for row in vrows],
+        operator.add,
+        0,
+        lambda d: _unflat(group, {unpack(k): c for k, c in d.items()}),
+    )
+
+
 def element_from_terms(group, terms: Mapping) -> GroupRingElement:
     return GroupRingElement(group, dict(terms))
 
@@ -561,42 +678,45 @@ class GroupRingMatrix:
         )
 
     def determinant(self) -> GroupRingElement:
-        """Exact symbolic determinant; commutative coefficient groups only.
+        """Exact symbolic determinant in t; commutative coefficient groups only.
 
-        Laplace expansion along rows with memoization over column subsets,
-        fine for the small matrices that appear here.
+        Laplace expansion along rows with memoization over column subsets:
+        the minor on the last n - r rows and the columns outside a mask of
+        r columns is computed once per mask, so an n x n matrix costs at
+        most 2^n minors.  The entries are flattened once into flat-kernel
+        dicts keyed by single ints (see ``_keyed``), the expansion runs on
+        those with int multiplies and int key sums, and only the final sum
+        is turned back into an element.  Exponential in n, fine for the
+        small matrices here.
         """
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
         if not is_commutative(self.group):
             raise ValueError("symbolic determinant needs a commutative group")
         n = self.rows
-        if n == 0:
-            return GroupRingElement.one(self.group)
-        cache: dict[int, GroupRingElement] = {}
+        full = (1 << n) - 1
+        rows, mul, one, element = _keyed(
+            self.group, [[_flat(e) for e in row] for row in self.entries]
+        )
+        cache: dict[int, dict] = {full: {one: 1}}
 
-        def minor(colmask: int) -> GroupRingElement:
+        def minor(colmask: int) -> dict:
             got = cache.get(colmask)
             if got is not None:
                 return got
-            if colmask == (1 << n) - 1:
-                return GroupRingElement.one(self.group)
-            row = bin(colmask).count("1")
-            acc = GroupRingElement.zero(self.group)
+            row = rows[bin(colmask).count("1")]
+            acc: dict = {}
             sign = 1
             for j in range(n):
                 if colmask & (1 << j):
                     continue
-                e = self.entries[row][j]
-                if not e.is_zero():
-                    sub = minor(colmask | (1 << j))
-                    term = e * sub
-                    acc = acc + (term if sign > 0 else -term)
+                if row[j]:
+                    _flat_addmul(acc, row[j], minor(colmask | (1 << j)), mul, sign)
                 sign = -sign
             cache[colmask] = acc
             return acc
 
-        return minor(0)
+        return element(minor(0))
 
     @property
     def shape(self) -> tuple[int, int]:

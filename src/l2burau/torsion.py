@@ -41,6 +41,9 @@ from .groupring import (
     GroupRingMatrix,
     Integers,
     TPoly,
+    _flat,
+    _flat_addmul,
+    _keyed,
     kappa,
 )
 
@@ -141,12 +144,11 @@ def _check_winding_consistency(matrix: GroupRingMatrix):
                         )
 
 
-def generator_matrix(n: int, i: int, sign: int, family) -> BurauMatrix:
-    """The (n-1) x (n-1) table matrix of one Artin generator.
+def _generator_column(n: int, i: int, sign: int, family) -> dict[int, GroupRingElement]:
+    """Column i of the table matrix of sigma_i^sign, as {row: entry}.
 
-    All deviation from the identity sits in column i, because only g_i
-    moves under sigma_i^{+-1} in the nested basis: for the positive
-    crossing the column reads (kappa(u), -kappa(u), 1) at rows
+    Only g_i moves under sigma_i^{+-1} in the nested basis: for the
+    positive crossing the column reads (kappa(u), -kappa(u), 1) at rows
     (i-1, i, i+1) with u = g_{i+1} g_i^{-1}; for the negative crossing it
     reads (1, -kappa(u), kappa(u)) with u = g_{i-1} g_i^{-1} (g_0 = 1).
     Rows outside 1..n-1 are clipped.
@@ -155,6 +157,22 @@ def generator_matrix(n: int, i: int, sign: int, family) -> BurauMatrix:
         raise ValueError(f"generator index {i} out of range for {n} strands")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    one = GroupRingElement.one(family.target(n))
+    if sign > 0:
+        u = FreeWord(n, tuple(p for p in ((i + 1, 1), (i, -1)) if p[0] <= n))
+        ku = kappa(u, family, n, Basis.G)
+        column = {i - 1: ku, i: -ku, i + 1: one}
+    else:
+        u = FreeWord(n, tuple(p for p in ((i - 1, 1), (i, -1)) if p[0] >= 1))
+        ku = kappa(u, family, n, Basis.G)
+        column = {i - 1: one, i: -ku, i + 1: ku}
+    return {r: val for r, val in column.items() if 1 <= r <= n - 1}
+
+
+def generator_matrix(n: int, i: int, sign: int, family) -> BurauMatrix:
+    """The (n-1) x (n-1) table matrix of one Artin generator: the identity
+    with column i replaced by :func:`_generator_column`."""
+    column = _generator_column(n, i, sign, family)
     grp = family.target(n)
     size = n - 1
     entries = [
@@ -164,17 +182,8 @@ def generator_matrix(n: int, i: int, sign: int, family) -> BurauMatrix:
         ]
         for r in range(size)
     ]
-    if sign > 0:
-        u = FreeWord(n, tuple(p for p in ((i + 1, 1), (i, -1)) if p[0] <= n))
-        ku = _kappa_word(u, family, n)
-        column = {i - 1: ku, i: -ku, i + 1: GroupRingElement.one(grp)}
-    else:
-        u = FreeWord(n, tuple(p for p in ((i - 1, 1), (i, -1)) if p[0] >= 1))
-        ku = _kappa_word(u, family, n)
-        column = {i - 1: GroupRingElement.one(grp), i: -ku, i + 1: ku}
     for r, val in column.items():
-        if 1 <= r <= size:
-            entries[r - 1][i - 1] = val
+        entries[r - 1][i - 1] = val
     mat = GroupRingMatrix(grp, entries)
     bm = BurauMatrix(mat, family, braidmod.braid_word([sign * i], n), Basis.G)
     if isinstance(family, TotalWinding):
@@ -182,8 +191,36 @@ def generator_matrix(n: int, i: int, sign: int, family) -> BurauMatrix:
     return bm
 
 
-def _kappa_word(w: FreeWord, family, n: int) -> GroupRingElement:
-    return kappa(w, family, n, Basis.G)
+def _compose_matrix(beta: BraidWord, family) -> GroupRingMatrix:
+    """Fold the generator matrices of beta with twisted families.
+
+    Composing with a generator matrix (``opposite_mul``) changes only
+    column i, since every other column of the generator is the identity's:
+    new[row][i] = sum_r col[r] * row[r] over the rows r of
+    :func:`_generator_column`, entry products kept in the order col * row
+    that ``opposite_mul`` uses, so any target group works.  The rows live
+    as flat-kernel dicts (see ``groupring._keyed``, which treats each
+    letter's column as one factor), and each letter costs O(n) entry
+    products instead of the O(n^3) of a full matrix product.
+    """
+    n = beta.strands
+    grp = family.target(n)
+    updates, columns = [], []  # per letter: (column, its rows), its entries
+    for idx, letter in enumerate(beta.letters):
+        fam = family if idx == 0 else twist(family, BraidWord(n, beta.letters[:idx]))
+        col = _generator_column(n, abs(letter), 1 if letter > 0 else -1, fam)
+        updates.append((abs(letter) - 1, [r - 1 for r in col]))
+        columns.append([_flat(v) for v in col.values()])
+    columns, mul, one, element = _keyed(grp, columns)
+    rows = [[{one: 1} if r == c else {} for c in range(n - 1)] for r in range(n - 1)]
+    for (i, where), col in zip(updates, columns):
+        for row in rows:
+            new: dict = {}
+            for r, cf in zip(where, col):
+                if row[r]:
+                    _flat_addmul(new, cf, row[r], mul)
+            row[i] = new
+    return GroupRingMatrix(grp, [[element(d) for d in row] for row in rows])
 
 
 def reduced_burau(beta: BraidWord, family, route: str = "auto") -> BurauMatrix:
@@ -191,10 +228,11 @@ def reduced_burau(beta: BraidWord, family, route: str = "auto") -> BurauMatrix:
 
     route="direct" computes the Fox jacobian of the whole automorphism;
     route="compose" folds the per-generator table matrices with twisted
-    families via opposite_mul.  The two agree symbolically, but the direct
-    route materializes image words that grow exponentially with braid
-    length, so "auto" picks the composition route whenever the family
-    twists cheaply (every commutative target does) and the braid is long.
+    families, one column update per letter (see :func:`_compose_matrix`).
+    The two agree symbolically, but the direct route materializes image
+    words that grow exponentially with braid length, so "auto" picks the
+    composition route whenever the family twists cheaply (every
+    commutative target does) and the braid is long.
     """
     n = beta.strands
     if route == "auto":
@@ -206,11 +244,7 @@ def reduced_burau(beta: BraidWord, family, route: str = "auto") -> BurauMatrix:
     if route == "direct":
         mat = _jacobian_matrix(beta, family, Basis.G, n - 1)
     elif route == "compose":
-        mat = GroupRingMatrix.identity(family.target(n), n - 1)
-        for idx, letter in enumerate(beta.letters):
-            fam = family if idx == 0 else twist(family, BraidWord(n, beta.letters[:idx]))
-            step = generator_matrix(n, abs(letter), 1 if letter > 0 else -1, fam)
-            mat = mat.opposite_mul(step.matrix)
+        mat = _compose_matrix(beta, family)
     else:
         raise ValueError(f"unknown route {route!r}")
     bm = BurauMatrix(mat, family, beta, Basis.G)
@@ -452,6 +486,8 @@ class MarkovReport:
                     "error_bound": (
                         "unknown" if s.fq.error_bound is None else s.fq.error_bound
                     ),
+                    "method": s.fq.estimate.method,
+                    "diagnostics": s.fq.estimate.diagnostics,
                 }
                 for s in self.stages
             ],

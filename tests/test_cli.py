@@ -5,6 +5,8 @@ import pytest
 
 from l2burau.cli import main
 
+BOYD = 1.3813564445184977  # m(1 + x + y) in closed form (Smyth 1981)
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -48,7 +50,7 @@ def test_fq_json_round_trip(capsys):
     code, out, _ = run(capsys, "fq", "-b", "-1 2", "-f", "ab", "-t", "1", "--json")
     assert code == 0
     payload = json.loads(out)
-    assert abs(payload[0]["value"] - 1.38135) < 1e-3
+    assert abs(payload[0]["value"] - BOYD) <= payload[0]["error_bound"]
 
 
 def test_markov_command(capsys):
@@ -70,6 +72,40 @@ def test_markov_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload[0]["verdict"] == "violation"
+
+
+def test_markov_json_stage_provenance(capsys):
+    # every stage records its backend and diagnostics, as fq --json does
+    code, out, _ = run(
+        capsys, "markov", "-b", "-1", "-n", "2", "-f", "ab", "--moves", "stab:+1", "--json"
+    )
+    assert code == 0
+    (report,) = json.loads(out)
+    start, stab = report["stages"]
+    assert set(start) == {"move", "braid", "value", "error_bound", "method", "diagnostics"}
+    assert (start["method"], stab["method"]) == ("roots", "quadrature")
+    code, out, _ = run(capsys, "fq", "-b", stab["braid"], "-n", "3", "-f", "ab", "--json")
+    (fq,) = json.loads(out)
+    assert stab["diagnostics"] == fq["diagnostics"]
+    assert stab["value"] == fq["value"]
+
+
+# a 120-letter word on 12 strands: an 11 x 11 symbolic determinant per t
+BUDGET_WORD = (
+    "-1 -1 -2 -6 -10 3 11 3 -7 -7 10 10 -4 5 -10 -8 10 1 -4 -3 -2 -8 -7 -5 "
+    "4 -3 -6 -9 -5 -2 -6 9 -3 -8 -5 -6 -6 1 -8 5 2 -6 -11 4 -9 -3 -5 -5 8 4 "
+    "-10 -4 -11 -5 -7 9 -7 -2 -11 10 -7 -10 -6 -5 -2 -3 7 10 9 1 2 5 -10 -9 "
+    "-4 -6 -5 -1 7 9 -5 -4 -6 -5 -3 -7 -11 2 10 11 -4 -4 -6 9 -4 6 -3 -5 3 "
+    "-10 9 -5 -1 4 7 -3 5 -4 1 3 1 -4 -8 -7 3 -9 7 8 4 -9"
+)
+
+
+def test_fq_twelve_strands_within_budget(capsys):
+    assert len(BUDGET_WORD.split()) == 120
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "fq", "-f", "phi", "-n", "12", "-b", BUDGET_WORD, "-t", "1/2 1 2")
+    assert code == 0 and len(out.strip().splitlines()) == 3
+    assert time.perf_counter() - start < 10.0
 
 
 def test_alexander_command(capsys):

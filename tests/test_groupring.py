@@ -1,5 +1,8 @@
+import cmath
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from l2burau.braid import braid_word
@@ -185,6 +188,84 @@ def test_determinant_small():
     m = GroupRingMatrix(grp, [[z, one], [one, z]])
     det = m.determinant()
     assert det == GroupRingElement(grp, {2: TPoly.const(1), 0: TPoly.const(-1)})
+
+
+# the three commutative targets: a random group element, and its value at
+# z (one unit complex number per torus coordinate)
+DET_GROUPS = {
+    "integers": (
+        Integers(),
+        lambda rng: rng.randint(-2, 2),
+        lambda g, z: z[0] ** g,
+    ),
+    "free_abelian_2": (
+        FreeAbelian(2),
+        lambda rng: (rng.randint(-2, 2), rng.randint(-1, 1)),
+        lambda g, z: z[0] ** g[0] * z[1] ** g[1],
+    ),
+    "free_1": (
+        Free(1),
+        lambda rng: FreeWord.gen(1, 1) ** rng.randint(-2, 2),
+        lambda g, z: z[0] ** sum(e for _, e in g.syllables),
+    ),
+}
+
+
+def _rand_det_entry(rng, grp, draw):
+    if rng.random() < 0.3:
+        return GroupRingElement.zero(grp)
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        coeff = (
+            Fraction(rng.randint(-3, 3), rng.choice((2, 3, 5)))
+            if rng.random() < 0.4
+            else rng.randint(-3, 3)
+        )
+        terms.setdefault(draw(rng), {})[rng.randint(-2, 2)] = coeff
+    return GroupRingElement(grp, {g: TPoly(cs) for g, cs in terms.items()})
+
+
+def _evaluate_entry(e, at, t, z):
+    return sum(
+        float(c) * t**k * at(g, z) for g, tp in e.terms.items() for k, c in tp.coeffs.items()
+    )
+
+
+@pytest.mark.parametrize("name", sorted(DET_GROUPS))
+def test_determinant_matches_numeric_oracle(name):
+    grp, draw, at = DET_GROUPS[name]
+    rng = random.Random(f"det-oracle-{name}")
+    mats = []
+    for size in (1, 2, 3, 4, 5, 6):
+        mats.append(
+            [[_rand_det_entry(rng, grp, draw) for _ in range(size)] for _ in range(size)]
+        )
+    # a singular one: the last row is a group-ring multiple of the first
+    # plus the second
+    sing = [[_rand_det_entry(rng, grp, draw) for _ in range(4)] for _ in range(3)]
+    factor = _rand_det_entry(rng, grp, draw)
+    sing.append([factor * a + b for a, b in zip(sing[0], sing[1])])
+    mats.append(sing)
+    for entries in mats:
+        det = GroupRingMatrix(grp, entries).determinant()
+        assert all(
+            type(c) is Fraction for tp in det.terms.values() for c in tp.coeffs.values()
+        )
+        if entries is sing:
+            assert det.is_zero()
+        for _ in range(3):
+            t = rng.uniform(0.3, 3.0)
+            z = [cmath.exp(2j * cmath.pi * rng.random()) for _ in range(2)]
+            num = np.array(
+                [[_evaluate_entry(e, at, t, z) for e in row] for row in entries],
+                dtype=complex,
+            )
+            want = np.linalg.det(num)
+            got = _evaluate_entry(det, at, t, z)
+            if entries is sing:  # against the Hadamard bound of the rows
+                assert abs(want) <= 1e-9 * float(np.prod(np.linalg.norm(num, axis=1)))
+            else:
+                assert abs(got - want) <= 1e-9 * max(abs(want), 1.0), (len(entries), got, want)
 
 
 def test_render_formats():

@@ -3,12 +3,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import random_knot_braid
 from l2burau.braid import (
     BraidWord,
     compose,
+    conjugate,
     invert,
     random_braid,
     stabilize,
@@ -36,6 +38,9 @@ from l2burau.torsion import (
     unreduced_burau,
     verify_block_triangularization,
 )
+
+
+BOYD = 1.3813564445184977  # m(1 + x + y) in closed form (Smyth 1981)
 
 
 def zel(terms):
@@ -179,7 +184,7 @@ def test_fq_base_abelian_exact():
 
 def test_fq_stabilized_abelian_boyd():
     v = fq_value(BraidWord(3, (-1, 2)), Abelianization(), 1)
-    assert abs(v.value - 1.3813564445) < 1e-3
+    assert abs(v.value - BOYD) <= v.error_bound
 
 
 def test_fq_identity_family_free_value():
@@ -373,7 +378,7 @@ def test_markov_violation_abelianization():
     )
     assert rep.verdict == "violation"
     assert rep.stages[0].fq.value == pytest.approx(1.0, abs=1e-9)
-    assert rep.stages[1].fq.value == pytest.approx(1.38135, abs=1e-3)
+    assert abs(rep.stages[1].fq.value - BOYD) <= rep.stages[1].fq.error_bound
 
 
 def test_markov_violation_identity_certified():
@@ -416,7 +421,9 @@ def test_markov_json_schema():
     rep = markov_report(BraidWord(2, (1,)), [Stabilize(1)], TotalWinding(), 1)
     obj = json.loads(json.dumps(rep.to_json_obj()))
     assert set(obj) == {"braid", "family", "t", "stages", "verdict", "max_deviation"}
-    assert set(obj["stages"][0]) == {"move", "braid", "value", "error_bound"}
+    assert set(obj["stages"][0]) == {
+        "move", "braid", "value", "error_bound", "method", "diagnostics"
+    }
 
 
 def test_markov_threaded_matches_serial(monkeypatch):
@@ -510,3 +517,47 @@ def test_burau_winding_consistency_guard():
         for e in row:
             for elem, tp in e.terms.items():
                 assert set(tp.coeffs) == {elem}
+
+
+# --- the compose route at sweep size ------------------------------------------------
+
+SWEEP_KNOTS = {
+    # table braid, Alexander polynomial
+    "3_1": ((2, (1, 1, 1)), {0: 1, 1: -1, 2: 1}),
+    "4_1": ((3, (1, -2, 1, -2)), {0: 1, 1: -3, 2: 1}),
+    "7_1": ((2, (1,) * 7), {k: (-1) ** k for k in range(7)}),
+}
+SWEEP_CONJUGATOR = BraidWord(7, (
+    2, 6, -3, -3, -5, 2, 4, -3, -1, -4, -3, -6, -2, -4, -2,
+    4, 1, -4, 2, 2, 5, 2, 1, -5, -2, -5, 6, 4, -1, 5,
+))
+
+
+def mahler_roots_oracle(poly, t: float) -> float:
+    """Mahler measure in z of Delta(t z) from numpy roots of Delta:
+    |lead| t^deg prod max(1, |root| / t)."""
+    deg = max(poly)
+    roots = np.roots([float(poly.get(k, 0)) for k in range(deg, -1, -1)])
+    return abs(float(poly[deg])) * t**deg * float(np.prod(np.maximum(1.0, np.abs(roots) / t)))
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_KNOTS))
+def test_compose_route_at_sweep_size(name):
+    (strands, letters), table = SWEEP_KNOTS[name]
+    beta = BraidWord(strands, letters)
+    while beta.strands < 7:
+        beta = stabilize(beta, 1)
+    beta = conjugate(beta, SWEEP_CONJUGATOR)
+    n = beta.strands
+    assert alexander_polynomial(beta) == {k: Fraction(c) for k, c in table.items()}
+    # det(Burau - Id) = +-s^k Delta(s) (1 + s + ... + s^(n-1)) at s = t z,
+    # symmetric about half the exponent sum e, which fixes k; the second
+    # factor has Mahler measure max(1, t)^(n-1)
+    e = sum(1 if x > 0 else -1 for x in beta.letters)
+    assert (e - (n - 1) - max(table)) % 2 == 0
+    k = (e - (n - 1) - max(table)) // 2
+    for t0 in (Fraction(1, 2), Fraction(1), Fraction(2)):
+        v = fq_value(beta, TotalWinding(), t0)
+        t, top = float(t0), float(max(Fraction(1), t0))
+        want = t**k * top ** (n - 1) * mahler_roots_oracle(table, t) / top**n
+        assert abs(v.value - want) <= v.error_bound, (name, t0, v.value, want)
