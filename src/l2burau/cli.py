@@ -131,6 +131,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_WARNINGS = {
+    # diagnostics flag -> what it means for the printed value
+    "tail_vacuous": "series cut while its terms are still material, no tail model",
+    "injectivity_assumed": "no reduction applies; the operator is assumed injective",
+}
+
+
+def _warnings(diagnostics: dict, indent: str) -> list[str]:
+    """Text-output lines for the warning flags set in an estimate's diagnostics."""
+    return [
+        f"{indent}warning: {flag}: {text}"
+        for flag, text in _WARNINGS.items()
+        if diagnostics.get(flag)
+    ]
+
+
 def _emit(args, text: str):
     if args.output:
         with open(args.output, "w") as fh:
@@ -176,11 +192,13 @@ def _cmd_fq(args) -> int:
             wr.writerow([str(r.t0), r.value, r.error_bound, r.estimate.method])
         _emit(args, buf.getvalue().rstrip("\n"))
     else:
-        lines = [
-            f"t={r.t0}: F = {r.value:.10g}"
-            + (f" (+- {r.error_bound:.3g})" if r.error_bound is not None else "")
-            for r in results
-        ]
+        lines = []
+        for r in results:
+            lines.append(
+                f"t={r.t0}: F = {r.value:.10g}"
+                + (f" (+- {r.error_bound:.3g})" if r.error_bound is not None else "")
+            )
+            lines.extend(_warnings(r.estimate.diagnostics, "  "))
         _emit(args, "\n".join(lines))
     return 0
 
@@ -211,6 +229,7 @@ def _cmd_markov(args) -> int:
             lines.append(f"t={r.t0}: verdict={r.verdict} max_deviation={r.max_deviation:.3g}")
             for s in r.stages:
                 lines.append(f"  {s.move:<14} [{s.braid.render() or 'empty'}]  F = {s.fq.value:.10g}")
+                lines.extend(_warnings(s.fq.estimate.diagnostics, "    "))
         _emit(args, "\n".join(lines))
     return 0
 

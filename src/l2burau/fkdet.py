@@ -384,17 +384,20 @@ class FreeBall:
         return m
 
     def scatter_pairs(self, w: FreeWord) -> tuple[np.ndarray, np.ndarray]:
-        """(src, tgt) index arrays for in-ball right multiplication by w."""
-        m = np.arange(self.size, dtype=np.int64)
+        """(src, tgt) index arrays for in-ball right multiplication by w.
+
+        ``src`` is sorted.  Only the nodes still inside the ball are carried
+        from letter to letter; along a reduced word the path from x never
+        gets longer than max(|x|, |xw|), so a pair survives exactly when
+        both ends lie in the ball.
+        """
+        src = np.arange(self.size, dtype=np.int64)
+        cur = src
         for g, s in w.letters():
-            a = 2 * (g - 1) + (0 if s > 0 else 1)
-            lm = self.letter_map(a)
-            valid = m >= 0
-            nm = np.full(self.size, -1, dtype=np.int64)
-            nm[valid] = lm[m[valid]]
-            m = nm
-        src = np.where(m >= 0)[0]
-        return src, m[src]
+            nxt = self.letter_map(2 * (g - 1) + (0 if s > 0 else 1))[cur]
+            keep = nxt >= 0
+            src, cur = src[keep], nxt[keep]
+        return src, cur
 
 
 def _ball_radius_for(rank: int, state_budget: int) -> int:
@@ -425,7 +428,9 @@ class _Moments:
     norm_bound: float  # c0
     radius: int
     taus: np.ndarray  # tr((Id - B/c0)^k), k = 1..K, on the radius-R ball
-    taus_small: np.ndarray | None  # the same on the radius-(R-1) ball, if R > 2
+    # the same on the radius-(R-1) ball, if R > 2: the index prefix of the
+    # radius-R ball, walked with the same scatter pairs
+    taus_small: np.ndarray | None
 
 
 def _norm_bound(entries: list[list[dict[FreeWord, float]]]) -> float:
@@ -483,36 +488,87 @@ def _trace_moments(
     """Walk tau_k = tr((Id - B/c0)^k), k = 1..series_len, for a positive B.
 
     ``entries`` holds B as an m x m matrix of {word: coefficient} sums over
-    Free(rank).  The walk runs on the largest ball the state budget allows
-    and, to measure the truncation, on the ball one level smaller.
+    Free(rank); B must be self-adjoint (entry (j, i) at w^-1 equals entry
+    (i, j) at w), else ``ValueError``.  The walk runs on the largest ball
+    the state budget allows, where T = Id - B/c0 truncates to the
+    self-adjoint P T P, so with v_j = (P T P)^j e the traces are
+    tau_2j = <v_j, v_j> and tau_2j+1 = <v_j, v_j+1>: ceil(K/2) steps give
+    K traces.  The radius-(R-1) ball that measures the truncation is the
+    index prefix [0, offsets[R]) of the big one and reuses its pairs.
     """
     m = len(entries)
     c = _norm_bound(entries)
     if c == 0.0:
         raise ValueError("zero operator has no regular determinant")
     radius = _ball_radius_for(rank, state_budget)
-    words = {w for row in entries for e in row for w in e}
-
-    def taus_at(ball: FreeBall) -> np.ndarray:
-        scatter = {w: ball.scatter_pairs(w) for w in words}
-        taus = np.zeros(series_len)
-        for comp in range(m):
-            v = np.zeros((m, ball.size))
-            v[comp, 0] = 1.0
-            for k in range(series_len):
-                nv = v.copy()
-                for i in range(m):
-                    for j in range(m):
-                        for w, cw in entries[i][j].items():
-                            src, tgt = scatter[w]
-                            nv[i][tgt] += (-cw / c) * v[j][src]
-                v = nv
-                taus[k] += v[comp, 0]
-        return taus
-
-    taus = taus_at(FreeBall(rank, radius))
-    taus_small = taus_at(FreeBall(rank, radius - 1)) if radius > 2 else None
+    ball = FreeBall(rank, radius)
+    diag, terms = _mirror_terms(entries, c)
+    pairs = {w: ball.scatter_pairs(w) for w in {w for *_, w in terms}}
+    steps = [(i, j, cw, pairs[w]) for i, j, cw, w in terms]
+    taus = _half_walk(diag, steps, ball.size, series_len)
+    taus_small = None
+    if radius > 2:
+        cut = int(ball.offsets[radius])
+        inner = []
+        for i, j, cw, (src, tgt) in steps:
+            n = int(np.searchsorted(src, cut))
+            keep = tgt[:n] < cut
+            inner.append((i, j, cw, (src[:n][keep], tgt[:n][keep])))
+        taus_small = _half_walk(diag, inner, cut, series_len)
     return _Moments(m, rank, c, radius, taus, taus_small)
+
+
+def _mirror_terms(entries, c: float) -> tuple[np.ndarray, list]:
+    """Split Id - B/c into a diagonal and one term per mirror pair.
+
+    The (j, i, w^-1) term of a self-adjoint B is the transpose of the
+    (i, j, w) term, so only the one whose word is the smaller of
+    {w, w^-1} is kept, and the identity word on i = j goes to the diagonal.
+    Returns (diagonal, [(i, j, coefficient, w)]).
+    """
+    m = len(entries)
+    diag = np.ones(m)
+    terms = []
+    for i in range(m):
+        for j in range(m):
+            for w, cw in entries[i][j].items():
+                winv = w.inverse()
+                if entries[j][i].get(winv) != cw:
+                    raise ValueError(
+                        f"walked operator is not self-adjoint: entry ({i}, {j}) at "
+                        f"{w} has no equal mirror at ({j}, {i})"
+                    )
+                if w.is_identity():
+                    if i == j:
+                        diag[i] -= cw / c
+                    elif i < j:
+                        terms.append((i, j, -cw / c, w))
+                elif _word_key(w) < _word_key(winv):
+                    terms.append((i, j, -cw / c, w))
+    return diag, terms
+
+
+def _half_walk(diag: np.ndarray, steps: list, size: int, series_len: int) -> np.ndarray:
+    """tau_1..tau_K of the self-adjoint walk on ``size`` nodes, in ceil(K/2) steps.
+
+    Each step entry (i, j, coefficient, (src, tgt)) adds both its term and
+    the mirror term from one scatter.
+    """
+    m = len(diag)
+    n_steps = (series_len + 1) // 2
+    taus = np.zeros(2 * n_steps)
+    for comp in range(m):
+        v = np.zeros((m, size))
+        v[comp, 0] = 1.0
+        for k in range(n_steps):
+            nv = diag[:, None] * v
+            for i, j, cw, (src, tgt) in steps:
+                nv[i][tgt] += cw * v[j][src]
+                nv[j][src] += cw * v[i][tgt]
+            taus[2 * k] += np.vdot(v, nv)
+            taus[2 * k + 1] += np.vdot(nv, nv)
+            v = nv
+    return taus[:series_len]
 
 
 def _series_from_moments(mom: _Moments, accel: bool, eps: float = 0.0) -> _SeriesResult:
@@ -581,8 +637,12 @@ def _walk_matrix(support: list[list[dict[FreeWord, Fraction]]]):
     return out
 
 
+def _word_key(w: FreeWord):
+    return (w.length(), w.syllables)
+
+
 def _sorted_support(words) -> list[FreeWord]:
-    return sorted(set(words), key=lambda w: (w.length(), w.syllables))
+    return sorted(set(words), key=_word_key)
 
 
 def _rewrite_entries(entries):
@@ -661,7 +721,7 @@ def _det_free_single(
         return FKEstimate(0.0, 0.0, "trace_series", {"non_injective": True})
     # a left unitary factor is determinant-neutral and invisible to A*A, so
     # rebase the support at a shortest word before extracting the subgroup
-    w0inv = min(e, key=lambda w: (w.length(), w.syllables)).inverse()
+    w0inv = min(e, key=_word_key).inverse()
     shifted = {w0inv * w: c for w, c in e.items()}
     words = _sorted_support(shifted)
     rank, rewritten = fold_subgroup_basis(words)

@@ -206,8 +206,10 @@ def _compose_matrix(beta: BraidWord, family) -> GroupRingMatrix:
     n = beta.strands
     grp = family.target(n)
     updates, columns = [], []  # per letter: (column, its rows), its entries
+    fam = family  # twisted by the letters before this one
     for idx, letter in enumerate(beta.letters):
-        fam = family if idx == 0 else twist(family, BraidWord(n, beta.letters[:idx]))
+        if idx:
+            fam = twist(fam, BraidWord(n, (beta.letters[idx - 1],)))
         col = _generator_column(n, abs(letter), 1 if letter > 0 else -1, fam)
         updates.append((abs(letter) - 1, [r - 1 for r in col]))
         columns.append([_flat(v) for v in col.values()])

@@ -90,6 +90,27 @@ def test_markov_json_stage_provenance(capsys):
     assert stab["value"] == fq["value"]
 
 
+def test_text_output_warns_on_diagnostic_flags(capsys):
+    # tail_vacuous and injectivity_assumed reach the text output as warning
+    # lines under their value; --json carries them as diagnostics only
+    vacuous = "warning: tail_vacuous: series cut while its terms are still material, no tail model"
+    argv = ["-f", "id", "--no-accel", "--series-len", "12"]
+    code, out, _ = run(capsys, "fq", "-b", "-1 2", *argv)
+    assert code == 0 and out.splitlines()[1] == "  " + vacuous
+    code, out, _ = run(capsys, "fq", "-b", "-1 2", *argv, "--json")
+    (fq,) = json.loads(out)
+    assert fq["diagnostics"]["tail_vacuous"] and "warning" not in out
+    code, out, _ = run(capsys, "markov", "-b", "-1", "-n", "2", *argv, "--moves", "stab:+1")
+    assert code == 0 and out.splitlines()[2::2] == ["    " + vacuous] * 2
+    # a 3 x 3 matrix has no reduction
+    code, out, _ = run(capsys, "fq", "-b", "1 2 3", "-n", "4", "-f", "id", "--series-len", "8")
+    assert code == 0 and out.splitlines()[1] == (
+        "  warning: injectivity_assumed: no reduction applies; the operator is assumed injective"
+    )
+    code, out, _ = run(capsys, "fq", "-b", "1 1 1", "-f", "phi", "-t", "1/2 2")
+    assert code == 0 and "warning" not in out
+
+
 # a 120-letter word on 12 strands: an 11 x 11 symbolic determinant per t
 BUDGET_WORD = (
     "-1 -1 -2 -6 -10 3 11 3 -7 -7 10 10 -4 5 -10 -8 10 1 -4 -3 -2 -8 -7 -5 "

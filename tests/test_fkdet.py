@@ -308,17 +308,102 @@ def test_trace_moments_match_closed_form_over_z():
 
 
 def test_epsilon_walks_each_ball_once(monkeypatch):
-    radii = []
+    radii, scattered = [], []
 
     class CountingBall(fkdet.FreeBall):
         def __init__(self, rank, radius):
             radii.append(radius)
             super().__init__(rank, radius)
 
+        def scatter_pairs(self, w):
+            scattered.append(w)
+            return super().scatter_pairs(w)
+
     monkeypatch.setattr(fkdet, "FreeBall", CountingBall)
     est = det_epsilon_reg(_minus_one_over_phi(), 1)
     assert len(est.diagnostics["epsilons"]) == 6
-    assert radii == [est.diagnostics["radius"], est.diagnostics["radius"] - 1]
+    # one ball: the radius-(R-1) check walks an index prefix of it
+    assert radii == [est.diagnostics["radius"]]
+    # one scatter per {w, w^-1} pair: the mirror term reuses it
+    assert scattered
+    assert len({frozenset((w, w.inverse())) for w in scattered}) == len(scattered)
+
+
+def test_scatter_pairs_are_in_ball_right_multiplication(rng):
+    # every pair (x, x w) with both ends in the ball, whatever the path between
+    ball = fkdet.FreeBall(2, 4)
+    nodes = [FreeWord.identity(2)]
+    for x in range(1, ball.size):
+        a = int(ball.last[x])
+        nodes.append(nodes[ball._parent[x]] * FreeWord.gen(2, a // 2 + 1, 1 - 2 * (a % 2)))
+    index = {w: x for x, w in enumerate(nodes)}
+    assert len(index) == ball.size and max(w.length() for w in nodes) == 4
+    for length in (0, 1, 2, 3, 5, 8, 9):
+        w = random_word(rng, 2, length)
+        src, tgt = ball.scatter_pairs(w)
+        assert list(src) == sorted(src)
+        want = [(x, index[u * w]) for x, u in enumerate(nodes) if u * w in index]
+        assert list(zip(src.tolist(), tgt.tolist())) == want
+
+
+def _random_self_adjoint(rng, m, rank):
+    """m x m {word: float} entries with entry (j, i) at w^-1 equal to (i, j) at w."""
+    entries = [[{} for _ in range(m)] for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            for _ in range(rng.randint(1, 3)):
+                w = random_word(rng, rank, rng.randint(0, 3))
+                c = rng.uniform(-2.0, 2.0)
+                entries[i][j][w] = c
+                entries[j][i][w.inverse()] = c
+    return entries
+
+
+def _full_walk(entries, ball, c, series_len):
+    """tr((P (Id - B/c) P)^k), k = 1..K: K plain steps over every entry term."""
+    m = len(entries)
+    taus = np.zeros(series_len)
+    for comp in range(m):
+        v = np.zeros((m, ball.size))
+        v[comp, 0] = 1.0
+        for k in range(series_len):
+            nv = v.copy()
+            for i in range(m):
+                for j in range(m):
+                    for w, cw in entries[i][j].items():
+                        src, tgt = ball.scatter_pairs(w)
+                        nv[i][tgt] -= cw / c * v[j][src]
+            v = nv
+            taus[k] += v[comp, 0]
+    return taus
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_half_walk_matches_full_walk(rng, m):
+    for rank in (1, 2, 3):
+        entries = _random_self_adjoint(rng, m, rank)
+        for series_len in (13, 20):
+            mom = _trace_moments(entries, rank, series_len, 2_000)
+            R = mom.radius
+            assert R > 2
+            for got, ball in (
+                (mom.taus, fkdet.FreeBall(rank, R)),
+                (mom.taus_small, fkdet.FreeBall(rank, R - 1)),
+            ):
+                want = _full_walk(entries, ball, mom.norm_bound, series_len)
+                assert len(got) == series_len
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_half_walk_rejects_non_self_adjoint():
+    x1 = parse_word("x1", 2)
+    e = FreeWord.identity(2)
+    with pytest.raises(ValueError, match="self-adjoint"):
+        _trace_moments([[{e: 2.0, x1: 1.0}]], 2, 10, 2_000)  # no x1^-1 term
+    with pytest.raises(ValueError, match="self-adjoint"):
+        _trace_moments([[{e: 2.0, x1: 1.0, x1.inverse(): 0.5}]], 2, 10, 2_000)
+    with pytest.raises(ValueError, match="self-adjoint"):
+        _trace_moments([[{e: 2.0}, {x1: 1.0}], [{x1: 1.0}, {e: 2.0}]], 2, 10, 2_000)
 
 
 def test_epsilon_rejects_zd():

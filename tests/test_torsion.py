@@ -152,6 +152,26 @@ def test_routes_agree(rng):
                 assert d == c, (fam, b)
 
 
+def test_compose_route_twists_one_letter_at_a_time(rng, monkeypatch):
+    # each letter's family comes from the previous one, so an assembly
+    # builds about one one-letter BraidWord per letter, not every prefix
+    braids = [random_braid(rng, 5, length) for length in (12, 40)]
+    built = []
+    validate = BraidWord.__post_init__
+
+    def counting(self):
+        built.append(len(self.letters))
+        validate(self)
+
+    monkeypatch.setattr(BraidWord, "__post_init__", counting)
+    for fam in (TotalWinding(), Abelianization()):
+        for b in braids:
+            built.clear()
+            reduced_burau(b, fam, route="compose")
+            assert len(built) <= len(b) + 1
+            assert sum(built) <= len(b) + 1
+
+
 def test_anti_multiplicativity_symbolic(rng):
     for n in (2, 3, 4):
         for _ in range(10):
