@@ -42,6 +42,8 @@ from .fkdet import (
     det_free_group,
     det_integers,
     fold_subgroup_basis,
+    quadrature_estimate,
+    roots_estimate,
 )
 from .freegroup import (
     Basis,

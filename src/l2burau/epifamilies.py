@@ -12,6 +12,9 @@ Quotients onto braid-closure groups and their deeper images are outside
 the computable range of this library (no terminating word problem is
 available there); they appear only in documentation and in the
 one-variable consequences tested through the torsion module.
+
+Families compare and hash by value, so a (braid, family) pair can key a
+cache of the t-free part of an evaluation.
 """
 
 from __future__ import annotations
@@ -46,6 +49,9 @@ class Identity:
     def __eq__(self, other):
         return isinstance(other, Identity)
 
+    def __hash__(self):
+        return hash(Identity)
+
 
 class TotalWinding:
     """Q = total winding onto Z: every x_i to 1, hence g_i to i."""
@@ -67,6 +73,9 @@ class TotalWinding:
 
     def __eq__(self, other):
         return isinstance(other, TotalWinding)
+
+    def __hash__(self):
+        return hash(TotalWinding)
 
 
 class Abelianization:
@@ -95,6 +104,9 @@ class Abelianization:
 
     def __eq__(self, other):
         return isinstance(other, Abelianization)
+
+    def __hash__(self):
+        return hash(Abelianization)
 
 
 class CustomAbelian:
@@ -148,6 +160,9 @@ class CustomAbelian:
 
     def __eq__(self, other):
         return isinstance(other, CustomAbelian) and self.images == other.images
+
+    def __hash__(self):
+        return hash(self.images)
 
 
 class TwistedFamily:
@@ -207,6 +222,9 @@ class PermutedAbelianization:
 
     def __eq__(self, other):
         return isinstance(other, PermutedAbelianization) and self.perm == other.perm
+
+    def __hash__(self):
+        return hash(self.perm)
 
 
 EpiFamily = (

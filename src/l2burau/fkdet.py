@@ -8,6 +8,13 @@ Three backends, one per coefficient group, plus epsilon regularization:
   Mahler measure as a midpoint tensor quadrature of log|P| on the torus,
   with grid doublings supplying the error bound.  Supports touching at
   most one coordinate fall back to the exact root method.
+
+  Both take a matrix and expand its determinant, exact in t, before they
+  substitute t = t0.  Their polynomial-level entry points
+  ``roots_estimate(D, t0)`` and ``quadrature_estimate(D, t0, grid)``
+  start from that determinant D instead, with the same checks and
+  messages, so a caller evaluating one matrix at several t expands it
+  once (``torsion.fq_value`` does).
 * ``det_free_group`` - a von Neumann trace series for log det.  Traces
   tr((Id - B/c)^k) are computed by propagating a vector over a
   radius-truncated ball of a free group (the Cayley graph is a tree, so
@@ -39,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .freegroup import FreeWord, word as make_word
-from .groupring import Free, FreeAbelian, GroupRingMatrix, Integers
+from .groupring import Free, FreeAbelian, GroupRingElement, GroupRingMatrix, Integers
 
 
 @dataclasses.dataclass
@@ -109,13 +116,28 @@ def mahler_univariate(coeffs: dict[int, Fraction]) -> tuple[float, float]:
     return value, value * 5e-12 * (deg + 1) ** 2 + 1e-14
 
 
+def _require_integers(group) -> None:
+    if not isinstance(group, Integers):
+        raise ValueError("det_integers needs an Integers coefficient group")
+
+
 def det_integers(M: GroupRingMatrix, t0, regular: bool = True) -> FKEstimate:
     """Determinant over Z via the symbolic polynomial and its roots."""
     _require_square(M)
+    _require_positive(t0)
+    _require_integers(M.group)
+    return roots_estimate(M.determinant(), t0, regular)
+
+
+def roots_estimate(D: GroupRingElement, t0, regular: bool = True) -> FKEstimate:
+    """The roots backend on a determinant already expanded over Z.
+
+    ``D`` is det(M) exact in t, as ``GroupRingMatrix.determinant`` returns
+    it; only t = t0 is substituted here, so one D serves every t.
+    """
     t0 = _require_positive(t0)
-    if not isinstance(M.group, Integers):
-        raise ValueError("det_integers needs an Integers coefficient group")
-    P = M.determinant().coefficients_at(t0)
+    _require_integers(D.group)
+    P = D.coefficients_at(t0)
     diagnostics: dict = {"degree_span": [min(P), max(P)] if P else None}
     if not P:
         diagnostics["non_injective"] = True
@@ -164,15 +186,30 @@ def _log_abs_mean(P: dict[tuple, Fraction], d: int, n_grid: int) -> float:
     return total / float(n_grid**d)
 
 
-def det_free_abelian(M: GroupRingMatrix, t0, grid: int = 128) -> FKEstimate:
-    """Determinant over Z^d: the Mahler measure of the determinant polynomial."""
-    _require_square(M)
-    t0 = _require_positive(t0)
-    if not isinstance(M.group, FreeAbelian):
+def _require_free_abelian(group, grid: int) -> None:
+    if not isinstance(group, FreeAbelian):
         raise ValueError("det_free_abelian needs a FreeAbelian coefficient group")
     if grid < 64:
         raise ValueError("grid must be at least 64")
-    P0 = M.determinant().coefficients_at(t0)
+
+
+def det_free_abelian(M: GroupRingMatrix, t0, grid: int = 128) -> FKEstimate:
+    """Determinant over Z^d: the Mahler measure of the determinant polynomial."""
+    _require_square(M)
+    _require_positive(t0)
+    _require_free_abelian(M.group, grid)
+    return quadrature_estimate(M.determinant(), t0, grid)
+
+
+def quadrature_estimate(D: GroupRingElement, t0, grid: int = 128) -> FKEstimate:
+    """The quadrature backend on a determinant already expanded over Z^d.
+
+    ``D`` is det(M) exact in t; only t = t0 is substituted here, so one D
+    serves every t.
+    """
+    t0 = _require_positive(t0)
+    _require_free_abelian(D.group, grid)
+    P0 = D.coefficients_at(t0)
     if not P0:
         return FKEstimate(0.0, 0.0, "quadrature", {"non_injective": True})
     P, d = _drop_unused_axes(P0)

@@ -680,43 +680,49 @@ class GroupRingMatrix:
     def determinant(self) -> GroupRingElement:
         """Exact symbolic determinant in t; commutative coefficient groups only.
 
-        Laplace expansion along rows with memoization over column subsets:
-        the minor on the last n - r rows and the columns outside a mask of
-        r columns is computed once per mask, so an n x n matrix costs at
-        most 2^n minors.  The entries are flattened once into flat-kernel
-        dicts keyed by single ints (see ``_keyed``), the expansion runs on
-        those with int multiplies and int key sums, and only the final sum
-        is turned back into an element.  Exponential in n, fine for the
-        small matrices here.
+        Laplace expansion along rows, shared over column subsets: the minor
+        on the last n - r rows and the columns outside a mask of r columns
+        is computed once per mask, so an n x n matrix costs at most 2^n
+        minors.  The masks the expansion can reach (through nonzero
+        entries only) are found top-down first; the minors are then filled
+        bottom-up, level r from level r + 1, so only two adjacent levels
+        are alive at a time.  The entries are flattened once into
+        flat-kernel dicts keyed by single ints (see ``_keyed``), the
+        expansion runs on those with int multiplies and int key sums, and
+        only the final sum is turned back into an element.  Exponential in
+        n, fine for the small matrices here.
         """
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
         if not is_commutative(self.group):
             raise ValueError("symbolic determinant needs a commutative group")
         n = self.rows
-        full = (1 << n) - 1
         rows, mul, one, element = _keyed(
             self.group, [[_flat(e) for e in row] for row in self.entries]
         )
-        cache: dict[int, dict] = {full: {one: 1}}
-
-        def minor(colmask: int) -> dict:
-            got = cache.get(colmask)
-            if got is not None:
-                return got
-            row = rows[bin(colmask).count("1")]
-            acc: dict = {}
-            sign = 1
-            for j in range(n):
-                if colmask & (1 << j):
-                    continue
-                if row[j]:
-                    _flat_addmul(acc, row[j], minor(colmask | (1 << j)), mul, sign)
-                sign = -sign
-            cache[colmask] = acc
-            return acc
-
-        return element(minor(0))
+        levels = [{0}]  # levels[r]: the reachable masks of r columns
+        for row in rows[:-1]:
+            levels.append({
+                mask | (1 << j)
+                for mask in levels[-1]
+                for j in range(n)
+                if row[j] and not mask & (1 << j)
+            })
+        below: dict[int, dict] = {(1 << n) - 1: {one: 1}}
+        for r in range(n - 1, -1, -1):
+            row, here = rows[r], {}
+            for mask in levels[r]:
+                acc: dict = {}
+                sign = 1
+                for j in range(n):
+                    if mask & (1 << j):
+                        continue
+                    if row[j]:
+                        _flat_addmul(acc, row[j], below[mask | (1 << j)], mul, sign)
+                    sign = -sign
+                here[mask] = acc
+            below = here
+        return element(below[0])
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import functools
 import os
 from fractions import Fraction
 from math import log
@@ -30,10 +31,13 @@ from .epifamilies import TotalWinding, twist, twists_cheaply
 from .freegroup import Basis, FreeWord, artin_act
 from .fkdet import (
     FKEstimate,
+    _require_free_abelian,
+    _require_integers,
     det_epsilon_reg,
-    det_free_abelian,
     det_free_group,
     det_integers,
+    quadrature_estimate,
+    roots_estimate,
 )
 from .groupring import (
     FreeAbelian,
@@ -50,12 +54,17 @@ from .groupring import (
 
 @dataclasses.dataclass(frozen=True)
 class BurauMatrix:
-    """A Burau matrix together with the data it was built from."""
+    """A Burau matrix together with the data it was built from.
+
+    ``route`` is "direct" for a Fox jacobian and "compose" for a fold of
+    generator table matrices (a single table matrix included).
+    """
 
     matrix: GroupRingMatrix
     family: object
     braid: BraidWord
     basis: Basis
+    route: str
 
     @property
     def size(self) -> int:
@@ -185,7 +194,7 @@ def generator_matrix(n: int, i: int, sign: int, family) -> BurauMatrix:
     for r, val in column.items():
         entries[r - 1][i - 1] = val
     mat = GroupRingMatrix(grp, entries)
-    bm = BurauMatrix(mat, family, braidmod.braid_word([sign * i], n), Basis.G)
+    bm = BurauMatrix(mat, family, braidmod.braid_word([sign * i], n), Basis.G, "compose")
     if isinstance(family, TotalWinding):
         _check_winding_consistency(mat)
     return bm
@@ -249,7 +258,7 @@ def reduced_burau(beta: BraidWord, family, route: str = "auto") -> BurauMatrix:
         mat = _compose_matrix(beta, family)
     else:
         raise ValueError(f"unknown route {route!r}")
-    bm = BurauMatrix(mat, family, beta, Basis.G)
+    bm = BurauMatrix(mat, family, beta, Basis.G, route)
     if isinstance(family, TotalWinding):
         _check_winding_consistency(mat)
     return bm
@@ -258,7 +267,7 @@ def reduced_burau(beta: BraidWord, family, route: str = "auto") -> BurauMatrix:
 def unreduced_burau(beta: BraidWord, family) -> BurauMatrix:
     """The n x n Fox jacobian in the puncture-loop basis."""
     mat = _jacobian_matrix(beta, family, Basis.X, beta.strands)
-    return BurauMatrix(mat, family, beta, Basis.X)
+    return BurauMatrix(mat, family, beta, Basis.X, "direct")
 
 
 # --- the candidate Markov function -------------------------------------------
@@ -292,6 +301,23 @@ class FQValue:
         }
 
 
+# Everything before t = t0 is substituted depends only on (braid, family),
+# so a t sweep builds it once.  Four entries cover the t loops of fq,
+# markov and the CLI.  Nothing that depends on t0, the grid or the series
+# length (an estimate, a walk, a ball) is cached.
+@functools.lru_cache(maxsize=4)
+def _minus_identity(beta: BraidWord, family) -> tuple[str, GroupRingMatrix]:
+    """The route reduced_burau took and E = Burau(beta) - Id."""
+    bm = reduced_burau(beta, family)
+    return bm.route, bm.matrix - GroupRingMatrix.identity(bm.matrix.group, beta.strands - 1)
+
+
+@functools.lru_cache(maxsize=4)
+def _symbolic_det(beta: BraidWord, family) -> GroupRingElement:
+    """det(E), exact in t; built only when the roots or quad backend asks."""
+    return _minus_identity(beta, family)[1].determinant()
+
+
 def fq_value(
     beta: BraidWord,
     family,
@@ -306,15 +332,17 @@ def fq_value(
     """Evaluate the candidate Markov function at one braid and one t > 0.
 
     The determinant backend follows the family's target group unless
-    ``method`` forces one of roots | quad | series | eps.
+    ``method`` forces one of roots | quad | series | eps.  E = Burau - Id
+    and, for roots and quad, its symbolic determinant come from caches
+    keyed by (beta, family), so calls that differ only in t share them.
+    The diagnostics record the Burau route ("direct" or "compose").
     """
     t0 = Fraction(t0)
     if t0 <= 0:
         raise ValueError("t must be positive")
     n = beta.strands
-    bm = reduced_burau(beta, family)
-    E = bm.matrix - GroupRingMatrix.identity(bm.matrix.group, n - 1)
-    grp = bm.matrix.group
+    route, E = _minus_identity(beta, family)
+    grp = E.group
     if method is None:
         if isinstance(grp, Integers):
             method = "roots"
@@ -323,15 +351,18 @@ def fq_value(
         else:
             method = "series"
     if method == "roots":
-        est = det_integers(E, t0)
+        _require_integers(grp)  # before the determinant refuses a free group
+        est = roots_estimate(_symbolic_det(beta, family), t0)
     elif method == "quad":
-        est = det_free_abelian(E, t0, grid=grid)
+        _require_free_abelian(grp, grid)
+        est = quadrature_estimate(_symbolic_det(beta, family), t0, grid=grid)
     elif method == "series":
         est = det_free_group(E, t0, series_len=series_len, accel=accel)
     elif method == "eps":
         est = det_epsilon_reg(E, t0, epsilons=epsilons)
     else:
         raise ValueError(f"unknown method {method!r}")
+    est.diagnostics["route"] = route
     norm = float(max(Fraction(1), t0)) ** n
     value = est.value / norm
     err = None if est.error_bound is None else est.error_bound / norm
@@ -654,10 +685,11 @@ def verify_block_triangularization(
 
     residuals = {}
     det_ok = True
+    Dw, Db = Ew.determinant(), Eb.determinant()
     for t0 in t_checks:
         t0 = Fraction(t0)
-        dw = det_integers(Ew, t0).value
-        db = det_integers(Eb, t0).value
+        dw = roots_estimate(Dw, t0).value
+        db = roots_estimate(Db, t0).value
         mx = float(max(Fraction(1), t0))
         tf = float(t0)
         if sign < 0:

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from l2burau import torsion
 from l2burau.cli import main
 
 BOYD = 1.3813564445184977  # m(1 + x + y) in closed form (Smyth 1981)
@@ -127,6 +128,59 @@ def test_fq_twelve_strands_within_budget(capsys):
     code, out, _ = run(capsys, "fq", "-f", "phi", "-n", "12", "-b", BUDGET_WORD, "-t", "1/2 1 2")
     assert code == 0 and len(out.strip().splitlines()) == 3
     assert time.perf_counter() - start < 10.0
+
+
+def test_markov_t_sweep_builds_each_stage_once(capsys, monkeypatch):
+    built = []
+    assemble = torsion.reduced_burau
+
+    def counted(beta, family, route="auto"):
+        built.append(beta.render())
+        return assemble(beta, family, route)
+
+    monkeypatch.setattr(torsion, "reduced_burau", counted)
+    code, out, _ = run(
+        capsys, "markov", "-b", "1 -2 1 -2", "-f", "phi",
+        "--moves", "conj:1, stab:+1", "-t", "1/2 2",
+    )
+    assert code == 0 and out.count("verdict=") == 2
+    assert len(built) == len(set(built)) == 3
+
+
+def test_route_in_diagnostics(capsys):
+    code, out, _ = run(capsys, "fq", "-b", "1 2 1 2 1", "-f", "phi", "--json")
+    (fq,) = json.loads(out)
+    assert code == 0 and fq["diagnostics"]["route"] == "compose"
+    code, out, _ = run(capsys, "fq", "-b", "-1 2", "-f", "id", "--series-len", "8", "--json")
+    (fq,) = json.loads(out)
+    assert code == 0 and fq["diagnostics"]["route"] == "direct"
+    # markov stages carry the diagnostics fq gives their braids
+    code, out, _ = run(
+        capsys, "markov", "-b", "1 2 1 2 1", "-f", "phi", "--moves", "conj:-1, stab:-1", "--json"
+    )
+    (report,) = json.loads(out)
+    for stage, strands in zip(report["stages"], ("3", "3", "4")):
+        code, out, _ = run(
+            capsys, "fq", "-b", stage["braid"], "-n", strands, "-f", "phi", "--json"
+        )
+        (fq,) = json.loads(out)
+        assert stage["diagnostics"] == fq["diagnostics"]
+        assert stage["diagnostics"]["route"] == "compose"
+    # burau --json does not carry the route
+    code, out, _ = run(capsys, "burau", "-b", "1 2 1 2 1", "-f", "phi", "--json")
+    assert code == 0 and "route" not in json.loads(out)
+
+
+def test_mismatched_method_keeps_backend_message(capsys):
+    for argv, message in (
+        (("-b", "1 2 1 2", "-f", "ab", "--method", "roots"), "det_integers needs an Integers"),
+        (("-b", "-1 2", "-f", "id", "--method", "roots"), "det_integers needs an Integers"),
+        (("-b", "1 2 1 2", "-f", "phi", "--method", "quad"), "det_free_abelian needs a FreeAbelian"),
+        (("-b", "-1 2", "-f", "id", "--method", "quad"), "det_free_abelian needs a FreeAbelian"),
+    ):
+        code, out, err = run(capsys, "fq", *argv)
+        assert code == 3 and out == ""
+        assert err == f"error: {message} coefficient group\n"
 
 
 def test_alexander_command(capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from l2burau.braid import BraidWord, compose, permutation, random_braid
@@ -166,3 +168,23 @@ def test_family_by_name(tmp_path):
     assert isinstance(fam, CustomAbelian) and fam.d == 2
     with pytest.raises(ValueError):
         family_by_name("nope")
+
+
+def test_families_hash_by_value():
+    equal_pairs = [
+        (Identity(), Identity()),
+        (TotalWinding(), TotalWinding()),
+        (Abelianization(), Abelianization()),
+        (CustomAbelian([[1, 0], [0, 1], [1, 1]]), CustomAbelian(((1, 0), (0, 1), (1, 1)))),
+        (PermutedAbelianization((2, 3, 1)), PermutedAbelianization([2, 3, 1])),
+        (twist(Abelianization(), BraidWord(3, (1, 2))), PermutedAbelianization((2, 3, 1))),
+    ]
+    for a, b in equal_pairs:
+        assert a == b and hash(a) == hash(b)
+    beta = BraidWord(3, (1, -2))
+    # as (braid, family) keys: equal families meet, distinct ones stay apart
+    keys = {(beta, a) for a, _ in equal_pairs} | {(beta, b) for _, b in equal_pairs}
+    assert len(keys) == len(equal_pairs) - 1  # the twist equals the permuted pair
+    perms = list(itertools.permutations((1, 2, 3)))
+    assert len({(beta, PermutedAbelianization(p)) for p in perms}) == len(perms)
+    assert CustomAbelian([[1, 0], [0, 1]]) != CustomAbelian([[0, 1], [1, 0]])

@@ -268,6 +268,50 @@ def test_determinant_matches_numeric_oracle(name):
                 assert abs(got - want) <= 1e-9 * max(abs(want), 1.0), (len(entries), got, want)
 
 
+def _cofactor_det(entries, grp):
+    """Plain cofactor expansion along the first row, nothing shared."""
+    if not entries:
+        return GroupRingElement.one(grp)
+    out = GroupRingElement.zero(grp)
+    for j, a in enumerate(entries[0]):
+        if a.is_zero():
+            continue
+        term = a * _cofactor_det([row[:j] + row[j + 1 :] for row in entries[1:]], grp)
+        out = out + term if j % 2 == 0 else out - term
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(DET_GROUPS))
+def test_determinant_matches_cofactor_expansion(name):
+    grp, draw, _ = DET_GROUPS[name]
+    rng = random.Random(f"det-cofactor-{name}")
+    zero = GroupRingElement.zero(grp)
+    mats = [
+        [[_rand_det_entry(rng, grp, draw) for _ in range(size)] for _ in range(size)]
+        for size in range(1, 8)
+    ]
+    # zero patterns that leave column masks unreachable: block triangular,
+    # banded, one nonzero entry per row, and a zero row
+    for size, keep in (
+        (7, lambda r, c: c >= r or (r >= 4 and c >= 4)),
+        (6, lambda r, c: abs(r - c) <= 1),
+        (7, lambda r, c: c == (3 * r + 2) % 7),
+        (5, lambda r, c: r != 2),
+    ):
+        mats.append(
+            [
+                [
+                    _rand_det_entry(rng, grp, draw) if keep(r, c) else zero
+                    for c in range(size)
+                ]
+                for r in range(size)
+            ]
+        )
+    for entries in mats:
+        got = GroupRingMatrix(grp, entries).determinant()
+        assert got == _cofactor_det(entries, grp), len(entries)
+
+
 def test_render_formats():
     grp = Free(2)
     e = GroupRingElement(

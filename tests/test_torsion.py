@@ -1,12 +1,14 @@
 """Burau matrices, the candidate Markov function, and the move experiments."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import random_knot_braid
+from l2burau import fkdet, torsion
 from l2burau.braid import (
     BraidWord,
     compose,
@@ -581,3 +583,58 @@ def test_compose_route_at_sweep_size(name):
         t, top = float(t0), float(max(Fraction(1), t0))
         want = t**k * top ** (n - 1) * mahler_roots_oracle(table, t) / top**n
         assert abs(v.value - want) <= v.error_bound, (name, t0, v.value, want)
+
+
+# --- the t-free part of fq_value, built once per (braid, family) ----------------
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_fq_t_sweep_builds_matrix_and_determinant_once(monkeypatch):
+    beta = random_braid(random.Random(7), 7, 24)
+    ts = (Fraction(1, 2), Fraction(1), Fraction(2))
+    composed = _count_calls(monkeypatch, torsion, "_compose_matrix")
+    expanded = _count_calls(monkeypatch, GroupRingMatrix, "determinant")
+    sweep = [fq_value(beta, TotalWinding(), t) for t in ts]
+    assert (len(composed), len(expanded)) == (1, 1)
+    assert {v.estimate.diagnostics["route"] for v in sweep} == {"compose"}
+    for t, got in zip(ts, sweep):
+        torsion._minus_identity.cache_clear()
+        torsion._symbolic_det.cache_clear()
+        alone = fq_value(beta, TotalWinding(), t)
+        assert (got.value, got.error_bound, got.estimate.method, got.estimate.diagnostics) == (
+            alone.value,
+            alone.error_bound,
+            alone.estimate.method,
+            alone.estimate.diagnostics,
+        )
+    assert (len(composed), len(expanded)) == (4, 4)
+
+
+def test_fq_value_reuses_no_backend_result(monkeypatch):
+    radii = []
+
+    class CountingBall(fkdet.FreeBall):
+        def __init__(self, rank, radius):
+            radii.append(radius)
+            super().__init__(rank, radius)
+
+    monkeypatch.setattr(fkdet, "FreeBall", CountingBall)
+    beta = BraidWord(3, (-1, 2))
+    first = fq_value(beta, Identity(), 1, series_len=10)
+    walked = len(radii)
+    second = fq_value(beta, Identity(), 1, series_len=10)
+    assert walked >= 1 and len(radii) == 2 * walked
+    assert second.estimate is not first.estimate
+    assert (second.value, second.error_bound) == (first.value, first.error_bound)
+    assert first.estimate.diagnostics["route"] == "direct"
