@@ -39,6 +39,7 @@ reduction of a 2x2 matrix reads det(B) det(A B^-1 D - C).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from fractions import Fraction
 from math import exp, log, sqrt
 from typing import Sequence
@@ -343,11 +344,17 @@ def fold_subgroup_basis(words: Sequence[FreeWord]) -> tuple[int, list[FreeWord]]
 
 
 class FreeBall:
-    """The radius-R ball of a free group with arithmetic tree indexing.
+    """The radius-R ball of a free group, numbered in suffix order.
 
-    Nodes are reduced words enumerated level by level; the children of a
-    node occupy a contiguous block, so right multiplication by a letter is
-    an index formula rather than a dictionary lookup.
+    Letters are coded 2(g - 1) for x_g and 2(g - 1) + 1 for its inverse, so
+    ``a ^ 1`` is the inverse of letter a.  Nodes are reduced words, level
+    by level; within a level they are sorted by the reversed word, last
+    letter most significant.  A level is then a mixed-radix number (A = 2
+    rank choices for the last letter, A - 1 for each earlier one), the
+    words with one suffix form a contiguous block, and the radius-(R-1)
+    ball is the index prefix [0, offsets[R]).  Right multiplication by a
+    word maps the ball onto itself in a few arithmetic runs
+    (:meth:`runs`), so the ball stores nothing of its own size.
     """
 
     def __init__(self, rank: int, radius: int):
@@ -356,85 +363,148 @@ class FreeBall:
         self.rank = rank
         self.radius = radius
         A = 2 * rank
-        step = max(A - 1, 1)
-        sizes = [1] + [A * step ** (L - 1) for L in range(1, radius + 1)]
-        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-        self.offsets = offsets
-        self.size = int(offsets[-1])
-        N = self.size
-        last = np.full(N, A, dtype=np.int16)  # sentinel A marks the root
-        if radius >= 1:
-            last[1 : 1 + A] = np.arange(A, dtype=np.int16)
-        table = np.empty((A, step), dtype=np.int16)
-        for ll in range(A):
-            allowed = [x for x in range(A) if x != (ll ^ 1)]
-            table[ll] = np.array(allowed[:step], dtype=np.int16)
-        for L in range(2, radius + 1):
-            plo, phi = int(offsets[L - 1]), int(offsets[L])
-            last[phi : phi + sizes[L]] = table[last[plo:phi]].reshape(-1)
-        self.last = last
-        level = np.repeat(np.arange(radius + 1, dtype=np.int32), sizes)
-        self.level = level
-        self._rel = np.arange(N, dtype=np.int64) - offsets[level]
-        parent = np.full(N, -1, dtype=np.int64)
-        if radius >= 1:
-            parent[1 : 1 + A] = 0
-            for L in range(2, radius + 1):
-                lo, hi = int(offsets[L]), int(offsets[L + 1])
-                parent[lo:hi] = offsets[L - 1] + (self._rel[lo:hi] // step)
-        self._parent = parent
-        slot = np.full((A + 1, A), -1, dtype=np.int64)
-        for ll in range(A):
-            pos = 0
-            for a in range(A):
-                if a != (ll ^ 1):
-                    slot[ll, a] = pos
-                    pos += 1
-        slot[A] = np.arange(A)
-        self._slot = slot
-        self._letter_maps: dict[int, np.ndarray] = {}
+        sizes = [1] + [A * (A - 1) ** (L - 1) for L in range(1, radius + 1)]
+        self.offsets = [0, *itertools.accumulate(sizes)]  # level L is [offsets[L], offsets[L+1])
+        self.size = self.offsets[-1]
 
-    def letter_map(self, a: int) -> np.ndarray:
-        """Index of (node word) * letter_a per node; -1 when it leaves the ball."""
-        got = self._letter_maps.get(a)
-        if got is not None:
-            return got
-        A = 2 * self.rank
-        step = max(A - 1, 1)
-        N = self.size
-        m = np.full(N, -1, dtype=np.int64)
-        lastx = self.last.astype(np.int64)
-        back = lastx == (a ^ 1)
-        m[back] = self._parent[back]
-        fwd = np.where(~back)[0]
-        ok = self.level[fwd] + 1 <= self.radius
-        f = fwd[ok]
-        if f.size:
-            base = (
-                self.offsets[self.level[f] + 1]
-                + self._rel[f] * step
-                + self._slot[lastx[f], a]
-            )
-            base[self.level[f] == 0] = 1 + a
-            m[f] = base
-        self._letter_maps[a] = m
-        return m
+    def runs(self, w: FreeWord) -> list[tuple[int, int, int, int, int]]:
+        """Right multiplication x -> x w on the ball as arithmetic runs.
 
-    def scatter_pairs(self, w: FreeWord) -> tuple[np.ndarray, np.ndarray]:
-        """(src, tgt) index arrays for in-ball right multiplication by w.
+        A run (src, tgt, count, src_step, tgt_step) maps node
+        src + i src_step to node tgt + i tgt_step for i < count.  Together
+        the runs list every pair (x, x w) with both ends in the ball once,
+        ordered by their first source.
 
-        ``src`` is sorted.  Only the nodes still inside the ball are carried
-        from letter to letter; along a reduced word the path from x never
-        gets longer than max(|x|, |xw|), so a pair survives exactly when
-        both ends lie in the ball.
+        A node x that cancels exactly the first k letters of w sits at
+        level L and maps to level L + |w| - 2k.  Over rank >= 2 those nodes
+        form the block of suffix (w_1..w_k)^-1 minus the sub-block whose
+        next letter would cancel further, and the map keeps the lower
+        digits, so each (k, L) gives at most three unit-stride runs.  Rank 1
+        is the integers, where runs of stride 2 span every level.
         """
-        src = np.arange(self.size, dtype=np.int64)
-        cur = src
-        for g, s in w.letters():
-            nxt = self.letter_map(2 * (g - 1) + (0 if s > 0 else 1))[cur]
-            keep = nxt >= 0
-            src, cur = src[keep], nxt[keep]
-        return src, cur
+        c = [2 * (g - 1) + (s < 0) for g, s in w.letters()]
+        if not c:
+            return [(0, 0, self.size, 1, 1)]
+        runs = self._power_runs(c) if self.rank == 1 else self._word_runs(c)
+        runs.sort()
+        return runs
+
+    def _power_runs(self, c: list[int]) -> list:
+        """Runs of x^(+-f) on the rank-1 ball, where x^j sits at 2j - 1 and x^-j at 2j."""
+        R, f, h = self.radius, len(c), c[0]
+
+        def fwd(j):  # the power j on the side w points to
+            return 2 * j - 1 + h
+
+        def back(j):  # the power j on the other side
+            return 2 * j - h
+
+        runs = []
+        if f <= R:
+            runs += [(0, fwd(f), 1, 1, 1), (back(f), 0, 1, 1, 1)]
+        if f < R:
+            runs += [(fwd(1), fwd(1 + f), R - f, 2, 2), (back(f + 1), back(1), R - f, 2, 2)]
+        lo, hi = max(1, f - R), min(f - 1, R)  # back(j) crosses the root to fwd(f - j)
+        if lo <= hi:
+            runs.append((back(lo), fwd(f - lo), hi - lo + 1, 2, -2))
+        return runs
+
+    def _word_runs(self, c: list[int]) -> list:
+        R, off, n = self.radius, self.offsets, len(c)
+        A = 2 * self.rank
+        q = A - 1
+
+        def slot(prev: int, a: int) -> int:  # digit of a after prev, which bars prev ^ 1
+            return a - (a > prev ^ 1)
+
+        # digits of the suffix (w_1..w_k)^-1 and of the word w_(k+1)..w_n,
+        # each read from its last letter, as Horner values of their prefixes
+        sval, uval = [0], [0]
+        for i in range(n):
+            sval.append(sval[-1] * q + (slot(c[i - 1] ^ 1, c[i] ^ 1) if i else c[0] ^ 1))
+            j = n - 1 - i
+            uval.append(uval[-1] * q + (slot(c[j + 1], c[j]) if i else c[j]))
+
+        runs = []
+        for k in range(min(n, R) + 1):
+            if k < n:
+                # x = (w_1..w_k)^-1 itself maps to w_(k+1)..w_n
+                if n - k <= R:
+                    runs.append((off[k] + sval[k], off[n - k] + uval[n - k], 1, 1, 1))
+                # the letter before the suffix may be anything but w_k (the
+                # word is reduced) and w_(k+1)^-1 (the cancellation is exact)
+                barred = (c[k] ^ 1, c[k - 1]) if k else (c[k] ^ 1,)
+                src_after = c[k - 1] if k else A
+                tgt_after = c[k] ^ 1
+                levels = range(k + 1, min(R, R - n + 2 * k) + 1)
+                shift = n - 2 * k
+                tprefix = uval[n - k]
+            else:
+                # x = w^-1 y for a reduced y, which may start with anything but w_n^-1
+                runs.append((off[n] + sval[n], 0, 1, 1, 1))
+                barred = (c[n - 1],)
+                src_after = c[n - 1]
+                tgt_after = A
+                levels = range(n + 1, R + 1)
+                shift = -n
+                tprefix = 0
+            for lo, hi in _letter_segments(A, barred):
+                ds = lo - (lo > src_after)
+                dt = lo - (lo > tgt_after)
+                for L in levels:
+                    M = q ** (L - k - 1)
+                    runs.append((
+                        off[L] + (sval[k] * q + ds) * M,
+                        off[L + shift] + (tprefix * q + dt) * M,
+                        (hi - lo + 1) * M,
+                        1,
+                        1,
+                    ))
+        return runs
+
+
+def _letter_segments(A: int, barred) -> list[tuple[int, int]]:
+    """Maximal intervals [lo, hi] of letters 0..A-1 that avoid ``barred``."""
+    segs, lo = [], 0
+    for b in sorted(set(barred)) + [A]:
+        if lo < b:
+            segs.append((lo, b - 1))
+        lo = b + 1
+    return segs
+
+
+def _clip(run, cut: int):
+    """The part of a run with both ends below ``cut``, or None."""
+    s0, t0, count, ss, ts = run
+    lo, hi = 0, count
+    for x0, st in ((s0, ss), (t0, ts)):
+        if st > 0:
+            hi = min(hi, (cut - 1 - x0) // st + 1)
+        else:
+            lo = max(lo, (x0 - cut) // -st + 1)
+    if lo >= hi:
+        return None
+    return (s0 + ss * lo, t0 + ts * lo, hi - lo, ss, ts)
+
+
+_PIECE = 1 << 14  # longest update of one walk step: 128 kB of scratch
+
+
+def _split(run, n: int):
+    """A run cut into consecutive runs of at most n pairs."""
+    s0, t0, count, ss, ts = run
+    for a in range(0, count, n):
+        yield (s0 + ss * a, t0 + ts * a, min(n, count - a), ss, ts)
+
+
+def _run_slices(run) -> tuple[slice, slice]:
+    s0, t0, count, ss, ts = run
+
+    def sl(x0, st):
+        stop = x0 + st * count
+        return slice(x0, stop if stop >= 0 else None, st)
+
+    return sl(s0, ss), sl(t0, ts)
 
 
 def _ball_radius_for(rank: int, state_budget: int) -> int:
@@ -466,8 +536,9 @@ class _Moments:
     radius: int
     taus: np.ndarray  # tr((Id - B/c0)^k), k = 1..K, on the radius-R ball
     # the same on the radius-(R-1) ball, if R > 2: the index prefix of the
-    # radius-R ball, walked with the same scatter pairs
+    # radius-R ball, walked with the same runs
     taus_small: np.ndarray | None
+    exact_moments: int  # tau_1..tau_K0 are moments of B itself, not of its truncation
 
 
 def _norm_bound(entries: list[list[dict[FreeWord, float]]]) -> float:
@@ -530,8 +601,11 @@ def _trace_moments(
     the state budget allows, where T = Id - B/c0 truncates to the
     self-adjoint P T P, so with v_j = (P T P)^j e the traces are
     tau_2j = <v_j, v_j> and tau_2j+1 = <v_j, v_j+1>: ceil(K/2) steps give
-    K traces.  The radius-(R-1) ball that measures the truncation is the
-    index prefix [0, offsets[R]) of the big one and reuses its pairs.
+    K traces.  Each word acts through its runs in the suffix-ordered ball
+    (:meth:`FreeBall.runs`), so a step is a few slice updates per term.
+    The radius-(R-1) ball that measures the truncation is the index
+    prefix [0, offsets[R]) of the big one, walked with the same runs
+    clipped to it.
     """
     m = len(entries)
     c = _norm_bound(entries)
@@ -540,19 +614,18 @@ def _trace_moments(
     radius = _ball_radius_for(rank, state_budget)
     ball = FreeBall(rank, radius)
     diag, terms = _mirror_terms(entries, c)
-    pairs = {w: ball.scatter_pairs(w) for w in {w for *_, w in terms}}
-    steps = [(i, j, cw, pairs[w]) for i, j, cw, w in terms]
-    taus = _half_walk(diag, steps, ball.size, series_len)
+    runs = {w: ball.runs(w) for w in {w for *_, w in terms}}
+    taus = _half_walk(diag, [(i, j, cw, runs[w]) for i, j, cw, w in terms], ball.size, series_len)
     taus_small = None
     if radius > 2:
-        cut = int(ball.offsets[radius])
-        inner = []
-        for i, j, cw, (src, tgt) in steps:
-            n = int(np.searchsorted(src, cut))
-            keep = tgt[:n] < cut
-            inner.append((i, j, cw, (src[:n][keep], tgt[:n][keep])))
+        cut = ball.offsets[radius]
+        clipped = {w: [r for r in (_clip(r, cut) for r in rs) if r] for w, rs in runs.items()}
+        inner = [(i, j, cw, clipped[w]) for i, j, cw, w in terms]
         taus_small = _half_walk(diag, inner, cut, series_len)
-    return _Moments(m, rank, c, radius, taus, taus_small)
+    # a closed walk of k steps stays within radius floor(k/2) * longest word
+    longest = max((w.length() for *_, w in terms), default=0)
+    exact = series_len if longest == 0 else min(series_len, 2 * (radius // longest) + 1)
+    return _Moments(m, rank, c, radius, taus, taus_small, exact)
 
 
 def _mirror_terms(entries, c: float) -> tuple[np.ndarray, list]:
@@ -588,23 +661,42 @@ def _mirror_terms(entries, c: float) -> tuple[np.ndarray, list]:
 def _half_walk(diag: np.ndarray, steps: list, size: int, series_len: int) -> np.ndarray:
     """tau_1..tau_K of the self-adjoint walk on ``size`` nodes, in ceil(K/2) steps.
 
-    Each step entry (i, j, coefficient, (src, tgt)) adds both its term and
-    the mirror term from one scatter.
+    Each step entry (i, j, coefficient, runs) adds both its term and the
+    mirror term.  The walk alternates between two buffers, so each run is
+    turned once into basic-slice views of both, and a step is a list of
+    y += c x updates on those views.  Long runs are cut into pieces whose
+    product c x fits a cache-sized scratch array.
     """
     m = len(diag)
     n_steps = (series_len + 1) // 2
     taus = np.zeros(2 * n_steps)
+    bufs = (np.empty((m, size)), np.empty((m, size)))
+    scratch = np.empty(_PIECE)
+    pieces = [
+        (i, j, cw, _run_slices(p), scratch[: p[2]])
+        for i, j, cw, runs in steps
+        for r in runs
+        for p in _split(r, _PIECE)
+    ]
+    # updates[k % 2] is step k, which reads bufs[k % 2] and writes the other
+    updates = []
+    for v, nv in (bufs, bufs[::-1]):
+        ups = []
+        for i, j, cw, (src, tgt), tmp in pieces:
+            ups.append((cw, v[j][src], nv[i][tgt], tmp))
+            ups.append((cw, v[i][tgt], nv[j][src], tmp))
+        updates.append(ups)
     for comp in range(m):
-        v = np.zeros((m, size))
-        v[comp, 0] = 1.0
+        bufs[0].fill(0.0)
+        bufs[0][comp, 0] = 1.0
         for k in range(n_steps):
-            nv = diag[:, None] * v
-            for i, j, cw, (src, tgt) in steps:
-                nv[i][tgt] += cw * v[j][src]
-                nv[j][src] += cw * v[i][tgt]
+            v, nv = bufs[k % 2], bufs[1 - k % 2]
+            np.multiply(diag[:, None], v, out=nv)
+            for cw, x, y, tmp in updates[k % 2]:
+                np.multiply(x, cw, out=tmp)
+                np.add(y, tmp, out=y)
             taus[2 * k] += np.vdot(v, nv)
             taus[2 * k + 1] += np.vdot(nv, nv)
-            v = nv
     return taus[:series_len]
 
 
@@ -643,6 +735,7 @@ def _series_from_moments(mom: _Moments, accel: bool, eps: float = 0.0) -> _Serie
         "series_len": series_len,
         "tail_completion": tail,
         "truncation_delta": trunc_delta,
+        "exact_moments": mom.exact_moments,
         "last_term": last_term,
         # truncated while terms are still material and nothing completed them
         "tail_vacuous": bool(not tail and float(taus[-1]) > 1e-3),
@@ -897,5 +990,6 @@ def det_epsilon_reg(
             "series_len": series_len,
             # the smallest eps scales the walked truncation delta the least
             "truncation_delta": series[-1].diagnostics["truncation_delta"],
+            "exact_moments": mom.exact_moments,
         },
     )

@@ -13,7 +13,7 @@ import pytest
 
 from l2burau import fkdet
 from l2burau.braid import BraidWord
-from l2burau.epifamilies import TotalWinding
+from l2burau.epifamilies import Identity, TotalWinding
 from l2burau.fkdet import (
     _series_from_moments,
     _trace_moments,
@@ -33,7 +33,7 @@ from l2burau.groupring import (
     Integers,
     TPoly,
 )
-from l2burau.torsion import reduced_burau
+from l2burau.torsion import fq_value, reduced_burau
 
 BOYD = 1.3813564445184977  # Mahler measure of 1 + X + Y
 TWO_OVER_SQRT3 = 2.0 / math.sqrt(3.0)
@@ -308,42 +308,86 @@ def test_trace_moments_match_closed_form_over_z():
 
 
 def test_epsilon_walks_each_ball_once(monkeypatch):
-    radii, scattered = [], []
+    radii, walked = [], []
 
     class CountingBall(fkdet.FreeBall):
         def __init__(self, rank, radius):
             radii.append(radius)
             super().__init__(rank, radius)
 
-        def scatter_pairs(self, w):
-            scattered.append(w)
-            return super().scatter_pairs(w)
+        def runs(self, w):
+            walked.append(w)
+            return super().runs(w)
 
     monkeypatch.setattr(fkdet, "FreeBall", CountingBall)
     est = det_epsilon_reg(_minus_one_over_phi(), 1)
     assert len(est.diagnostics["epsilons"]) == 6
     # one ball: the radius-(R-1) check walks an index prefix of it
     assert radii == [est.diagnostics["radius"]]
-    # one scatter per {w, w^-1} pair: the mirror term reuses it
-    assert scattered
-    assert len({frozenset((w, w.inverse())) for w in scattered}) == len(scattered)
+    # one run list per {w, w^-1} pair: the mirror term reuses it
+    assert walked
+    assert len({frozenset((w, w.inverse())) for w in walked}) == len(walked)
 
 
-def test_scatter_pairs_are_in_ball_right_multiplication(rng):
+def _ball_nodes(rank, radius):
+    """The ball's words in suffix order, built from FreeWord products.
+
+    Level by level, sorted by the reversed word with letters coded
+    x_g -> 2(g - 1), x_g^-1 -> 2(g - 1) + 1.
+    """
+    code = {(g, s): 2 * (g - 1) + (s < 0) for g in range(1, rank + 1) for s in (1, -1)}
+    gens = [FreeWord.gen(rank, g, s) for (g, s) in code]
+    levels = [[FreeWord.identity(rank)]]
+    for L in range(1, radius + 1):
+        words = {u * a for u in levels[-1] for a in gens}
+        level = [u for u in words if u.length() == L]
+        level.sort(key=lambda u: [code[gs] for gs in reversed(list(u.letters()))])
+        levels.append(level)
+    return [u for level in levels for u in level]
+
+
+def _ball_pairs(nodes, w):
+    """Every (x, x w) with both ends among ``nodes``, by brute force."""
+    index = {u: x for x, u in enumerate(nodes)}
+    return [(x, index[u * w]) for x, u in enumerate(nodes) if u * w in index]
+
+
+def _expand(runs):
+    return [(s + i * ss, t + i * ts) for s, t, count, ss, ts in runs for i in range(count)]
+
+
+def test_runs_are_in_ball_right_multiplication(rng):
     # every pair (x, x w) with both ends in the ball, whatever the path between
-    ball = fkdet.FreeBall(2, 4)
-    nodes = [FreeWord.identity(2)]
-    for x in range(1, ball.size):
-        a = int(ball.last[x])
-        nodes.append(nodes[ball._parent[x]] * FreeWord.gen(2, a // 2 + 1, 1 - 2 * (a % 2)))
-    index = {w: x for x, w in enumerate(nodes)}
-    assert len(index) == ball.size and max(w.length() for w in nodes) == 4
-    for length in (0, 1, 2, 3, 5, 8, 9):
-        w = random_word(rng, 2, length)
-        src, tgt = ball.scatter_pairs(w)
-        assert list(src) == sorted(src)
-        want = [(x, index[u * w]) for x, u in enumerate(nodes) if u * w in index]
-        assert list(zip(src.tolist(), tgt.tolist())) == want
+    for rank, radii in ((1, range(7)), (2, range(5)), (3, range(4))):
+        for R in radii:
+            ball = fkdet.FreeBall(rank, R)
+            nodes = _ball_nodes(rank, R)
+            assert ball.size == len(nodes) and max(w.length() for w in nodes) == R
+            for length in range(10):
+                w = random_word(rng, rank, length)
+                runs = ball.runs(w)
+                pairs = _expand(runs)
+                src = [x for x, _ in pairs]
+                assert len(set(src)) == len(src)
+                assert sorted(pairs) == _ball_pairs(nodes, w)
+                if rank == 1:  # strided runs interleave, but stay few at any radius
+                    assert len(runs) <= 8
+                    assert len(fkdet.FreeBall(1, 4096).runs(w)) <= 8
+                else:  # unit-stride runs over disjoint source ranges
+                    assert src == sorted(src)
+                    assert len(runs) <= 8 * (R + 1) * (w.length() + 1)
+
+
+def test_clipped_runs_are_the_smaller_ball(rng):
+    for rank, radii in ((1, range(1, 7)), (2, range(1, 5)), (3, range(1, 4))):
+        for R in radii:
+            ball, small = fkdet.FreeBall(rank, R), fkdet.FreeBall(rank, R - 1)
+            cut = ball.offsets[R]
+            assert cut == small.size
+            for length in range(10):
+                w = random_word(rng, rank, length)
+                clipped = [r for r in (fkdet._clip(r, cut) for r in ball.runs(w)) if r]
+                assert sorted(_expand(clipped)) == sorted(_expand(small.runs(w)))
 
 
 def _random_self_adjoint(rng, m, rank):
@@ -359,19 +403,21 @@ def _random_self_adjoint(rng, m, rank):
     return entries
 
 
-def _full_walk(entries, ball, c, series_len):
+def _full_walk(entries, nodes, c, series_len):
     """tr((P (Id - B/c) P)^k), k = 1..K: K plain steps over every entry term."""
     m = len(entries)
+    words = {w for row in entries for e in row for w in e}
+    pairs = {w: np.array(_ball_pairs(nodes, w), dtype=np.int64).reshape(-1, 2).T for w in words}
     taus = np.zeros(series_len)
     for comp in range(m):
-        v = np.zeros((m, ball.size))
+        v = np.zeros((m, len(nodes)))
         v[comp, 0] = 1.0
         for k in range(series_len):
             nv = v.copy()
             for i in range(m):
                 for j in range(m):
                     for w, cw in entries[i][j].items():
-                        src, tgt = ball.scatter_pairs(w)
+                        src, tgt = pairs[w]
                         nv[i][tgt] -= cw / c * v[j][src]
             v = nv
             taus[k] += v[comp, 0]
@@ -386,13 +432,37 @@ def test_half_walk_matches_full_walk(rng, m):
             mom = _trace_moments(entries, rank, series_len, 2_000)
             R = mom.radius
             assert R > 2
-            for got, ball in (
-                (mom.taus, fkdet.FreeBall(rank, R)),
-                (mom.taus_small, fkdet.FreeBall(rank, R - 1)),
-            ):
-                want = _full_walk(entries, ball, mom.norm_bound, series_len)
+            nodes = _ball_nodes(rank, R)
+            for got, radius in ((mom.taus, R), (mom.taus_small, R - 1)):
+                size = fkdet.FreeBall(rank, radius).size
+                want = _full_walk(entries, nodes[:size], mom.norm_bound, series_len)
                 assert len(got) == series_len
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "letters, strands, rule",
+    [((-1, 2), 3, 9), ((1, -2), 3, 7), ((2, 1, -2, -2), 3, 3), ((1, 2, 3), 4, 9)],
+    ids=lambda x: " ".join(map(str, x)) if isinstance(x, tuple) else str(x),
+)
+def test_exact_moments_survive_a_larger_ball(monkeypatch, letters, strands, rule):
+    walked = []
+
+    def recording(entries, rank, series_len, state_budget):
+        mom = _trace_moments(entries, rank, series_len, state_budget)
+        walked.append((entries, rank, series_len, mom))
+        return mom
+
+    monkeypatch.setattr(fkdet, "_trace_moments", recording)
+    est = fq_value(BraidWord(strands, letters), Identity(), 1).estimate
+    assert len(walked) == 1
+    entries, rank, series_len, mom = walked[0]
+    K0 = est.diagnostics["exact_moments"]
+    assert K0 == mom.exact_moments == rule
+    # the next ball up sees the same first K0 traces
+    bigger = _trace_moments(entries, rank, K0, fkdet.FreeBall(rank, mom.radius + 1).size)
+    assert bigger.radius == mom.radius + 1
+    np.testing.assert_allclose(mom.taus[:K0], bigger.taus, rtol=1e-12, atol=0)
 
 
 def test_half_walk_rejects_non_self_adjoint():
