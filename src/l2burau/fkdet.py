@@ -17,10 +17,11 @@ Three backends, one per coefficient group, plus epsilon regularization:
   once (``torsion.fq_value`` does).
 * ``det_free_group`` - a von Neumann trace series for log det.  Traces
   tr((Id - B/c)^k) are computed by propagating a vector over a
-  radius-truncated ball of a free group (the Cayley graph is a tree, so
-  ball indices are pure arithmetic), after rewriting the support over a
-  free basis of the subgroup it generates.  The slowly decaying tail of
-  the series is completed by a fitted power-law or geometric model.
+  radius-truncated ball of a free group (numbered in suffix order, so a
+  word acts on it as a few arithmetic runs), after rewriting the support
+  over a free basis of the subgroup it generates.  The slowly decaying
+  tail of the series is completed by a fitted power-law or geometric
+  model.
 * ``det_epsilon_reg`` - determinants of A*A + eps Id for a decreasing
   eps sequence, extrapolated to eps -> 0.  Every shifted series is derived
   from the moments of one walk, so it checks the tail model and the eps
@@ -440,7 +441,7 @@ class FreeBall:
                 shift = n - 2 * k
                 tprefix = uval[n - k]
             else:
-                # x = w^-1 y for a reduced y, which may start with anything but w_n^-1
+                # x = y w^-1 maps to y, which may end in anything but w_n
                 runs.append((off[n] + sval[n], 0, 1, 1, 1))
                 barred = (c[n - 1],)
                 src_after = c[n - 1]
@@ -487,7 +488,7 @@ def _clip(run, cut: int):
     return (s0 + ss * lo, t0 + ts * lo, hi - lo, ss, ts)
 
 
-_PIECE = 1 << 14  # longest update of one walk step: 128 kB of scratch
+_PIECE = 1 << 14  # pairs per walk update, so its scratch product (128 kB) stays in cache
 
 
 def _split(run, n: int):
