@@ -24,6 +24,7 @@ from .braid import (
     stabilize,
 )
 from .epifamilies import (
+    AbelianImage,
     Abelianization,
     AdmissibilityReport,
     CustomAbelian,

@@ -1,12 +1,20 @@
 """Families of epimorphisms from free groups onto coefficient groups.
 
-Four computable kinds are provided: the identity of the free group, the
-total winding map onto Z (every puncture generator to 1), the
-abelianization onto Z^n, and a custom abelian quotient given by a matrix
-of generator images.  Each kind supplies, for a braid alpha, the
-compatibility map chi with Q o h_alpha == chi o Q (conjugation square)
-and, where defined, the stabilization monomorphism sigma with
-Q_{n+1} o iota == sigma o Q_n.
+Three computable kinds are provided: the identity of the free group, the
+total winding map onto Z (every puncture generator to 1), and abelian
+quotients onto Z^d.  Every abelian family is one :class:`AbelianImage`:
+a linear map from x-exponents to Z^d, given by the integer image rows
+Q(x_1), ..., Q(x_n).  The abelianization ``ab`` is its rank-free case
+(x_i to the i-th basis vector of Z^n, at every rank n), and ``custom``
+reads the rows from a file.  Since h_alpha(x_i) is a conjugate of
+x_{pi(i)}, pi the strand permutation of alpha, twisting an abelian family
+by a braid only permutes its rows, and its chi solves C Q(x_i) =
+Q(x_{pi(i)}) straight from the rows; no image word is ever built.
+
+Each kind supplies, for a braid alpha, the compatibility map chi with
+Q o h_alpha == chi o Q (conjugation square) and, where defined, the
+stabilization monomorphism sigma with Q_{n+1} o iota == sigma o Q_n.
+Only the rank-free families (id, phi, ab) define sigma.
 
 Quotients onto braid-closure groups and their deeper images are outside
 the computable range of this library (no terminating word problem is
@@ -78,91 +86,135 @@ class TotalWinding:
         return hash(TotalWinding)
 
 
-class Abelianization:
-    """Q = abelianization onto Z^n: x_i to the i-th basis vector."""
-
-    name = "ab"
-
-    def target(self, n: int) -> CoefficientGroup:
-        return FreeAbelian(n)
-
-    def apply(self, w: FreeWord, n: int, basis: Basis = Basis.X) -> tuple[int, ...]:
-        if w.rank != n:
-            raise ValueError(f"rank {w.rank} does not match strands {n}")
-        v = [0] * n
-        for g, e in w.syllables:
-            if basis is Basis.X:
-                v[g - 1] += e
-            else:
-                # g_i = x_1 ... x_i abelianizes to (1, ..., 1, 0, ..., 0)
-                for j in range(g):
-                    v[j] += e
-        return tuple(v)
-
-    def __repr__(self):
-        return "Abelianization()"
-
-    def __eq__(self, other):
-        return isinstance(other, Abelianization)
-
-    def __hash__(self):
-        return hash(Abelianization)
+def _unit_rows(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Rows of the map x_i to the perm[i]-th basis vector of Z^len(perm)."""
+    return tuple(tuple(int(j == p) for j in range(1, len(perm) + 1)) for p in perm)
 
 
-class CustomAbelian:
-    """Abelian quotient onto Z^d defined by images of the x-generators.
+class AbelianImage:
+    """Q onto Z^d: x_i to rows[i-1], extended linearly to x-exponents.
 
-    The family is only defined at the rank its matrix was written for;
-    applying it to words of another rank is an error, and the
-    stabilization square is reported unsupported.
+    ``rows=None`` is the rank-free abelianization: x_i to the i-th basis
+    vector of Z^n at every rank n.  A matrix of rows is defined only at
+    its own rank: applying it to words of another rank is an error, and
+    its stabilization square is reported unsupported.
     """
 
-    name = "custom"
-
-    def __init__(self, images: Sequence[Sequence[int]]):
-        self.images = tuple(tuple(int(x) for x in row) for row in images)
-        if not self.images:
-            raise ValueError("need at least one generator image")
-        self.d = len(self.images[0])
-        for row in self.images:
-            if len(row) != self.d:
+    def __init__(self, rows: Sequence[Sequence[int]] | None = None):
+        if rows is not None:
+            rows = tuple(tuple(int(x) for x in row) for row in rows)
+            if not rows:
+                raise ValueError("need at least one generator image")
+            if any(len(row) != len(rows[0]) for row in rows):
                 raise ValueError("ragged image matrix")
-        self.rank = len(self.images)
+        self.rows = rows
+
+    @property
+    def name(self) -> str:
+        return "ab" if self.rows is None else "custom"
+
+    @property
+    def d(self) -> int | None:
+        """Rank of the target, or None when it follows the strand count."""
+        return None if self.rows is None else len(self.rows[0])
+
+    def _check(self, n: int, rank: int):
+        """Raise unless words of this rank on n strands are in the domain."""
+        if self.rows is None and rank != n:
+            raise ValueError(f"rank {rank} does not match strands {n}")
+        if self.rows is not None and not n == rank == len(self.rows):
+            raise ValueError(
+                f"custom family defined for rank {len(self.rows)}, got rank {rank}"
+            )
+
+    def _rows(self, n: int) -> tuple[tuple[int, ...], ...]:
+        """The image rows on n strands."""
+        self._check(n, n)
+        return _unit_rows(range(1, n + 1)) if self.rows is None else self.rows
 
     def target(self, n: int) -> CoefficientGroup:
-        return FreeAbelian(self.d)
+        return FreeAbelian(n if self.rows is None else self.d)
+
+    def apply(self, w: FreeWord, n: int, basis: Basis = Basis.X) -> tuple[int, ...]:
+        self._check(n, w.rank)
+        x = [0] * n  # exponent sum of each x_i in w
+        for g, e in w.syllables:
+            if basis is Basis.X:
+                x[g - 1] += e
+            else:  # g_i = x_1 ... x_i
+                for j in range(g):
+                    x[j] += e
+        if self.rows is None:
+            return tuple(x)
+        return tuple(
+            sum(c * row[a] for c, row in zip(x, self.rows)) for a in range(self.d)
+        )
+
+    def twist(self, prefix: BraidWord) -> "AbelianImage":
+        """self o h_prefix: new row i = old row pi(i)."""
+        rows = self._rows(prefix.strands)
+        return AbelianImage(rows[p - 1] for p in braidmod.permutation(prefix))
+
+    def chi_map(self, alpha: BraidWord) -> "ChiMap":
+        """The rational d x d matrix C with C Q(x_i) = Q(x_{pi(i)}) for every i."""
+        rows = self._rows(alpha.strands)
+        perm = braidmod.permutation(alpha)
+        mat = []
+        for a in range(len(rows[0])):
+            # row a of C solves: sum_b C[a][b] * rows[i][b] = rows[pi(i)][a] for all i
+            sol = _solve_exact(
+                [[Fraction(x) for x in rows[i]] + [Fraction(rows[p - 1][a])]
+                 for i, p in enumerate(perm)]
+            )
+            if sol is None:
+                raise ValueError(
+                    "custom family admits no conjugation-compatibility map for this braid"
+                )
+            mat.append(sol)
+        return ChiMap("matrix", mat)
+
+    def sigma(self, elem, n: int):
+        """Stabilization of the rank-free abelianization: Z^n into Z^(n+1)."""
+        if self.rows is not None:
+            raise ValueError(f"stabilization map undefined for {self!r}")
+        return tuple(elem) + (0,)
 
     def winding_factors_through(self) -> bool:
         """True when some functional c on Z^d has <c, Q(x_i)> = 1 for all i."""
-        m = [list(map(Fraction, self.images[i])) + [Fraction(1)]
-             for i in range(self.rank)]
+        if self.rows is None:
+            return True  # c = (1, ..., 1)
+        m = [[Fraction(x) for x in row] + [Fraction(1)] for row in self.rows]
         return _solve_exact(m) is not None
 
-    def apply(self, w: FreeWord, n: int, basis: Basis = Basis.X) -> tuple[int, ...]:
-        if n != self.rank or w.rank != self.rank:
-            raise ValueError(
-                f"custom family defined for rank {self.rank}, got rank {w.rank}"
-            )
-        v = [0] * self.d
-        for g, e in w.syllables:
-            if basis is Basis.X:
-                gens = (g,)
-            else:
-                gens = tuple(range(1, g + 1))
-            for j in gens:
-                img = self.images[j - 1]
-                for a in range(self.d):
-                    v[a] += e * img[a]
-        return tuple(v)
-
     def __repr__(self):
-        return f"CustomAbelian({self.images!r})"
+        return f"AbelianImage({self.rows!r})"
 
     def __eq__(self, other):
-        return isinstance(other, CustomAbelian) and self.images == other.images
+        return isinstance(other, AbelianImage) and self.rows == other.rows
 
     def __hash__(self):
-        return hash(self.images)
+        return hash((AbelianImage, self.rows))
+
+
+class Abelianization(AbelianImage):
+    """Q = abelianization onto Z^n: x_i to the i-th basis vector."""
+
+    def __init__(self):
+        super().__init__(None)
+
+
+class CustomAbelian(AbelianImage):
+    """Abelian quotient onto Z^d defined by images of the x-generators."""
+
+    def __init__(self, images: Sequence[Sequence[int]]):
+        super().__init__(images)
+
+
+class PermutedAbelianization(AbelianImage):
+    """The abelianization twisted by a braid of strand permutation perm."""
+
+    def __init__(self, perm: Sequence[int]):
+        super().__init__(_unit_rows(perm))
 
 
 class TwistedFamily:
@@ -171,8 +223,8 @@ class TwistedFamily:
     apply(w) = base(h_prefix(w)); this realizes the twisted coefficient
     maps that appear when Burau matrices of composite words are assembled
     from generator matrices.  Word images can grow exponentially in the
-    prefix length, so commutative families get exact shortcut twists in
-    :func:`twist` instead of this generic wrapper.
+    prefix length, so the commutative families twist exactly in
+    :func:`twist` instead, and this wrapper serves the identity family.
     """
 
     name = "twisted"
@@ -194,71 +246,24 @@ class TwistedFamily:
         return f"TwistedFamily({self.base!r}, prefix={self.prefix.render()!r})"
 
 
-class PermutedAbelianization:
-    """The abelianization twisted by a braid: coordinates permuted.
-
-    The abelianization of h_alpha(w) is the strand permutation of alpha
-    applied to the abelianization of w, so the twist never needs the
-    (exponentially long) image word itself.
-    """
-
-    name = "ab"
-
-    def __init__(self, perm: tuple[int, ...]):
-        self.perm = tuple(perm)
-
-    def target(self, n: int) -> CoefficientGroup:
-        return FreeAbelian(n)
-
-    def apply(self, w: FreeWord, n: int, basis: Basis = Basis.X) -> tuple[int, ...]:
-        v = Abelianization().apply(w, n, basis)
-        out = [0] * n
-        for i, e in enumerate(v):
-            out[self.perm[i] - 1] = e
-        return tuple(out)
-
-    def __repr__(self):
-        return f"PermutedAbelianization({self.perm!r})"
-
-    def __eq__(self, other):
-        return isinstance(other, PermutedAbelianization) and self.perm == other.perm
-
-    def __hash__(self):
-        return hash(self.perm)
-
-
-EpiFamily = (
-    Identity
-    | TotalWinding
-    | Abelianization
-    | CustomAbelian
-    | TwistedFamily
-    | PermutedAbelianization
-)
+EpiFamily = Identity | TotalWinding | AbelianImage | TwistedFamily
 
 
 def twists_cheaply(family) -> bool:
     """True when :func:`twist` avoids materializing Artin image words."""
-    return isinstance(family, (TotalWinding, Abelianization, PermutedAbelianization))
+    return isinstance(family, (TotalWinding, AbelianImage))
 
 
 def twist(family, prefix: BraidWord):
     """family o h_prefix, with exact shortcuts for commutative targets.
 
-    The total winding of a word is braid-invariant, and the
-    abelianization only gets its coordinates permuted, so those two
-    families twist without touching any image words.
+    The total winding of a word is braid-invariant, and an abelian family
+    only gets its image rows permuted, so neither touches an image word.
     """
     if isinstance(family, TotalWinding):
         return family
-    if isinstance(family, Abelianization):
-        return PermutedAbelianization(braidmod.permutation(prefix))
-    if isinstance(family, PermutedAbelianization):
-        inner = braidmod.permutation(prefix)
-        n = len(inner)
-        return PermutedAbelianization(
-            tuple(family.perm[inner[i] - 1] for i in range(n))
-        )
+    if isinstance(family, AbelianImage):
+        return family.twist(prefix)
     if isinstance(family, TwistedFamily):
         return family.extended(prefix)
     return TwistedFamily(family, prefix)
@@ -297,12 +302,6 @@ class ChiMap:
     def __call__(self, elem):
         if self.kind == "identity":
             return elem
-        if self.kind == "permutation":
-            perm = self.data  # tuple: coordinate i maps to perm[i-1]
-            out = [0] * len(perm)
-            for i, e in enumerate(elem):
-                out[perm[i] - 1] = e
-            return tuple(out)
         if self.kind == "automorphism":
             alpha = self.data
             return artin_act(alpha, elem, Basis.X)
@@ -321,20 +320,15 @@ def chi_map(family, alpha: BraidWord) -> ChiMap:
         return ChiMap("identity")
     if isinstance(family, Identity):
         return ChiMap("automorphism", alpha)
-    if isinstance(family, Abelianization):
-        return ChiMap("permutation", braidmod.permutation(alpha))
-    if isinstance(family, CustomAbelian):
-        mat = _solve_custom_chi(family, alpha)
-        if mat is None:
-            raise ValueError(
-                "custom family admits no conjugation-compatibility map for this braid"
-            )
-        return ChiMap("matrix", mat)
+    if isinstance(family, AbelianImage):
+        return family.chi_map(alpha)
     raise ValueError(f"chi map undefined for {family!r}")
 
 
 def sigma_supported(family) -> bool:
-    return not isinstance(family, (CustomAbelian, TwistedFamily))
+    if isinstance(family, AbelianImage):
+        return family.rows is None
+    return not isinstance(family, TwistedFamily)
 
 
 def sigma_apply(family, elem, n: int):
@@ -343,8 +337,8 @@ def sigma_apply(family, elem, n: int):
         return elem
     if isinstance(family, Identity):
         return elem.with_rank(n + 1)
-    if isinstance(family, Abelianization):
-        return tuple(elem) + (0,)
+    if isinstance(family, AbelianImage):
+        return family.sigma(elem, n)
     raise ValueError(f"stabilization map undefined for {family!r}")
 
 
@@ -384,36 +378,6 @@ def _solve_exact(rows):
     for i, c in enumerate(piv):
         sol[c] = m[i][-1]
     return sol
-
-
-def _solve_custom_chi(family: CustomAbelian, alpha: BraidWord):
-    """Find a rational d x d matrix C with C Q(x_i) = Q(h_alpha(x_i)) for all i."""
-    n = family.rank
-    if alpha.strands != n:
-        raise ValueError("strand count does not match the custom family rank")
-    targets = []
-    for i in range(1, n + 1):
-        img = artin_act(alpha, FreeWord.gen(n, i), Basis.X)
-        targets.append(family.apply(img, n, Basis.X))
-    d = family.d
-    mat = []
-    for a in range(d):
-        # row a of C solves: sum_b C[a][b] * Q(x_i)[b] = target_i[a] for all i
-        aug = [
-            [Fraction(family.images[i][b]) for b in range(d)]
-            + [Fraction(targets[i][a])]
-            for i in range(n)
-        ]
-        sol = _solve_exact(aug)
-        if sol is None:
-            return None
-        mat.append(sol)
-    # verify exactly (the least-squares-free solve can be under-determined)
-    for i in range(1, n + 1):
-        lhs = ChiMap("matrix", mat)(family.apply(FreeWord.gen(n, i), n, Basis.X))
-        if lhs != targets[i - 1]:
-            return None
-    return mat
 
 
 # --- admissibility checking ------------------------------------------------

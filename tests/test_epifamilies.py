@@ -4,6 +4,7 @@ import pytest
 
 from l2burau.braid import BraidWord, compose, permutation, random_braid
 from l2burau.epifamilies import (
+    AbelianImage,
     Abelianization,
     CustomAbelian,
     Identity,
@@ -125,10 +126,46 @@ def test_custom_family():
     skew = CustomAbelian([[1, 0], [2, 0]])  # conjugation cannot permute these
     rep = check_admissibility(skew, BraidWord(2, (1,)), BraidWord(2, (1,)), 1)
     assert not rep.conjugation_ok
-    assert not skew.winding_factors_through() or True  # factoring is separate
+    assert not skew.winding_factors_through()  # c*1 = 1 and c*2 = 1 clash
 
     with pytest.raises(ValueError):
         fam.apply(parse_word("x1", 2), 2, X)
+
+
+def test_custom_chi_and_twist_follow_the_artin_action(rng):
+    # twist permutes the image rows and chi is solved from them; the Artin
+    # action is the oracle for both
+    independent = [
+        CustomAbelian([[1, 2], [3, 5]]),
+        CustomAbelian([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        CustomAbelian([[1], [1], [1]]),  # equal rows: chi = 1
+    ]
+    # x4 goes to the sum of the other images: chi exists iff pi fixes 4
+    summed = CustomAbelian([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
+    solved = {fam: 0 for fam in independent + [summed]}
+    for fam in solved:
+        n = len(fam.rows)
+        for _ in range(40):
+            alpha = random_braid(rng, n, 6)
+            beta = random_braid(rng, n, 6)
+            words = [FreeWord.gen(n, i) for i in range(1, n + 1)]
+            words.append(random_word(rng, n, 6))
+            for w in words:
+                moved = fam.apply(artin_act(alpha, w, X), n, X)
+                assert twist(fam, alpha).apply(w, n, X) == moved
+            rep = check_admissibility(fam, beta, alpha, 1)
+            if fam == summed and permutation(alpha)[3] != 4:
+                with pytest.raises(ValueError):
+                    chi_map(fam, alpha)
+                assert not rep.conjugation_ok
+                continue
+            chi = chi_map(fam, alpha)
+            for w in words:
+                assert fam.apply(artin_act(alpha, w, X), n, X) == chi(fam.apply(w, n, X))
+            assert rep.conjugation_ok and rep.stabilization_ok is None
+            solved[fam] += 1
+    assert [solved[fam] for fam in independent] == [40, 40, 40]
+    assert 0 < solved[summed] < 40
 
 
 def test_twist_shortcuts(rng):
@@ -155,7 +192,7 @@ def test_twist_composes(rng):
             artin_act(p1, artin_act(p2, w, X), X), n, X
         )
         assert t2.apply(w, n, X) == direct
-        assert isinstance(t2, PermutedAbelianization)
+        assert isinstance(t2, AbelianImage)
 
 
 def test_family_by_name(tmp_path):

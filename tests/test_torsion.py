@@ -17,7 +17,13 @@ from l2burau.braid import (
     random_braid,
     stabilize,
 )
-from l2burau.epifamilies import Abelianization, Identity, TotalWinding, twist
+from l2burau.epifamilies import (
+    Abelianization,
+    CustomAbelian,
+    Identity,
+    TotalWinding,
+    twist,
+)
 from l2burau.fkdet import det_integers, mahler_univariate
 from l2burau.freegroup import Basis, FreeWord, parse_word
 from l2burau.groupring import (
@@ -43,6 +49,11 @@ from l2burau.torsion import (
 
 
 BOYD = 1.3813564445184977  # m(1 + x + y) in closed form (Smyth 1981)
+
+
+def custom_family(n):
+    """Rank-n 2-column images: a custom family is defined at one rank only."""
+    return CustomAbelian(((1, 0), (0, 1), (1, 1), (2, -1), (-1, 3))[:n])
 
 
 def zel(terms):
@@ -144,9 +155,10 @@ def test_reduced_burau_cube():
 
 
 def test_routes_agree(rng):
-    # fifty braids per rank, spread over the three families
-    for fam in (Identity(), TotalWinding(), Abelianization()):
+    # fifty braids per rank, spread over the three families, then custom
+    for family in (Identity(), TotalWinding(), Abelianization(), custom_family):
         for n in (2, 3, 4):
+            fam = custom_family(n) if family is custom_family else family
             for _ in range(17):
                 b = random_braid(rng, n, 6)
                 d = reduced_burau(b, fam, route="direct").matrix
@@ -166,12 +178,21 @@ def test_compose_route_twists_one_letter_at_a_time(rng, monkeypatch):
         validate(self)
 
     monkeypatch.setattr(BraidWord, "__post_init__", counting)
-    for fam in (TotalWinding(), Abelianization()):
+    for fam in (TotalWinding(), Abelianization(), custom_family(5)):
         for b in braids:
             built.clear()
             reduced_burau(b, fam, route="compose")
             assert len(built) <= len(b) + 1
             assert sum(built) <= len(b) + 1
+
+
+def test_custom_takes_the_compose_route():
+    # identity images are the abelianization, so both assemble the same matrix
+    beta = BraidWord(4, (1, -2, 3) * 8)
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    bm = reduced_burau(beta, CustomAbelian(eye))
+    assert bm.route == "compose"
+    assert bm.matrix == reduced_burau(beta, Abelianization()).matrix
 
 
 def test_anti_multiplicativity_symbolic(rng):
