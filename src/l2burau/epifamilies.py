@@ -307,10 +307,13 @@ class ChiMap:
             return artin_act(alpha, elem, Basis.X)
         if self.kind == "matrix":
             mat = self.data  # d x d rational matrix acting on column vectors
-            return tuple(
-                int(sum(Fraction(mat[a][b]) * elem[b] for b in range(len(elem))))
+            out = tuple(
+                sum(Fraction(mat[a][b]) * elem[b] for b in range(len(elem)))
                 for a in range(len(mat))
             )
+            if any(x.denominator != 1 for x in out):
+                raise ValueError(f"chi maps {tuple(elem)} off the integer lattice: {out}")
+            return tuple(int(x) for x in out)
         raise ValueError(f"unknown chi kind {self.kind}")
 
 

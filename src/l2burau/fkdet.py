@@ -6,8 +6,10 @@ Three backends, one per coefficient group, plus epsilon regularization:
   measure from polynomial roots (exact up to root-finding tolerance).
 * ``det_free_abelian`` - symbolic multivariate determinant, then the
   Mahler measure as a midpoint tensor quadrature of log|P| on the torus,
-  with grid doublings supplying the error bound.  Supports touching at
-  most one coordinate fall back to the exact root method.
+  with grid doublings supplying the error bound.  P is evaluated from its
+  dense coefficient box and one phase table per axis, on the half of the
+  grid that conjugate symmetry leaves, in fixed-size blocks.  Supports
+  touching at most one coordinate fall back to the exact root method.
 
   Both take a matrix and expand its determinant, exact in t, before they
   substitute t = t0.  Their polynomial-level entry points
@@ -163,28 +165,44 @@ def _drop_unused_axes(P: dict[tuple, Fraction]) -> tuple[dict[tuple, Fraction], 
     return out, len(used)
 
 
+_QUAD_BLOCK = 2**15  # grid points evaluated per matrix product
+
+
 def _log_abs_mean(P: dict[tuple, Fraction], d: int, n_grid: int) -> float:
-    """Mean of log|P| over the midpoint tensor grid, chunked along axis 0."""
+    """Mean of log|P| over the midpoint tensor grid.
+
+    The coefficients go into a dense array over the exponent box, so the
+    result depends on the polynomial alone, not on its dict order.  Axes
+    d-1, ..., 1 are contracted against per-axis phase tables
+    W[k, j] = exp(i k theta_j), leaving T[k0, point of the other axes].
+    Real coefficients give |P(-theta)| = |P(theta)|, and j -> n-1-j maps
+    the midpoint grid to its negative, so only axis-0 rows j < n/2 are
+    evaluated and counted twice (the middle row of an odd grid is its own
+    mirror and counts once).  Exact zeros count as log 1e-300.
+    """
+    lo = [min(k[a] for k in P) for a in range(d)]
+    hi = [max(k[a] for k in P) for a in range(d)]
+    C = np.zeros([h - l + 1 for l, h in zip(lo, hi)])
+    for k, c in P.items():
+        C[tuple(k[a] - lo[a] for a in range(d))] = float(c)
     theta = 2.0 * np.pi * (np.arange(n_grid) + 0.5) / n_grid
-    exps = list(P.keys())
-    cs = [float(c) for c in P.values()]
-    rest_grids = np.meshgrid(*([theta] * (d - 1)), indexing="ij") if d > 1 else []
-    chunk = max(1, int(2**22 // max(1, n_grid ** (d - 1))))
+    W = [np.exp(1j * np.outer(np.arange(lo[a], hi[a] + 1), theta)) for a in range(d)]
+    T = C
+    for a in range(d - 1, 0, -1):
+        T = np.tensordot(T, W[a], axes=([a], [0]))
+    T = T.reshape(C.shape[0], -1)
+    half = n_grid // 2
+    rows = [(W[0][:, :half].T, 2.0)]
+    if n_grid % 2:
+        rows.append((W[0][:, half : half + 1].T, 1.0))
     total = 0.0
-    for start in range(0, n_grid, chunk):
-        th0 = theta[start : start + chunk]
-        shape = (len(th0),) + (n_grid,) * (d - 1)
-        acc = np.zeros(shape, dtype=complex)
-        for k, c in zip(exps, cs):
-            phase = k[0] * th0.reshape((-1,) + (1,) * (d - 1))
-            for ax in range(1, d):
-                if k[ax]:
-                    phase = phase + k[ax] * rest_grids[ax - 1]
-            acc += c * np.exp(1j * phase)
-        with np.errstate(divide="ignore"):
-            L = np.log(np.abs(acc))
-        L = np.where(np.isfinite(L), L, np.log(1e-300))
-        total += float(L.sum())
+    for W0, weight in rows:
+        step = max(1, _QUAD_BLOCK // W0.shape[0])
+        for start in range(0, T.shape[1], step):
+            A = np.abs(W0 @ T[:, start : start + step])
+            np.maximum(A, 1e-300, out=A)
+            np.log(A, out=A)
+            total += weight * float(A.sum())
     return total / float(n_grid**d)
 
 

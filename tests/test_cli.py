@@ -207,6 +207,25 @@ def test_quadrature_grid_budget_fails_fast(capsys):
     assert time.perf_counter() - start < 2.0
 
 
+def test_quadrature_smyth_closed_form(capsys):
+    # abelianized 1 1 2 has determinant 1 + x + y + z up to units (Smyth 1981)
+    smyth = 1.5315470966874578  # exp(7 zeta(3) / (2 pi^2))
+    code, out, _ = run(capsys, "fq", "-b", "1 1 2", "-n", "3", "-f", "ab", "--json")
+    assert code == 0
+    (row,) = json.loads(out)
+    assert row["method"] == "quadrature"
+    assert abs(row["value"] - smyth) <= row["error_bound"]
+
+
+def test_quadrature_figure_eight_golden_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "fq", "-b", "1 -2 1 -2", "-n", "3", "-f", "ab", "--json")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    (row,) = json.loads(out)
+    assert abs(row["value"] - 2.006163) <= row["error_bound"] + 2e-6
+
+
 def test_bad_flag_exit_code(capsys):
     assert main(["fq", "--nope"]) == 2
 

@@ -132,6 +132,15 @@ def test_custom_family():
         fam.apply(parse_word("x1", 2), 2, X)
 
 
+def test_custom_chi_refuses_non_integer_images():
+    # images (2,0), (0,1) span an index-2 lattice: C = [[0, 2], [1/2, 0]]
+    chi = chi_map(CustomAbelian([[2, 0], [0, 1]]), BraidWord(2, (1,)))
+    assert chi((2, 0)) == (0, 1)
+    assert chi((0, 1)) == (2, 0)
+    with pytest.raises(ValueError, match="integer lattice"):
+        chi((1, 0))
+
+
 def test_custom_chi_and_twist_follow_the_artin_action(rng):
     # twist permutes the image rows and chi is solved from them; the Artin
     # action is the oracle for both

@@ -143,6 +143,51 @@ def test_quadrature_grid_validation():
         det_free_abelian(m, 1, grid=32)
 
 
+def per_term_log_abs_mean(P, d, n_grid):
+    """Reference: one complex exp per term per grid point, summed as given."""
+    theta = 2.0 * np.pi * (np.arange(n_grid) + 0.5) / n_grid
+    grids = np.meshgrid(*([theta] * d), indexing="ij")
+    acc = np.zeros((n_grid,) * d, dtype=complex)
+    for k, c in P.items():
+        acc += float(c) * np.exp(1j * sum(k[a] * grids[a] for a in range(d)))
+    with np.errstate(divide="ignore"):
+        L = np.log(np.abs(acc))
+    return float(np.where(np.isfinite(L), L, np.log(1e-300)).sum()) / n_grid**d
+
+
+@pytest.mark.parametrize(
+    "d, n_grid", [(2, 64), (2, 33), (3, 16), (3, 32), (3, 17), (4, 16), (4, 20)]
+)
+def test_log_abs_mean_matches_per_term_sum(rng, d, n_grid):
+    for _ in range(3):
+        P = {}
+        for _ in range(rng.randint(2, 7)):
+            k = tuple(rng.randint(-2, 1) for _ in range(d))
+            P[k] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+        ref = per_term_log_abs_mean(P, d, n_grid)
+        assert fkdet._log_abs_mean(P, d, n_grid) == pytest.approx(ref, rel=1e-12)
+
+
+def test_quadrature_ignores_term_order():
+    # det(Burau - Id) of 1 -2 1 -2 over the images (1,0), (0,1), (1,1);
+    # a sum in dict order gives these two orders bounds 2e-11 apart
+    terms = [
+        ((0, 1), {0: 1, 1: 1}),
+        ((0, -1), {-1: 1}),
+        ((-1, -1), {-2: -1}),
+        ((1, 2), {2: -1}),
+        ((1, 1), {1: 1}),
+        ((-1, 0), {-1: 1}),
+    ]
+    a, b = (
+        fkdet.quadrature_estimate(
+            GroupRingElement(FreeAbelian(2), {k: TPoly(c) for k, c in order}), 1
+        )
+        for order in (terms, terms[::-1])
+    )
+    assert (a.value, a.error_bound) == (b.value, b.error_bound)
+
+
 # --- det_free_group -------------------------------------------------------------
 
 
