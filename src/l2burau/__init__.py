@@ -30,7 +30,6 @@ from .epifamilies import (
     CustomAbelian,
     Identity,
     TotalWinding,
-    TwistedFamily,
     check_admissibility,
     chi_map,
     family_by_name,

@@ -9,10 +9,17 @@ Q(x_1), ..., Q(x_n).  The abelianization ``ab`` is its rank-free case
 reads the rows from a file.  Since h_alpha(x_i) is a conjugate of
 x_{pi(i)}, pi the strand permutation of alpha, twisting an abelian family
 by a braid only permutes its rows, and its chi solves C Q(x_i) =
-Q(x_{pi(i)}) straight from the rows; no image word is ever built.
+Q(x_{pi(i)}) straight from the rows; no image word is ever built.  A
+file's rows must span Z^d for the family to be an epimorphism, which
+:func:`family_by_name` checks.
 
-Each kind supplies, for a braid alpha, the compatibility map chi with
-Q o h_alpha == chi o Q (conjugation square) and, where defined, the
+Every family twists itself: ``twist(family, prefix)`` is family o
+h_prefix, which the Burau fold takes one letter at a time.  The total
+winding is unchanged by it, and the identity becomes a twisted
+:class:`Identity` that keeps the images h_prefix(g_1), ..., h_prefix(g_n).
+
+Each untwisted kind supplies, for a braid alpha, the compatibility map chi
+with Q o h_alpha == chi o Q (conjugation square) and, where defined, the
 stabilization monomorphism sigma with Q_{n+1} o iota == sigma o Q_n.
 Only the rank-free families (id, phi, ab) define sigma.
 
@@ -28,20 +35,43 @@ cache of the t-free part of an evaluation.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 from typing import Sequence
 
 from fractions import Fraction
 
 from . import braid as braidmod
 from .braid import BraidWord
-from .freegroup import Basis, FreeWord, artin_act
+from .freegroup import Basis, FreeWord, _act_letter_g, artin_act, change_of_basis, word
 from .groupring import CoefficientGroup, Free, FreeAbelian, Integers
 
 
 class Identity:
-    """Q = id on every free group; the finest family."""
+    """Q = id on every free group, or id o h_prefix for a braid prefix.
 
-    name = "id"
+    ``images=None`` is the untwisted identity, at every rank.  Otherwise
+    ``images[j-1]`` is h_prefix(g_j) in the g-basis, and the family is
+    defined at that rank only; x-basis words go through the g-basis.
+    """
+
+    def __init__(self, images: Sequence[FreeWord] | None = None):
+        if images is not None:
+            images = tuple(images)
+            if not images or any(w.rank != len(images) for w in images):
+                raise ValueError("need one image of rank n per generator")
+        self.images = images
+
+    @property
+    def name(self) -> str:
+        return "id" if self.images is None else "twisted"
+
+    def _images(self, n: int) -> list[FreeWord]:
+        if self.images is None:
+            return [FreeWord.gen(n, j) for j in range(1, n + 1)]
+        if n != len(self.images):
+            raise ValueError(f"twisted identity defined for rank {len(self.images)}, got {n}")
+        return list(self.images)
 
     def target(self, n: int) -> CoefficientGroup:
         return Free(n)
@@ -49,16 +79,40 @@ class Identity:
     def apply(self, w: FreeWord, n: int, basis: Basis = Basis.X) -> FreeWord:
         if w.rank != n:
             raise ValueError(f"rank {w.rank} does not match strands {n}")
-        return w
+        if self.images is None:
+            return w
+        out = _substitute(self._images(n), change_of_basis(w, basis, Basis.G))
+        return change_of_basis(out, Basis.G, basis)
+
+    def twist(self, prefix: BraidWord) -> "Identity":
+        """self o h_prefix, one letter at a time: artin_act applies the last
+        letter first, so h_{pa} = h_p o h_a, and the new image of g_j is the
+        old images substituted into h_a(g_j); h_a moves g_{|a|} alone."""
+        images = self._images(prefix.strands)
+        for a in prefix.letters:
+            moved = _act_letter_g(a, FreeWord.gen(prefix.strands, abs(a)))
+            images[abs(a) - 1] = _substitute(images, moved)
+        return Identity(images)
 
     def __repr__(self):
-        return "Identity()"
+        return "Identity()" if self.images is None else f"Identity({self.images!r})"
 
     def __eq__(self, other):
-        return isinstance(other, Identity)
+        return isinstance(other, Identity) and self.images == other.images
 
     def __hash__(self):
-        return hash(Identity)
+        return hash((Identity, self.images))
+
+
+def _substitute(images: Sequence[FreeWord], w: FreeWord) -> FreeWord:
+    """The word w with every generator j replaced by images[j-1]."""
+    out: list[tuple[int, int]] = []
+    for g, e in w.syllables:
+        img = images[g - 1]
+        rep = img if e > 0 else img.inverse()
+        for _ in range(abs(e)):
+            out.extend(rep.syllables)
+    return word(w.rank, out)
 
 
 class TotalWinding:
@@ -217,56 +271,27 @@ class PermutedAbelianization(AbelianImage):
         super().__init__(_unit_rows(perm))
 
 
-class TwistedFamily:
-    """A family precomposed with the automorphism of a braid prefix.
-
-    apply(w) = base(h_prefix(w)); this realizes the twisted coefficient
-    maps that appear when Burau matrices of composite words are assembled
-    from generator matrices.  Word images can grow exponentially in the
-    prefix length, so the commutative families twist exactly in
-    :func:`twist` instead, and this wrapper serves the identity family.
-    """
-
-    name = "twisted"
-
-    def __init__(self, base, prefix: BraidWord):
-        self.base = base
-        self.prefix = prefix
-
-    def target(self, n: int) -> CoefficientGroup:
-        return self.base.target(n)
-
-    def apply(self, w: FreeWord, n: int, basis: Basis = Basis.X):
-        return self.base.apply(artin_act(self.prefix, w, basis), n, basis)
-
-    def extended(self, more: BraidWord) -> "TwistedFamily":
-        return TwistedFamily(self.base, braidmod.compose(self.prefix, more))
-
-    def __repr__(self):
-        return f"TwistedFamily({self.base!r}, prefix={self.prefix.render()!r})"
-
-
-EpiFamily = Identity | TotalWinding | AbelianImage | TwistedFamily
+EpiFamily = Identity | TotalWinding | AbelianImage
 
 
 def twists_cheaply(family) -> bool:
-    """True when :func:`twist` avoids materializing Artin image words."""
+    """True when :func:`twist` avoids materializing Artin image words.
+
+    The benchmark harness is its only caller, and ROADMAP item 6 drops it.
+    """
     return isinstance(family, (TotalWinding, AbelianImage))
 
 
 def twist(family, prefix: BraidWord):
-    """family o h_prefix, with exact shortcuts for commutative targets.
+    """family o h_prefix.
 
-    The total winding of a word is braid-invariant, and an abelian family
-    only gets its image rows permuted, so neither touches an image word.
+    The total winding of a word is braid-invariant, an abelian family only
+    gets its image rows permuted, and the identity substitutes its
+    generator images one letter at a time.
     """
     if isinstance(family, TotalWinding):
         return family
-    if isinstance(family, AbelianImage):
-        return family.twist(prefix)
-    if isinstance(family, TwistedFamily):
-        return family.extended(prefix)
-    return TwistedFamily(family, prefix)
+    return family.twist(prefix)
 
 
 def family_by_name(tag: str) -> EpiFamily:
@@ -285,7 +310,14 @@ def family_by_name(tag: str) -> EpiFamily:
                 line = line.strip()
                 if line:
                     rows.append([int(x) for x in line.split()])
-        return CustomAbelian(rows)
+        fam = CustomAbelian(rows)
+        index = _lattice_index(fam.rows)
+        if index != 1:
+            raise ValueError(
+                f"custom images span a sublattice of Z^{fam.d} "
+                f"(gcd of the {fam.d} x {fam.d} minors is {index}), not Z^{fam.d}"
+            )
+        return fam
     raise ValueError(f"unknown family {tag!r}")
 
 
@@ -321,7 +353,7 @@ def chi_map(family, alpha: BraidWord) -> ChiMap:
     """The map chi with Q o h_alpha == chi o Q on the target of Q."""
     if isinstance(family, TotalWinding):
         return ChiMap("identity")
-    if isinstance(family, Identity):
+    if isinstance(family, Identity) and family.images is None:
         return ChiMap("automorphism", alpha)
     if isinstance(family, AbelianImage):
         return family.chi_map(alpha)
@@ -331,18 +363,40 @@ def chi_map(family, alpha: BraidWord) -> ChiMap:
 def sigma_supported(family) -> bool:
     if isinstance(family, AbelianImage):
         return family.rows is None
-    return not isinstance(family, TwistedFamily)
+    if isinstance(family, Identity):
+        return family.images is None
+    return True
 
 
 def sigma_apply(family, elem, n: int):
     """Stabilization monomorphism on the target, Q_{n+1} o iota == sigma o Q_n."""
     if isinstance(family, TotalWinding):
         return elem
-    if isinstance(family, Identity):
+    if isinstance(family, Identity) and family.images is None:
         return elem.with_rank(n + 1)
     if isinstance(family, AbelianImage):
         return family.sigma(elem, n)
     raise ValueError(f"stabilization map undefined for {family!r}")
+
+
+def _lattice_index(rows) -> int:
+    """gcd of the d x d minors of integer rows: 1 exactly when they span Z^d."""
+    index = 0
+    for sub in itertools.combinations(rows, len(rows[0])):
+        m = [[Fraction(x) for x in row] for row in sub]
+        det = Fraction(1)
+        for c in range(len(m)):
+            p = next((r for r in range(c, len(m)) if m[r][c]), None)
+            if p is None:
+                det = Fraction(0)
+                break
+            m[c], m[p] = m[p], m[c]
+            det *= m[c][c] if p == c else -m[c][c]
+            for r in range(c + 1, len(m)):
+                f = m[r][c] / m[c][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+        index = math.gcd(index, int(det))
+    return index
 
 
 def _solve_exact(rows):

@@ -23,7 +23,8 @@ Three backends, one per coefficient group, plus epsilon regularization:
   word acts on it as a few arithmetic runs), after rewriting the support
   over a free basis of the subgroup it generates.  The slowly decaying
   tail of the series is completed by a fitted power-law or geometric
-  model.
+  model.  A single entry whose subgroup has rank 1 is a Laurent
+  polynomial and goes to the exact root method instead.
 * ``det_epsilon_reg`` - determinants of A*A + eps Id for a decreasing
   eps sequence, extrapolated to eps -> 0.  Every shifted series is derived
   from the moments of one walk, so it checks the tail model and the eps
@@ -824,7 +825,9 @@ def det_free_group(
 
     1x1 operators are rewritten over a free basis of the subgroup their
     support generates, which shrinks both the ambient rank and the word
-    lengths.  A 2x2 matrix with a one-term (hence invertible) entry is
+    lengths; when that subgroup has rank 1 the support is a Laurent
+    polynomial in its generator, and the roots backend's Mahler measure
+    is exact.  A 2x2 matrix with a one-term (hence invertible) entry is
     reduced to the 1x1 case through det [[A,B],[C,D]] = det(B)
     det(A B^-1 D - C); larger matrices run the series directly and flag
     that injectivity was assumed.
@@ -875,6 +878,11 @@ def _det_free_single(
     words = _sorted_support(shifted)
     rank, rewritten = fold_subgroup_basis(words)
     a = {rw: shifted[w] for w, rw in zip(words, rewritten)}
+    if rank == 1:  # a Laurent polynomial in the one generator: exact roots
+        uni = {sum(x for _, x in w.syllables): c for w, c in a.items()}
+        value, err = mahler_univariate(uni)
+        diagnostics = {"subgroup_rank": 1, "reduced_to_univariate": True}
+        return FKEstimate(value, err, "roots", diagnostics)
     b: dict[FreeWord, Fraction] = {}  # A* A over the subgroup basis
     for w1, c1 in a.items():
         for w2, c2 in a.items():

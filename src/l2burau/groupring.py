@@ -372,8 +372,8 @@ class GroupRingElement:
 
 # --- Flat kernel ------------------------------------------------------------
 #
-# The exact hot loops (the Laplace determinant, the compose route of the
-# Burau assembly) run on flat {key: coefficient} dicts instead of nested
+# The exact hot loops (the Laplace determinant, the fold of the Burau
+# assembly) run on flat {key: coefficient} dicts instead of nested
 # GroupRingElement -> TPoly -> Fraction objects.  A key stands for a pair
 # (group element, t exponent); see _keyed for its two forms.  A
 # coefficient stays a Python int while its denominator is 1, so nearly

@@ -10,9 +10,11 @@ this layout composition of the underlying operators is ``opposite_mul``:
 standard index pattern, entry products reversed (for commutative targets
 this is just the ordinary product).
 
-Two independent constructions are provided: the direct Fox-jacobian route
-and the fold of per-generator table matrices with twisted coefficient
-maps; they must agree symbolically and the tests make them race.
+A reduced Burau matrix is assembled one way, by the rule
+B(alpha beta) = B(alpha) . B_{phi o h_alpha}(beta): a fold of generator
+table matrices whose coefficient family is twisted one letter at a time.
+The Fox jacobian remains for the unreduced matrix, and the tests compare
+the fold against it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Sequence
 
 from . import braid as braidmod
 from .braid import BraidWord
-from .epifamilies import TotalWinding, twist, twists_cheaply
+from .epifamilies import TotalWinding, twist
 from .freegroup import Basis, FreeWord, artin_act
 from .fkdet import (
     FKEstimate,
@@ -54,17 +56,12 @@ from .groupring import (
 
 @dataclasses.dataclass(frozen=True)
 class BurauMatrix:
-    """A Burau matrix together with the data it was built from.
-
-    ``route`` is "direct" for a Fox jacobian and "compose" for a fold of
-    generator table matrices (a single table matrix included).
-    """
+    """A Burau matrix together with the data it was built from."""
 
     matrix: GroupRingMatrix
     family: object
     braid: BraidWord
     basis: Basis
-    route: str
 
     @property
     def size(self) -> int:
@@ -162,10 +159,6 @@ def _generator_column(n: int, i: int, sign: int, family) -> dict[int, GroupRingE
     reads (1, -kappa(u), kappa(u)) with u = g_{i-1} g_i^{-1} (g_0 = 1).
     Rows outside 1..n-1 are clipped.
     """
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range for {n} strands")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     one = GroupRingElement.one(family.target(n))
     if sign > 0:
         u = FreeWord(n, tuple(p for p in ((i + 1, 1), (i, -1)) if p[0] <= n))
@@ -181,23 +174,9 @@ def _generator_column(n: int, i: int, sign: int, family) -> dict[int, GroupRingE
 def generator_matrix(n: int, i: int, sign: int, family) -> BurauMatrix:
     """The (n-1) x (n-1) table matrix of one Artin generator: the identity
     with column i replaced by :func:`_generator_column`."""
-    column = _generator_column(n, i, sign, family)
-    grp = family.target(n)
-    size = n - 1
-    entries = [
-        [
-            GroupRingElement.one(grp) if r == c else GroupRingElement.zero(grp)
-            for c in range(size)
-        ]
-        for r in range(size)
-    ]
-    for r, val in column.items():
-        entries[r - 1][i - 1] = val
-    mat = GroupRingMatrix(grp, entries)
-    bm = BurauMatrix(mat, family, braidmod.braid_word([sign * i], n), Basis.G, "compose")
-    if isinstance(family, TotalWinding):
-        _check_winding_consistency(mat)
-    return bm
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    return reduced_burau(braidmod.braid_word([sign * i], n), family)
 
 
 def _compose_matrix(beta: BraidWord, family) -> GroupRingMatrix:
@@ -234,31 +213,12 @@ def _compose_matrix(beta: BraidWord, family) -> GroupRingMatrix:
     return GroupRingMatrix(grp, [[element(d) for d in row] for row in rows])
 
 
-def reduced_burau(beta: BraidWord, family, route: str = "auto") -> BurauMatrix:
-    """The reduced Burau matrix of a braid word over a coefficient family.
-
-    route="direct" computes the Fox jacobian of the whole automorphism;
-    route="compose" folds the per-generator table matrices with twisted
-    families, one column update per letter (see :func:`_compose_matrix`).
-    The two agree symbolically, but the direct route materializes image
-    words that grow exponentially with braid length, so "auto" picks the
-    composition route whenever the family twists cheaply (every
-    commutative target does) and the braid is long.
-    """
-    n = beta.strands
-    if route == "auto":
-        route = (
-            "compose"
-            if twists_cheaply(family) and len(beta.letters) > 3
-            else "direct"
-        )
-    if route == "direct":
-        mat = _jacobian_matrix(beta, family, Basis.G, n - 1)
-    elif route == "compose":
-        mat = _compose_matrix(beta, family)
-    else:
-        raise ValueError(f"unknown route {route!r}")
-    bm = BurauMatrix(mat, family, beta, Basis.G, route)
+def reduced_burau(beta: BraidWord, family) -> BurauMatrix:
+    """The reduced Burau matrix of a braid word over a coefficient family:
+    the per-generator table matrices folded with twisted families, one
+    column update per letter (see :func:`_compose_matrix`)."""
+    mat = _compose_matrix(beta, family)
+    bm = BurauMatrix(mat, family, beta, Basis.G)
     if isinstance(family, TotalWinding):
         _check_winding_consistency(mat)
     return bm
@@ -267,7 +227,7 @@ def reduced_burau(beta: BraidWord, family, route: str = "auto") -> BurauMatrix:
 def unreduced_burau(beta: BraidWord, family) -> BurauMatrix:
     """The n x n Fox jacobian in the puncture-loop basis."""
     mat = _jacobian_matrix(beta, family, Basis.X, beta.strands)
-    return BurauMatrix(mat, family, beta, Basis.X, "direct")
+    return BurauMatrix(mat, family, beta, Basis.X)
 
 
 # --- the candidate Markov function -------------------------------------------
@@ -306,16 +266,16 @@ class FQValue:
 # markov and the CLI.  Nothing that depends on t0, the grid or the series
 # length (an estimate, a walk, a ball) is cached.
 @functools.lru_cache(maxsize=4)
-def _minus_identity(beta: BraidWord, family) -> tuple[str, GroupRingMatrix]:
-    """The route reduced_burau took and E = Burau(beta) - Id."""
+def _minus_identity(beta: BraidWord, family) -> GroupRingMatrix:
+    """E = Burau(beta) - Id."""
     bm = reduced_burau(beta, family)
-    return bm.route, bm.matrix - GroupRingMatrix.identity(bm.matrix.group, beta.strands - 1)
+    return bm.matrix - GroupRingMatrix.identity(bm.matrix.group, beta.strands - 1)
 
 
 @functools.lru_cache(maxsize=4)
 def _symbolic_det(beta: BraidWord, family) -> GroupRingElement:
     """det(E), exact in t; built only when the roots or quad backend asks."""
-    return _minus_identity(beta, family)[1].determinant()
+    return _minus_identity(beta, family).determinant()
 
 
 def fq_value(
@@ -335,13 +295,12 @@ def fq_value(
     ``method`` forces one of roots | quad | series | eps.  E = Burau - Id
     and, for roots and quad, its symbolic determinant come from caches
     keyed by (beta, family), so calls that differ only in t share them.
-    The diagnostics record the Burau route ("direct" or "compose").
     """
     t0 = Fraction(t0)
     if t0 <= 0:
         raise ValueError("t must be positive")
     n = beta.strands
-    route, E = _minus_identity(beta, family)
+    E = _minus_identity(beta, family)
     grp = E.group
     if method is None:
         if isinstance(grp, Integers):
@@ -362,7 +321,6 @@ def fq_value(
         est = det_epsilon_reg(E, t0, epsilons=epsilons)
     else:
         raise ValueError(f"unknown method {method!r}")
-    est.diagnostics["route"] = route
     norm = float(max(Fraction(1), t0)) ** n
     value = est.value / norm
     err = None if est.error_bound is None else est.error_bound / norm

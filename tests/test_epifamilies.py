@@ -190,6 +190,24 @@ def test_twist_shortcuts(rng):
         assert tid.apply(w, n, X) == artin_act(prefix, w, X)
 
 
+def test_twisted_identity_substitutes_images(rng):
+    # twist(Identity(), p) is the Artin action of p in either basis, twists
+    # compose, and a twisted identity has neither chi nor sigma
+    for _ in range(20):
+        n = rng.randint(2, 4)
+        p1, p2 = random_braid(rng, n, 5), random_braid(rng, n, 4)
+        tid = twist(Identity(), p1)
+        for basis in (X, Basis.G):
+            w = random_word(rng, n, 6)
+            assert tid.apply(w, n, basis) == artin_act(p1, w, basis)
+        both = twist(tid, p2)
+        assert both == twist(Identity(), compose(p1, p2))
+        assert hash(both) == hash(twist(Identity(), compose(p1, p2)))
+        rep = check_admissibility(tid, random_braid(rng, n, 3), random_braid(rng, n, 3), 1)
+        assert (rep.family, rep.passed, rep.conjugation_ok) == ("twisted", False, False)
+        assert rep.stabilization_ok is None and rep.first_failure.startswith("chi: ")
+
+
 def test_twist_composes(rng):
     for _ in range(10):
         n = 3
@@ -214,6 +232,20 @@ def test_family_by_name(tmp_path):
     assert isinstance(fam, CustomAbelian) and fam.d == 2
     with pytest.raises(ValueError):
         family_by_name("nope")
+
+
+def test_custom_file_must_span_the_lattice(tmp_path):
+    # a file names an epimorphism only when its rows span Z^d
+    mat = tmp_path / "fam.txt"
+    for rows in ("2 0\n0 1\n", "1 0\n2 0\n"):
+        mat.write_text(rows)
+        with pytest.raises(ValueError, match="sublattice"):
+            family_by_name(f"custom:{mat}")
+    base = ((1, 0), (0, 1), (1, 1))
+    for swap, s0, s1 in itertools.product((False, True), (1, -1), (1, -1)):
+        rows = [(v[1], v[0]) if swap else v for v in base]
+        mat.write_text("".join(f"{s0 * a} {s1 * b}\n" for a, b in rows))
+        assert family_by_name(f"custom:{mat}").d == 2
 
 
 def test_families_hash_by_value():

@@ -243,7 +243,7 @@ def test_series_induction_property():
         zelt({0: {0: 1}, 1: {0: Fraction(-1, 3)}, -1: {0: Fraction(1, 5)}})
     )
     oracle = det_integers(mz, 1)
-    assert abs(est.value - oracle.value) <= (est.error_bound or 0) + 1e-6
+    assert abs(est.value - oracle.value) <= (est.error_bound or 0) + 1e-12
 
 
 def test_series_matrix_block_diagonal():

@@ -106,10 +106,8 @@ def test_generator_matrix_agrees_with_fox_route():
             for sign in (1, -1):
                 for fam in (TotalWinding(), Abelianization(), Identity()):
                     table = generator_matrix(n, i, sign, fam).matrix
-                    direct = reduced_burau(
-                        BraidWord(n, (sign * i,)), fam, route="direct"
-                    ).matrix
-                    assert table == direct, (n, i, sign, fam)
+                    fox = torsion._jacobian_matrix(BraidWord(n, (sign * i,)), fam, Basis.G, n - 1)
+                    assert table == fox, (n, i, sign, fam)
 
 
 def test_generator_matrix_validation():
@@ -155,15 +153,15 @@ def test_reduced_burau_cube():
 
 
 def test_routes_agree(rng):
-    # fifty braids per rank, spread over the three families, then custom
+    # the fold against the Fox jacobian: fifty braids per rank, spread over
+    # the three families, then custom
     for family in (Identity(), TotalWinding(), Abelianization(), custom_family):
         for n in (2, 3, 4):
             fam = custom_family(n) if family is custom_family else family
             for _ in range(17):
                 b = random_braid(rng, n, 6)
-                d = reduced_burau(b, fam, route="direct").matrix
-                c = reduced_burau(b, fam, route="compose").matrix
-                assert d == c, (fam, b)
+                fox = torsion._jacobian_matrix(b, fam, Basis.G, n - 1)
+                assert reduced_burau(b, fam).matrix == fox, (fam, b)
 
 
 def test_compose_route_twists_one_letter_at_a_time(rng, monkeypatch):
@@ -178,10 +176,10 @@ def test_compose_route_twists_one_letter_at_a_time(rng, monkeypatch):
         validate(self)
 
     monkeypatch.setattr(BraidWord, "__post_init__", counting)
-    for fam in (TotalWinding(), Abelianization(), custom_family(5)):
+    for fam in (TotalWinding(), Abelianization(), custom_family(5), Identity()):
         for b in braids:
             built.clear()
-            reduced_burau(b, fam, route="compose")
+            reduced_burau(b, fam)
             assert len(built) <= len(b) + 1
             assert sum(built) <= len(b) + 1
 
@@ -191,7 +189,6 @@ def test_custom_takes_the_compose_route():
     beta = BraidWord(4, (1, -2, 3) * 8)
     eye = [[int(i == j) for j in range(4)] for i in range(4)]
     bm = reduced_burau(beta, CustomAbelian(eye))
-    assert bm.route == "compose"
     assert bm.matrix == reduced_burau(beta, Abelianization()).matrix
 
 
@@ -200,9 +197,9 @@ def test_anti_multiplicativity_symbolic(rng):
         for _ in range(10):
             a = random_braid(rng, n, 5)
             b = random_braid(rng, n, 5)
-            lhs = reduced_burau(compose(a, b), Identity(), route="direct").matrix
-            rhs = reduced_burau(a, Identity(), route="direct").matrix.opposite_mul(
-                reduced_burau(b, twist(Identity(), a), route="direct").matrix
+            lhs = torsion._jacobian_matrix(compose(a, b), Identity(), Basis.G, n - 1)
+            rhs = reduced_burau(a, Identity()).matrix.opposite_mul(
+                reduced_burau(b, twist(Identity(), a)).matrix
             )
             assert lhs == rhs
 
@@ -233,6 +230,15 @@ def test_fq_stabilized_abelian_boyd():
 def test_fq_identity_family_free_value():
     v = fq_value(BraidWord(3, (-1, 2)), Identity(), 1)
     assert abs(v.value - 2 / math.sqrt(3)) < 2e-2
+
+
+@pytest.mark.parametrize("letters", [(-1,), (1,), (1, 1, 1)])
+def test_fq_rank_one_support_is_exact(letters):
+    # the support lies in one cyclic subgroup: a Mahler measure by roots
+    v = fq_value(BraidWord(2, letters), Identity(), 1)
+    assert v.estimate.method == "roots"
+    assert v.estimate.diagnostics == {"subgroup_rank": 1, "reduced_to_univariate": True}
+    assert abs(v.value - 1.0) <= v.error_bound < 1e-9
 
 
 @pytest.mark.parametrize(
@@ -628,7 +634,6 @@ def test_fq_t_sweep_builds_matrix_and_determinant_once(monkeypatch):
     expanded = _count_calls(monkeypatch, GroupRingMatrix, "determinant")
     sweep = [fq_value(beta, TotalWinding(), t) for t in ts]
     assert (len(composed), len(expanded)) == (1, 1)
-    assert {v.estimate.diagnostics["route"] for v in sweep} == {"compose"}
     for t, got in zip(ts, sweep):
         torsion._minus_identity.cache_clear()
         torsion._symbolic_det.cache_clear()
@@ -658,4 +663,3 @@ def test_fq_value_reuses_no_backend_result(monkeypatch):
     assert walked >= 1 and len(radii) == 2 * walked
     assert second.estimate is not first.estimate
     assert (second.value, second.error_bound) == (first.value, first.error_bound)
-    assert first.estimate.diagnostics["route"] == "direct"
