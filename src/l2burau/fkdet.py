@@ -3,7 +3,8 @@
 Three backends, one per coefficient group, plus epsilon regularization:
 
 * ``det_integers`` - symbolic one-variable determinant, then the Mahler
-  measure from polynomial roots (exact up to root-finding tolerance).
+  measure from polynomial roots (exact up to root-finding tolerance;
+  repeated roots are split off exactly first).
 * ``det_free_abelian`` - symbolic multivariate determinant, then the
   Mahler measure as a midpoint tensor quadrature of log|P| on the torus,
   with grid doublings supplying the error bound.  P is evaluated from its
@@ -45,7 +46,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from fractions import Fraction
-from math import exp, log, sqrt
+from math import exp, fsum, log, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -96,10 +97,107 @@ def _accumulate(acc: dict, key, c: Fraction) -> None:
 # --- roots backend (integers) -----------------------------------------------
 
 
+def _poly_divmod(num: list, den: list) -> tuple[list, list]:
+    """Quotient and remainder over Q of ascending coefficient lists.
+
+    ``den`` must have a nonzero top coefficient; the remainder comes back
+    without trailing zeros, so an exact division leaves ``[]``.
+    """
+    rem = list(num)
+    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        coef = rem[k + len(den) - 1] / den[-1]
+        q[k] = coef
+        if coef:
+            for j, dc in enumerate(den):
+                rem[k + j] -= coef * dc
+    return q, _trimmed(rem[: len(den) - 1])
+
+
+def _trimmed(p: list) -> list:
+    """``p`` without its zero top coefficients; the zero polynomial is []."""
+    while p and not p[-1]:
+        p = p[:-1]
+    return p
+
+
+def _laurent_divide_exact(num: dict[int, Fraction], den: dict[int, Fraction]):
+    """Exact Laurent division; returns the quotient or raises."""
+    if not den:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not num:
+        return {}
+    q, rem = _poly_divmod(_ascending(num), _ascending(den))
+    if rem:
+        raise ArithmeticError("inexact Laurent division")
+    shift = min(num) - min(den)
+    return {k + shift: c for k, c in enumerate(q) if c}
+
+
+def _ascending(coeffs: dict[int, Fraction]) -> list[Fraction]:
+    """Coefficients from the lowest power to the highest, gaps as zeros."""
+    return [Fraction(coeffs.get(k, 0)) for k in range(min(coeffs), max(coeffs) + 1)]
+
+
+def _derivative(p: list) -> list:
+    return [k * c for k, c in enumerate(p)][1:]
+
+
+def _monic_gcd(a: list, b: list) -> list:
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def _squarefree_parts(p: list) -> list[tuple[list, int]]:
+    """Yun's algorithm over Q: p = lead(p) * prod f_i^i, as [(f_i, i)].
+
+    The f_i are monic, square-free and pairwise coprime; constant parts
+    are left out.  Every division but the gcd remainders is exact.
+    """
+    dp = _derivative(p)
+    a = _monic_gcd(p, dp)
+    b, c = _poly_divmod(p, a)[0], _poly_divmod(dp, a)[0]
+    parts, mult = [], 1
+    while len(b) > 1:
+        d = _trimmed([x - y for x, y in itertools.zip_longest(c, _derivative(b), fillvalue=0)])
+        a = _monic_gcd(b, d)
+        if len(a) > 1:
+            parts.append((a, mult))
+        b, c = _poly_divmod(b, a)[0], _poly_divmod(d, a)[0]
+        mult += 1
+    return parts
+
+
+def _has_cluster(roots: np.ndarray) -> bool:
+    """Two roots within 1e-4 max(1, |r|) of each other."""
+    gap = np.abs(roots[:, None] - roots[None, :])
+    np.fill_diagonal(gap, np.inf)
+    return bool((gap < 1e-4 * np.maximum(1.0, np.abs(roots))[:, None]).any())
+
+
+def _mahler_from_roots(poly: np.ndarray, roots: np.ndarray) -> tuple[float, float]:
+    """|lead| * prod max(1, |root|) for descending ``poly``, after two
+    Newton polish steps on its ``roots``; returns (value, error_bound)."""
+    dpoly = np.polyder(poly)
+    for _ in range(2):
+        vals = np.polyval(poly, roots)
+        dvals = np.polyval(dpoly, roots)
+        ok = np.abs(dvals) > 1e-30
+        roots[ok] = roots[ok] - vals[ok] / dvals[ok]
+    value = float(abs(poly[0]) * np.prod(np.maximum(1.0, np.abs(roots))))
+    deg = len(poly) - 1
+    return value, value * 5e-12 * (deg + 1) ** 2 + 1e-14
+
+
 def mahler_univariate(coeffs: dict[int, Fraction]) -> tuple[float, float]:
     """Mahler measure |lead| * prod max(1, |root|) of a Laurent polynomial.
 
-    Returns (value, error_bound); roots get two Newton polish steps.
+    Returns (value, error_bound).  A repeated root costs the root finder
+    about half its digits, so when ``np.roots`` returns a cluster P is
+    split exactly into square-free parts P = lead * prod f_i^i (see
+    :func:`_squarefree_parts`) and M(P) = |lead| * prod M(f_i)^i, with
+    the factors' relative bounds summed i times each.
     """
     if not coeffs:
         raise ValueError("zero polynomial has no Mahler measure")
@@ -110,15 +208,15 @@ def mahler_univariate(coeffs: dict[int, Fraction]) -> tuple[float, float]:
     if hi == lo:
         return float(abs(poly[0])), float(abs(poly[0])) * 1e-15
     roots = np.roots(poly)
-    dpoly = np.polyder(poly)
-    for _ in range(2):
-        vals = np.polyval(poly, roots)
-        dvals = np.polyval(dpoly, roots)
-        ok = np.abs(dvals) > 1e-30
-        roots[ok] = roots[ok] - vals[ok] / dvals[ok]
-    value = float(abs(poly[0]) * np.prod(np.maximum(1.0, np.abs(roots))))
-    deg = hi - lo
-    return value, value * 5e-12 * (deg + 1) ** 2 + 1e-14
+    if not _has_cluster(roots):
+        return _mahler_from_roots(poly, roots)
+    value, rel = float(abs(poly[0])), 0.0
+    for f, mult in _squarefree_parts(_ascending(coeffs)):
+        fpoly = np.array([float(c) for c in reversed(f)])
+        v, err = _mahler_from_roots(fpoly, np.roots(fpoly))
+        value *= v**mult
+        rel += mult * err / v
+    return value, value * rel
 
 
 def _require_integers(group) -> None:
@@ -562,8 +660,11 @@ class _Moments:
 
 
 def _norm_bound(entries: list[list[dict[FreeWord, float]]]) -> float:
-    """Max row sum of entry l1 norms; bounds the norm of a self-adjoint B."""
-    return max(sum(sum(abs(v) for v in e.values()) for e in row) for row in entries)
+    """Max row sum of entry l1 norms; bounds the norm of a self-adjoint B.
+
+    The sums are exactly rounded, so the bound does not depend on term order.
+    """
+    return max(fsum(abs(v) for e in row for v in e.values()) for row in entries)
 
 
 def _fit_tail(taus: np.ndarray, series_len: int) -> tuple[float, float, dict]:
@@ -625,8 +726,13 @@ def _trace_moments(
     (:meth:`FreeBall.runs`), so a step is a few slice updates per term.
     The radius-(R-1) ball that measures the truncation is the index
     prefix [0, offsets[R]) of the big one, walked with the same runs
-    clipped to it.
+    clipped to it.  Terms are walked in word order, so equal matrices give
+    bit-identical traces however their entries were assembled.
     """
+    entries = [
+        [dict(sorted(e.items(), key=lambda wc: _word_key(wc[0]))) for e in row]
+        for row in entries
+    ]
     m = len(entries)
     c = _norm_bound(entries)
     if c == 0.0:

@@ -19,10 +19,8 @@ the fold against it.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import functools
-import os
 from fractions import Fraction
 from math import log
 from typing import Sequence
@@ -33,6 +31,7 @@ from .epifamilies import TotalWinding, twist
 from .freegroup import Basis, FreeWord, artin_act
 from .fkdet import (
     FKEstimate,
+    _laurent_divide_exact,
     _require_free_abelian,
     _require_integers,
     det_epsilon_reg,
@@ -338,34 +337,6 @@ def fq_value(
 # --- Alexander polynomials ----------------------------------------------------
 
 
-def _laurent_divide_exact(num: dict[int, Fraction], den: dict[int, Fraction]):
-    """Exact Laurent division; returns the quotient or raises."""
-    if not den:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if not num:
-        return {}
-    nlo, nhi = min(num), max(num)
-    dlo, dhi = min(den), max(den)
-    np = [num.get(k, Fraction(0)) for k in range(nlo, nhi + 1)]
-    dp = [den.get(k, Fraction(0)) for k in range(dlo, dhi + 1)]
-    qdeg = (nhi - nlo) - (dhi - dlo)
-    if qdeg < 0:
-        raise ArithmeticError("inexact Laurent division")
-    q = [Fraction(0)] * (qdeg + 1)
-    rem = np[:]
-    lead = dp[-1]
-    for k in range(qdeg, -1, -1):
-        coef = rem[k + len(dp) - 1] / lead
-        q[k] = coef
-        if coef:
-            for j, dc in enumerate(dp):
-                rem[k + j] -= coef * dc
-    if any(rem):
-        raise ArithmeticError("inexact Laurent division")
-    shift = nlo - dlo
-    return {k + shift: c for k, c in enumerate(q) if c}
-
-
 def render_poly(coeffs: dict[int, Fraction], var: str = "s") -> str:
     if not coeffs:
         return "0"
@@ -512,9 +483,7 @@ def markov_report(
 
     At t = 1 values are compared directly; elsewhere each pair is compared
     after fitting the best integer power of t (the function is only
-    defined up to monomials).  Stage evaluations are independent and run
-    in a thread pool when the L2BURAU_THREADS environment variable asks
-    for more than one worker.
+    defined up to monomials).
     """
     t0 = Fraction(t0)
     braids = [beta]
@@ -523,12 +492,7 @@ def markov_report(
         braids.append(apply_move(braids[-1], mv))
         labels.append(mv.label())
 
-    workers = int(os.environ.get("L2BURAU_THREADS", "1") or "1")
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            fqs = list(pool.map(lambda b: fq_value(b, family, t0, **fq_options), braids))
-    else:
-        fqs = [fq_value(b, family, t0, **fq_options) for b in braids]
+    fqs = [fq_value(b, family, t0, **fq_options) for b in braids]
 
     stages = [MarkovStage(lab, b, f) for lab, b, f in zip(labels, braids, fqs)]
     max_dev = 0.0

@@ -678,3 +678,18 @@ def test_fold_preserves_products(rng):
 def test_mahler_univariate_constant():
     value, err = mahler_univariate({3: Fraction(-7)})
     assert value == pytest.approx(7.0)
+
+
+@pytest.mark.parametrize(
+    "coeffs, value",
+    [
+        ({0: 12, 1: -8, 2: -1, 3: 1}, 12.0),  # (z - 2)^2 (z + 3)
+        ({0: 1, 1: -2, 2: 3, 3: -2, 4: 1}, 1.0),  # (1 - z + z^2)^2
+        ({-2: 1, -1: -2, 0: 3, 1: -2, 2: 1}, 1.0),  # the same, Laurent-shifted
+    ],
+)
+def test_mahler_univariate_repeated_roots(coeffs, value):
+    # a double root costs np.roots half its digits; the exact square-free
+    # split gets them back
+    got, err = mahler_univariate({k: Fraction(c) for k, c in coeffs.items()})
+    assert abs(got - value) <= min(err, 1e-12 * value)

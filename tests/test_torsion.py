@@ -2,6 +2,7 @@
 
 import math
 import random
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -164,6 +165,23 @@ def test_routes_agree(rng):
                 assert reduced_burau(b, fam).matrix == fox, (fam, b)
 
 
+@pytest.mark.parametrize(
+    "letters, backend",
+    [((-1, 2), fkdet.det_epsilon_reg), ((1, -2, 1, -2), fkdet.det_free_group)],
+)
+def test_walk_figures_depend_on_the_matrix_not_its_term_order(letters, backend):
+    # the fold and the Fox jacobian list the terms of equal entries in
+    # different orders; the walk must not see the difference, not even in
+    # the last bit
+    beta = BraidWord(3, letters)
+    fold = reduced_burau(beta, Identity()).matrix
+    fox = torsion._jacobian_matrix(beta, Identity(), Basis.G, 2)
+    assert fold == fox
+    eye = GroupRingMatrix.identity(fold.group, 2)
+    a, b = backend(fold - eye, 1), backend(fox - eye, 1)
+    assert (a.value, a.error_bound, a.diagnostics) == (b.value, b.error_bound, b.diagnostics)
+
+
 def test_compose_route_twists_one_letter_at_a_time(rng, monkeypatch):
     # each letter's family comes from the previous one, so an assembly
     # builds about one one-letter BraidWord per letter, not every prefix
@@ -239,6 +257,16 @@ def test_fq_rank_one_support_is_exact(letters):
     assert v.estimate.method == "roots"
     assert v.estimate.diagnostics == {"subgroup_rank": 1, "reduced_to_univariate": True}
     assert abs(v.value - 1.0) <= v.error_bound < 1e-9
+
+
+@pytest.mark.parametrize("t0", [Fraction(1, 2), 1, 2])
+def test_fq_repeated_roots_hold_their_bound(t0):
+    # Delta_{3_1}(z) (1 + ... + z^5) has the double factor 1 - z + z^2;
+    # all roots lie on the unit circle, so F = max(1, t)
+    v = fq_value(BraidWord(6, (1, 1, 1, 2, 3, 4, 5)), TotalWinding(), t0)
+    assert v.estimate.method == "roots"
+    expected = float(max(1, t0))
+    assert abs(v.value - expected) <= min(v.error_bound, 1e-12 * expected)
 
 
 @pytest.mark.parametrize(
@@ -480,10 +508,20 @@ def test_markov_threaded_matches_serial(monkeypatch):
     moves = [Stabilize(1), Conjugate(BraidWord(3, (2,)))]
     serial = markov_report(beta, moves, TotalWinding(), 1)
     monkeypatch.setenv("L2BURAU_THREADS", "4")
+    threads = []
+    fq_value = torsion.fq_value
+
+    def recording_fq_value(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return fq_value(*args, **kwargs)
+
+    monkeypatch.setattr(torsion, "fq_value", recording_fq_value)
     threaded = markov_report(beta, moves, TotalWinding(), 1)
     assert [s.fq.value for s in serial.stages] == [
         s.fq.value for s in threaded.stages
     ]
+    # the environment variable is ignored: every stage runs in this thread
+    assert threads == [threading.get_ident()] * len(threaded.stages)
 
 
 # --- proof-level identities -------------------------------------------------------------
