@@ -2,8 +2,10 @@
 Fuglede-Kadison determinant estimation.
 
 The package computes reduced Burau matrices of braids with coefficients
-twisted through a family of epimorphisms (identity, total winding,
-abelianization, or a custom abelian quotient), estimates Fuglede-Kadison
+twisted through a family of epimorphisms (:class:`Identity`,
+:class:`TotalWinding`, or one :class:`AbelianImage` class for the
+abelianization and custom abelian quotients; each family owns its twist
+and its Markov compatibility maps chi and sigma), estimates Fuglede-Kadison
 determinants over the three computable target groups, evaluates the
 candidate Markov function det^r(Burau - Id) / max(1,t)^n, and runs
 Markov-move experiments, including the known counter-examples for the
@@ -25,13 +27,10 @@ from .braid import (
 )
 from .epifamilies import (
     AbelianImage,
-    Abelianization,
     AdmissibilityReport,
-    CustomAbelian,
     Identity,
     TotalWinding,
     check_admissibility,
-    chi_map,
     family_by_name,
     twist,
 )

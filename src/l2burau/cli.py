@@ -52,7 +52,10 @@ def _parsed(fn, *args, **kwargs):
 def _parse_t_values(text: str) -> list[Fraction]:
     vals = []
     for tok in text.replace(",", " ").split():
-        vals.append(Fraction(tok))
+        try:
+            vals.append(Fraction(tok))
+        except ZeroDivisionError:
+            raise ValueError(f"t value {tok!r} has a zero denominator") from None
     if not vals:
         raise ValueError("no t values given")
     if any(v <= 0 for v in vals):

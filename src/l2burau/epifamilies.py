@@ -4,24 +4,29 @@ Three computable kinds are provided: the identity of the free group, the
 total winding map onto Z (every puncture generator to 1), and abelian
 quotients onto Z^d.  Every abelian family is one :class:`AbelianImage`:
 a linear map from x-exponents to Z^d, given by the integer image rows
-Q(x_1), ..., Q(x_n).  The abelianization ``ab`` is its rank-free case
-(x_i to the i-th basis vector of Z^n, at every rank n), and ``custom``
-reads the rows from a file.  Since h_alpha(x_i) is a conjugate of
-x_{pi(i)}, pi the strand permutation of alpha, twisting an abelian family
-by a braid only permutes its rows, and its chi solves C Q(x_i) =
-Q(x_{pi(i)}) straight from the rows; no image word is ever built.  A
-file's rows must span Z^d for the family to be an epimorphism, which
-:func:`family_by_name` checks.
+Q(x_1), ..., Q(x_n).  ``AbelianImage()`` is the rank-free abelianization
+``ab`` (x_i to the i-th basis vector of Z^n, at every rank n), and
+``AbelianImage(rows)`` is a matrix family such as ``custom``, read from a
+file.  A file's rows must span Z^d for the family to be an epimorphism,
+which :func:`family_by_name` checks.
 
-Every family twists itself: ``twist(family, prefix)`` is family o
-h_prefix, which the Burau fold takes one letter at a time.  The total
-winding is unchanged by it, and the identity becomes a twisted
-:class:`Identity` that keeps the images h_prefix(g_1), ..., h_prefix(g_n).
+Every family class carries the whole protocol a Markov experiment needs:
 
-Each untwisted kind supplies, for a braid alpha, the compatibility map chi
-with Q o h_alpha == chi o Q (conjugation square) and, where defined, the
-stabilization monomorphism sigma with Q_{n+1} o iota == sigma o Q_n.
-Only the rank-free families (id, phi, ab) define sigma.
+* ``target(n)`` and ``apply(w, n, basis)``: the quotient Q on n strands;
+* ``twist(prefix)``: family o h_prefix, which the Burau fold takes one
+  letter at a time.  The total winding is unchanged by it, an abelian
+  family permutes its rows (h_alpha(x_i) is a conjugate of x_{pi(i)}, pi
+  the strand permutation of alpha), and the identity becomes a twisted
+  :class:`Identity` that keeps the images h_prefix(g_1), ..., h_prefix(g_n);
+* ``chi_map(alpha)``: a callable chi with Q o h_alpha == chi o Q
+  (conjugation square); an abelian family solves C Q(x_i) = Q(x_{pi(i)})
+  straight from its rows, so no image word is ever built;
+* ``sigma(elem, n)``: the stabilization monomorphism with
+  Q_{n+1} o iota == sigma o Q_n.
+
+Where a square is undefined, ``chi_map`` and ``sigma`` raise ValueError.
+Only the rank-free families (id, phi, ab) define sigma; a twisted
+identity defines neither map.
 
 Quotients onto braid-closure groups and their deeper images are outside
 the computable range of this library (no terminating word problem is
@@ -44,7 +49,14 @@ from fractions import Fraction
 from . import braid as braidmod
 from .braid import BraidWord
 from .freegroup import Basis, FreeWord, _act_letter_g, artin_act, change_of_basis, word
-from .groupring import CoefficientGroup, Free, FreeAbelian, Integers
+from .groupring import (
+    CoefficientGroup,
+    Free,
+    FreeAbelian,
+    GroupRingElement,
+    GroupRingMatrix,
+    Integers,
+)
 
 
 class Identity:
@@ -94,6 +106,18 @@ class Identity:
             images[abs(a) - 1] = _substitute(images, moved)
         return Identity(images)
 
+    def chi_map(self, alpha: BraidWord):
+        """chi = h_alpha itself, on x-basis words; undefined once twisted."""
+        if self.images is not None:
+            raise ValueError(f"chi map undefined for {self!r}")
+        return lambda w: artin_act(alpha, w, Basis.X)
+
+    def sigma(self, elem: FreeWord, n: int) -> FreeWord:
+        """The inclusion F_n into F_{n+1}; undefined once twisted."""
+        if self.images is not None:
+            raise ValueError(f"stabilization map undefined for {self!r}")
+        return elem.with_rank(n + 1)
+
     def __repr__(self):
         return "Identity()" if self.images is None else f"Identity({self.images!r})"
 
@@ -116,7 +140,11 @@ def _substitute(images: Sequence[FreeWord], w: FreeWord) -> FreeWord:
 
 
 class TotalWinding:
-    """Q = total winding onto Z: every x_i to 1, hence g_i to i."""
+    """Q = total winding onto Z: every x_i to 1, hence g_i to i.
+
+    The total winding of a word is braid-invariant, so a twist leaves the
+    family unchanged and chi and sigma are both the identity of Z.
+    """
 
     name = "phi"
 
@@ -130,6 +158,15 @@ class TotalWinding:
             return sum(e for _, e in w.syllables)
         return sum(g * e for g, e in w.syllables)
 
+    def twist(self, prefix: BraidWord) -> "TotalWinding":
+        return self
+
+    def chi_map(self, alpha: BraidWord):
+        return lambda k: k
+
+    def sigma(self, elem: int, n: int) -> int:
+        return elem
+
     def __repr__(self):
         return "TotalWinding()"
 
@@ -140,18 +177,13 @@ class TotalWinding:
         return hash(TotalWinding)
 
 
-def _unit_rows(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Rows of the map x_i to the perm[i]-th basis vector of Z^len(perm)."""
-    return tuple(tuple(int(j == p) for j in range(1, len(perm) + 1)) for p in perm)
-
-
 class AbelianImage:
     """Q onto Z^d: x_i to rows[i-1], extended linearly to x-exponents.
 
     ``rows=None`` is the rank-free abelianization: x_i to the i-th basis
     vector of Z^n at every rank n.  A matrix of rows is defined only at
     its own rank: applying it to words of another rank is an error, and
-    its stabilization square is reported unsupported.
+    it has no stabilization map.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]] | None = None):
@@ -184,7 +216,9 @@ class AbelianImage:
     def _rows(self, n: int) -> tuple[tuple[int, ...], ...]:
         """The image rows on n strands."""
         self._check(n, n)
-        return _unit_rows(range(1, n + 1)) if self.rows is None else self.rows
+        if self.rows is not None:
+            return self.rows
+        return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
     def target(self, n: int) -> CoefficientGroup:
         return FreeAbelian(n if self.rows is None else self.d)
@@ -209,8 +243,9 @@ class AbelianImage:
         rows = self._rows(prefix.strands)
         return AbelianImage(rows[p - 1] for p in braidmod.permutation(prefix))
 
-    def chi_map(self, alpha: BraidWord) -> "ChiMap":
-        """The rational d x d matrix C with C Q(x_i) = Q(x_{pi(i)}) for every i."""
+    def chi_map(self, alpha: BraidWord):
+        """The rational d x d matrix C with C Q(x_i) = Q(x_{pi(i)}) for every
+        i, as a map that refuses images off the integer lattice."""
         rows = self._rows(alpha.strands)
         perm = braidmod.permutation(alpha)
         mat = []
@@ -225,20 +260,20 @@ class AbelianImage:
                     "custom family admits no conjugation-compatibility map for this braid"
                 )
             mat.append(sol)
-        return ChiMap("matrix", mat)
+
+        def chi(elem):
+            out = tuple(sum(c * x for c, x in zip(row, elem)) for row in mat)
+            if any(x.denominator != 1 for x in out):
+                raise ValueError(f"chi maps {tuple(elem)} off the integer lattice: {out}")
+            return tuple(int(x) for x in out)
+
+        return chi
 
     def sigma(self, elem, n: int):
         """Stabilization of the rank-free abelianization: Z^n into Z^(n+1)."""
         if self.rows is not None:
             raise ValueError(f"stabilization map undefined for {self!r}")
         return tuple(elem) + (0,)
-
-    def winding_factors_through(self) -> bool:
-        """True when some functional c on Z^d has <c, Q(x_i)> = 1 for all i."""
-        if self.rows is None:
-            return True  # c = (1, ..., 1)
-        m = [[Fraction(x) for x in row] + [Fraction(1)] for row in self.rows]
-        return _solve_exact(m) is not None
 
     def __repr__(self):
         return f"AbelianImage({self.rows!r})"
@@ -248,27 +283,6 @@ class AbelianImage:
 
     def __hash__(self):
         return hash((AbelianImage, self.rows))
-
-
-class Abelianization(AbelianImage):
-    """Q = abelianization onto Z^n: x_i to the i-th basis vector."""
-
-    def __init__(self):
-        super().__init__(None)
-
-
-class CustomAbelian(AbelianImage):
-    """Abelian quotient onto Z^d defined by images of the x-generators."""
-
-    def __init__(self, images: Sequence[Sequence[int]]):
-        super().__init__(images)
-
-
-class PermutedAbelianization(AbelianImage):
-    """The abelianization twisted by a braid of strand permutation perm."""
-
-    def __init__(self, perm: Sequence[int]):
-        super().__init__(_unit_rows(perm))
 
 
 EpiFamily = Identity | TotalWinding | AbelianImage
@@ -283,14 +297,7 @@ def twists_cheaply(family) -> bool:
 
 
 def twist(family, prefix: BraidWord):
-    """family o h_prefix.
-
-    The total winding of a word is braid-invariant, an abelian family only
-    gets its image rows permuted, and the identity substitutes its
-    generator images one letter at a time.
-    """
-    if isinstance(family, TotalWinding):
-        return family
+    """family o h_prefix; each family twists itself."""
     return family.twist(prefix)
 
 
@@ -301,7 +308,7 @@ def family_by_name(tag: str) -> EpiFamily:
     if tag == "phi":
         return TotalWinding()
     if tag == "ab":
-        return Abelianization()
+        return AbelianImage()
     if tag.startswith("custom:"):
         path = tag.split(":", 1)[1]
         rows = []
@@ -310,7 +317,7 @@ def family_by_name(tag: str) -> EpiFamily:
                 line = line.strip()
                 if line:
                     rows.append([int(x) for x in line.split()])
-        fam = CustomAbelian(rows)
+        fam = AbelianImage(rows)
         index = _lattice_index(fam.rows)
         if index != 1:
             raise ValueError(
@@ -321,81 +328,13 @@ def family_by_name(tag: str) -> EpiFamily:
     raise ValueError(f"unknown family {tag!r}")
 
 
-# --- chi / sigma compatibility maps ---------------------------------------
-
-
-@dataclasses.dataclass
-class ChiMap:
-    """Descriptor of the conjugation-compatibility endomorphism."""
-
-    kind: str
-    data: object = None
-
-    def __call__(self, elem):
-        if self.kind == "identity":
-            return elem
-        if self.kind == "automorphism":
-            alpha = self.data
-            return artin_act(alpha, elem, Basis.X)
-        if self.kind == "matrix":
-            mat = self.data  # d x d rational matrix acting on column vectors
-            out = tuple(
-                sum(Fraction(mat[a][b]) * elem[b] for b in range(len(elem)))
-                for a in range(len(mat))
-            )
-            if any(x.denominator != 1 for x in out):
-                raise ValueError(f"chi maps {tuple(elem)} off the integer lattice: {out}")
-            return tuple(int(x) for x in out)
-        raise ValueError(f"unknown chi kind {self.kind}")
-
-
-def chi_map(family, alpha: BraidWord) -> ChiMap:
-    """The map chi with Q o h_alpha == chi o Q on the target of Q."""
-    if isinstance(family, TotalWinding):
-        return ChiMap("identity")
-    if isinstance(family, Identity) and family.images is None:
-        return ChiMap("automorphism", alpha)
-    if isinstance(family, AbelianImage):
-        return family.chi_map(alpha)
-    raise ValueError(f"chi map undefined for {family!r}")
-
-
-def sigma_supported(family) -> bool:
-    if isinstance(family, AbelianImage):
-        return family.rows is None
-    if isinstance(family, Identity):
-        return family.images is None
-    return True
-
-
-def sigma_apply(family, elem, n: int):
-    """Stabilization monomorphism on the target, Q_{n+1} o iota == sigma o Q_n."""
-    if isinstance(family, TotalWinding):
-        return elem
-    if isinstance(family, Identity) and family.images is None:
-        return elem.with_rank(n + 1)
-    if isinstance(family, AbelianImage):
-        return family.sigma(elem, n)
-    raise ValueError(f"stabilization map undefined for {family!r}")
-
-
 def _lattice_index(rows) -> int:
     """gcd of the d x d minors of integer rows: 1 exactly when they span Z^d."""
+    one = GroupRingElement.one(Integers())
     index = 0
     for sub in itertools.combinations(rows, len(rows[0])):
-        m = [[Fraction(x) for x in row] for row in sub]
-        det = Fraction(1)
-        for c in range(len(m)):
-            p = next((r for r in range(c, len(m)) if m[r][c]), None)
-            if p is None:
-                det = Fraction(0)
-                break
-            m[c], m[p] = m[p], m[c]
-            det *= m[c][c] if p == c else -m[c][c]
-            for r in range(c + 1, len(m)):
-                f = m[r][c] / m[c][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-        index = math.gcd(index, int(det))
+        minor = GroupRingMatrix(Integers(), [[one.scale(x) for x in row] for row in sub])
+        index = math.gcd(index, int(minor.determinant().vn_trace().evaluate(1)))
     return index
 
 
@@ -458,24 +397,24 @@ def check_admissibility(
     """Verify both Markov-compatibility squares on every free generator.
 
     Conjugation square: Q(h_alpha(x_i)) == chi(Q(x_i)).  Stabilization
-    square: Q_{n+1}(iota(x_i)) == sigma(Q_n(x_i)).  Failures are reported,
-    not raised.
+    square: Q_{n+1}(iota(x_i)) == sigma(Q_n(x_i)), reported as None when
+    the family has no sigma.  Failures are reported, not raised.
     """
     if beta.strands != alpha.strands:
         raise ValueError("beta and alpha must share a strand count")
     n = beta.strands
     name = getattr(family, "name", str(family))
     first_failure = None
+    gens = [FreeWord.gen(n, i) for i in range(1, n + 1)]
 
     conj_ok = True
     try:
-        chi = chi_map(family, alpha)
+        chi = family.chi_map(alpha)
     except ValueError as exc:
         conj_ok = False
         first_failure = f"chi: {exc}"
     else:
-        for i in range(1, n + 1):
-            xi = FreeWord.gen(n, i)
+        for i, xi in enumerate(gens, 1):
             lhs = family.apply(artin_act(alpha, xi, Basis.X), n, Basis.X)
             rhs = chi(family.apply(xi, n, Basis.X))
             if lhs != rhs:
@@ -483,15 +422,14 @@ def check_admissibility(
                 first_failure = f"conjugation square fails at x{i}"
                 break
 
-    if not sigma_supported(family):
+    try:
+        stabilized = [family.sigma(family.apply(xi, n, Basis.X), n) for xi in gens]
+    except ValueError:
         stab_ok = None
     else:
         stab_ok = True
-        for i in range(1, n + 1):
-            xi = FreeWord.gen(n, i)
-            lhs = family.apply(xi.with_rank(n + 1), n + 1, Basis.X)
-            rhs = sigma_apply(family, family.apply(xi, n, Basis.X), n)
-            if lhs != rhs:
+        for i, (xi, rhs) in enumerate(zip(gens, stabilized), 1):
+            if family.apply(xi.with_rank(n + 1), n + 1, Basis.X) != rhs:
                 stab_ok = False
                 if first_failure is None:
                     first_failure = f"stabilization square fails at x{i}"

@@ -1050,7 +1050,6 @@ def _neville_to_zero(xs: list[float], ys: list[float]) -> tuple[float, float]:
 def det_epsilon_reg(
     M: GroupRingMatrix,
     t0,
-    epsilons: Sequence[float] | None = None,
     series_len: int = 60,
     state_budget: int = 400_000,
 ) -> FKEstimate:
@@ -1090,18 +1089,14 @@ def det_epsilon_reg(
         )
 
     rank, flat = _rewrite_entries(_walk_matrix(as_words))
-    if epsilons is None:
-        epsilons = [_norm_bound(flat) * 0.15 / (4.0**i) for i in range(6)]
-    epsilons = sorted((float(x) for x in epsilons), reverse=True)
-    if not epsilons or epsilons[-1] <= 0:
-        raise ValueError("epsilons must be positive and decreasing")
+    epsilons = [_norm_bound(flat) * 0.15 / (4.0**i) for i in range(6)]
 
     mom = _trace_moments(flat, rank, series_len, state_budget)
     series = [_series_from_moments(mom, True, eps) for eps in epsilons]
     logs = [res.log_det for res in series]
     series_err = max(res.error_log for res in series)
 
-    v_lin, e_lin = _neville_to_zero(list(epsilons), logs)
+    v_lin, e_lin = _neville_to_zero(epsilons, logs)
     v_sqrt, e_sqrt = _neville_to_zero([sqrt(x) for x in epsilons], logs)
     if e_sqrt <= e_lin:
         best, err_log, variable = v_sqrt, e_sqrt, "sqrt(eps)"
@@ -1115,7 +1110,7 @@ def det_epsilon_reg(
         err,
         "epsilon_reg",
         {
-            "epsilons": list(epsilons),
+            "epsilons": epsilons,
             "log_dets": logs,
             "extrapolation_variable": variable,
             "rank": rank,

@@ -181,9 +181,9 @@ def fox_derivative(u: FreeWord, i: int):
     """Fox derivative packaged as a group-ring element over Free(rank)."""
     from . import groupring  # deferred: groupring imports this module
 
-    grp = groupring.Free(u.rank)
-    return groupring.element_from_terms(
-        grp, {k: groupring.TPoly.const(c) for k, c in fox_derivative_terms(u, i).items()}
+    return groupring.GroupRingElement(
+        groupring.Free(u.rank),
+        {k: groupring.TPoly.const(c) for k, c in fox_derivative_terms(u, i).items()},
     )
 
 

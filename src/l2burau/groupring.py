@@ -239,10 +239,6 @@ class GroupRingElement:
     def one(group: CoefficientGroup) -> "GroupRingElement":
         return GroupRingElement(group, {group.identity(): TPoly.const(1)})
 
-    @staticmethod
-    def monomial(group, elem, coeff: TPoly) -> "GroupRingElement":
-        return GroupRingElement(group, {elem: coeff})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -484,10 +480,6 @@ def _keyed(group: CoefficientGroup, rows: list[list[dict]]):
         0,
         lambda d: _unflat(group, {unpack(k): c for k, c in d.items()}),
     )
-
-
-def element_from_terms(group, terms: Mapping) -> GroupRingElement:
-    return GroupRingElement(group, dict(terms))
 
 
 def vn_trace(x) -> TPoly:

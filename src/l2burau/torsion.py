@@ -27,7 +27,7 @@ from typing import Sequence
 
 from . import braid as braidmod
 from .braid import BraidWord
-from .epifamilies import TotalWinding, twist
+from .epifamilies import TotalWinding
 from .freegroup import Basis, FreeWord, artin_act
 from .fkdet import (
     FKEstimate,
@@ -196,7 +196,7 @@ def _compose_matrix(beta: BraidWord, family) -> GroupRingMatrix:
     fam = family  # twisted by the letters before this one
     for idx, letter in enumerate(beta.letters):
         if idx:
-            fam = twist(fam, BraidWord(n, (beta.letters[idx - 1],)))
+            fam = fam.twist(BraidWord(n, (beta.letters[idx - 1],)))
         col = _generator_column(n, abs(letter), 1 if letter > 0 else -1, fam)
         updates.append((abs(letter) - 1, [r - 1 for r in col]))
         columns.append([_flat(v) for v in col.values()])
@@ -286,7 +286,6 @@ def fq_value(
     grid: int = 128,
     series_len: int = 30,
     accel: bool = True,
-    epsilons: Sequence[float] | None = None,
 ) -> FQValue:
     """Evaluate the candidate Markov function at one braid and one t > 0.
 
@@ -317,7 +316,7 @@ def fq_value(
     elif method == "series":
         est = det_free_group(E, t0, series_len=series_len, accel=accel)
     elif method == "eps":
-        est = det_epsilon_reg(E, t0, epsilons=epsilons)
+        est = det_epsilon_reg(E, t0)
     else:
         raise ValueError(f"unknown method {method!r}")
     norm = float(max(Fraction(1), t0)) ** n
@@ -668,8 +667,8 @@ def conjugation_identity_check(
     if beta.strands != alpha.strands:
         raise ValueError("beta and alpha must share a strand count")
     ainv = braidmod.invert(alpha)
-    f = twist(family, ainv)
-    g = twist(family, braidmod.compose(ainv, beta))
+    f = family.twist(ainv)
+    g = family.twist(braidmod.compose(ainv, beta))
     conj = braidmod.conjugate(beta, alpha)
     lhs = reduced_burau(alpha, f).matrix.opposite_mul(reduced_burau(conj, family).matrix)
     rhs = reduced_burau(beta, f).matrix.opposite_mul(reduced_burau(alpha, g).matrix)

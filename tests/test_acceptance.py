@@ -15,7 +15,7 @@ from conftest import random_knot_braid
 from l2burau import torsion
 from l2burau.braid import BraidWord, random_braid
 from l2burau.epifamilies import (
-    Abelianization,
+    AbelianImage,
     Identity,
     TotalWinding,
     check_admissibility,
@@ -81,12 +81,12 @@ def test_criterion_1_boyd_quadrature():
 def test_criterion_2_abelianization_counterexample():
     base = BraidWord(2, (-1,))
     stabilized = BraidWord(3, (-1, 2))
-    v1 = fq_value(base, Abelianization(), 1)
-    v2 = fq_value(stabilized, Abelianization(), 1)
+    v1 = fq_value(base, AbelianImage(), 1)
+    v2 = fq_value(stabilized, AbelianImage(), 1)
     assert v1.value == 1.0, "base value must be exact"
     assert v1.estimate.method == "roots"
     assert abs(v2.value - BOYD) <= v2.error_bound
-    rep = markov_report(base, [Stabilize(1, after=True)], Abelianization(), 1)
+    rep = markov_report(base, [Stabilize(1, after=True)], AbelianImage(), 1)
     assert rep.verdict == "violation"
     report(2, f"abelianization family: F={v1.value:.6f} vs F={v2.value:.6f}, "
               "Markov report flags VIOLATION")
@@ -279,7 +279,7 @@ def test_criterion_7_property_suites():
 
     # admissibility across the three families, 300 random cases
     cases = 0
-    fams = (Identity(), TotalWinding(), Abelianization())
+    fams = (Identity(), TotalWinding(), AbelianImage())
     while cases < 300:
         fam = fams[cases % 3]
         n = rng.randint(2, 4)

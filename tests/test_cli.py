@@ -189,6 +189,8 @@ def test_alexander_command(capsys):
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "fq", "-b", "1 0", "-f", "phi")
     assert code == 2 and "error" in err
+    code, _, err = run(capsys, "fq", "-b", "1", "-t", "1/0")
+    assert code == 2 and "'1/0'" in err
 
 
 def test_sublattice_custom_file_exit_code(tmp_path, capsys):

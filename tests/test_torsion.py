@@ -19,8 +19,7 @@ from l2burau.braid import (
     stabilize,
 )
 from l2burau.epifamilies import (
-    Abelianization,
-    CustomAbelian,
+    AbelianImage,
     Identity,
     TotalWinding,
     twist,
@@ -54,7 +53,7 @@ BOYD = 1.3813564445184977  # m(1 + x + y) in closed form (Smyth 1981)
 
 def custom_family(n):
     """Rank-n 2-column images: a custom family is defined at one rank only."""
-    return CustomAbelian(((1, 0), (0, 1), (1, 1), (2, -1), (-1, 3))[:n])
+    return AbelianImage(((1, 0), (0, 1), (1, 1), (2, -1), (-1, 3))[:n])
 
 
 def zel(terms):
@@ -105,7 +104,7 @@ def test_generator_matrix_agrees_with_fox_route():
     for n in (2, 3, 4, 5):
         for i in range(1, n):
             for sign in (1, -1):
-                for fam in (TotalWinding(), Abelianization(), Identity()):
+                for fam in (TotalWinding(), AbelianImage(), Identity()):
                     table = generator_matrix(n, i, sign, fam).matrix
                     fox = torsion._jacobian_matrix(BraidWord(n, (sign * i,)), fam, Basis.G, n - 1)
                     assert table == fox, (n, i, sign, fam)
@@ -156,7 +155,7 @@ def test_reduced_burau_cube():
 def test_routes_agree(rng):
     # the fold against the Fox jacobian: fifty braids per rank, spread over
     # the three families, then custom
-    for family in (Identity(), TotalWinding(), Abelianization(), custom_family):
+    for family in (Identity(), TotalWinding(), AbelianImage(), custom_family):
         for n in (2, 3, 4):
             fam = custom_family(n) if family is custom_family else family
             for _ in range(17):
@@ -194,7 +193,7 @@ def test_compose_route_twists_one_letter_at_a_time(rng, monkeypatch):
         validate(self)
 
     monkeypatch.setattr(BraidWord, "__post_init__", counting)
-    for fam in (TotalWinding(), Abelianization(), custom_family(5), Identity()):
+    for fam in (TotalWinding(), AbelianImage(), custom_family(5), Identity()):
         for b in braids:
             built.clear()
             reduced_burau(b, fam)
@@ -206,8 +205,8 @@ def test_custom_takes_the_compose_route():
     # identity images are the abelianization, so both assemble the same matrix
     beta = BraidWord(4, (1, -2, 3) * 8)
     eye = [[int(i == j) for j in range(4)] for i in range(4)]
-    bm = reduced_burau(beta, CustomAbelian(eye))
-    assert bm.matrix == reduced_burau(beta, Abelianization()).matrix
+    bm = reduced_burau(beta, AbelianImage(eye))
+    assert bm.matrix == reduced_burau(beta, AbelianImage()).matrix
 
 
 def test_anti_multiplicativity_symbolic(rng):
@@ -235,13 +234,13 @@ def test_unreduced_burau_classical_shape():
 
 
 def test_fq_base_abelian_exact():
-    v = fq_value(BraidWord(2, (-1,)), Abelianization(), 1)
+    v = fq_value(BraidWord(2, (-1,)), AbelianImage(), 1)
     assert v.value == pytest.approx(1.0, abs=1e-12)
     assert v.estimate.method == "roots"  # univariate reduction
 
 
 def test_fq_stabilized_abelian_boyd():
-    v = fq_value(BraidWord(3, (-1, 2)), Abelianization(), 1)
+    v = fq_value(BraidWord(3, (-1, 2)), AbelianImage(), 1)
     assert abs(v.value - BOYD) <= v.error_bound
 
 
@@ -451,7 +450,7 @@ def test_markov_invariant_stabilization():
 
 def test_markov_violation_abelianization():
     rep = markov_report(
-        BraidWord(2, (-1,)), [Stabilize(1, after=True)], Abelianization(), 1
+        BraidWord(2, (-1,)), [Stabilize(1, after=True)], AbelianImage(), 1
     )
     assert rep.verdict == "violation"
     assert rep.stages[0].fq.value == pytest.approx(1.0, abs=1e-9)
@@ -551,7 +550,7 @@ def test_conjugation_identity_families(rng):
         BraidWord(3, (1,)), BraidWord(3, (2,)), Identity()
     )
     assert base.passed
-    for fam in (Identity(), TotalWinding(), Abelianization()):
+    for fam in (Identity(), TotalWinding(), AbelianImage()):
         for _ in range(5):
             n = rng.choice((2, 3))
             b = random_braid(rng, n, 4)
