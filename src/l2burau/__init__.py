@@ -48,7 +48,6 @@ from .freegroup import (
     Basis,
     FreeWord,
     artin_act,
-    augmentation,
     change_of_basis,
     fox_derivative,
     parse_word,

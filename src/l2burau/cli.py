@@ -104,11 +104,16 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("-o", "--output", default=None, help="write to a file")
 
     def backend_options(sp):
-        sp.add_argument("--method", choices=["roots", "quad", "series", "eps"], default=None)
-        sp.add_argument("--grid", type=int, default=128)
-        sp.add_argument("--series-len", type=int, default=30)
-        sp.add_argument("--accel", action="store_true", default=True)
-        sp.add_argument("--no-accel", dest="accel", action="store_false")
+        # eps always runs its fixed 60-term, tail-fitted series, so reads none
+        sp.add_argument("--method", choices=["roots", "quad", "series", "eps"], default=None,
+                        help="force a determinant backend (default: by target group)")
+        sp.add_argument("--grid", type=int, default=128, help="torus grid per axis; quad only")
+        sp.add_argument("--series-len", type=int, default=30,
+                        help="trace series terms; series only")
+        sp.add_argument("--accel", action="store_true", default=True,
+                        help="fit the series tail (the default); series only")
+        sp.add_argument("--no-accel", dest="accel", action="store_false",
+                        help="sum the series terms only; series only")
 
     sp = sub.add_parser("burau", help="print the reduced Burau matrix")
     common(sp)

@@ -391,9 +391,7 @@ class AdmissibilityReport:
         return dataclasses.asdict(self)
 
 
-def check_admissibility(
-    family, beta: BraidWord, alpha: BraidWord, sign: int
-) -> AdmissibilityReport:
+def check_admissibility(family, beta: BraidWord, alpha: BraidWord) -> AdmissibilityReport:
     """Verify both Markov-compatibility squares on every free generator.
 
     Conjugation square: Q(h_alpha(x_i)) == chi(Q(x_i)).  Stabilization

@@ -31,8 +31,8 @@ Three backends, one per coefficient group, plus epsilon regularization:
   from the moments of one walk, so it checks the tail model and the eps
   extrapolation, not the walk itself.
 
-The regular determinant flavor (zero on detected non-injective operators)
-is the default everywhere.
+Every backend computes the regular determinant flavor: zero on detected
+non-injective operators.
 
 Matrices here follow the convention of :mod:`l2burau.torsion`: the array
 is the operator matrix itself, so operator composition reverses entry
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import operator
 from fractions import Fraction
 from math import exp, fsum, log, sqrt
 from typing import Sequence
@@ -52,7 +53,15 @@ from typing import Sequence
 import numpy as np
 
 from .freegroup import FreeWord, word as make_word
-from .groupring import Free, FreeAbelian, GroupRingElement, GroupRingMatrix, Integers
+from .groupring import (
+    Free,
+    FreeAbelian,
+    GroupRingElement,
+    GroupRingMatrix,
+    Integers,
+    _flat_add,
+    _flat_addmul,
+)
 
 
 @dataclasses.dataclass
@@ -83,15 +92,6 @@ def _require_positive(t0) -> Fraction:
     if t0 <= 0:
         raise ValueError("t must be positive")
     return t0
-
-
-def _accumulate(acc: dict, key, c: Fraction) -> None:
-    """acc[key] += c, dropping the key when the sum cancels."""
-    s = acc.get(key, Fraction(0)) + c
-    if s:
-        acc[key] = s
-    else:
-        acc.pop(key, None)
 
 
 # --- roots backend (integers) -----------------------------------------------
@@ -224,15 +224,15 @@ def _require_integers(group) -> None:
         raise ValueError("det_integers needs an Integers coefficient group")
 
 
-def det_integers(M: GroupRingMatrix, t0, regular: bool = True) -> FKEstimate:
+def det_integers(M: GroupRingMatrix, t0) -> FKEstimate:
     """Determinant over Z via the symbolic polynomial and its roots."""
     _require_square(M)
     _require_positive(t0)
     _require_integers(M.group)
-    return roots_estimate(M.determinant(), t0, regular)
+    return roots_estimate(M.determinant(), t0)
 
 
-def roots_estimate(D: GroupRingElement, t0, regular: bool = True) -> FKEstimate:
+def roots_estimate(D: GroupRingElement, t0) -> FKEstimate:
     """The roots backend on a determinant already expanded over Z.
 
     ``D`` is det(M) exact in t, as ``GroupRingMatrix.determinant`` returns
@@ -244,8 +244,6 @@ def roots_estimate(D: GroupRingElement, t0, regular: bool = True) -> FKEstimate:
     diagnostics: dict = {"degree_span": [min(P), max(P)] if P else None}
     if not P:
         diagnostics["non_injective"] = True
-        if not regular:
-            diagnostics["classical-undefined"] = True
         return FKEstimate(0.0, 0.0, "roots", diagnostics)
     value, err = mahler_univariate(P)
     return FKEstimate(value, err, "roots", diagnostics)
@@ -255,13 +253,13 @@ def roots_estimate(D: GroupRingElement, t0, regular: bool = True) -> FKEstimate:
 
 
 def _drop_unused_axes(P: dict[tuple, Fraction]) -> tuple[dict[tuple, Fraction], int]:
-    """Project exponent tuples onto the coordinates that actually vary."""
+    """Project exponent tuples onto the coordinates that actually vary.
+
+    Every dropped coordinate is 0 in every key, so no two keys meet.
+    """
     d = len(next(iter(P)))
     used = [ax for ax in range(d) if any(k[ax] for k in P)]
-    out: dict[tuple, Fraction] = {}
-    for k, c in P.items():
-        _accumulate(out, tuple(k[ax] for ax in used), c)
-    return out, len(used)
+    return {tuple(k[ax] for ax in used): c for k, c in P.items()}, len(used)
 
 
 _QUAD_BLOCK = 2**15  # grid points evaluated per matrix product
@@ -881,15 +879,12 @@ def _walk_matrix(support: list[list[dict[FreeWord, Fraction]]]):
     powers directly (closed index cycles with chronological word order).
     """
     m = len(support)
+    adj = [[{w.inverse(): c for w, c in e.items()} for e in row] for row in support]
     out: list[list[dict[FreeWord, Fraction]]] = [[{} for _ in range(m)] for _ in range(m)]
     for i in range(m):
         for k in range(m):
-            acc: dict[FreeWord, Fraction] = {}
             for j in range(m):
-                for w1, c1 in support[j][k].items():
-                    for w2, c2 in support[j][i].items():
-                        _accumulate(acc, w1 * w2.inverse(), c1 * c2)
-            out[i][k] = acc
+                _flat_addmul(out[i][k], support[j][k], adj[j][i], operator.mul)
     return out
 
 
@@ -990,9 +985,7 @@ def _det_free_single(
         diagnostics = {"subgroup_rank": 1, "reduced_to_univariate": True}
         return FKEstimate(value, err, "roots", diagnostics)
     b: dict[FreeWord, Fraction] = {}  # A* A over the subgroup basis
-    for w1, c1 in a.items():
-        for w2, c2 in a.items():
-            _accumulate(b, w1.inverse() * w2, c1 * c2)
+    _flat_addmul(b, {w.inverse(): c for w, c in a.items()}, a, operator.mul)
     bf = {k: float(v) for k, v in b.items()}
     mom = _trace_moments([[bf]], rank, series_len, state_budget)
     res = _series_from_moments(mom, accel)
@@ -1018,13 +1011,10 @@ def _two_by_two_reduce(support):
         if bb and len(bb) == 1:
             ((gw, gc),) = B.items()
             ginv = gw.inverse()
-            inv_coeff = Fraction(1) / gc
+            ab = {w * ginv: c / gc for w, c in A.items()}  # A B^-1
             schur: dict[FreeWord, Fraction] = {}
-            for w1, c1 in A.items():
-                for w2, c2 in D.items():
-                    _accumulate(schur, (w1 * ginv) * w2, c1 * inv_coeff * c2)
-            for w, cc in C.items():
-                _accumulate(schur, w, -cc)
+            _flat_addmul(schur, ab, D, operator.mul)
+            _flat_add(schur, C, -1)
             return abs(float(gc)), schur
     return None
 

@@ -187,11 +187,6 @@ def fox_derivative(u: FreeWord, i: int):
     )
 
 
-def augmentation(e):
-    """Sum of coefficients of a group-ring element (x_i -> 1 everywhere)."""
-    return e.augmentation()
-
-
 # --- Artin action ---------------------------------------------------------
 
 

@@ -53,45 +53,32 @@ class TPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "TPoly") -> "TPoly":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+    @staticmethod
+    def _wrap(coeffs: dict) -> "TPoly":
+        """A TPoly around a dict that is already clean: Fractions, no zeros."""
         res = TPoly.__new__(TPoly)
-        res.coeffs = out
+        res.coeffs = coeffs
         return res
 
+    def __add__(self, other: "TPoly") -> "TPoly":
+        out = dict(self.coeffs)
+        _flat_add(out, other.coeffs)
+        return TPoly._wrap(out)
+
     def __neg__(self) -> "TPoly":
-        res = TPoly.__new__(TPoly)
-        res.coeffs = {k: -c for k, c in self.coeffs.items()}
-        return res
+        return TPoly._wrap({k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other: "TPoly") -> "TPoly":
         return self + (-other)
 
     def __mul__(self, other: "TPoly") -> "TPoly":
         out: dict[int, Fraction] = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                k = k1 + k2
-                s = out.get(k, Fraction(0)) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        res = TPoly.__new__(TPoly)
-        res.coeffs = out
-        return res
+        _flat_addmul(out, self.coeffs, other.coeffs, operator.add)
+        return TPoly._wrap(out)
 
     def scale(self, c: RationalLike) -> "TPoly":
         c = Fraction(c)
-        res = TPoly.__new__(TPoly)
-        res.coeffs = {} if not c else {k: v * c for k, v in self.coeffs.items()}
-        return res
+        return TPoly._wrap({} if not c else {k: v * c for k, v in self.coeffs.items()})
 
     def evaluate(self, t0: RationalLike) -> Fraction:
         t0 = Fraction(t0)
@@ -242,18 +229,18 @@ class GroupRingElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
+    def _plus(self, other: "GroupRingElement", sign: int) -> "GroupRingElement":
+        """self + sign * other, the coefficients of each group element
+        added in the kernel."""
         out = dict(self.terms)
         for g, c in other.terms.items():
-            s = out.get(g)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(g, None)
-            else:
-                out[g] = s
-        res = GroupRingElement.__new__(GroupRingElement)
-        res.group, res.terms = self.group, out
-        return res
+            acc = dict(out[g].coeffs) if g in out else {}
+            _flat_add(acc, c.coeffs, sign)
+            out[g] = TPoly._wrap(acc)
+        return GroupRingElement(self.group, out)
+
+    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
+        return self._plus(other, 1)
 
     def __neg__(self) -> "GroupRingElement":
         res = GroupRingElement.__new__(GroupRingElement)
@@ -262,24 +249,13 @@ class GroupRingElement:
         return res
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
-        grp = self.group
-        out: dict = {}
-        for g1, c1 in self.terms.items():
-            for g2, c2 in other.terms.items():
-                g = grp.mul(g1, g2)
-                c = c1 * c2
-                s = out.get(g)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(g, None)
-                else:
-                    out[g] = s
-        res = GroupRingElement.__new__(GroupRingElement)
-        res.group, res.terms = grp, out
-        return res
+        ((a,), (b,)), mul, _, element = _keyed(self.group, [[_flat(self)], [_flat(other)]])
+        acc: dict = {}
+        _flat_addmul(acc, a, b, mul)
+        return element(acc)
 
     def scale(self, c: TPoly | RationalLike) -> "GroupRingElement":
         if not isinstance(c, TPoly):
@@ -306,13 +282,6 @@ class GroupRingElement:
             if self.group.is_identity(g):
                 return c
         return TPoly.zero()
-
-    def evaluate_t(self, t0: RationalLike) -> "GroupRingElement":
-        t0 = Fraction(t0)
-        return GroupRingElement(
-            self.group,
-            {g: TPoly.const(c.evaluate(t0)) for g, c in self.terms.items()},
-        )
 
     def coefficients_at(self, t0: RationalLike) -> dict:
         """{group element: Fraction} after substituting t = t0."""
@@ -368,13 +337,17 @@ class GroupRingElement:
 
 # --- Flat kernel ------------------------------------------------------------
 #
-# The exact hot loops (the Laplace determinant, the fold of the Burau
-# assembly) run on flat {key: coefficient} dicts instead of nested
-# GroupRingElement -> TPoly -> Fraction objects.  A key stands for a pair
-# (group element, t exponent); see _keyed for its two forms.  A
-# coefficient stays a Python int while its denominator is 1, so nearly
-# every product is a plain integer multiply.  Zero coefficients are never
-# stored, so an empty dict is the zero element.
+# Every exact sum of products in the package runs here: element and TPoly
+# arithmetic, matrix products, the Laplace determinant, the fold of the
+# Burau assembly, and the free-group operators of the determinant
+# backends.  Operands are flat {key: coefficient} dicts; _flat_addmul adds
+# a product of two of them to an accumulator, and _flat_add adds one.  A
+# key stands for a pair (group element, t exponent), or for a plain
+# exponent or group element where only one of them varies; see _keyed for
+# the int keys of commutative groups.  A coefficient stays a Python int
+# while its denominator is 1, so nearly every product is a plain integer
+# multiply.  Zero coefficients are never stored, so an empty dict is the
+# zero element.
 
 
 def _flat(e: GroupRingElement) -> dict:
@@ -391,6 +364,17 @@ def _unflat(group: CoefficientGroup, d: dict) -> GroupRingElement:
     for (g, k), c in d.items():
         terms.setdefault(g, {})[k] = c
     return GroupRingElement(group, {g: TPoly(cs) for g, cs in terms.items()})
+
+
+def _flat_add(acc: dict, a: dict, sign: int = 1) -> None:
+    """acc += sign * a."""
+    get = acc.get
+    for key, c in a.items():
+        s = get(key, 0) + (c if sign > 0 else -c)
+        if s:
+            acc[key] = s
+        else:
+            del acc[key]
 
 
 def _flat_addmul(acc: dict, a: dict, b: dict, mul, sign: int = 1) -> None:
@@ -429,10 +413,10 @@ def _keyed(group: CoefficientGroup, rows: list[list[dict]]):
     """Choose the kernel's keys for sums of products of flat entries.
 
     Every term the caller builds must be a product of at most one entry
-    term from each of ``rows`` (a row of a Laplace expansion, or the
-    column of one braid letter).  Returns the re-keyed rows, the key
-    product, the key of one, and the map from a keyed dict back to an
-    element.
+    term from each of ``rows`` (a row of a Laplace expansion, the column
+    of one braid letter, or the entries of one factor of a product).
+    Returns the re-keyed rows, the key product, the key of one, and the
+    map from a keyed dict back to an element.
 
     Over a commutative group (Z^d under +: an int, an int tuple, or a
     power of the generator of a rank <= 1 free group) a key is one int
@@ -604,22 +588,7 @@ class GroupRingMatrix:
 
     def __mul__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
         """Standard matrix product; entry factors multiply left to right."""
-        if self.cols != other.rows:
-            raise ValueError(f"dimension mismatch {self.shape} x {other.shape}")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for k in range(other.cols):
-                acc = GroupRingElement.zero(self.group)
-                for j in range(self.cols):
-                    a = self.entries[i][j]
-                    b = other.entries[j][k]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return GroupRingMatrix(self.group, out)
+        return self._product(other, opposite=False)
 
     def opposite_mul(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
         """Matrix product over the opposite ring: same index pattern as the
@@ -629,20 +598,28 @@ class GroupRingMatrix:
         word-reading convention fixed in :mod:`l2burau.braid`; for a
         commutative coefficient group it coincides with ``self * other``.
         """
+        return self._product(other, opposite=True)
+
+    def _product(self, other: "GroupRingMatrix", opposite: bool) -> "GroupRingMatrix":
+        """Entry (i, k) is the sum over j of A[i][j] B[j][k], or of
+        B[j][k] A[i][j] when ``opposite``; every entry term is keyed once."""
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch {self.shape} x {other.shape}")
+        (a, b), mul, _, element = _keyed(
+            self.group,
+            [[_flat(e) for row in m.entries for e in row] for m in (self, other)],
+        )
         out = []
         for i in range(self.rows):
             row = []
             for k in range(other.cols):
-                acc = GroupRingElement.zero(self.group)
+                acc: dict = {}
                 for j in range(self.cols):
-                    a = self.entries[i][j]
-                    b = other.entries[j][k]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + b * a
-                row.append(acc)
+                    x, y = a[i * self.cols + j], b[j * other.cols + k]
+                    if opposite:
+                        x, y = y, x
+                    _flat_addmul(acc, x, y, mul)
+                row.append(element(acc))
             out.append(row)
         return GroupRingMatrix(self.group, out)
 
@@ -659,14 +636,6 @@ class GroupRingMatrix:
                 [self.entries[i][j].adjoint() for i in range(self.rows)]
                 for j in range(self.cols)
             ],
-        )
-
-    def evaluate_t(self, t0) -> "GroupRingMatrix":
-        t0 = Fraction(t0)
-        if t0 <= 0:
-            raise ValueError("t must be positive")
-        return GroupRingMatrix(
-            self.group, [[e.evaluate_t(t0) for e in row] for row in self.entries]
         )
 
     def determinant(self) -> GroupRingElement:

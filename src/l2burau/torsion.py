@@ -47,8 +47,10 @@ from .groupring import (
     Integers,
     TPoly,
     _flat,
+    _flat_add,
     _flat_addmul,
     _keyed,
+    _unflat,
     kappa,
 )
 
@@ -95,34 +97,24 @@ def _fox_kappa_column(
     """kappa of all Fox derivatives of one image word, in a single pass.
 
     Walks the word once, keeping the running prefix already mapped into
-    the target group and its t-exponent, and emits one term per letter.
+    the target group and its t-exponent, and adds one flat term
+    (prefix, t-exponent) per letter to the row of its generator.
     """
     grp = family.target(n)
-    acc: list[dict] = [dict() for _ in range(nrows + 1)]  # 1-indexed rows
+    acc: list[dict] = [{} for _ in range(nrows + 1)]  # 1-indexed rows
     prefix = grp.identity()
     tpow = 0
     for g, s in image.letters():
         weight = 1 if basis is Basis.X else g
-        if s > 0:
-            if g <= nrows:
-                bucket = acc[g].setdefault(prefix, {})
-                bucket[tpow] = bucket.get(tpow, Fraction(0)) + 1
-            prefix = grp.mul(prefix, imgs[g])
-            tpow += weight
-        else:
+        if s < 0:
             prefix = grp.mul(prefix, invs[g])
             tpow -= weight
-            if g <= nrows:
-                bucket = acc[g].setdefault(prefix, {})
-                bucket[tpow] = bucket.get(tpow, Fraction(0)) - 1
-    col = []
-    for i in range(1, nrows + 1):
-        terms = {
-            elem: TPoly(coeffs)
-            for elem, coeffs in acc[i].items()
-        }
-        col.append(GroupRingElement(grp, terms))
-    return col
+        if g <= nrows:
+            _flat_add(acc[g], {(prefix, tpow): s})
+        if s > 0:
+            prefix = grp.mul(prefix, imgs[g])
+            tpow += weight
+    return [_unflat(grp, d) for d in acc[1:]]
 
 
 def _jacobian_matrix(beta: BraidWord, family, basis: Basis, nrows: int) -> GroupRingMatrix:
@@ -261,9 +253,11 @@ class FQValue:
 
 
 # Everything before t = t0 is substituted depends only on (braid, family),
-# so a t sweep builds it once.  Four entries cover the t loops of fq,
-# markov and the CLI.  Nothing that depends on t0, the grid or the series
-# length (an estimate, a walk, a ball) is cached.
+# so a t sweep builds it once, and alexander_polynomial and
+# verify_block_triangularization read the same entries.  Four entries
+# cover the t loops of fq, markov and the CLI.  Nothing that depends on
+# t0, the grid or the series length (an estimate, a walk, a ball) is
+# cached.
 @functools.lru_cache(maxsize=4)
 def _minus_identity(beta: BraidWord, family) -> GroupRingMatrix:
     """E = Burau(beta) - Id."""
@@ -273,7 +267,8 @@ def _minus_identity(beta: BraidWord, family) -> GroupRingMatrix:
 
 @functools.lru_cache(maxsize=4)
 def _symbolic_det(beta: BraidWord, family) -> GroupRingElement:
-    """det(E), exact in t; built only when the roots or quad backend asks."""
+    """det(E), exact in t; built only when a caller asks (roots, quad, the
+    Alexander polynomial, the stabilization check)."""
     return _minus_identity(beta, family).determinant()
 
 
@@ -366,11 +361,9 @@ def alexander_polynomial(beta: BraidWord) -> dict[int, Fraction]:
     if not braidmod.is_knot_closure(beta):
         raise ValueError("closure is not a knot; Alexander backend needs one cycle")
     n = beta.strands
-    bm = reduced_burau(beta, TotalWinding())
-    E = bm.matrix - GroupRingMatrix.identity(bm.matrix.group, n - 1)
     # under total winding both t and z carry the same exponent, so t = 1
     # loses nothing: the z-polynomial is the one-variable specialization
-    P = E.evaluate_t(1).determinant().coefficients_at(1)
+    P = _symbolic_det(beta, TotalWinding()).coefficients_at(1)
     cyclo = {k: Fraction(1) for k in range(n)}
     quotient = _laurent_divide_exact(P, cyclo)
     if not quotient:
@@ -556,12 +549,9 @@ def verify_block_triangularization(
     n = beta.strands
     fam = TotalWinding()
     w = braidmod.stabilize(beta, sign)
-    Mw = reduced_burau(w, fam).matrix
-    Mb = reduced_burau(beta, fam).matrix
-    grp = Mw.group
+    Ew, Eb = _minus_identity(w, fam), _minus_identity(beta, fam)
+    grp = Ew.group
     size = n  # reduced size of a braid on n+1 strands
-    ident = GroupRingMatrix.identity(grp, size)
-    Ew = Mw - ident
 
     # D undoes the stabilizing generator: the inverse table matrix
     D = generator_matrix(n + 1, n, -sign, fam).matrix
@@ -588,7 +578,6 @@ def verify_block_triangularization(
     Y = G * (D * Ew)
 
     lower_left_zero = all(Y.entries[size - 1][j].is_zero() for j in range(size - 1))
-    Eb = Mb - GroupRingMatrix.identity(grp, n - 1)
     top_ok = all(
         Y.entries[i][j] == Eb.entries[i][j]
         for i in range(n - 1)
@@ -606,7 +595,7 @@ def verify_block_triangularization(
 
     residuals = {}
     det_ok = True
-    Dw, Db = Ew.determinant(), Eb.determinant()
+    Dw, Db = _symbolic_det(w, fam), _symbolic_det(beta, fam)
     for t0 in t_checks:
         t0 = Fraction(t0)
         dw = roots_estimate(Dw, t0).value

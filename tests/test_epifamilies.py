@@ -92,15 +92,13 @@ def test_admissibility_random(rng):
             for _ in range(100):
                 beta = random_braid(rng, n, 6)
                 alpha = random_braid(rng, n, 6)
-                rep = check_admissibility(fam, beta, alpha, rng.choice((1, -1)))
+                rep = check_admissibility(fam, beta, alpha)
                 assert rep.passed, rep
 
 
 def test_admissibility_reports_strand_mismatch():
     with pytest.raises(ValueError):
-        check_admissibility(
-            TotalWinding(), BraidWord(2, (1,)), BraidWord(3, (1,)), 1
-        )
+        check_admissibility(TotalWinding(), BraidWord(2, (1,)), BraidWord(3, (1,)))
 
 
 def test_sigma_maps():
@@ -113,12 +111,12 @@ def test_sigma_maps():
 def test_custom_family():
     fam = AbelianImage([[1], [1], [1]])  # rank-3 total winding in disguise
     assert fam.apply(parse_word("x1 x2 x3", 3), 3, X) == (3,)
-    rep = check_admissibility(fam, BraidWord(3, (1, 2)), BraidWord(3, (-2,)), 1)
+    rep = check_admissibility(fam, BraidWord(3, (1, 2)), BraidWord(3, (-2,)))
     assert rep.conjugation_ok
     assert rep.stabilization_ok is None  # no extension beyond its own rank
 
     skew = AbelianImage([[1, 0], [2, 0]])  # conjugation cannot permute these
-    rep = check_admissibility(skew, BraidWord(2, (1,)), BraidWord(2, (1,)), 1)
+    rep = check_admissibility(skew, BraidWord(2, (1,)), BraidWord(2, (1,)))
     assert not rep.conjugation_ok
 
     with pytest.raises(ValueError):
@@ -155,7 +153,7 @@ def test_custom_chi_and_twist_follow_the_artin_action(rng):
             for w in words:
                 moved = fam.apply(artin_act(alpha, w, X), n, X)
                 assert twist(fam, alpha).apply(w, n, X) == moved
-            rep = check_admissibility(fam, beta, alpha, 1)
+            rep = check_admissibility(fam, beta, alpha)
             if fam == summed and permutation(alpha)[3] != 4:
                 with pytest.raises(ValueError):
                     fam.chi_map(alpha)
@@ -196,7 +194,7 @@ def test_twisted_identity_substitutes_images(rng):
         both = twist(tid, p2)
         assert both == twist(Identity(), compose(p1, p2))
         assert hash(both) == hash(twist(Identity(), compose(p1, p2)))
-        rep = check_admissibility(tid, random_braid(rng, n, 3), random_braid(rng, n, 3), 1)
+        rep = check_admissibility(tid, random_braid(rng, n, 3), random_braid(rng, n, 3))
         assert (rep.family, rep.passed, rep.conjugation_ok) == ("twisted", False, False)
         assert rep.stabilization_ok is None and rep.first_failure.startswith("chi: ")
 

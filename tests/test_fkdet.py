@@ -80,8 +80,6 @@ def test_roots_non_injective_flavors():
     zero = GroupRingMatrix.zeros(Integers(), 1, 1)
     est = det_integers(zero, 1)
     assert est.value == 0.0 and est.diagnostics.get("non_injective")
-    classical = det_integers(zero, 1, regular=False)
-    assert classical.diagnostics.get("classical-undefined")
 
 
 def test_roots_requires_square_and_positive_t():

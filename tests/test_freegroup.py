@@ -7,7 +7,6 @@ from l2burau.freegroup import (
     Basis,
     FreeWord,
     artin_act,
-    augmentation,
     change_of_basis,
     fox_derivative,
     fox_derivative_terms,
@@ -86,12 +85,12 @@ def test_augmentation_examples():
         grp,
         {parse_word("x1", 2): TPoly.const(1), parse_word("x2", 2): TPoly.const(-1)},
     )
-    assert augmentation(e) == TPoly.zero()
+    assert e.augmentation() == TPoly.zero()
     f = GroupRingElement(
         grp,
         {FreeWord.identity(2): TPoly.const(3), parse_word("x1 x2", 2): TPoly.const(2)},
     )
-    assert augmentation(f) == TPoly.const(5)
+    assert f.augmentation() == TPoly.const(5)
 
 
 def fundamental_formula_check(u: FreeWord) -> bool:

@@ -15,16 +15,17 @@ from l2burau.groupring import (
     GroupRingMatrix,
     Integers,
     TPoly,
+    is_commutative,
     kappa,
     kappa_of_terms,
     vn_trace,
 )
 
 
-def rand_element(rng, grp, n_terms=3, rank=2):
+def rand_element(rng, grp, n_terms=3, rank=2, draw=None):
     terms = {}
     for _ in range(n_terms):
-        w = random_word(rng, rank, rng.randint(0, 4))
+        w = draw(rng) if draw else random_word(rng, rank, rng.randint(0, 4))
         terms[w] = TPoly(
             {rng.randint(-2, 2): Fraction(rng.randint(-3, 3))}
         )
@@ -94,30 +95,51 @@ def test_kappa_empty_word():
     assert e == GroupRingElement.one(Integers())
 
 
-def test_adjoint_involution_and_antimultiplicative(rng):
-    grp = Free(2)
+# ring-law groups: the commutative ones run on the kernel's packed int
+# keys (negative exponents included), Free(2) on (word, exponent) pairs
+RING_GROUPS = {
+    "integers": (Integers(), lambda rng: rng.randint(-3, 3)),
+    "free_abelian_3": (
+        FreeAbelian(3),
+        lambda rng: tuple(rng.randint(-2, 2) for _ in range(3)),
+    ),
+    "free_2": (Free(2), lambda rng: random_word(rng, 2, rng.randint(0, 4))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RING_GROUPS))
+def test_adjoint_involution_and_antimultiplicative(rng, name):
+    grp, draw = RING_GROUPS[name]
     for _ in range(20):
-        a = rand_element(rng, grp)
-        b = rand_element(rng, grp)
+        a, b, c = (rand_element(rng, grp, draw=draw) for _ in range(3))
         assert a.adjoint().adjoint() == a
         assert (a * b).adjoint() == b.adjoint() * a.adjoint()
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert (a - b) * c == a * c - b * c
 
 
-def test_matrix_adjoint_law(rng):
-    grp = Free(2)
+@pytest.mark.parametrize("name", sorted(RING_GROUPS))
+def test_matrix_adjoint_law(rng, name):
+    grp, draw = RING_GROUPS[name]
+
+    def rand_matrix(rows, cols):
+        return GroupRingMatrix(
+            grp, [[rand_element(rng, grp, draw=draw) for _ in range(cols)] for _ in range(rows)]
+        )
+
     for _ in range(10):
-        A = GroupRingMatrix(grp, [[rand_element(rng, grp) for _ in range(2)] for _ in range(2)])
-        B = GroupRingMatrix(grp, [[rand_element(rng, grp) for _ in range(2)] for _ in range(2)])
+        A, A2 = rand_matrix(2, 3), rand_matrix(2, 3)
+        B, B2 = rand_matrix(3, 2), rand_matrix(3, 2)
+        C = rand_matrix(2, 2)
         assert (A * B).adjoint() == B.adjoint() * A.adjoint()
-
-
-def test_evaluate_t():
-    grp = Free(1)
-    g = FreeWord.gen(1, 1)
-    e = GroupRingElement(grp, {g: TPoly.t_power(1)})
-    assert e.evaluate_t(2) == GroupRingElement(grp, {g: TPoly.const(2)})
-    with pytest.raises(ValueError):
-        GroupRingMatrix(grp, [[e]]).evaluate_t(-1)
+        assert A.opposite_mul(B).adjoint() == B.adjoint().opposite_mul(A.adjoint())
+        assert (A * B) * C == A * (B * C)
+        assert A.opposite_mul(B).opposite_mul(C) == A.opposite_mul(B.opposite_mul(C))
+        assert A * (B + B2) == A * B + A * B2
+        assert (A - A2).opposite_mul(B) == A.opposite_mul(B) - A2.opposite_mul(B)
+        if is_commutative(grp):
+            assert A.opposite_mul(B) == A * B
 
 
 def test_generator_inverse_pair_is_identity():
