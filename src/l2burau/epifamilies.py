@@ -184,6 +184,11 @@ class AbelianImage:
     vector of Z^n at every rank n.  A matrix of rows is defined only at
     its own rank: applying it to words of another rank is an error, and
     it has no stabilization map.
+
+    ``name`` says where the rows came from: ``ab`` for the abelianization,
+    ``custom`` for a matrix given as such (as a file read by
+    :func:`family_by_name`), ``twisted`` for the image of a twist.  It
+    takes no part in equality, which compares the rows alone.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]] | None = None):
@@ -194,10 +199,7 @@ class AbelianImage:
             if any(len(row) != len(rows[0]) for row in rows):
                 raise ValueError("ragged image matrix")
         self.rows = rows
-
-    @property
-    def name(self) -> str:
-        return "ab" if self.rows is None else "custom"
+        self.name = "ab" if rows is None else "custom"
 
     @property
     def d(self) -> int | None:
@@ -210,7 +212,7 @@ class AbelianImage:
             raise ValueError(f"rank {rank} does not match strands {n}")
         if self.rows is not None and not n == rank == len(self.rows):
             raise ValueError(
-                f"custom family defined for rank {len(self.rows)}, got rank {rank}"
+                f"{self.name} family defined for rank {len(self.rows)}, got rank {rank}"
             )
 
     def _rows(self, n: int) -> tuple[tuple[int, ...], ...]:
@@ -241,7 +243,9 @@ class AbelianImage:
     def twist(self, prefix: BraidWord) -> "AbelianImage":
         """self o h_prefix: new row i = old row pi(i)."""
         rows = self._rows(prefix.strands)
-        return AbelianImage(rows[p - 1] for p in braidmod.permutation(prefix))
+        out = AbelianImage(rows[p - 1] for p in braidmod.permutation(prefix))
+        out.name = "twisted"
+        return out
 
     def chi_map(self, alpha: BraidWord):
         """The rational d x d matrix C with C Q(x_i) = Q(x_{pi(i)}) for every
@@ -257,7 +261,7 @@ class AbelianImage:
             )
             if sol is None:
                 raise ValueError(
-                    "custom family admits no conjugation-compatibility map for this braid"
+                    f"{self.name} family admits no conjugation-compatibility map for this braid"
                 )
             mat.append(sol)
 

@@ -14,6 +14,7 @@ equality of elements and matrices is structural and decidable.
 from __future__ import annotations
 
 import dataclasses
+import math
 import operator
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -252,10 +253,8 @@ class GroupRingElement:
         return self._plus(other, -1)
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
-        ((a,), (b,)), mul, _, element = _keyed(self.group, [[_flat(self)], [_flat(other)]])
-        acc: dict = {}
-        _flat_addmul(acc, a, b, mul)
-        return element(acc)
+        ((a,), (b,)), shifts, ring = _kernel(self.group, [[_flat(self)], [_flat(other)]])
+        return ring.element(ring.addmul(ring.zero(), a, b), sum(shifts))
 
     def scale(self, c: TPoly | RationalLike) -> "GroupRingElement":
         if not isinstance(c, TPoly):
@@ -343,11 +342,39 @@ class GroupRingElement:
 # backends.  Operands are flat {key: coefficient} dicts; _flat_addmul adds
 # a product of two of them to an accumulator, and _flat_add adds one.  A
 # key stands for a pair (group element, t exponent), or for a plain
-# exponent or group element where only one of them varies; see _keyed for
-# the int keys of commutative groups.  A coefficient stays a Python int
-# while its denominator is 1, so nearly every product is a plain integer
-# multiply.  Zero coefficients are never stored, so an empty dict is the
-# zero element.
+# exponent or group element where only one of them varies.  A coefficient
+# stays a Python int while its denominator is 1, so nearly every product
+# is a plain integer multiply.  Zero coefficients are never stored, so an
+# empty dict is the zero element.
+#
+# A sum of products of group-ring entries (a product of two elements or
+# matrices, a determinant, a Burau fold) first asks _kernel for a ring
+# that holds its entries, in one of two representations:
+#
+# * the integer path, taken over a commutative group when every
+#   coefficient is an integer and every exponent vector (group
+#   coordinates, t exponent) is a multiple k u of one primitive vector u.
+#   That covers the total-winding family phi, constant matrices and most
+#   rank <= 1 targets.  An entry is then a Laurent polynomial in one
+#   variable X = u, and it is held as one Python int: the polynomial,
+#   divided by the lowest power of X in its row, evaluated at X = 2^b
+#   (Kronecker substitution).  Sums and products are int sums and
+#   products, and the coefficients come back as balanced base-2^b digits.
+#   Every coefficient of a sum of products that takes at most one term
+#   from each row is at most B = prod over rows of (1 + the l1 norms of
+#   the row's entries) in absolute value (a caller with a tighter bound,
+#   such as the Burau fold, passes its own), so b = bitlen(B) + 1 holds
+#   each as one digit, the extra bit for its sign, and no digit carries.
+#   Negative exponents never enter an int: each row is divided by its
+#   lowest power of X, and the caller adds the shifts back.
+# * the dict path, for everything else (Z^d at rank >= 2, free groups,
+#   rational coefficients): the flat dicts themselves.  Over a commutative
+#   group a key is one int whose balanced digits in an odd base are the
+#   group coordinates and then the t exponent, so the key product is the
+#   int sum; over a free group of rank >= 2 a key stays the (element,
+#   exponent) pair.  A dense box over several variables could be far
+#   wider than the sparse support, so only a one-dimensional box is ever
+#   packed into an int.
 
 
 def _flat(e: GroupRingElement) -> dict:
@@ -409,27 +436,147 @@ def _from_coords(group: CoefficientGroup, v: list):
     return FreeWord.gen(group.rank, 1, v[0])
 
 
-def _keyed(group: CoefficientGroup, rows: list[list[dict]]):
-    """Choose the kernel's keys for sums of products of flat entries.
+class _DictRing:
+    """Entries as flat dicts; the product of two keys is ``mul``.  ``one``
+    is a single shared dict, so callers read it and never accumulate into
+    it; ``addmul`` accumulates into a dict from ``zero()``."""
+
+    zero = staticmethod(dict)
+
+    def __init__(self, mul, one_key, element):
+        self.mul = mul
+        self.one = {one_key: 1}
+        self._element = element
+
+    def addmul(self, acc: dict, a: dict, b: dict, sign: int = 1) -> dict:
+        """acc + sign * a * b, accumulated in place."""
+        _flat_addmul(acc, a, b, self.mul, sign)
+        return acc
+
+    @staticmethod
+    def shift(x: dict, k: int) -> dict:
+        return x  # keys carry every exponent, so no row is ever shifted
+
+    def element(self, acc: dict, offset: int) -> GroupRingElement:
+        return self._element(acc)
+
+
+class _IntRing:
+    """Entries as ints: a polynomial in X = the line's generator u,
+    evaluated at X = 2^bits."""
+
+    zero = staticmethod(int)
+    one = 1
+
+    def __init__(self, group: CoefficientGroup, u: list[int], bits: int):
+        self.group, self.u, self.bits = group, u, bits
+
+    @staticmethod
+    def addmul(acc: int, a: int, b: int, sign: int = 1) -> int:
+        return acc + a * b if sign > 0 else acc - a * b
+
+    def shift(self, x: int, k: int) -> int:
+        """x * X^k for k >= 0."""
+        return x << (self.bits * k)
+
+    def element(self, acc: int, offset: int) -> GroupRingElement:
+        """X^offset times the polynomial acc encodes.  Digits below the
+        lowest set bit are zero, so they are skipped, not read."""
+        group, u, bits = self.group, self.u, self.bits
+        skip = ((acc & -acc).bit_length() - 1) // bits if acc else 0
+        terms: dict = {}
+        for k, c in enumerate(_balanced_digits(acc >> (bits * skip), bits), offset + skip):
+            if c:
+                v = [k * x for x in u]
+                terms.setdefault(_from_coords(group, v[:-1]), {})[v[-1]] = Fraction(c)
+        return GroupRingElement(group, {g: TPoly._wrap(cs) for g, cs in terms.items()})
+
+
+def _balanced_digits(x: int, bits: int) -> list[int]:
+    """Digits d_i of x = sum d_i 2^(bits i), lowest first, with |d_i| <
+    2^(bits-1), which makes them unique (the kernel's bound guarantees
+    it); read off the binary string of |x| in one pass."""
+    half, full = 1 << (bits - 1), 1 << bits
+    sign = -1 if x < 0 else 1
+    binary = format(abs(x), "b") if x else ""
+    out, carry = [], 0
+    for end in range(len(binary), 0, -bits):
+        d = int(binary[max(0, end - bits):end], 2) + carry
+        carry = int(d >= half)
+        out.append(sign * (d - carry * full))
+    if carry:
+        out.append(sign)
+    return out
+
+
+def _on_line(group: CoefficientGroup, rows: list[list[dict]]):
+    """(u, rows as {k: coefficient} dicts) when every coefficient is an int
+    and every exponent vector (group coordinates, t exponent) is k * u for
+    one primitive u whose first nonzero coordinate is positive; None
+    otherwise.  Without a nonzero vector u is the zero vector."""
+    dim = len(_coords(group, group.identity())) + 1
+    u, pivot = [0] * dim, None
+    out = []
+    for row in rows:
+        line_row = []
+        for d in row:
+            entry = {}
+            for (g, k), c in d.items():
+                if type(c) is not int:
+                    return None
+                v = [*_coords(group, g), k]
+                if pivot is None:
+                    if not any(v):
+                        entry[0] = c
+                        continue
+                    pivot = next(i for i, x in enumerate(v) if x)
+                    step = math.gcd(*v) * (1 if v[pivot] > 0 else -1)
+                    u = [x // step for x in v]
+                s = v[pivot] // u[pivot]
+                if v != [s * y for y in u]:
+                    return None
+                entry[s] = c
+            line_row.append(entry)
+        out.append(line_row)
+    return u, out
+
+
+def _kernel(group: CoefficientGroup, rows: list[list[dict]], bound: int | None = None):
+    """The ring a sum of products of flat entries runs in.
 
     Every term the caller builds must be a product of at most one entry
     term from each of ``rows`` (a row of a Laplace expansion, the column
     of one braid letter, or the entries of one factor of a product).
-    Returns the re-keyed rows, the key product, the key of one, and the
-    map from a keyed dict back to an element.
+    Returns the rows in the ring's representation, each row's shift, and
+    the ring, with ``zero()``, ``one``, ``addmul(acc, a, b, sign)``
+    returning acc + sign * a * b, ``shift(x, k)`` = x * X^k and
+    ``element(acc, offset)``, which turns acc back into an element after
+    multiplying it by X^offset.  On the integer path a row's entries are
+    stored divided by X^shift, so a product of one entry per row carries
+    the sum of their shifts; on the dict path every shift is 0.
 
-    Over a commutative group (Z^d under +: an int, an int tuple, or a
-    power of the generator of a rank <= 1 free group) a key is one int
-    whose balanced digits in an odd base are the group coordinates and then
-    the t exponent, so the key product is the int sum.  The base exceeds
-    twice the sum over rows of each row's largest coordinate, which bounds
-    every coordinate a product can reach, so no digit ever carries.  Over
-    a free group of rank >= 2 a key stays the (element, exponent) pair.
+    ``bound`` caps the absolute value of every coefficient the caller
+    turns back into an element; by default it is prod over rows of (1 +
+    the l1 norms of the row's entries), which holds for any such sum.
     """
+    line = _on_line(group, rows) if is_commutative(group) else None
+    if line is not None:
+        u, line_rows = line
+        if bound is None:
+            bound = 1
+            for row in line_rows:
+                bound *= 1 + sum(abs(c) for d in row for c in d.values())
+        bits = bound.bit_length() + 1
+        shifts, int_rows = [], []
+        for row in line_rows:
+            low = min((k for d in row for k in d), default=0)
+            shifts.append(low)
+            int_rows.append([sum(c << (bits * (k - low)) for k, c in d.items()) for d in row])
+        return int_rows, shifts, _IntRing(group, u, bits)
+    shifts = [0] * len(rows)
     if not is_commutative(group):
         gmul = group.mul
-        return (
-            rows,
+        return rows, shifts, _DictRing(
             lambda a, b: (gmul(a[0], b[0]), a[1] + b[1]),
             (group.identity(), 0),
             lambda d: _unflat(group, d),
@@ -438,6 +585,8 @@ def _keyed(group: CoefficientGroup, rows: list[list[dict]]):
         [{(*_coords(group, g), k): c for (g, k), c in d.items()} for d in row]
         for row in rows
     ]
+    # the sum over rows of each row's largest coordinate bounds every
+    # coordinate a product can reach, so no digit of a key ever carries
     half = sum(max((abs(x) for d in row for v in d for x in v), default=0) for row in vrows)
     base = 2 * half + 1
     dim = len(_coords(group, group.identity())) + 1
@@ -460,9 +609,10 @@ def _keyed(group: CoefficientGroup, rows: list[list[dict]]):
 
     return (
         [[{pack(v): c for v, c in d.items()} for d in row] for row in vrows],
-        operator.add,
-        0,
-        lambda d: _unflat(group, {unpack(k): c for k, c in d.items()}),
+        shifts,
+        _DictRing(
+            operator.add, 0, lambda d: _unflat(group, {unpack(k): c for k, c in d.items()})
+        ),
     )
 
 
@@ -501,17 +651,6 @@ def kappa(
     return GroupRingElement(grp, {elem: coeff * TPoly.t_power(winding(w, basis))})
 
 
-def kappa_of_terms(
-    terms: Mapping[FreeWord, RationalLike], family, n: int, basis: Basis = Basis.G
-) -> GroupRingElement:
-    """Linear extension of kappa to {free word: rational} sums."""
-    grp = family.target(n)
-    out = GroupRingElement.zero(grp)
-    for w, c in terms.items():
-        out = out + kappa(w, family, n, basis, coeff=c)
-    return out
-
-
 # --- Matrices --------------------------------------------------------------
 
 
@@ -544,27 +683,6 @@ class GroupRingMatrix:
     def zeros(group, rows: int, cols: int) -> "GroupRingMatrix":
         zero = GroupRingElement.zero(group)
         return GroupRingMatrix(group, [[zero] * cols for _ in range(rows)])
-
-    @staticmethod
-    def block_assemble(blocks: Sequence[Sequence["GroupRingMatrix"]]) -> "GroupRingMatrix":
-        """Assemble a block grid; block shapes must tile consistently."""
-        group = blocks[0][0].group
-        rows: list[list[GroupRingElement]] = []
-        for brow in blocks:
-            height = brow[0].rows
-            for b in brow:
-                if b.rows != height:
-                    raise ValueError("inconsistent block heights")
-            for r in range(height):
-                row: list[GroupRingElement] = []
-                for b in brow:
-                    row.extend(b.entries[r])
-                rows.append(row)
-        width = len(rows[0])
-        for row in rows:
-            if len(row) != width:
-                raise ValueError("inconsistent block widths")
-        return GroupRingMatrix(group, rows)
 
     def __add__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
         self._same_shape(other)
@@ -602,10 +720,10 @@ class GroupRingMatrix:
 
     def _product(self, other: "GroupRingMatrix", opposite: bool) -> "GroupRingMatrix":
         """Entry (i, k) is the sum over j of A[i][j] B[j][k], or of
-        B[j][k] A[i][j] when ``opposite``; every entry term is keyed once."""
+        B[j][k] A[i][j] when ``opposite``; every entry is converted once."""
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch {self.shape} x {other.shape}")
-        (a, b), mul, _, element = _keyed(
+        (a, b), shifts, ring = _kernel(
             self.group,
             [[_flat(e) for row in m.entries for e in row] for m in (self, other)],
         )
@@ -613,13 +731,13 @@ class GroupRingMatrix:
         for i in range(self.rows):
             row = []
             for k in range(other.cols):
-                acc: dict = {}
+                acc = ring.zero()
                 for j in range(self.cols):
                     x, y = a[i * self.cols + j], b[j * other.cols + k]
                     if opposite:
                         x, y = y, x
-                    _flat_addmul(acc, x, y, mul)
-                row.append(element(acc))
+                    acc = ring.addmul(acc, x, y)
+                row.append(ring.element(acc, sum(shifts)))
             out.append(row)
         return GroupRingMatrix(self.group, out)
 
@@ -647,20 +765,29 @@ class GroupRingMatrix:
         minors.  The masks the expansion can reach (through nonzero
         entries only) are found top-down first; the minors are then filled
         bottom-up, level r from level r + 1, so only two adjacent levels
-        are alive at a time.  The entries are flattened once into
-        flat-kernel dicts keyed by single ints (see ``_keyed``), the
-        expansion runs on those with int multiplies and int key sums, and
-        only the final sum is turned back into an element.  Exponential in
-        n, fine for the small matrices here.
+        are alive at a time.  Exponential in n, fine for the small
+        matrices here.
+
+        The entries are converted once into the kernel's ring (see
+        ``_kernel``) and only the final sum is turned back into an
+        element.  When every coefficient is an integer and every exponent
+        vector (group coordinates, t) lies on one line, as under phi, each
+        entry is one int: its row's polynomial in the line's generator,
+        shifted by the row's lowest exponent, evaluated at X = 2^b with
+        b = bitlen(prod over rows of (1 + sum of the row's entry l1
+        norms)) + 1, so a product-accumulate is one int multiply and add.
+        Otherwise the entries are flat dicts and a product-accumulate
+        multiplies them term by term.
         """
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
         if not is_commutative(self.group):
             raise ValueError("symbolic determinant needs a commutative group")
         n = self.rows
-        rows, mul, one, element = _keyed(
+        rows, shifts, ring = _kernel(
             self.group, [[_flat(e) for e in row] for row in self.entries]
         )
+        addmul = ring.addmul
         levels = [{0}]  # levels[r]: the reachable masks of r columns
         for row in rows[:-1]:
             levels.append({
@@ -669,21 +796,21 @@ class GroupRingMatrix:
                 for j in range(n)
                 if row[j] and not mask & (1 << j)
             })
-        below: dict[int, dict] = {(1 << n) - 1: {one: 1}}
+        below = {(1 << n) - 1: ring.one}
         for r in range(n - 1, -1, -1):
             row, here = rows[r], {}
             for mask in levels[r]:
-                acc: dict = {}
+                acc = ring.zero()
                 sign = 1
                 for j in range(n):
                     if mask & (1 << j):
                         continue
                     if row[j]:
-                        _flat_addmul(acc, row[j], below[mask | (1 << j)], mul, sign)
+                        acc = addmul(acc, row[j], below[mask | (1 << j)], sign)
                     sign = -sign
                 here[mask] = acc
             below = here
-        return element(below[0])
+        return ring.element(below[0], sum(shifts))
 
     @property
     def shape(self) -> tuple[int, int]:

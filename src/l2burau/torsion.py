@@ -48,8 +48,7 @@ from .groupring import (
     TPoly,
     _flat,
     _flat_add,
-    _flat_addmul,
-    _keyed,
+    _kernel,
     _unflat,
     kappa,
 )
@@ -177,31 +176,60 @@ def _compose_matrix(beta: BraidWord, family) -> GroupRingMatrix:
     column i, since every other column of the generator is the identity's:
     new[row][i] = sum_r col[r] * row[r] over the rows r of
     :func:`_generator_column`, entry products kept in the order col * row
-    that ``opposite_mul`` uses, so any target group works.  The rows live
-    as flat-kernel dicts (see ``groupring._keyed``, which treats each
-    letter's column as one factor), and each letter costs O(n) entry
+    that ``opposite_mul`` uses, so any target group works.  Each distinct
+    (letter, twisted family) column is built once, and the fold runs in
+    the kernel's ring (see ``groupring._kernel``, which treats each
+    letter's column as one factor), so each letter costs O(n) entry
     products instead of the O(n^3) of a full matrix product.
+
+    The column update also bounds the result: an entry of the new column
+    i has l1 norm at most sum_r |col[r]|_1 * norms[r], where norms[c]
+    bounds the l1 norms of column c, so max(norms) caps every coefficient
+    and sets the width of the integer path's digits (a far tighter cap
+    than the kernel's product over letters).  On
+    the integer path column c of the running matrix is stored divided by
+    X^offsets[c], and a letter's multipliers are shifted to the lowest
+    offset they meet, so they stay as short as the column itself.
     """
     n = beta.strands
     grp = family.target(n)
-    updates, columns = [], []  # per letter: (column, its rows), its entries
+    built: dict = {}  # (letter, twisted family) -> (i, rows, flat column, l1 norms)
+    letters = []
     fam = family  # twisted by the letters before this one
     for idx, letter in enumerate(beta.letters):
         if idx:
             fam = fam.twist(BraidWord(n, (beta.letters[idx - 1],)))
-        col = _generator_column(n, abs(letter), 1 if letter > 0 else -1, fam)
-        updates.append((abs(letter) - 1, [r - 1 for r in col]))
-        columns.append([_flat(v) for v in col.values()])
-    columns, mul, one, element = _keyed(grp, columns)
-    rows = [[{one: 1} if r == c else {} for c in range(n - 1)] for r in range(n - 1)]
-    for (i, where), col in zip(updates, columns):
+        known = built.get((letter, fam))
+        if known is None:
+            col = _generator_column(n, abs(letter), 1 if letter > 0 else -1, fam)
+            flat = [_flat(v) for v in col.values()]
+            known = built[letter, fam] = (
+                abs(letter) - 1,
+                [r - 1 for r in col],
+                flat,
+                [sum(abs(c) for c in d.values()) for d in flat],
+            )
+        letters.append(known)
+    norms = [1] * (n - 1)
+    for i, where, col, l1 in letters:
+        norms[i] = sum(x * norms[r] for r, x in zip(where, l1))
+    columns, shifts, ring = _kernel(grp, [col for _, _, col, _ in letters], max(norms, default=1))
+    addmul, shift = ring.addmul, ring.shift
+    rows = [[ring.one if r == c else ring.zero() for c in range(n - 1)] for r in range(n - 1)]
+    offsets = [0] * (n - 1)
+    for (i, where, _, _), col, col_low in zip(letters, columns, shifts):
+        low = min(offsets[r] for r in where)
+        col = [shift(cf, offsets[r] - low) for r, cf in zip(where, col)]
         for row in rows:
-            new: dict = {}
+            new = ring.zero()
             for r, cf in zip(where, col):
                 if row[r]:
-                    _flat_addmul(new, cf, row[r], mul)
+                    new = addmul(new, cf, row[r])
             row[i] = new
-    return GroupRingMatrix(grp, [[element(d) for d in row] for row in rows])
+        offsets[i] = low + col_low
+    return GroupRingMatrix(
+        grp, [[ring.element(d, offsets[c]) for c, d in enumerate(row)] for row in rows]
+    )
 
 
 def reduced_burau(beta: BraidWord, family) -> BurauMatrix:

@@ -221,8 +221,31 @@ def test_family_by_name(tmp_path):
     mat.write_text("1 0\n0 1\n")
     fam = family_by_name(f"custom:{mat}")
     assert isinstance(fam, AbelianImage) and fam.d == 2
+    assert fam.name == "custom"
     with pytest.raises(ValueError):
         family_by_name("nope")
+
+
+def test_twisted_abelianization_is_named_twisted():
+    tw = twist(AbelianImage(), BraidWord(3, (1, 2, -1)))
+    assert tw.name == "twisted"
+    assert twist(tw, BraidWord(3, (2,))).name == "twisted"
+    assert AbelianImage().name == "ab"
+    assert AbelianImage([[1, 0], [0, 1], [1, 1]]).name == "custom"
+    # the name records provenance only; equality still compares the rows
+    assert tw == AbelianImage(tw.rows) and hash(tw) == hash(AbelianImage(tw.rows))
+    report = check_admissibility(tw, BraidWord(3, (1,)), BraidWord(3, (2,)))
+    assert report.family == "twisted"
+
+
+def test_rank_errors_name_the_family_they_are():
+    tw = twist(AbelianImage(), BraidWord(3, (1, 2, -1)))
+    with pytest.raises(ValueError, match="twisted family defined for rank 3") as err:
+        tw.apply(parse_word("x1 x2", 2), 2, X)
+    assert "custom" not in str(err.value)
+    custom = AbelianImage([[1], [1], [1]])
+    with pytest.raises(ValueError, match="custom family defined for rank 3"):
+        custom.apply(parse_word("x1 x2", 2), 2, X)
 
 
 def test_custom_file_must_span_the_lattice(tmp_path):

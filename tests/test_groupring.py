@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from l2burau.braid import braid_word
-from l2burau.epifamilies import Identity, TotalWinding, twist
+from l2burau import groupring
+from l2burau.braid import BraidWord, braid_word, random_braid
+from l2burau.epifamilies import AbelianImage, Identity, TotalWinding, twist
 from l2burau.freegroup import Basis, FreeWord, parse_word, random_word
 from l2burau.groupring import (
     Free,
@@ -17,9 +18,11 @@ from l2burau.groupring import (
     TPoly,
     is_commutative,
     kappa,
-    kappa_of_terms,
     vn_trace,
 )
+
+from l2burau.torsion import reduced_burau
+from oracles import block_assemble, det_at, evaluate, gaussian_det, kappa_of_terms
 
 
 def rand_element(rng, grp, n_terms=3, rank=2, draw=None):
@@ -181,10 +184,10 @@ def test_block_assemble():
     B = GroupRingMatrix.identity(grp, 1)
     C = GroupRingMatrix.zeros(grp, 2, 1)
     D = GroupRingMatrix.zeros(grp, 1, 2)
-    m = GroupRingMatrix.block_assemble([[A, C], [D, B]])
+    m = block_assemble([[A, C], [D, B]])
     assert m == GroupRingMatrix.identity(grp, 3)
     with pytest.raises(ValueError):
-        GroupRingMatrix.block_assemble([[A, B]])
+        block_assemble([[A, B]])
 
 
 def test_matrix_dimension_errors():
@@ -357,3 +360,150 @@ def test_json_matrix_round_trip():
     text = json.dumps(m.to_json_obj())
     back = json.loads(text)
     assert back["entries"][0][0][0] == {"elem": "z1", "coeffs": {"2": "1/3"}}
+
+
+# --- the kernel's integer path ------------------------------------------------
+#
+# Over phi, constants and other one-line supports every entry is one int
+# (see groupring._kernel).  These tests check it against oracles that never
+# run through the kernel: Fraction evaluation at rational points, Gaussian
+# elimination, and the classical Burau generator matrices multiplied out.
+
+
+def _ring_of(M):
+    return groupring._kernel(M.group, [[groupring._flat(e) for e in row] for row in M.entries])[2]
+
+
+def _phi_table(n, letter, s):
+    """The reduced Burau matrix of one letter over phi at s = z t, as
+    Fractions: the identity with column i replaced."""
+    m = [[Fraction(int(r == c)) for c in range(n - 1)] for r in range(n - 1)]
+    i = abs(letter) - 1
+    col = (s, -s, 1) if letter > 0 else (1, -1 / s, 1 / s)
+    for r, v in zip((i - 1, i, i + 1), col):
+        if 0 <= r < n - 1:
+            m[r][i] = Fraction(v)
+    return m
+
+
+def _mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+POINTS = ((Fraction(2), Fraction(1, 3)), (Fraction(-3, 2), Fraction(5, 7)), (Fraction(7, 5), Fraction(-2)))
+
+
+def test_integer_path_phi_burau_and_determinant_match_fraction_oracles():
+    rng = random.Random("int-path-phi")
+    for case in range(60):
+        n = 2 + case % 7
+        beta = random_braid(rng, n, rng.randint(0, 70))
+        B = reduced_burau(beta, TotalWinding()).matrix
+        E = B - GroupRingMatrix.identity(B.group, n - 1)
+        assert isinstance(_ring_of(E), groupring._IntRing)
+        D = E.determinant()
+        for z0, t0 in POINTS:
+            want = [[Fraction(int(r == c)) for c in range(n - 1)] for r in range(n - 1)]
+            for letter in beta.letters:
+                want = _mat_mul(want, _phi_table(n, letter, z0 * t0))
+            assert [[evaluate(e, (z0,), t0) for e in row] for row in B.entries] == want
+            assert evaluate(D, (z0,), t0) == det_at(E, (z0,), t0), (case, beta.render())
+
+
+def test_balanced_digits_at_the_ends_of_their_range():
+    rng = random.Random("digits")
+    for bits in (2, 3, 7, 30, 64, 65):
+        top = (1 << (bits - 1)) - 1  # the largest digit the kernel's bound allows
+        for _ in range(30):
+            digits = [rng.choice((-top, top, -1, 0, 1, rng.randint(-top, top)))
+                      for _ in range(rng.randint(1, 12))]
+            while digits and not digits[-1]:
+                digits.pop()
+            x = sum(d << (bits * i) for i, d in enumerate(digits))
+            assert groupring._balanced_digits(x, bits) == digits
+
+
+def test_integer_path_negative_exponents_and_large_coefficients_of_both_signs():
+    grp = Integers()
+    rng = random.Random("int-path-wide")
+
+    def mono(c, k):  # c (z t)^k, on the line of phi
+        return GroupRingElement(grp, {k: TPoly.t_power(k, c)})
+
+    for size in (1, 2, 3, 4, 5):
+        for _ in range(6):
+            big = 1 << rng.choice((20, 62, 63, 64, 200))
+            entries = [
+                [
+                    sum(
+                        (mono(rng.choice((big - 1, -big, big, 1 - big, rng.randint(-big, big))),
+                              rng.randint(-6, 3))
+                         for _ in range(rng.randint(0, 3))),
+                        GroupRingElement.zero(grp),
+                    )
+                    for _ in range(size)
+                ]
+                for _ in range(size)
+            ]
+            M = GroupRingMatrix(grp, entries)
+            assert isinstance(_ring_of(M), groupring._IntRing)
+            D = M.determinant()
+            for z0, t0 in POINTS:
+                assert evaluate(D, (z0,), t0) == det_at(M, (z0,), t0)
+    # a triangular matrix: the product of its diagonal, to the last digit
+    diag = [mono(-(1 << 64) + 1, -5), mono(1 << 64, 2), mono(-(1 << 63), -1)]
+    tri = GroupRingMatrix(
+        grp, [[diag[r] if r == c else mono(c + 1, r - 3) if c > r else mono(0, 0)
+               for c in range(3)] for r in range(3)]
+    )
+    assert tri.determinant() == mono(((1 << 64) - 1) << 127, -4)
+
+
+def test_integer_path_degenerate_shapes():
+    grp = Integers()
+    assert GroupRingMatrix(grp, []).determinant() == GroupRingElement.one(grp)
+    for n in (1, 3):
+        assert GroupRingMatrix.zeros(grp, n, n).determinant().is_zero()
+    e = GroupRingElement(grp, {-2: TPoly({-2: 5}), 0: TPoly.const(-7)})
+    assert GroupRingMatrix(grp, [[e]]).determinant() == e
+    # constant matrices: every exponent vector is 0
+    rng = random.Random("int-path-const")
+    one = GroupRingElement.one(grp)
+    for size in range(1, 7):
+        rows = [[rng.randint(-10**12, 10**12) for _ in range(size)] for _ in range(size)]
+        M = GroupRingMatrix(grp, [[one.scale(x) for x in row] for row in rows])
+        assert isinstance(_ring_of(M), groupring._IntRing)
+        assert M.determinant() == one.scale(gaussian_det([[Fraction(x) for x in row] for row in rows]))
+
+
+def test_dict_path_determinants_as_before():
+    # an ab matrix on 3 strands and a rational one: both stay on dicts, and
+    # their determinants are pinned to the values the dict kernel gave
+    m = reduced_burau(BraidWord(3, (1, -2, 1, -2)), AbelianImage()).matrix
+    E = m - GroupRingMatrix.identity(m.group, 2)
+    assert isinstance(_ring_of(E), groupring._DictRing)
+    ab = {
+        (-1, 0, 0): {-1: 1}, (0, -1, 0): {-1: 1}, (0, 0, 1): {1: 1}, (0, 1, 0): {1: 1},
+        (-1, -1, 0): {-2: -1}, (-1, 0, 1): {0: 1}, (0, 1, 1): {2: -1},
+    }
+    want = GroupRingElement(FreeAbelian(3), {g: TPoly(cs) for g, cs in ab.items()})
+    assert E.determinant() == want
+    z0, t0 = (Fraction(2), Fraction(-1, 3), Fraction(3, 5)), Fraction(7, 4)
+    assert evaluate(want, z0, t0) == det_at(E, z0, t0)
+
+    Z = Integers()
+
+    def e(d):
+        return GroupRingElement(Z, {g: TPoly(cs) for g, cs in d.items()})
+
+    R = GroupRingMatrix(Z, [
+        [e({1: {1: Fraction(1, 2)}}), e({0: {0: 1}}), e({-1: {2: Fraction(-2, 3)}})],
+        [e({0: {0: 3}}), e({2: {-1: Fraction(1, 5)}}), e({})],
+        [e({0: {0: -1}}), e({1: {0: 2}}), e({0: {1: 1}, 1: {1: Fraction(3, 7)}})],
+    ])
+    assert isinstance(_ring_of(R), groupring._DictRing)
+    want = e({0: {1: -3, 2: -4}, 1: {1: Fraction(-149, 105)}, 3: {1: Fraction(1, 10)},
+              4: {1: Fraction(3, 70)}})
+    assert R.determinant() == want
+    for z0, t0 in POINTS:
+        assert evaluate(want, (z0,), t0) == det_at(R, (z0,), t0)
