@@ -77,7 +77,6 @@ from .torsion import (
     markov_report,
     reduced_burau,
     render_poly,
-    unreduced_burau,
     verify_block_triangularization,
 )
 

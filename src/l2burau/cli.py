@@ -20,6 +20,7 @@ from fractions import Fraction
 from . import braid as braidmod
 from .braid import parse_braid
 from .epifamilies import family_by_name
+from .fkdet import _check_grid, _check_series_len
 from .torsion import (
     Conjugate,
     Stabilize,
@@ -61,6 +62,13 @@ def _parse_t_values(text: str) -> list[Fraction]:
     if any(v <= 0 for v in vals):
         raise ValueError("t values must be positive")
     return vals
+
+
+def _check_backend_options(args) -> None:
+    """The library's own limits on --grid and --series-len, checked before
+    any backend runs, whichever backend the request reaches."""
+    _check_grid(args.grid)
+    _check_series_len(args.series_len)
 
 
 def _parse_moves(text: str, start: braidmod.BraidWord) -> list:
@@ -179,6 +187,7 @@ def _cmd_fq(args) -> int:
     beta = _parsed(parse_braid, args.braid, args.strands)
     family = _parsed(family_by_name, args.family)
     t_values = _parsed(_parse_t_values, args.t_values)
+    _parsed(_check_backend_options, args)
     results = [
         fq_value(
             beta,
@@ -217,6 +226,7 @@ def _cmd_markov(args) -> int:
     family = _parsed(family_by_name, args.family)
     moves = _parsed(_parse_moves, args.moves, beta)
     t_values = _parsed(_parse_t_values, args.t_values)
+    _parsed(_check_backend_options, args)
     reports = [
         markov_report(
             beta,

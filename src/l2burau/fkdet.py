@@ -303,11 +303,15 @@ def _log_abs_mean(P: dict[tuple, Fraction], d: int, n_grid: int) -> float:
     return total / float(n_grid**d)
 
 
+def _check_grid(grid: int) -> None:
+    if grid < 64:
+        raise ValueError("grid must be at least 64")
+
+
 def _require_free_abelian(group, grid: int) -> None:
     if not isinstance(group, FreeAbelian):
         raise ValueError("det_free_abelian needs a FreeAbelian coefficient group")
-    if grid < 64:
-        raise ValueError("grid must be at least 64")
+    _check_grid(grid)
 
 
 def det_free_abelian(M: GroupRingMatrix, t0, grid: int = 128) -> FKEstimate:
@@ -915,6 +919,11 @@ def _series_to_estimate(res: _SeriesResult, method: str) -> FKEstimate:
     return FKEstimate(value, err, method, res.diagnostics)
 
 
+def _check_series_len(series_len: int) -> None:
+    if series_len < 8:
+        raise ValueError("series_len must be at least 8")
+
+
 def det_free_group(
     M: GroupRingMatrix,
     t0,
@@ -937,8 +946,7 @@ def det_free_group(
     t0 = _require_positive(t0)
     if not isinstance(M.group, Free):
         raise ValueError("det_free_group needs a Free coefficient group")
-    if series_len < 8:
-        raise ValueError("series_len must be at least 8")
+    _check_series_len(series_len)
     m = M.rows
     if m == 0:
         return FKEstimate(1.0, 0.0, "trace_series", {"empty": True})

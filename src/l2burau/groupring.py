@@ -375,6 +375,11 @@ class GroupRingElement:
 #   exponent) pair.  A dense box over several variables could be far
 #   wider than the sparse support, so only a one-dimensional box is ever
 #   packed into an int.
+#
+# The Burau fold returns flat dicts (ring.flat) and _laplace, the one
+# determinant routine, takes them, so the fold's entries reach the
+# Laplace expansion without ever becoming GroupRingElements; only the
+# determinant is decoded (ring.element).
 
 
 def _flat(e: GroupRingElement) -> dict:
@@ -387,10 +392,11 @@ def _flat(e: GroupRingElement) -> dict:
 
 
 def _unflat(group: CoefficientGroup, d: dict) -> GroupRingElement:
+    """The element of a flat dict, its terms in the order of first appearance."""
     terms: dict = {}
     for (g, k), c in d.items():
-        terms.setdefault(g, {})[k] = c
-    return GroupRingElement(group, {g: TPoly(cs) for g, cs in terms.items()})
+        terms.setdefault(g, {})[k] = Fraction(c)
+    return GroupRingElement(group, {g: TPoly._wrap(cs) for g, cs in terms.items()})
 
 
 def _flat_add(acc: dict, a: dict, sign: int = 1) -> None:
@@ -436,17 +442,26 @@ def _from_coords(group: CoefficientGroup, v: list):
     return FreeWord.gen(group.rank, 1, v[0])
 
 
-class _DictRing:
-    """Entries as flat dicts; the product of two keys is ``mul``.  ``one``
-    is a single shared dict, so callers read it and never accumulate into
-    it; ``addmul`` accumulates into a dict from ``zero()``."""
+class _Ring:
+    """What both representations share: ``flat(acc, offset)`` gives the
+    flat dict {(group element, t exponent): coefficient} of X^offset times
+    acc, and ``element`` decodes that dict into a GroupRingElement."""
+
+    def element(self, acc, offset: int) -> GroupRingElement:
+        return _unflat(self.group, self.flat(acc, offset))
+
+
+class _DictRing(_Ring):
+    """Entries as flat dicts; the product of two keys is ``mul``, and
+    ``unpack`` maps an accumulator's keys back to (element, exponent)
+    pairs.  ``one`` is a single shared dict, so callers read it and never
+    accumulate into it; ``addmul`` accumulates into a dict from ``zero()``."""
 
     zero = staticmethod(dict)
 
-    def __init__(self, mul, one_key, element):
-        self.mul = mul
+    def __init__(self, group: CoefficientGroup, mul, one_key, unpack=None):
+        self.group, self.mul, self.unpack = group, mul, unpack
         self.one = {one_key: 1}
-        self._element = element
 
     def addmul(self, acc: dict, a: dict, b: dict, sign: int = 1) -> dict:
         """acc + sign * a * b, accumulated in place."""
@@ -457,11 +472,12 @@ class _DictRing:
     def shift(x: dict, k: int) -> dict:
         return x  # keys carry every exponent, so no row is ever shifted
 
-    def element(self, acc: dict, offset: int) -> GroupRingElement:
-        return self._element(acc)
+    def flat(self, acc: dict, offset: int) -> dict:
+        unpack = self.unpack
+        return acc if unpack is None else {unpack(k): c for k, c in acc.items()}
 
 
-class _IntRing:
+class _IntRing(_Ring):
     """Entries as ints: a polynomial in X = the line's generator u,
     evaluated at X = 2^bits."""
 
@@ -470,6 +486,7 @@ class _IntRing:
 
     def __init__(self, group: CoefficientGroup, u: list[int], bits: int):
         self.group, self.u, self.bits = group, u, bits
+        self._keys: dict = {}  # k -> (group element, t exponent) of X^k
 
     @staticmethod
     def addmul(acc: int, a: int, b: int, sign: int = 1) -> int:
@@ -479,17 +496,20 @@ class _IntRing:
         """x * X^k for k >= 0."""
         return x << (self.bits * k)
 
-    def element(self, acc: int, offset: int) -> GroupRingElement:
-        """X^offset times the polynomial acc encodes.  Digits below the
-        lowest set bit are zero, so they are skipped, not read."""
-        group, u, bits = self.group, self.u, self.bits
+    def flat(self, acc: int, offset: int) -> dict:
+        """Digits below the lowest set bit are zero, so they are skipped,
+        not read."""
+        bits, keys = self.bits, self._keys
         skip = ((acc & -acc).bit_length() - 1) // bits if acc else 0
-        terms: dict = {}
+        out = {}
         for k, c in enumerate(_balanced_digits(acc >> (bits * skip), bits), offset + skip):
             if c:
-                v = [k * x for x in u]
-                terms.setdefault(_from_coords(group, v[:-1]), {})[v[-1]] = Fraction(c)
-        return GroupRingElement(group, {g: TPoly._wrap(cs) for g, cs in terms.items()})
+                key = keys.get(k)
+                if key is None:
+                    v = [k * x for x in self.u]
+                    key = keys[k] = (_from_coords(self.group, v[:-1]), v[-1])
+                out[key] = c
+        return out
 
 
 def _balanced_digits(x: int, bits: int) -> list[int]:
@@ -516,25 +536,29 @@ def _on_line(group: CoefficientGroup, rows: list[list[dict]]):
     otherwise.  Without a nonzero vector u is the zero vector."""
     dim = len(_coords(group, group.identity())) + 1
     u, pivot = [0] * dim, None
+    steps: dict = {}  # (group element, t exponent) -> its k, once placed
     out = []
     for row in rows:
         line_row = []
         for d in row:
             entry = {}
-            for (g, k), c in d.items():
+            for key, c in d.items():
                 if type(c) is not int:
                     return None
-                v = [*_coords(group, g), k]
-                if pivot is None:
+                s = steps.get(key)
+                if s is None:
+                    v = [*_coords(group, key[0]), key[1]]
                     if not any(v):
-                        entry[0] = c
-                        continue
-                    pivot = next(i for i, x in enumerate(v) if x)
-                    step = math.gcd(*v) * (1 if v[pivot] > 0 else -1)
-                    u = [x // step for x in v]
-                s = v[pivot] // u[pivot]
-                if v != [s * y for y in u]:
-                    return None
+                        s = 0
+                    else:
+                        if pivot is None:
+                            pivot = next(i for i, x in enumerate(v) if x)
+                            step = math.gcd(*v) * (1 if v[pivot] > 0 else -1)
+                            u = [x // step for x in v]
+                        s = v[pivot] // u[pivot]
+                        if v != [s * y for y in u]:
+                            return None
+                    steps[key] = s
                 entry[s] = c
             line_row.append(entry)
         out.append(line_row)
@@ -546,48 +570,56 @@ def _kernel(group: CoefficientGroup, rows: list[list[dict]], bound: int | None =
 
     Every term the caller builds must be a product of at most one entry
     term from each of ``rows`` (a row of a Laplace expansion, the column
-    of one braid letter, or the entries of one factor of a product).
-    Returns the rows in the ring's representation, each row's shift, and
-    the ring, with ``zero()``, ``one``, ``addmul(acc, a, b, sign)``
-    returning acc + sign * a * b, ``shift(x, k)`` = x * X^k and
-    ``element(acc, offset)``, which turns acc back into an element after
-    multiplying it by X^offset.  On the integer path a row's entries are
-    stored divided by X^shift, so a product of one entry per row carries
-    the sum of their shifts; on the dict path every shift is 0.
+    of one braid letter, or the entries of one factor of a product).  A
+    row object that occurs more than once is scanned and converted once
+    but counted in the bounds as often as it occurs.  Returns the rows in
+    the ring's representation, each row's shift, and the ring, with
+    ``zero()``, ``one``, ``addmul(acc, a, b, sign)`` returning acc + sign
+    * a * b, ``shift(x, k)`` = x * X^k, ``flat(acc, offset)``, which
+    turns acc times X^offset back into a flat dict, and ``element(acc,
+    offset)``, the same as an element.  On the integer path a row's
+    entries are stored divided by X^shift, so a product of one entry per
+    row carries the sum of their shifts; on the dict path every shift is
+    0.
 
     ``bound`` caps the absolute value of every coefficient the caller
     turns back into an element; by default it is prod over rows of (1 +
     the l1 norms of the row's entries), which holds for any such sum.
     """
-    line = _on_line(group, rows) if is_commutative(group) else None
+    index: dict = {}  # id of a distinct row -> its place in ``distinct``
+    distinct = []
+    for row in rows:
+        if id(row) not in index:
+            index[id(row)] = len(distinct)
+            distinct.append(row)
+    picks = [index[id(row)] for row in rows]
+    line = _on_line(group, distinct) if is_commutative(group) else None
     if line is not None:
         u, line_rows = line
         if bound is None:
-            bound = 1
-            for row in line_rows:
-                bound *= 1 + sum(abs(c) for d in row for c in d.values())
+            norms = [1 + sum(abs(c) for d in row for c in d.values()) for row in line_rows]
+            bound = math.prod(norms[p] for p in picks)
         bits = bound.bit_length() + 1
-        shifts, int_rows = [], []
-        for row in line_rows:
-            low = min((k for d in row for k in d), default=0)
-            shifts.append(low)
-            int_rows.append([sum(c << (bits * (k - low)) for k, c in d.items()) for d in row])
-        return int_rows, shifts, _IntRing(group, u, bits)
+        lows = [min((k for d in row for k in d), default=0) for row in line_rows]
+        int_rows = [
+            [sum(c << (bits * (k - low)) for k, c in d.items()) for d in row]
+            for row, low in zip(line_rows, lows)
+        ]
+        return [int_rows[p] for p in picks], [lows[p] for p in picks], _IntRing(group, u, bits)
     shifts = [0] * len(rows)
     if not is_commutative(group):
         gmul = group.mul
         return rows, shifts, _DictRing(
-            lambda a, b: (gmul(a[0], b[0]), a[1] + b[1]),
-            (group.identity(), 0),
-            lambda d: _unflat(group, d),
+            group, lambda a, b: (gmul(a[0], b[0]), a[1] + b[1]), (group.identity(), 0)
         )
     vrows = [
         [{(*_coords(group, g), k): c for (g, k), c in d.items()} for d in row]
-        for row in rows
+        for row in distinct
     ]
     # the sum over rows of each row's largest coordinate bounds every
     # coordinate a product can reach, so no digit of a key ever carries
-    half = sum(max((abs(x) for d in row for v in d for x in v), default=0) for row in vrows)
+    tops = [max((abs(x) for d in row for v in d for x in v), default=0) for row in vrows]
+    half = sum(tops[p] for p in picks)
     base = 2 * half + 1
     dim = len(_coords(group, group.identity())) + 1
 
@@ -607,13 +639,8 @@ def _kernel(group: CoefficientGroup, rows: list[list[dict]], bound: int | None =
             key = (key - x) // base
         return _from_coords(group, v[:-1]), v[-1]
 
-    return (
-        [[{pack(v): c for v, c in d.items()} for d in row] for row in vrows],
-        shifts,
-        _DictRing(
-            operator.add, 0, lambda d: _unflat(group, {unpack(k): c for k, c in d.items()})
-        ),
-    )
+    packed = [[{pack(v): c for v, c in d.items()} for d in row] for row in vrows]
+    return [packed[p] for p in picks], shifts, _DictRing(group, operator.add, 0, unpack)
 
 
 def vn_trace(x) -> TPoly:
@@ -626,6 +653,58 @@ def vn_trace(x) -> TPoly:
             out = out + x.entries[i][i].vn_trace()
         return out
     return x.vn_trace()
+
+
+def _laplace(group: CoefficientGroup, rows: list[list[dict]]) -> GroupRingElement:
+    """The determinant of a square matrix of flat entries over a
+    commutative group, exact in t.
+
+    Laplace expansion along rows, shared over column subsets: the minor
+    on the last n - r rows and the columns outside a mask of r columns is
+    computed once per mask, so an n x n matrix costs at most 2^n minors.
+    The masks the expansion can reach (through nonzero entries only) are
+    found top-down first; the minors are then filled bottom-up, level r
+    from level r + 1, so only two adjacent levels are alive at a time.
+    Exponential in n, fine for the small matrices here.
+
+    The entries are converted once into the kernel's ring (see
+    ``_kernel``) and only the final sum is turned back into an element.
+    When every coefficient is an integer and every exponent vector (group
+    coordinates, t) lies on one line, as under phi, each entry is one int:
+    its row's polynomial in the line's generator, shifted by the row's
+    lowest exponent, evaluated at X = 2^b with b = bitlen(prod over rows
+    of (1 + sum of the row's entry l1 norms)) + 1, so a product-accumulate
+    is one int multiply and add.  Otherwise the entries are flat dicts and
+    a product-accumulate multiplies them term by term.
+    """
+    if not is_commutative(group):
+        raise ValueError("symbolic determinant needs a commutative group")
+    n = len(rows)
+    rows, shifts, ring = _kernel(group, rows)
+    addmul = ring.addmul
+    levels = [{0}]  # levels[r]: the reachable masks of r columns
+    for row in rows[:-1]:
+        levels.append({
+            mask | (1 << j)
+            for mask in levels[-1]
+            for j in range(n)
+            if row[j] and not mask & (1 << j)
+        })
+    below = {(1 << n) - 1: ring.one}
+    for r in range(n - 1, -1, -1):
+        row, here = rows[r], {}
+        for mask in levels[r]:
+            acc = ring.zero()
+            sign = 1
+            for j in range(n):
+                if mask & (1 << j):
+                    continue
+                if row[j]:
+                    acc = addmul(acc, row[j], below[mask | (1 << j)], sign)
+                sign = -sign
+            here[mask] = acc
+        below = here
+    return ring.element(below[0], sum(shifts))
 
 
 # --- kappa: the t-twisting ring map ---------------------------------------
@@ -757,60 +836,12 @@ class GroupRingMatrix:
         )
 
     def determinant(self) -> GroupRingElement:
-        """Exact symbolic determinant in t; commutative coefficient groups only.
-
-        Laplace expansion along rows, shared over column subsets: the minor
-        on the last n - r rows and the columns outside a mask of r columns
-        is computed once per mask, so an n x n matrix costs at most 2^n
-        minors.  The masks the expansion can reach (through nonzero
-        entries only) are found top-down first; the minors are then filled
-        bottom-up, level r from level r + 1, so only two adjacent levels
-        are alive at a time.  Exponential in n, fine for the small
-        matrices here.
-
-        The entries are converted once into the kernel's ring (see
-        ``_kernel``) and only the final sum is turned back into an
-        element.  When every coefficient is an integer and every exponent
-        vector (group coordinates, t) lies on one line, as under phi, each
-        entry is one int: its row's polynomial in the line's generator,
-        shifted by the row's lowest exponent, evaluated at X = 2^b with
-        b = bitlen(prod over rows of (1 + sum of the row's entry l1
-        norms)) + 1, so a product-accumulate is one int multiply and add.
-        Otherwise the entries are flat dicts and a product-accumulate
-        multiplies them term by term.
-        """
+        """Exact symbolic determinant in t; commutative coefficient groups
+        only.  The entries are flattened and expanded by :func:`_laplace`,
+        the one determinant routine, which the Burau path also calls."""
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
-        if not is_commutative(self.group):
-            raise ValueError("symbolic determinant needs a commutative group")
-        n = self.rows
-        rows, shifts, ring = _kernel(
-            self.group, [[_flat(e) for e in row] for row in self.entries]
-        )
-        addmul = ring.addmul
-        levels = [{0}]  # levels[r]: the reachable masks of r columns
-        for row in rows[:-1]:
-            levels.append({
-                mask | (1 << j)
-                for mask in levels[-1]
-                for j in range(n)
-                if row[j] and not mask & (1 << j)
-            })
-        below = {(1 << n) - 1: ring.one}
-        for r in range(n - 1, -1, -1):
-            row, here = rows[r], {}
-            for mask in levels[r]:
-                acc = ring.zero()
-                sign = 1
-                for j in range(n):
-                    if mask & (1 << j):
-                        continue
-                    if row[j]:
-                        acc = addmul(acc, row[j], below[mask | (1 << j)], sign)
-                    sign = -sign
-                here[mask] = acc
-            below = here
-        return ring.element(below[0], sum(shifts))
+        return _laplace(self.group, [[_flat(e) for e in row] for row in self.entries])
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -13,8 +13,10 @@ this is just the ordinary product).
 A reduced Burau matrix is assembled one way, by the rule
 B(alpha beta) = B(alpha) . B_{phi o h_alpha}(beta): a fold of generator
 table matrices whose coefficient family is twisted one letter at a time.
-The Fox jacobian remains for the unreduced matrix, and the tests compare
-the fold against it.
+The fold hands its entries to the symbolic determinant as flat dicts;
+only the determinant, or a matrix a caller asks for, is decoded into
+group-ring elements.  The Fox jacobian itself is kept by the tests, as
+the oracle the fold is compared against.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Sequence
 from . import braid as braidmod
 from .braid import BraidWord
 from .epifamilies import TotalWinding
-from .freegroup import Basis, FreeWord, artin_act
+from .freegroup import Basis, FreeWord, winding
 from .fkdet import (
     FKEstimate,
     _laurent_divide_exact,
@@ -46,11 +48,10 @@ from .groupring import (
     GroupRingMatrix,
     Integers,
     TPoly,
-    _flat,
     _flat_add,
     _kernel,
+    _laplace,
     _unflat,
-    kappa,
 )
 
 
@@ -80,84 +81,36 @@ class BurauMatrix:
         return out
 
 
-def _generator_images(family, n: int, basis: Basis):
-    """Target images of the basis generators and their inverses."""
-    imgs, invs = [None], [None]  # 1-indexed
-    for g in range(1, n + 1):
-        w = FreeWord.gen(n, g)
-        imgs.append(family.apply(w, n, basis))
-        invs.append(family.apply(w.inverse(), n, basis))
-    return imgs, invs
-
-
-def _fox_kappa_column(
-    image: FreeWord, family, n: int, basis: Basis, nrows: int, imgs, invs
-):
-    """kappa of all Fox derivatives of one image word, in a single pass.
-
-    Walks the word once, keeping the running prefix already mapped into
-    the target group and its t-exponent, and adds one flat term
-    (prefix, t-exponent) per letter to the row of its generator.
-    """
-    grp = family.target(n)
-    acc: list[dict] = [{} for _ in range(nrows + 1)]  # 1-indexed rows
-    prefix = grp.identity()
-    tpow = 0
-    for g, s in image.letters():
-        weight = 1 if basis is Basis.X else g
-        if s < 0:
-            prefix = grp.mul(prefix, invs[g])
-            tpow -= weight
-        if g <= nrows:
-            _flat_add(acc[g], {(prefix, tpow): s})
-        if s > 0:
-            prefix = grp.mul(prefix, imgs[g])
-            tpow += weight
-    return [_unflat(grp, d) for d in acc[1:]]
-
-
-def _jacobian_matrix(beta: BraidWord, family, basis: Basis, nrows: int) -> GroupRingMatrix:
-    n = beta.strands
-    grp = family.target(n)
-    imgs, invs = _generator_images(family, n, basis)
-    cols = []
-    for j in range(1, nrows + 1):
-        image = artin_act(beta, FreeWord.gen(n, j), basis)
-        cols.append(_fox_kappa_column(image, family, n, basis, nrows, imgs, invs))
-    entries = [[cols[j][i] for j in range(nrows)] for i in range(nrows)]
-    return GroupRingMatrix(grp, entries)
-
-
-def _check_winding_consistency(matrix: GroupRingMatrix):
+def _check_winding_consistency(rows: list[list[dict]]):
     """Over the total-winding family every term must satisfy t-exp == z-exp."""
-    for row in matrix.entries:
-        for e in row:
-            for elem, tp in e.terms.items():
-                for k in tp.coeffs:
-                    if k != elem:
-                        raise AssertionError(
-                            f"twisting inconsistency: t^{k} against z^{elem}"
-                        )
+    for row in rows:
+        for d in row:
+            for elem, k in d:
+                if k != elem:
+                    raise AssertionError(f"twisting inconsistency: t^{k} against z^{elem}")
 
 
-def _generator_column(n: int, i: int, sign: int, family) -> dict[int, GroupRingElement]:
-    """Column i of the table matrix of sigma_i^sign, as {row: entry}.
+def _generator_column(n: int, i: int, sign: int, family) -> dict[int, dict]:
+    """Column i of the table matrix of sigma_i^sign, as {row: flat entry}.
 
     Only g_i moves under sigma_i^{+-1} in the nested basis: for the
     positive crossing the column reads (kappa(u), -kappa(u), 1) at rows
     (i-1, i, i+1) with u = g_{i+1} g_i^{-1}; for the negative crossing it
     reads (1, -kappa(u), kappa(u)) with u = g_{i-1} g_i^{-1} (g_0 = 1).
-    Rows outside 1..n-1 are clipped.
+    kappa(u) is the one term t^winding(u) family(u).  Rows outside 1..n-1
+    are clipped.
     """
-    one = GroupRingElement.one(family.target(n))
+    one = {(family.target(n).identity(), 0): 1}
     if sign > 0:
         u = FreeWord(n, tuple(p for p in ((i + 1, 1), (i, -1)) if p[0] <= n))
-        ku = kappa(u, family, n, Basis.G)
-        column = {i - 1: ku, i: -ku, i + 1: one}
     else:
         u = FreeWord(n, tuple(p for p in ((i - 1, 1), (i, -1)) if p[0] >= 1))
-        ku = kappa(u, family, n, Basis.G)
-        column = {i - 1: one, i: -ku, i + 1: ku}
+    key = (family.apply(u, n, Basis.G), winding(u, Basis.G))
+    ku, minus_ku = {key: 1}, {key: -1}
+    if sign > 0:
+        column = {i - 1: ku, i: minus_ku, i + 1: one}
+    else:
+        column = {i - 1: one, i: minus_ku, i + 1: ku}
     return {r: val for r, val in column.items() if 1 <= r <= n - 1}
 
 
@@ -169,8 +122,11 @@ def generator_matrix(n: int, i: int, sign: int, family) -> BurauMatrix:
     return reduced_burau(braidmod.braid_word([sign * i], n), family)
 
 
-def _compose_matrix(beta: BraidWord, family) -> GroupRingMatrix:
-    """Fold the generator matrices of beta with twisted families.
+def _burau_fold(beta: BraidWord, family) -> list[list[dict]]:
+    """Fold the generator matrices of beta with twisted families; the rows
+    of the reduced Burau matrix come back as flat entries {(group element,
+    t exponent): coefficient} (see ``groupring._flat``), which
+    :func:`_symbolic_det` expands without building an element.
 
     Composing with a generator matrix (``opposite_mul``) changes only
     column i, since every other column of the generator is the identity's:
@@ -179,21 +135,26 @@ def _compose_matrix(beta: BraidWord, family) -> GroupRingMatrix:
     that ``opposite_mul`` uses, so any target group works.  Each distinct
     (letter, twisted family) column is built once, and the fold runs in
     the kernel's ring (see ``groupring._kernel``, which treats each
-    letter's column as one factor), so each letter costs O(n) entry
-    products instead of the O(n^3) of a full matrix product.
+    letter's column as one factor and converts a repeated column once),
+    so each letter costs O(n) entry products instead of the O(n^3) of a
+    full matrix product.
 
-    The column update also bounds the result: an entry of the new column
-    i has l1 norm at most sum_r |col[r]|_1 * norms[r], where norms[c]
-    bounds the l1 norms of column c, so max(norms) caps every coefficient
-    and sets the width of the integer path's digits (a far tighter cap
-    than the kernel's product over letters).  On
-    the integer path column c of the running matrix is stored divided by
-    X^offsets[c], and a letter's multipliers are shifted to the lowest
-    offset they meet, so they stay as short as the column itself.
+    The column update also bounds the result: every entry of a generator
+    column is one term of coefficient +-1, so an entry of the new column i
+    has l1 norm at most sum_r norms[r], where norms[c] bounds the l1
+    norms of column c; max(norms) caps every coefficient and sets the
+    width of the integer path's digits (a far tighter cap than the
+    kernel's product over letters).  On the integer path column c of the
+    running matrix is stored divided by X^offsets[c], and a letter's
+    multipliers are shifted to the lowest offset they meet, so they stay
+    as short as the column itself.  The entries come back through
+    ``ring.flat``, which reads each int's digits from its lowest nonzero
+    one; :func:`_laplace` divides each row by its lowest power again, so
+    the determinant never carries the zero low digits the offsets leave.
     """
     n = beta.strands
     grp = family.target(n)
-    built: dict = {}  # (letter, twisted family) -> (i, rows, flat column, l1 norms)
+    built: dict = {}  # (letter, twisted family) -> (i, rows, flat column)
     letters = []
     fam = family  # twisted by the letters before this one
     for idx, letter in enumerate(beta.letters):
@@ -202,22 +163,16 @@ def _compose_matrix(beta: BraidWord, family) -> GroupRingMatrix:
         known = built.get((letter, fam))
         if known is None:
             col = _generator_column(n, abs(letter), 1 if letter > 0 else -1, fam)
-            flat = [_flat(v) for v in col.values()]
-            known = built[letter, fam] = (
-                abs(letter) - 1,
-                [r - 1 for r in col],
-                flat,
-                [sum(abs(c) for c in d.values()) for d in flat],
-            )
+            known = built[letter, fam] = (abs(letter) - 1, [r - 1 for r in col], list(col.values()))
         letters.append(known)
     norms = [1] * (n - 1)
-    for i, where, col, l1 in letters:
-        norms[i] = sum(x * norms[r] for r, x in zip(where, l1))
-    columns, shifts, ring = _kernel(grp, [col for _, _, col, _ in letters], max(norms, default=1))
+    for i, where, _ in letters:
+        norms[i] = sum(norms[r] for r in where)
+    columns, shifts, ring = _kernel(grp, [col for _, _, col in letters], max(norms, default=1))
     addmul, shift = ring.addmul, ring.shift
     rows = [[ring.one if r == c else ring.zero() for c in range(n - 1)] for r in range(n - 1)]
     offsets = [0] * (n - 1)
-    for (i, where, _, _), col, col_low in zip(letters, columns, shifts):
+    for (i, where, _), col, col_low in zip(letters, columns, shifts):
         low = min(offsets[r] for r in where)
         col = [shift(cf, offsets[r] - low) for r, cf in zip(where, col)]
         for row in rows:
@@ -227,26 +182,32 @@ def _compose_matrix(beta: BraidWord, family) -> GroupRingMatrix:
                     new = addmul(new, cf, row[r])
             row[i] = new
         offsets[i] = low + col_low
-    return GroupRingMatrix(
-        grp, [[ring.element(d, offsets[c]) for c, d in enumerate(row)] for row in rows]
-    )
+    flat = ring.flat
+    return [[flat(d, offsets[c]) for c, d in enumerate(row)] for row in rows]
+
+
+def _as_matrix(group, rows: list[list[dict]]) -> GroupRingMatrix:
+    return GroupRingMatrix(group, [[_unflat(group, d) for d in row] for row in rows])
+
+
+def _rows_minus_identity(group, rows: list[list[dict]]) -> list[list[dict]]:
+    """Flat rows of Burau - Id; the cached rows are copied, never changed."""
+    one = {(group.identity(), 0): 1}
+    out = []
+    for i, row in enumerate(rows):
+        row = list(row)
+        row[i] = dict(row[i])
+        _flat_add(row[i], one, -1)
+        out.append(row)
+    return out
 
 
 def reduced_burau(beta: BraidWord, family) -> BurauMatrix:
     """The reduced Burau matrix of a braid word over a coefficient family:
     the per-generator table matrices folded with twisted families, one
-    column update per letter (see :func:`_compose_matrix`)."""
-    mat = _compose_matrix(beta, family)
-    bm = BurauMatrix(mat, family, beta, Basis.G)
-    if isinstance(family, TotalWinding):
-        _check_winding_consistency(mat)
-    return bm
-
-
-def unreduced_burau(beta: BraidWord, family) -> BurauMatrix:
-    """The n x n Fox jacobian in the puncture-loop basis."""
-    mat = _jacobian_matrix(beta, family, Basis.X, beta.strands)
-    return BurauMatrix(mat, family, beta, Basis.X)
+    column update per letter (see :func:`_burau_fold`)."""
+    mat = _as_matrix(family.target(beta.strands), _burau_rows(beta, family))
+    return BurauMatrix(mat, family, beta, Basis.G)
 
 
 # --- the candidate Markov function -------------------------------------------
@@ -281,23 +242,35 @@ class FQValue:
 
 
 # Everything before t = t0 is substituted depends only on (braid, family),
-# so a t sweep builds it once, and alexander_polynomial and
-# verify_block_triangularization read the same entries.  Four entries
-# cover the t loops of fq, markov and the CLI.  Nothing that depends on
-# t0, the grid or the series length (an estimate, a walk, a ball) is
-# cached.
+# so a t sweep folds the braid once: reduced_burau, E = Burau - Id and the
+# symbolic determinant all read the flat rows of one fold, and
+# alexander_polynomial and verify_block_triangularization read the same
+# entries.  Four entries cover the t loops of fq, markov and the CLI.
+# Nothing that depends on t0, the grid or the series length (an estimate,
+# a walk, a ball) is cached.
+@functools.lru_cache(maxsize=4)
+def _burau_rows(beta: BraidWord, family) -> list[list[dict]]:
+    """The flat rows of the fold; callers copy before they change one."""
+    rows = _burau_fold(beta, family)
+    if isinstance(family, TotalWinding):
+        _check_winding_consistency(rows)
+    return rows
+
+
 @functools.lru_cache(maxsize=4)
 def _minus_identity(beta: BraidWord, family) -> GroupRingMatrix:
-    """E = Burau(beta) - Id."""
-    bm = reduced_burau(beta, family)
-    return bm.matrix - GroupRingMatrix.identity(bm.matrix.group, beta.strands - 1)
+    """E = Burau(beta) - Id, for the free-group backends and the checks."""
+    grp = family.target(beta.strands)
+    return _as_matrix(grp, _rows_minus_identity(grp, _burau_rows(beta, family)))
 
 
 @functools.lru_cache(maxsize=4)
 def _symbolic_det(beta: BraidWord, family) -> GroupRingElement:
-    """det(E), exact in t; built only when a caller asks (roots, quad, the
-    Alexander polynomial, the stabilization check)."""
-    return _minus_identity(beta, family).determinant()
+    """det(E), exact in t, expanded from the flat rows without building E;
+    built only when a caller asks (roots, quad, the Alexander polynomial,
+    the stabilization check)."""
+    grp = family.target(beta.strands)
+    return _laplace(grp, _rows_minus_identity(grp, _burau_rows(beta, family)))
 
 
 def fq_value(
@@ -313,16 +286,17 @@ def fq_value(
     """Evaluate the candidate Markov function at one braid and one t > 0.
 
     The determinant backend follows the family's target group unless
-    ``method`` forces one of roots | quad | series | eps.  E = Burau - Id
-    and, for roots and quad, its symbolic determinant come from caches
-    keyed by (beta, family), so calls that differ only in t share them.
+    ``method`` forces one of roots | quad | series | eps.  Roots and quad
+    read the symbolic determinant, series and eps the matrix E = Burau -
+    Id; both come from caches keyed by (beta, family), so calls that
+    differ only in t share them, and both read one cached fold.
     """
     t0 = Fraction(t0)
     if t0 <= 0:
         raise ValueError("t must be positive")
     n = beta.strands
-    E = _minus_identity(beta, family)
-    grp = E.group
+    _burau_rows(beta, family)  # assembly errors come before backend errors
+    grp = family.target(n)
     if method is None:
         if isinstance(grp, Integers):
             method = "roots"
@@ -337,9 +311,9 @@ def fq_value(
         _require_free_abelian(grp, grid)
         est = quadrature_estimate(_symbolic_det(beta, family), t0, grid=grid)
     elif method == "series":
-        est = det_free_group(E, t0, series_len=series_len, accel=accel)
+        est = det_free_group(_minus_identity(beta, family), t0, series_len=series_len, accel=accel)
     elif method == "eps":
-        est = det_epsilon_reg(E, t0)
+        est = det_epsilon_reg(_minus_identity(beta, family), t0)
     else:
         raise ValueError(f"unknown method {method!r}")
     norm = float(max(Fraction(1), t0)) ** n

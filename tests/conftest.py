@@ -10,6 +10,7 @@ from l2burau.braid import BraidWord, is_knot_closure, random_braid
 def fresh_t_free_caches():
     """Empty the (braid, family) caches of torsion before every test, so a
     test that monkeypatches assembly never reads an earlier test's matrix."""
+    torsion._burau_rows.cache_clear()
     torsion._minus_identity.cache_clear()
     torsion._symbolic_det.cache_clear()
 

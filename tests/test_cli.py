@@ -4,7 +4,9 @@ import time
 import pytest
 
 from l2burau import torsion
+from l2burau.braid import BraidWord
 from l2burau.cli import main
+from l2burau.epifamilies import AbelianImage, Identity
 
 BOYD = 1.3813564445184977  # m(1 + x + y) in closed form (Smyth 1981)
 
@@ -132,20 +134,26 @@ def test_fq_twelve_strands_within_budget(capsys):
 
 
 def test_markov_t_sweep_builds_each_stage_once(capsys, monkeypatch):
-    built = []
-    assemble = torsion.reduced_burau
+    folded, expanded = [], []
+    fold, laplace = torsion._burau_fold, torsion._laplace
 
-    def counted(beta, family):
-        built.append(beta.render())
-        return assemble(beta, family)
+    def counted_fold(beta, family):
+        folded.append(beta.render())
+        return fold(beta, family)
 
-    monkeypatch.setattr(torsion, "reduced_burau", counted)
+    def counted_laplace(group, rows):
+        expanded.append(len(rows))
+        return laplace(group, rows)
+
+    monkeypatch.setattr(torsion, "_burau_fold", counted_fold)
+    monkeypatch.setattr(torsion, "_laplace", counted_laplace)
     code, out, _ = run(
         capsys, "markov", "-b", "1 -2 1 -2", "-f", "phi",
         "--moves", "conj:1, stab:+1", "-t", "1/2 2",
     )
     assert code == 0 and out.count("verdict=") == 2
-    assert len(built) == len(set(built)) == 3
+    assert len(folded) == len(set(folded)) == 3
+    assert sorted(expanded) == [2, 2, 3]
 
 
 def test_route_in_diagnostics(capsys):
@@ -204,6 +212,31 @@ def test_backend_error_exit_code(capsys):
     # two-component closure: alexander rejects it after parsing succeeds
     code, _, err = run(capsys, "alexander", "-b", "1", "-n", "3")
     assert code == 3 and "error" in err
+
+
+def test_out_of_range_backend_options_are_argument_errors(capsys):
+    # --grid and --series-len are checked against the library's own limits
+    # and messages before any backend runs, whichever backend the request
+    # reaches; the library keeps raising ValueError on its own
+    with pytest.raises(ValueError) as grid_error:
+        torsion.fq_value(BraidWord(3, (1, 2, 1, 2)), AbelianImage(), 1, grid=63)
+    with pytest.raises(ValueError) as series_error:
+        torsion.fq_value(BraidWord(3, (-1, 2)), Identity(), 1, series_len=7)
+    requests = (
+        ("fq", "-b", "1 2 1 2", "-n", "3", "-f", "ab"),
+        ("fq", "-b", "1", "-f", "phi"),
+        ("fq", "-b", "-1 2", "-f", "id"),
+        ("markov", "-b", "1", "-f", "phi", "--moves", "stab:+1"),
+    )
+    for option, value, error in (
+        ("--grid", "63", grid_error),
+        ("--grid", "0", grid_error),
+        ("--series-len", "7", series_error),
+    ):
+        for argv in requests:
+            assert run(capsys, *argv, option, value) == (2, "", f"error: {error.value}\n")
+    code, out, _ = run(capsys, "fq", "-b", "1", "-f", "phi", "--grid", "64", "--series-len", "8")
+    assert code == 0 and out.startswith("t=1: F = 1")
 
 
 def test_quadrature_grid_budget_fails_fast(capsys):

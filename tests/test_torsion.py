@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_knot_braid
+from oracles import det_at, evaluate, jacobian_matrix, unreduced_burau
 from l2burau import fkdet, torsion
 from l2burau.braid import (
     BraidWord,
@@ -43,7 +44,6 @@ from l2burau.torsion import (
     markov_report,
     reduced_burau,
     render_poly,
-    unreduced_burau,
     verify_block_triangularization,
 )
 
@@ -106,7 +106,7 @@ def test_generator_matrix_agrees_with_fox_route():
             for sign in (1, -1):
                 for fam in (TotalWinding(), AbelianImage(), Identity()):
                     table = generator_matrix(n, i, sign, fam).matrix
-                    fox = torsion._jacobian_matrix(BraidWord(n, (sign * i,)), fam, Basis.G, n - 1)
+                    fox = jacobian_matrix(BraidWord(n, (sign * i,)), fam, Basis.G, n - 1)
                     assert table == fox, (n, i, sign, fam)
 
 
@@ -160,7 +160,7 @@ def test_routes_agree(rng):
             fam = custom_family(n) if family is custom_family else family
             for _ in range(17):
                 b = random_braid(rng, n, 6)
-                fox = torsion._jacobian_matrix(b, fam, Basis.G, n - 1)
+                fox = jacobian_matrix(b, fam, Basis.G, n - 1)
                 assert reduced_burau(b, fam).matrix == fox, (fam, b)
 
 
@@ -174,7 +174,7 @@ def test_walk_figures_depend_on_the_matrix_not_its_term_order(letters, backend):
     # the last bit
     beta = BraidWord(3, letters)
     fold = reduced_burau(beta, Identity()).matrix
-    fox = torsion._jacobian_matrix(beta, Identity(), Basis.G, 2)
+    fox = jacobian_matrix(beta, Identity(), Basis.G, 2)
     assert fold == fox
     eye = GroupRingMatrix.identity(fold.group, 2)
     a, b = backend(fold - eye, 1), backend(fox - eye, 1)
@@ -214,7 +214,7 @@ def test_anti_multiplicativity_symbolic(rng):
         for _ in range(10):
             a = random_braid(rng, n, 5)
             b = random_braid(rng, n, 5)
-            lhs = torsion._jacobian_matrix(compose(a, b), Identity(), Basis.G, n - 1)
+            lhs = jacobian_matrix(compose(a, b), Identity(), Basis.G, n - 1)
             rhs = reduced_burau(a, Identity()).matrix.opposite_mul(
                 reduced_burau(b, twist(Identity(), a)).matrix
             )
@@ -664,14 +664,66 @@ def _count_calls(monkeypatch, owner, name) -> list:
     return calls
 
 
+# --- the fold handed straight to the determinant --------------------------------
+
+HANDOFF_D1 = ((1,), (0,), (2,), (-1,), (3,), (1,))
+HANDOFF_D2 = ((1, 0), (0, 1), (1, 1), (2, -1), (-1, 3), (3, 1))
+
+
+@pytest.mark.parametrize(
+    "name, make, max_strands, max_len",
+    [
+        ("phi", lambda n: TotalWinding(), 7, 40),
+        ("ab", lambda n: AbelianImage(), 4, 10),
+        ("custom-d1", lambda n: AbelianImage(HANDOFF_D1[:n]), 5, 16),
+        ("custom-d2", lambda n: AbelianImage(HANDOFF_D2[:n]), 5, 12),
+    ],
+)
+def test_symbolic_det_of_the_flat_fold_matches_the_matrix_and_the_oracle(
+    name, make, max_strands, max_len
+):
+    # _symbolic_det expands the fold's flat rows without building E; it
+    # must give the determinant of the decoded E, and the Fraction
+    # Gaussian determinant of the Fox jacobian oracle at rational points.
+    # The letter repeated 41 times is one converted column counted 41
+    # times in the dict path's key base.
+    rng = random.Random(f"handoff-{name}")
+    fixed = [
+        BraidWord(1, ()),
+        BraidWord(2, ()),
+        BraidWord(3, ()),
+        BraidWord(2, (-1, -1, 1, -1)),
+        BraidWord(4, (2,) * 41 + (-3, 1, 2)),
+    ]
+    seeded = [
+        random_braid(rng, rng.randint(2, max_strands), rng.randint(0, max_len))
+        for _ in range(24)
+    ]
+    for beta in fixed + seeded:
+        n, fam = beta.strands, make(beta.strands)
+        B = reduced_burau(beta, fam).matrix
+        eye = GroupRingMatrix.identity(B.group, n - 1)
+        D = torsion._symbolic_det(beta, fam)
+        assert D == (B - eye).determinant(), beta.render()
+        if not beta.letters and n > 1:
+            assert D.is_zero()
+        fox = jacobian_matrix(beta, fam, Basis.G, n - 1) - eye
+        dim = 1 if isinstance(B.group, Integers) else B.group.d
+        for sign in (1, -1):
+            z0 = [Fraction(sign * (2 + i), 3 + 2 * i) for i in range(dim)]
+            t0 = Fraction(5, 3) if sign > 0 else Fraction(2, 7)
+            assert evaluate(D, z0, t0) == det_at(fox, z0, t0), beta.render()
+
+
 def test_fq_t_sweep_builds_matrix_and_determinant_once(monkeypatch):
     beta = random_braid(random.Random(7), 7, 24)
     ts = (Fraction(1, 2), Fraction(1), Fraction(2))
-    composed = _count_calls(monkeypatch, torsion, "_compose_matrix")
-    expanded = _count_calls(monkeypatch, GroupRingMatrix, "determinant")
+    folded = _count_calls(monkeypatch, torsion, "_burau_fold")
+    expanded = _count_calls(monkeypatch, torsion, "_laplace")
     sweep = [fq_value(beta, TotalWinding(), t) for t in ts]
-    assert (len(composed), len(expanded)) == (1, 1)
+    assert (len(folded), len(expanded)) == (1, 1)
     for t, got in zip(ts, sweep):
+        torsion._burau_rows.cache_clear()
         torsion._minus_identity.cache_clear()
         torsion._symbolic_det.cache_clear()
         alone = fq_value(beta, TotalWinding(), t)
@@ -681,7 +733,21 @@ def test_fq_t_sweep_builds_matrix_and_determinant_once(monkeypatch):
             alone.estimate.method,
             alone.estimate.diagnostics,
         )
-    assert (len(composed), len(expanded)) == (4, 4)
+    assert (len(folded), len(expanded)) == (4, 4)
+
+
+def test_alexander_then_fq_sweep_folds_once(monkeypatch):
+    # the Alexander polynomial, a t sweep, the matrix and E of one braid
+    # all read one fold and one expansion
+    beta = BraidWord(5, (1, -2, 3, -4) * 3)
+    folded = _count_calls(monkeypatch, torsion, "_burau_fold")
+    expanded = _count_calls(monkeypatch, torsion, "_laplace")
+    alexander_polynomial(beta)
+    for t in (Fraction(1, 2), 1, 2):
+        fq_value(beta, TotalWinding(), t)
+    reduced_burau(beta, TotalWinding())
+    torsion._minus_identity(beta, TotalWinding())
+    assert (len(folded), len(expanded)) == (1, 1)
 
 
 def test_fq_value_reuses_no_backend_result(monkeypatch):
