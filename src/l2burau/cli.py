@@ -118,10 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--grid", type=int, default=128, help="torus grid per axis; quad only")
         sp.add_argument("--series-len", type=int, default=30,
                         help="trace series terms; series only")
-        sp.add_argument("--accel", action="store_true", default=True,
-                        help="fit the series tail (the default); series only")
         sp.add_argument("--no-accel", dest="accel", action="store_false",
-                        help="sum the series terms only; series only")
+                        help="sum the series terms only, without the fitted tail; series only")
 
     sp = sub.add_parser("burau", help="print the reduced Burau matrix")
     common(sp)

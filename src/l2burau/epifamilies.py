@@ -17,7 +17,9 @@ Every family class carries the whole protocol a Markov experiment needs:
   letter at a time.  The total winding is unchanged by it, an abelian
   family permutes its rows (h_alpha(x_i) is a conjugate of x_{pi(i)}, pi
   the strand permutation of alpha), and the identity becomes a twisted
-  :class:`Identity` that keeps the images h_prefix(g_1), ..., h_prefix(g_n);
+  :class:`Identity` that keeps the images h_prefix(g_1), ..., h_prefix(g_n),
+  built by substituting them into the braid-action table of
+  :mod:`l2burau.freegroup`, letter by letter;
 * ``chi_map(alpha)``: a callable chi with Q o h_alpha == chi o Q
   (conjugation square); an abelian family solves C Q(x_i) = Q(x_{pi(i)})
   straight from its rows, so no image word is ever built;
@@ -48,7 +50,15 @@ from fractions import Fraction
 
 from . import braid as braidmod
 from .braid import BraidWord
-from .freegroup import Basis, FreeWord, _act_letter_g, artin_act, change_of_basis, word
+from .freegroup import (
+    Basis,
+    FreeWord,
+    _letter_image,
+    _substitute,
+    artin_act,
+    change_of_basis,
+    winding,
+)
 from .groupring import (
     CoefficientGroup,
     Free,
@@ -99,11 +109,12 @@ class Identity:
     def twist(self, prefix: BraidWord) -> "Identity":
         """self o h_prefix, one letter at a time: artin_act applies the last
         letter first, so h_{pa} = h_p o h_a, and the new image of g_j is the
-        old images substituted into h_a(g_j); h_a moves g_{|a|} alone."""
-        images = self._images(prefix.strands)
+        old images substituted into h_a(g_j); h_a moves g_{|a|} alone, to
+        its entry in the braid-action table."""
+        n = prefix.strands
+        images = self._images(n)
         for a in prefix.letters:
-            moved = _act_letter_g(a, FreeWord.gen(prefix.strands, abs(a)))
-            images[abs(a) - 1] = _substitute(images, moved)
+            images[abs(a) - 1] = _substitute(images, _letter_image(a, n))
         return Identity(images)
 
     def chi_map(self, alpha: BraidWord):
@@ -128,17 +139,6 @@ class Identity:
         return hash((Identity, self.images))
 
 
-def _substitute(images: Sequence[FreeWord], w: FreeWord) -> FreeWord:
-    """The word w with every generator j replaced by images[j-1]."""
-    out: list[tuple[int, int]] = []
-    for g, e in w.syllables:
-        img = images[g - 1]
-        rep = img if e > 0 else img.inverse()
-        for _ in range(abs(e)):
-            out.extend(rep.syllables)
-    return word(w.rank, out)
-
-
 class TotalWinding:
     """Q = total winding onto Z: every x_i to 1, hence g_i to i.
 
@@ -154,9 +154,7 @@ class TotalWinding:
     def apply(self, w: FreeWord, n: int, basis: Basis = Basis.X) -> int:
         if w.rank != n:
             raise ValueError(f"rank {w.rank} does not match strands {n}")
-        if basis is Basis.X:
-            return sum(e for _, e in w.syllables)
-        return sum(g * e for g, e in w.syllables)
+        return winding(w, basis)
 
     def twist(self, prefix: BraidWord) -> "TotalWinding":
         return self

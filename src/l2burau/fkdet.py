@@ -732,7 +732,7 @@ def _trace_moments(
     bit-identical traces however their entries were assembled.
     """
     entries = [
-        [dict(sorted(e.items(), key=lambda wc: _word_key(wc[0]))) for e in row]
+        [dict(sorted(e.items(), key=lambda wc: Free.sort_key(wc[0]))) for e in row]
         for row in entries
     ]
     m = len(entries)
@@ -781,7 +781,7 @@ def _mirror_terms(entries, c: float) -> tuple[np.ndarray, list]:
                         diag[i] -= cw / c
                     elif i < j:
                         terms.append((i, j, -cw / c, w))
-                elif _word_key(w) < _word_key(winv):
+                elif Free.sort_key(w) < Free.sort_key(winv):
                     terms.append((i, j, -cw / c, w))
     return diag, terms
 
@@ -892,12 +892,8 @@ def _walk_matrix(support: list[list[dict[FreeWord, Fraction]]]):
     return out
 
 
-def _word_key(w: FreeWord):
-    return (w.length(), w.syllables)
-
-
 def _sorted_support(words) -> list[FreeWord]:
-    return sorted(set(words), key=_word_key)
+    return sorted(set(words), key=Free.sort_key)
 
 
 def _rewrite_entries(entries):
@@ -982,7 +978,7 @@ def _det_free_single(
         return FKEstimate(0.0, 0.0, "trace_series", {"non_injective": True})
     # a left unitary factor is determinant-neutral and invisible to A*A, so
     # rebase the support at a shortest word before extracting the subgroup
-    w0inv = min(e, key=_word_key).inverse()
+    w0inv = min(e, key=Free.sort_key).inverse()
     shifted = {w0inv * w: c for w, c in e.items()}
     words = _sorted_support(shifted)
     rank, rewritten = fold_subgroup_basis(words)

@@ -7,6 +7,12 @@ generators: the puncture loops x_1..x_n and the nested loops
 g_i = x_1 x_2 ... x_i.  A :class:`Basis` tag says which alphabet a word is
 written in; the total-winding weight of a generator differs between them
 (weight(x_i) = 1, weight(g_i) = i).
+
+The braid action is stated once, as the table :func:`_letter_image` of
+h(g_i) under each Artin generator, and applied by one substitution loop,
+:func:`_substitute`.  The action in either basis, the change of basis, a
+twisted identity family and the Burau column of a letter (the Fox
+derivatives of its image) all read these two.
 """
 
 from __future__ import annotations
@@ -152,28 +158,33 @@ def winding(w: FreeWord, basis: Basis) -> int:
 # --- Fox calculus ---------------------------------------------------------
 
 
-def fox_derivative_terms(u: FreeWord, i: int) -> dict[FreeWord, int]:
-    """The i-th Fox derivative of a word as {group element: integer} terms.
+def _fox_walk(u: FreeWord) -> Iterable[tuple[int, FreeWord, int]]:
+    """One (i, prefix, +-1) per letter of u: the term that letter adds to
+    d(u)/d(x_i).  A prefix that two letters share is the same object.
 
     Defining rules: d(x_j)/d(x_i) = delta_ij, d(x_j^-1)/d(x_i) =
     -delta_ij x_j^-1, and d(uv)/d(x_i) = du/d(x_i) + u dv/d(x_i).
     """
+    syl = u.syllables
+    prefix = FreeWord.identity(u.rank)
+    for idx, (g, e) in enumerate(syl):
+        step = 1 if e > 0 else -1
+        for k in range(1, abs(e) + 1):
+            # u is reduced, so its prefixes are its truncations
+            after = FreeWord(u.rank, syl[:idx] + ((g, step * k),))
+            # d(x_g) adds the prefix before it, d(x_g^-1) the one after it
+            yield g, (prefix if step > 0 else after), step
+            prefix = after
+
+
+def fox_derivative_terms(u: FreeWord, i: int) -> dict[FreeWord, int]:
+    """The i-th Fox derivative of a word as {group element: integer} terms."""
     if not 1 <= i <= u.rank:
         raise ValueError(f"derivative index {i} out of range for rank {u.rank}")
     terms: dict[FreeWord, int] = {}
-    prefix = FreeWord.identity(u.rank)
-    for g, step in u.letters():
-        if step > 0:
-            if g == i:
-                # d(x_i) contributes the running prefix
-                key = prefix
-                terms[key] = terms.get(key, 0) + 1
-            prefix = prefix * FreeWord.gen(u.rank, g)
-        else:
-            prefix = prefix * FreeWord.gen(u.rank, g, -1)
-            if g == i:
-                key = prefix
-                terms[key] = terms.get(key, 0) - 1
+    for g, prefix, step in _fox_walk(u):
+        if g == i:
+            terms[prefix] = terms.get(prefix, 0) + step
     return {k: c for k, c in terms.items() if c}
 
 
@@ -190,70 +201,51 @@ def fox_derivative(u: FreeWord, i: int):
 # --- Artin action ---------------------------------------------------------
 
 
-def _act_letter_x(letter: int, w: FreeWord) -> FreeWord:
-    """One Artin generator acting on an x-basis word."""
-    n = w.rank
+def _letter_image(letter: int, n: int) -> FreeWord:
+    """h(g_i) in the g-basis under sigma_i (letter i) or its inverse (-i).
+
+    g_i is the one nested generator sigma_i^{+-1} moves: sigma_i sends it
+    to g_{i+1} g_i^-1 g_{i-1} and sigma_i^-1 to g_{i-1} g_i^-1 g_{i+1},
+    with g_0 = 1.  This is the only statement of the braid action; every
+    other map and the Burau column of a letter are read from it.
+    """
     i = abs(letter)
-    out: list[tuple[int, int]] = []
-    if letter > 0:
-        xi = ((i, 1),)
-        img_i = ((i, 1), (i + 1, 1), (i, -1))  # x_i -> x_i x_{i+1} x_i^-1
-        img_next = xi  # x_{i+1} -> x_i
-    else:
-        img_i = ((i + 1, 1),)  # x_i -> x_{i+1}
-        img_next = ((i + 1, -1), (i, 1), (i + 1, 1))  # x_{i+1} -> x_{i+1}^-1 x_i x_{i+1}
-    for g, e in w.syllables:
-        if g == i:
-            img = img_i
-        elif g == i + 1:
-            img = img_next
-        else:
-            out.append((g, e))
-            continue
-        rep = img if e > 0 else tuple((a, -x) for a, x in reversed(img))
-        for _ in range(abs(e)):
-            out.extend(rep)
-    return word(n, out)
+    first, last = (i + 1, i - 1) if letter > 0 else (i - 1, i + 1)
+    return FreeWord(n, tuple(p for p in ((first, 1), (i, -1), (last, 1)) if p[0] >= 1))
 
 
-def _act_letter_g(letter: int, w: FreeWord) -> FreeWord:
-    """One Artin generator acting on a g-basis word; only g_i moves."""
-    n = w.rank
-    i = abs(letter)
-    if letter > 0:
-        img = tuple(
-            (g, e) for g, e in ((i + 1, 1), (i, -1), (i - 1, 1)) if g >= 1
-        )  # g_i -> g_{i+1} g_i^-1 g_{i-1}, with g_0 = 1
-    else:
-        img = tuple(
-            (g, e) for g, e in ((i - 1, 1), (i, -1), (i + 1, 1)) if g >= 1
-        )
+def _substitute(images: Sequence[FreeWord], w: FreeWord) -> FreeWord:
+    """The word w with every generator j replaced by images[j-1]."""
     out: list[tuple[int, int]] = []
     for g, e in w.syllables:
-        if g != i:
-            out.append((g, e))
-            continue
-        rep = img if e > 0 else tuple((a, -x) for a, x in reversed(img))
-        for _ in range(abs(e)):
-            out.extend(rep)
-    return word(n, out)
+        img = images[g - 1] if e > 0 else images[g - 1].inverse()
+        out.extend(img.syllables * abs(e))
+    return word(w.rank, out)
 
 
 def artin_act(beta: BraidWord, w: FreeWord, basis: Basis = Basis.X) -> FreeWord:
     """Image of the word under the braid's automorphism of the free group.
 
     The last letter of the braid word acts first, so that
-    artin_act(compose(a, b), w) == artin_act(a, artin_act(b, w)).
+    artin_act(compose(a, b), w) == artin_act(a, artin_act(b, w)).  Each
+    letter substitutes its :func:`_letter_image` into a g-basis word; an
+    x-basis word is rewritten in the g-basis and back.
     """
-    if w.rank != beta.strands:
+    n = w.rank
+    if n != beta.strands:
         raise ValueError(
-            f"word rank {w.rank} does not match strand count {beta.strands}"
+            f"word rank {n} does not match strand count {beta.strands}"
         )
-    act = _act_letter_x if basis is Basis.X else _act_letter_g
+    if basis is Basis.X:
+        w = artin_act(beta, change_of_basis(w, Basis.X, Basis.G), Basis.G)
+        return change_of_basis(w, Basis.G, Basis.X)
+    gens = [FreeWord.gen(n, j) for j in range(1, n + 1)]
     for letter in reversed(beta.letters):
-        if abs(letter) > beta.strands - 1:
+        if abs(letter) > n - 1:
             raise ValueError(f"letter {letter} out of range")
-        w = act(letter, w)
+        images = list(gens)
+        images[abs(letter) - 1] = _letter_image(letter, n)
+        w = _substitute(images, w)
     return w
 
 
@@ -262,16 +254,12 @@ def change_of_basis(w: FreeWord, frm: Basis, to: Basis) -> FreeWord:
     if frm is to:
         return w
     n = w.rank
-    out: list[tuple[int, int]] = []
-    for g, e in w.syllables:
-        if frm is Basis.G:  # g_i = x_1 ... x_i
-            img = tuple((j, 1) for j in range(1, g + 1))
-        else:  # x_i = g_{i-1}^-1 g_i
-            img = tuple(p for p in ((g - 1, -1), (g, 1)) if p[0] >= 1)
-        rep = img if e > 0 else tuple((a, -x) for a, x in reversed(img))
-        for _ in range(abs(e)):
-            out.extend(rep)
-    return word(n, out)
+    if frm is Basis.G:
+        images = [FreeWord(n, tuple((j, 1) for j in range(1, i + 1))) for i in range(1, n + 1)]
+    else:
+        images = [FreeWord(n, tuple(p for p in ((i - 1, -1), (i, 1)) if p[0] >= 1))
+                  for i in range(1, n + 1)]
+    return _substitute(images, w)
 
 
 def random_word(rng, rank: int, length: int) -> FreeWord:

@@ -189,7 +189,8 @@ class Free:
     def render(self, a, letter: str = "g") -> str:
         return a.render(letter)
 
-    def sort_key(self, a):
+    @staticmethod
+    def sort_key(a):
         return (a.length(), a.syllables)
 
 

@@ -12,7 +12,10 @@ this is just the ordinary product).
 
 A reduced Burau matrix is assembled one way, by the rule
 B(alpha beta) = B(alpha) . B_{phi o h_alpha}(beta): a fold of generator
-table matrices whose coefficient family is twisted one letter at a time.
+matrices whose coefficient family is twisted one letter at a time.  A
+generator matrix is the identity but for one column, the Fox derivatives
+of the letter's entry in the braid-action table of
+:mod:`l2burau.freegroup`, so the action is written down in one place.
 The fold hands its entries to the symbolic determinant as flat dicts;
 only the determinant, or a matrix a caller asks for, is decoded into
 group-ring elements.  The Fox jacobian itself is kept by the tests, as
@@ -30,7 +33,7 @@ from typing import Sequence
 from . import braid as braidmod
 from .braid import BraidWord
 from .epifamilies import TotalWinding
-from .freegroup import Basis, FreeWord, winding
+from .freegroup import Basis, _fox_walk, _letter_image, winding
 from .fkdet import (
     FKEstimate,
     _laurent_divide_exact,
@@ -90,33 +93,30 @@ def _check_winding_consistency(rows: list[list[dict]]):
                     raise AssertionError(f"twisting inconsistency: t^{k} against z^{elem}")
 
 
-def _generator_column(n: int, i: int, sign: int, family) -> dict[int, dict]:
-    """Column i of the table matrix of sigma_i^sign, as {row: flat entry}.
+def _generator_column(n: int, letter: int, family) -> dict[int, dict]:
+    """Column |letter| of the Burau matrix of one Artin generator, as
+    {row: flat entry}.
 
-    Only g_i moves under sigma_i^{+-1} in the nested basis: for the
-    positive crossing the column reads (kappa(u), -kappa(u), 1) at rows
-    (i-1, i, i+1) with u = g_{i+1} g_i^{-1}; for the negative crossing it
-    reads (1, -kappa(u), kappa(u)) with u = g_{i-1} g_i^{-1} (g_0 = 1).
-    kappa(u) is the one term t^winding(u) family(u).  Rows outside 1..n-1
-    are clipped.
+    Only g_i, i = |letter|, moves, so every other column is the
+    identity's.  Row r of column i is kappa(d h(g_i) / d g_r), the Fox
+    derivative of the image h(g_i) from the braid-action table
+    (``freegroup._letter_image``), each term u sent to t^winding(u)
+    family(u).  Rows come out in ascending order, and row n (the
+    derivative by g_n) is not part of the reduced matrix.
     """
-    one = {(family.target(n).identity(), 0): 1}
-    if sign > 0:
-        u = FreeWord(n, tuple(p for p in ((i + 1, 1), (i, -1)) if p[0] <= n))
-    else:
-        u = FreeWord(n, tuple(p for p in ((i - 1, 1), (i, -1)) if p[0] >= 1))
-    key = (family.apply(u, n, Basis.G), winding(u, Basis.G))
-    ku, minus_ku = {key: 1}, {key: -1}
-    if sign > 0:
-        column = {i - 1: ku, i: minus_ku, i + 1: one}
-    else:
-        column = {i - 1: one, i: minus_ku, i + 1: ku}
-    return {r: val for r, val in column.items() if 1 <= r <= n - 1}
+    column: dict[int, dict] = {}
+    last = key = None
+    for r, u, c in _fox_walk(_letter_image(letter, n)):
+        if r < n:
+            if u is not last:  # the family is applied once per prefix
+                last, key = u, (family.apply(u, n, Basis.G), winding(u, Basis.G))
+            _flat_add(column.setdefault(r, {}), {key: c})
+    return dict(sorted(column.items()))
 
 
 def generator_matrix(n: int, i: int, sign: int, family) -> BurauMatrix:
-    """The (n-1) x (n-1) table matrix of one Artin generator: the identity
-    with column i replaced by :func:`_generator_column`."""
+    """The (n-1) x (n-1) Burau matrix of the Artin generator sigma_i^sign:
+    the identity with column i replaced by :func:`_generator_column`."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     return reduced_burau(braidmod.braid_word([sign * i], n), family)
@@ -139,10 +139,11 @@ def _burau_fold(beta: BraidWord, family) -> list[list[dict]]:
     so each letter costs O(n) entry products instead of the O(n^3) of a
     full matrix product.
 
-    The column update also bounds the result: every entry of a generator
-    column is one term of coefficient +-1, so an entry of the new column i
-    has l1 norm at most sum_r norms[r], where norms[c] bounds the l1
-    norms of column c; max(norms) caps every coefficient and sets the
+    The column update also bounds the result: a letter's image in the
+    braid-action table uses each generator once, so every entry of a
+    generator column is one term of coefficient +-1, and an entry of the
+    new column i has l1 norm at most sum_r norms[r], where norms[c] bounds
+    the l1 norms of column c; max(norms) caps every coefficient and sets the
     width of the integer path's digits (a far tighter cap than the
     kernel's product over letters).  On the integer path column c of the
     running matrix is stored divided by X^offsets[c], and a letter's
@@ -162,7 +163,7 @@ def _burau_fold(beta: BraidWord, family) -> list[list[dict]]:
             fam = fam.twist(BraidWord(n, (beta.letters[idx - 1],)))
         known = built.get((letter, fam))
         if known is None:
-            col = _generator_column(n, abs(letter), 1 if letter > 0 else -1, fam)
+            col = _generator_column(n, letter, fam)
             known = built[letter, fam] = (abs(letter) - 1, [r - 1 for r in col], list(col.values()))
         letters.append(known)
     norms = [1] * (n - 1)
@@ -204,7 +205,7 @@ def _rows_minus_identity(group, rows: list[list[dict]]) -> list[list[dict]]:
 
 def reduced_burau(beta: BraidWord, family) -> BurauMatrix:
     """The reduced Burau matrix of a braid word over a coefficient family:
-    the per-generator table matrices folded with twisted families, one
+    the generator matrices folded with twisted families, one
     column update per letter (see :func:`_burau_fold`)."""
     mat = _as_matrix(family.target(beta.strands), _burau_rows(beta, family))
     return BurauMatrix(mat, family, beta, Basis.G)
@@ -555,7 +556,7 @@ def verify_block_triangularization(
     grp = Ew.group
     size = n  # reduced size of a braid on n+1 strands
 
-    # D undoes the stabilizing generator: the inverse table matrix
+    # D undoes the stabilizing generator: the inverse generator's matrix
     D = generator_matrix(n + 1, n, -sign, fam).matrix
     # G carries the fundamental formula of Fox calculus in its last row
     rows = []

@@ -26,13 +26,14 @@ from l2burau.epifamilies import (
     twist,
 )
 from l2burau.fkdet import det_integers, mahler_univariate
-from l2burau.freegroup import Basis, FreeWord, parse_word
+from l2burau.freegroup import Basis, FreeWord, parse_word, word
 from l2burau.groupring import (
     Free,
     GroupRingElement,
     GroupRingMatrix,
     Integers,
     TPoly,
+    kappa,
 )
 from l2burau.torsion import (
     Conjugate,
@@ -99,8 +100,39 @@ def test_generator_matrix_determinant_is_t(rng):
                     )
 
 
+def hand_column(n, i, sign, fam):
+    """Independent oracle: column i of the generator matrix of sigma_i^sign,
+    written out by hand.  It reads (kappa u, -kappa u, 1) at rows
+    (i-1, i, i+1) for sigma_i, u = g_{i+1} g_i^-1, and (1, -kappa u,
+    kappa u) for sigma_i^-1, u = g_{i-1} g_i^-1 with g_0 = 1; rows outside
+    1..n-1 are dropped."""
+    near = i + 1 if sign > 0 else i - 1
+    u = word(n, [(near, 1), (i, -1)] if near else [(i, -1)])
+    ku = kappa(u, fam, n, Basis.G)
+    one = GroupRingElement.one(fam.target(n))
+    col = {i - 1: ku, i: -ku, i + 1: one} if sign > 0 else {i - 1: one, i: -ku, i + 1: ku}
+    return {r: e for r, e in col.items() if 1 <= r <= n - 1}
+
+
+def test_generator_matrix_matches_hand_column():
+    rng = random.Random("hand-column")
+    for n in (2, 3, 4, 6, 7):
+        fams = (TotalWinding(), twist(Identity(), random_braid(rng, n, 5)))
+        for i in sorted({1, (n + 1) // 2, n - 1}):
+            for sign in (1, -1):
+                for fam in fams:
+                    grp = fam.target(n)
+                    col = hand_column(n, i, sign, fam)
+                    want = GroupRingMatrix(grp, [
+                        [col.get(r, GroupRingElement.zero(grp)) if c == i
+                         else GroupRingElement.one(grp) if r == c
+                         else GroupRingElement.zero(grp) for c in range(1, n)]
+                        for r in range(1, n)])
+                    assert generator_matrix(n, i, sign, fam).matrix == want, (n, i, sign, fam)
+
+
 def test_generator_matrix_agrees_with_fox_route():
-    # the hardcoded table against the jacobian machinery, all cases
+    # the fold's one-column update against the full Fox jacobian, all cases
     for n in (2, 3, 4, 5):
         for i in range(1, n):
             for sign in (1, -1):
