@@ -3,8 +3,10 @@
 Three backends, one per coefficient group, plus epsilon regularization:
 
 * ``det_integers`` - symbolic one-variable determinant, then the Mahler
-  measure from polynomial roots (exact up to root-finding tolerance;
-  repeated roots are split off exactly first).
+  measure from polynomial roots (exact up to root-finding tolerance).
+  ``UnivariateRoots`` proves P square-free modulo a prime or splits it
+  exactly first, and one solve gives M(P(t .)) at every t; under phi
+  ``torsion.fq_value`` solves only Delta = det / (1 + s + ... + s^(n-1)).
 * ``det_free_abelian`` - symbolic multivariate determinant, then the
   Mahler measure as a midpoint tensor quadrature of log|P| on the torus,
   with grid doublings supplying the error bound.  P is evaluated from its
@@ -47,7 +49,7 @@ import dataclasses
 import itertools
 import operator
 from fractions import Fraction
-from math import exp, fsum, log, sqrt
+from math import exp, fsum, lcm, log, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -121,19 +123,6 @@ def _trimmed(p: list) -> list:
     return p
 
 
-def _laurent_divide_exact(num: dict[int, Fraction], den: dict[int, Fraction]):
-    """Exact Laurent division; returns the quotient or raises."""
-    if not den:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if not num:
-        return {}
-    q, rem = _poly_divmod(_ascending(num), _ascending(den))
-    if rem:
-        raise ArithmeticError("inexact Laurent division")
-    shift = min(num) - min(den)
-    return {k + shift: c for k, c in enumerate(q) if c}
-
-
 def _ascending(coeffs: dict[int, Fraction]) -> list[Fraction]:
     """Coefficients from the lowest power to the highest, gaps as zeros."""
     return [Fraction(coeffs.get(k, 0)) for k in range(min(coeffs), max(coeffs) + 1)]
@@ -169,54 +158,78 @@ def _squarefree_parts(p: list) -> list[tuple[list, int]]:
     return parts
 
 
-def _has_cluster(roots: np.ndarray) -> bool:
-    """Two roots within 1e-4 max(1, |r|) of each other."""
-    gap = np.abs(roots[:, None] - roots[None, :])
-    np.fill_diagonal(gap, np.inf)
-    return bool((gap < 1e-4 * np.maximum(1.0, np.abs(roots))[:, None]).any())
+def _squarefree_mod_p(p: list[int]) -> bool:
+    """True when gcd(p, p') is constant modulo the prime q = 2^61 - 1,
+    which proves p square-free over Q: a repeated integral factor f has
+    lead(f) | lead(p), so for q not dividing lead(p) f keeps its degree mod q
+    and divides p and p' there.  False only means "not proved"."""
+    q = 2**61 - 1
+    if p[-1] % q == 0:
+        return False
+    a = [c % q for c in p]
+    b = _trimmed([k * c % q for k, c in enumerate(p)][1:])
+    while b:
+        inv = pow(b[-1], -1, q)
+        for k in range(len(a) - len(b), -1, -1):
+            f = a[k + len(b) - 1] * inv % q
+            if f:
+                for j, c in enumerate(b):
+                    a[k + j] = (a[k + j] - f * c) % q
+        a, b = b, _trimmed(a[: len(b) - 1])
+    return len(a) == 1
 
 
-def _mahler_from_roots(poly: np.ndarray, roots: np.ndarray) -> tuple[float, float]:
-    """|lead| * prod max(1, |root|) for descending ``poly``, after two
-    Newton polish steps on its ``roots``; returns (value, error_bound)."""
-    dpoly = np.polyder(poly)
-    for _ in range(2):
-        vals = np.polyval(poly, roots)
-        dvals = np.polyval(dpoly, roots)
-        ok = np.abs(dvals) > 1e-30
-        roots[ok] = roots[ok] - vals[ok] / dvals[ok]
-    value = float(abs(poly[0]) * np.prod(np.maximum(1.0, np.abs(roots))))
-    deg = len(poly) - 1
-    return value, value * 5e-12 * (deg + 1) ** 2 + 1e-14
+class UnivariateRoots:
+    """The roots of a Laurent polynomial P, found once, and its Mahler
+    measure M(P(t .)) = |lead| t^hi prod max(1, |r| / t) at every t > 0.
+
+    An m-fold root costs the root finder all but 1/m of its digits, so P
+    is proved square-free (:func:`_squarefree_mod_p`) or else split exactly
+    as lead z^lo prod f_i^i (:func:`_squarefree_parts`; ``multiplicities``
+    lists the i).  Each part is solved by ``np.roots`` and two Newton
+    steps, with relative bound 5e-12 (deg + 1)^2 + 1e-14 / M, i times.
+    """
+
+    def __init__(self, coeffs: dict[int, Fraction | int]):
+        coeffs = {k: c for k, c in coeffs.items() if c}
+        if not coeffs:
+            raise ValueError("zero polynomial has no Mahler measure")
+        self.lo = min(coeffs)
+        p = _ascending(coeffs)
+        scale = lcm(*(c.denominator for c in p))
+        self.multiplicities = None
+        if _squarefree_mod_p([c.numerator * (scale // c.denominator) for c in p]):
+            self.lead, split = 1.0, [(p, 1)]
+        else:
+            self.lead, split = float(abs(p[-1])), _squarefree_parts(p)
+            self.multiplicities = [m for _, m in split]
+        self.parts = []
+        for f, m in split:
+            poly = np.array([float(c) for c in reversed(f)])  # descending
+            roots, dpoly = np.roots(poly), np.polyder(poly)
+            for _ in range(2):
+                vals = np.polyval(poly, roots)
+                dvals = np.polyval(dpoly, roots)
+                ok = np.abs(dvals) > 1e-30
+                roots[ok] = roots[ok] - vals[ok] / dvals[ok]
+            self.parts.append((poly, np.abs(roots), m))
+
+    def at(self, t=1) -> tuple[float, float]:
+        """(M(P(t .)), error bound); t = 1 is the Mahler measure of P."""
+        t = float(t)
+        value, errs = self.lead * t**self.lo, []
+        for poly, radii, m in self.parts:
+            deg = len(poly) - 1
+            v = float(abs(poly[0]) * t**deg * np.prod(np.maximum(1.0, radii / t)))
+            value *= v**m
+            errs.append((v, m * (v * 5e-12 * (deg + 1) ** 2 + 1e-14 if deg else v * 1e-15)))
+        return value, sum(e * (value / v) for v, e in errs)
 
 
 def mahler_univariate(coeffs: dict[int, Fraction]) -> tuple[float, float]:
-    """Mahler measure |lead| * prod max(1, |root|) of a Laurent polynomial.
-
-    Returns (value, error_bound).  A repeated root costs the root finder
-    about half its digits, so when ``np.roots`` returns a cluster P is
-    split exactly into square-free parts P = lead * prod f_i^i (see
-    :func:`_squarefree_parts`) and M(P) = |lead| * prod M(f_i)^i, with
-    the factors' relative bounds summed i times each.
-    """
-    if not coeffs:
-        raise ValueError("zero polynomial has no Mahler measure")
-    lo, hi = min(coeffs), max(coeffs)
-    poly = np.zeros(hi - lo + 1)
-    for k, c in coeffs.items():
-        poly[hi - k] = float(c)  # descending powers for numpy
-    if hi == lo:
-        return float(abs(poly[0])), float(abs(poly[0])) * 1e-15
-    roots = np.roots(poly)
-    if not _has_cluster(roots):
-        return _mahler_from_roots(poly, roots)
-    value, rel = float(abs(poly[0])), 0.0
-    for f, mult in _squarefree_parts(_ascending(coeffs)):
-        fpoly = np.array([float(c) for c in reversed(f)])
-        v, err = _mahler_from_roots(fpoly, np.roots(fpoly))
-        value *= v**mult
-        rel += mult * err / v
-    return value, value * rel
+    """Mahler measure |lead| * prod max(1, |root|) of a Laurent polynomial,
+    as (value, error_bound): the t = 1 case of :class:`UnivariateRoots`."""
+    return UnivariateRoots(coeffs).at(1)
 
 
 def _require_integers(group) -> None:

@@ -13,6 +13,7 @@ def fresh_t_free_caches():
     torsion._burau_rows.cache_clear()
     torsion._minus_identity.cache_clear()
     torsion._symbolic_det.cache_clear()
+    torsion._alexander_roots.cache_clear()
 
 
 def random_knot_braid(rng: random.Random, strands: int, max_len: int) -> BraidWord:

@@ -679,16 +679,49 @@ def test_mahler_univariate_constant():
     assert value == pytest.approx(7.0)
 
 
+GOLDEN = (3 + math.sqrt(5)) / 2  # M(z^2 - 3z + 1), its root outside the circle
+CYCLO6 = (1, -1, 1)  # 1 - z + z^2, roots on the unit circle
+LEHMER_LIKE = (1, -3, 1)  # z^2 - 3z + 1
+
+
+def power_product(*factors):
+    """{exponent: Fraction} of prod f^m over (ascending int coefficients f, m)."""
+    p = [1]
+    for f, m in factors:
+        for _ in range(m):
+            p = [
+                sum(p[i] * f[k - i] for i in range(len(p)) if 0 <= k - i < len(f))
+                for k in range(len(p) + len(f) - 1)
+            ]
+    return {k: Fraction(c) for k, c in enumerate(p) if c}
+
+
 @pytest.mark.parametrize(
     "coeffs, value",
     [
         ({0: 12, 1: -8, 2: -1, 3: 1}, 12.0),  # (z - 2)^2 (z + 3)
         ({0: 1, 1: -2, 2: 3, 3: -2, 4: 1}, 1.0),  # (1 - z + z^2)^2
         ({-2: 1, -1: -2, 0: 3, 1: -2, 2: 1}, 1.0),  # the same, Laurent-shifted
-    ],
+        (power_product((CYCLO6, 4)), 1.0),
+        (power_product(((2, 1), 6)), 64.0),
+        (power_product((LEHMER_LIKE, 4)), GOLDEN**4),
+        (power_product(((-1, 1), 8), ((1, 1), 8), (LEHMER_LIKE, 1)), GOLDEN),
+    ]
+    + [(power_product((LEHMER_LIKE, m), (CYCLO6, 9 - m)), GOLDEN**m) for m in range(1, 9)],
 )
 def test_mahler_univariate_repeated_roots(coeffs, value):
-    # a double root costs np.roots half its digits; the exact square-free
-    # split gets them back
+    # an m-fold root costs np.roots all but 1/m of its digits; the exact
+    # square-free split runs at every multiplicity and gets them back
     got, err = mahler_univariate({k: Fraction(c) for k, c in coeffs.items()})
     assert abs(got - value) <= min(err, 1e-12 * value)
+
+
+def test_lead_divisible_by_the_gate_prime_routes_to_yun():
+    # modulo q = 2^61 - 1 the lead vanishes, so the gate proves nothing and
+    # the exact split decides: (2^61 - 1) z + 1 is square-free
+    q = 2**61 - 1
+    assert not fkdet._squarefree_mod_p([1, q])
+    solve = fkdet.UnivariateRoots({0: 1, 1: q})
+    assert solve.multiplicities == [1]
+    value, err = solve.at(1)
+    assert abs(value - q) <= err

@@ -300,6 +300,40 @@ def test_fq_repeated_roots_hold_their_bound(t0):
     assert abs(v.value - expected) <= min(v.error_bound, 1e-12 * expected)
 
 
+FOUR_TREFOILS = BraidWord(5, (1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4))
+
+
+def test_fq_four_trefoils_is_exact():
+    # the connected sum of four trefoils: Delta = (1 - s + s^2)^4, every
+    # root a fourfold one on the unit circle, so F = 1 at t = 1 and an
+    # integer power of t elsewhere
+    v = fq_value(FOUR_TREFOILS, TotalWinding(), 1)
+    assert abs(v.value - 1.0) <= v.error_bound < 1e-9
+    assert v.estimate.diagnostics == {
+        "degree_span": [0, 12],
+        "cyclotomic_factor": 5,
+        "multiplicities": [4],
+    }
+    for t0 in (Fraction(1, 2), Fraction(2)):
+        v = fq_value(FOUR_TREFOILS, TotalWinding(), t0)
+        k = round(math.log(v.value) / math.log(t0))
+        assert abs(v.value - float(t0) ** k) <= v.error_bound
+
+
+def test_fq_square_free_delta_records_no_split():
+    v = fq_value(BraidWord(3, (1, -2, 1, -2)), TotalWinding(), 1)  # figure eight
+    assert v.estimate.diagnostics == {"degree_span": [-2, 2], "cyclotomic_factor": 3}
+    assert abs(v.value - (3 + math.sqrt(5)) / 2) <= v.error_bound
+
+
+def test_burau_alexander_division_is_checked(monkeypatch):
+    # 1 + 2s is not a multiple of 1 + s: the exact division refuses it
+    det = GroupRingElement(Integers(), {0: TPoly.const(1), 1: TPoly.t_power(1, 2)})
+    monkeypatch.setattr(torsion, "_symbolic_det", lambda beta, family: det)
+    with pytest.raises(AssertionError, match="not divisible"):
+        fq_value(BraidWord(2, (1,)), TotalWinding(), 1)
+
+
 @pytest.mark.parametrize(
     "letters, value, bound",
     [
@@ -748,16 +782,23 @@ def test_symbolic_det_of_the_flat_fold_matches_the_matrix_and_the_oracle(
 
 
 def test_fq_t_sweep_builds_matrix_and_determinant_once(monkeypatch):
+    # one fold, one expansion and one root solve serve every t; no t
+    # substitutes into the determinant or calls the root finder again
     beta = random_braid(random.Random(7), 7, 24)
     ts = (Fraction(1, 2), Fraction(1), Fraction(2))
     folded = _count_calls(monkeypatch, torsion, "_burau_fold")
     expanded = _count_calls(monkeypatch, torsion, "_laplace")
+    solved = _count_calls(monkeypatch, torsion, "UnivariateRoots")
+    substituted = _count_calls(monkeypatch, GroupRingElement, "coefficients_at")
+    found = _count_calls(monkeypatch, np, "roots")
     sweep = [fq_value(beta, TotalWinding(), t) for t in ts]
-    assert (len(folded), len(expanded)) == (1, 1)
+    assert (len(folded), len(expanded), len(solved)) == (1, 1, 1)
+    assert not substituted and len(found) == len(torsion._alexander_roots(beta, TotalWinding()).parts)
     for t, got in zip(ts, sweep):
         torsion._burau_rows.cache_clear()
         torsion._minus_identity.cache_clear()
         torsion._symbolic_det.cache_clear()
+        torsion._alexander_roots.cache_clear()
         alone = fq_value(beta, TotalWinding(), t)
         assert (got.value, got.error_bound, got.estimate.method, got.estimate.diagnostics) == (
             alone.value,
@@ -765,7 +806,7 @@ def test_fq_t_sweep_builds_matrix_and_determinant_once(monkeypatch):
             alone.estimate.method,
             alone.estimate.diagnostics,
         )
-    assert (len(folded), len(expanded)) == (4, 4)
+    assert (len(folded), len(expanded), len(solved)) == (4, 4, 4)
 
 
 def test_alexander_then_fq_sweep_folds_once(monkeypatch):
