@@ -3,10 +3,10 @@
 Three backends, one per coefficient group, plus epsilon regularization:
 
 * ``det_integers`` - symbolic one-variable determinant, then the Mahler
-  measure from polynomial roots (exact up to root-finding tolerance).
-  ``UnivariateRoots`` proves P square-free modulo a prime or splits it
-  exactly first, and one solve gives M(P(t .)) at every t; under phi
-  ``torsion.fq_value`` solves only Delta = det / (1 + s + ... + s^(n-1)).
+  measure from polynomial roots (exact up to root-finding tolerance; P
+  is proved square-free modulo a prime or split exactly first).  Under phi
+  det is one polynomial Q(s), s = z t: 1 + s + ... + s^(m-1) is divided
+  out exactly and one cached solve of the quotient serves every t.
 * ``det_free_abelian`` - symbolic multivariate determinant, then the
   Mahler measure as a midpoint tensor quadrature of log|P| on the torus,
   with grid doublings supplying the error bound.  P is evaluated from its
@@ -46,6 +46,7 @@ reduction of a 2x2 matrix reads det(B) det(A B^-1 D - C).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import operator
 from fractions import Fraction
@@ -159,10 +160,9 @@ def _squarefree_parts(p: list) -> list[tuple[list, int]]:
 
 
 def _squarefree_mod_p(p: list[int]) -> bool:
-    """True when gcd(p, p') is constant modulo the prime q = 2^61 - 1,
-    which proves p square-free over Q: a repeated integral factor f has
-    lead(f) | lead(p), so for q not dividing lead(p) f keeps its degree mod q
-    and divides p and p' there.  False only means "not proved"."""
+    """True when gcd(p, p') mod the prime q = 2^61 - 1 is constant, which
+    proves p square-free over Q: a repeated factor keeps its degree mod q
+    when q does not divide lead(p).  False only means "not proved"."""
     q = 2**61 - 1
     if p[-1] % q == 0:
         return False
@@ -185,10 +185,9 @@ class UnivariateRoots:
 
     An m-fold root costs the root finder all but 1/m of its digits, so P
     is proved square-free (:func:`_squarefree_mod_p`) or else split exactly
-    as lead z^lo prod f_i^i (:func:`_squarefree_parts`; ``multiplicities``
-    lists the i).  Each part is solved by ``np.roots`` and two Newton
-    steps, with relative bound 5e-12 (deg + 1)^2 + 1e-14 / M, i times.
-    """
+    as lead z^lo prod f_i^i (:func:`_squarefree_parts`, ``multiplicities``
+    the i).  Each part gets ``np.roots``, two Newton steps and relative
+    bound 5e-12 (deg + 1)^2 + 1e-14 / M, i times."""
 
     def __init__(self, coeffs: dict[int, Fraction | int]):
         coeffs = {k: c for k, c in coeffs.items() if c}
@@ -249,17 +248,44 @@ def roots_estimate(D: GroupRingElement, t0) -> FKEstimate:
     """The roots backend on a determinant already expanded over Z.
 
     ``D`` is det(M) exact in t, as ``GroupRingMatrix.determinant`` returns
-    it; only t = t0 is substituted here, so one D serves every t.
+    it.  When every term is q z^k t^k (the total-winding family) D is one
+    polynomial Q(s), s = z t, and every t reads M(Q(t0 .)) from the one
+    cached solve of :func:`_winding_roots`; otherwise t = t0 is
+    substituted first.
     """
     t0 = _require_positive(t0)
     _require_integers(D.group)
+    T = D.terms
+    if T and all(c.coeffs.keys() == {k} and c.coeffs[k].denominator == 1 for k, c in T.items()):
+        lo, hi = min(T), max(T)
+        q = tuple(T[k].coeffs[k].numerator if k in T else 0 for k in range(lo, hi + 1))
+        solve, m = _winding_roots(lo, q)
+        diagnostics = {"degree_span": [lo, hi], "cyclotomic_factor": m}
+        if solve.multiplicities:
+            diagnostics["multiplicities"] = list(solve.multiplicities)
+        value, err = solve.at(t0)
+        cyc = float(max(Fraction(1), t0)) ** (m - 1)
+        return FKEstimate(value * cyc, err * cyc, "roots", diagnostics)
     P = D.coefficients_at(t0)
-    diagnostics: dict = {"degree_span": [min(P), max(P)] if P else None}
+    diagnostics = {"degree_span": [min(P), max(P)] if P else None}
     if not P:
         diagnostics["non_injective"] = True
         return FKEstimate(0.0, 0.0, "roots", diagnostics)
     value, err = mahler_univariate(P)
     return FKEstimate(value, err, "roots", diagnostics)
+
+
+@functools.lru_cache(maxsize=4)
+def _winding_roots(lo: int, q: tuple[int, ...]) -> tuple[UnivariateRoots, int]:
+    """The one root solve of Q(s) = sum q_k s^(lo + k), after dividing out
+    the largest 1 + s + ... + s^(m-1) that divides it (m >= n under phi, by
+    the Burau-Alexander formula): its roots lie on the unit circle, so
+    M(Q(t .)) = max(1, t)^(m-1) M(Delta(t .)).  It divides Q iff (1 - s) Q
+    vanishes mod s^m - 1: every residue class of exponents sums to zero."""
+    r = [a - b for a, b in zip(q + (0,), (0,) + q)]
+    m = next(m for m in range(len(q), 0, -1) if not any(sum(r[j::m]) for j in range(m)))
+    delta = _poly_divmod([Fraction(c) for c in q], [Fraction(1)] * m)[0]
+    return UnivariateRoots({lo + k: c for k, c in enumerate(delta)}), m
 
 
 # --- quadrature backend (free abelian) ---------------------------------------

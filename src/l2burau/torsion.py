@@ -36,7 +36,8 @@ from .epifamilies import TotalWinding
 from .freegroup import Basis, _fox_walk, _letter_image, winding
 from .fkdet import (
     FKEstimate,
-    UnivariateRoots,
+    _ascending,
+    _poly_divmod,
     _require_free_abelian,
     _require_integers,
     det_epsilon_reg,
@@ -246,10 +247,9 @@ class FQValue:
 # so a t sweep folds the braid once: reduced_burau, E = Burau - Id and the
 # symbolic determinant all read the flat rows of one fold, and
 # alexander_polynomial and verify_block_triangularization read the same
-# entries; under phi the roots of Delta are found once as well.  Four
-# entries cover the t loops of fq, markov and the CLI.  Nothing that
-# depends on t0, the grid or the series length (an estimate, a walk, a
-# ball) is cached.
+# entries.  Four entries cover the t loops of fq, markov and the CLI.
+# Nothing that depends on t0, the grid or the series length (an estimate,
+# a walk, a ball) is cached.
 @functools.lru_cache(maxsize=4)
 def _burau_rows(beta: BraidWord, family) -> list[list[dict]]:
     """The flat rows of the fold; callers copy before they change one."""
@@ -275,34 +275,6 @@ def _symbolic_det(beta: BraidWord, family) -> GroupRingElement:
     return _laplace(grp, _rows_minus_identity(grp, _burau_rows(beta, family)))
 
 
-def _burau_alexander_quotient(beta: BraidWord, family) -> dict[int, int]:
-    """Delta(s) = Q(s) / (1 + s + ... + s^(n-1)) exactly, Q = det(Burau - Id)
-    under phi read as ints (every term is z^k t^k, so s stands for z t).
-
-    Delta (1 - s^n) = Q (1 - s) = R gives Delta_j = R_j + Delta_(j-n), and
-    the top n coefficients must vanish.  Empty when Q is zero.
-    """
-    Q = {k: int(c.coeffs[k]) for k, c in _symbolic_det(beta, family).terms.items()}
-    if not Q:
-        return {}
-    n, lo = beta.strands, min(Q)
-    q = [Q.get(k, 0) for k in range(lo, max(Q) + 1)]
-    d: list[int] = []
-    for j, (a, b) in enumerate(zip(q + [0], [0] + q)):
-        d.append(a - b + (d[j - n] if j >= n else 0))
-    if any(d[len(d) - n :]):
-        raise AssertionError("det(Burau - Id) is not divisible by 1 + s + ... + s^(n-1)")
-    return {lo + j: c for j, c in enumerate(d[: len(d) - n]) if c}
-
-
-@functools.lru_cache(maxsize=4)
-def _alexander_roots(beta: BraidWord, family) -> UnivariateRoots | None:
-    """The one root solve of a phi braid: the roots of Delta, which give
-    F at every t; None when the determinant vanishes."""
-    delta = _burau_alexander_quotient(beta, family)
-    return UnivariateRoots(delta) if delta else None
-
-
 def fq_value(
     beta: BraidWord,
     family,
@@ -319,9 +291,9 @@ def fq_value(
     ``method`` forces one of roots | quad | series | eps.  Roots and quad
     read the symbolic determinant, series and eps the matrix E = Burau -
     Id; both come from caches keyed by (beta, family), so calls that
-    differ only in t share them, and both read one cached fold.  Roots
-    (under phi) finds the roots of Delta once (:func:`_alexander_roots`),
-    and every t reads F(t) = M(Delta(t .)) / max(1, t) from them.
+    differ only in t share them, and both read one cached fold.  Under phi
+    every t reads M(det(t .)) from one cached root solve, with the factor
+    1 + s + ... + s^(n-1) divided out exactly (``fkdet._winding_roots``).
     """
     t0 = Fraction(t0)
     if t0 <= 0:
@@ -338,7 +310,7 @@ def fq_value(
             method = "series"
     if method == "roots":
         _require_integers(grp)  # before the determinant refuses a free group
-        est = _phi_roots_estimate(beta, family, t0)
+        est = roots_estimate(_symbolic_det(beta, family), t0)
     elif method == "quad":
         _require_free_abelian(grp, grid)
         est = quadrature_estimate(_symbolic_det(beta, family), t0, grid=grid)
@@ -362,22 +334,6 @@ def fq_value(
     )
 
 
-def _phi_roots_estimate(beta: BraidWord, family, t0: Fraction) -> FKEstimate:
-    """M(Q(t0 .)) = max(1, t0)^(n-1) M(Delta(t0 .)) from the cached roots
-    of Delta: the n - 1 roots of 1 + s + ... + s^(n-1) lie on the unit
-    circle, so each contributes exactly max(1, t0)."""
-    delta = _alexander_roots(beta, family)
-    if delta is None:
-        return FKEstimate(0.0, 0.0, "roots", {"degree_span": None, "non_injective": True})
-    terms = _symbolic_det(beta, family).terms
-    diagnostics = {"degree_span": [min(terms), max(terms)], "cyclotomic_factor": beta.strands}
-    if delta.multiplicities:
-        diagnostics["multiplicities"] = list(delta.multiplicities)
-    value, err = delta.at(t0)
-    cyc = float(max(Fraction(1), t0)) ** (beta.strands - 1)
-    return FKEstimate(value * cyc, err * cyc, "roots", diagnostics)
-
-
 # --- Alexander polynomials ----------------------------------------------------
 
 
@@ -399,23 +355,26 @@ def render_poly(coeffs: dict[int, Fraction], var: str = "s") -> str:
     return " ".join([head] + parts[1:])
 
 
-def alexander_polynomial(beta: BraidWord) -> dict[int, int]:
+def alexander_polynomial(beta: BraidWord) -> dict[int, Fraction]:
     """Alexander polynomial of the closure of beta (knot closures only).
 
     Computed from the classical reduced Burau specialization: the
     determinant of (Burau - Id) under the total-winding family collapses
     to one variable, and dividing out 1 + s + ... + s^{n-1} exactly leaves
-    the polynomial (the quotient F is read from, see
-    :func:`_burau_alexander_quotient`), normalized to lowest degree zero
-    with positive leading coefficient.
+    the polynomial, normalized to lowest degree zero with positive leading
+    coefficient.
     """
     if not braidmod.is_knot_closure(beta):
         raise ValueError("closure is not a knot; Alexander backend needs one cycle")
-    quotient = _burau_alexander_quotient(beta, TotalWinding())
-    if not quotient:
+    # under total winding both t and z carry the same exponent, so t = 1
+    # loses nothing: the z-polynomial is the one-variable specialization
+    P = _symbolic_det(beta, TotalWinding()).coefficients_at(1)
+    if not P:
         raise AssertionError("vanishing determinant for a knot closure")
-    lo = min(quotient)
-    out = {k - lo: c for k, c in quotient.items()}
+    q, rem = _poly_divmod(_ascending(P), [Fraction(1)] * beta.strands)
+    if rem:
+        raise AssertionError("det(Burau - Id) is not divisible by 1 + s + ... + s^(n-1)")
+    out = {k: c for k, c in enumerate(q) if c}  # q[0] = P's lowest coefficient
     if out[max(out)] < 0:
         out = {k: -c for k, c in out.items()}
     delta_one = sum(out.values())
@@ -423,7 +382,7 @@ def alexander_polynomial(beta: BraidWord) -> dict[int, int]:
         raise AssertionError("normalization failed: Delta(1) is not a unit")
     deg = max(out)
     for k in range(deg + 1):
-        if out.get(k, 0) != out.get(deg - k, 0):
+        if out.get(k, Fraction(0)) != out.get(deg - k, Fraction(0)):
             raise AssertionError("Alexander polynomial is not palindromic")
     return out
 

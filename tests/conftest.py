@@ -2,18 +2,19 @@ import random
 
 import pytest
 
-from l2burau import torsion
+from l2burau import fkdet, torsion
 from l2burau.braid import BraidWord, is_knot_closure, random_braid
 
 
 @pytest.fixture(autouse=True)
 def fresh_t_free_caches():
-    """Empty the (braid, family) caches of torsion before every test, so a
-    test that monkeypatches assembly never reads an earlier test's matrix."""
+    """Empty the (braid, family) caches of torsion and the root-solve cache
+    of fkdet before every test, so a test that monkeypatches assembly never
+    reads an earlier test's matrix."""
     torsion._burau_rows.cache_clear()
     torsion._minus_identity.cache_clear()
     torsion._symbolic_det.cache_clear()
-    torsion._alexander_roots.cache_clear()
+    fkdet._winding_roots.cache_clear()
 
 
 def random_knot_braid(rng: random.Random, strands: int, max_len: int) -> BraidWord:

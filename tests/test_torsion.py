@@ -326,12 +326,28 @@ def test_fq_square_free_delta_records_no_split():
     assert abs(v.value - (3 + math.sqrt(5)) / 2) <= v.error_bound
 
 
+@pytest.mark.parametrize("letters", [(1, -2, 1, -2, 1), (1, -2, 1, -2), (1, 1, 1)])
+def test_det_integers_reads_the_same_solve_as_fq_value(letters):
+    # det_integers on E = Burau - Id meets the same determinant and the same
+    # exact division as fq_value, so value, bound and diagnostics agree
+    beta = BraidWord(3, letters)
+    E = torsion._minus_identity(beta, TotalWinding())
+    for t0 in (Fraction(1, 2), Fraction(1), Fraction(2)):
+        got = det_integers(E, t0)
+        want = fq_value(beta, TotalWinding(), t0).estimate
+        assert (got.value, got.error_bound, got.diagnostics) == (
+            want.value,
+            want.error_bound,
+            want.diagnostics,
+        )
+
+
 def test_burau_alexander_division_is_checked(monkeypatch):
     # 1 + 2s is not a multiple of 1 + s: the exact division refuses it
     det = GroupRingElement(Integers(), {0: TPoly.const(1), 1: TPoly.t_power(1, 2)})
     monkeypatch.setattr(torsion, "_symbolic_det", lambda beta, family: det)
     with pytest.raises(AssertionError, match="not divisible"):
-        fq_value(BraidWord(2, (1,)), TotalWinding(), 1)
+        alexander_polynomial(BraidWord(2, (1,)))
 
 
 @pytest.mark.parametrize(
@@ -788,17 +804,18 @@ def test_fq_t_sweep_builds_matrix_and_determinant_once(monkeypatch):
     ts = (Fraction(1, 2), Fraction(1), Fraction(2))
     folded = _count_calls(monkeypatch, torsion, "_burau_fold")
     expanded = _count_calls(monkeypatch, torsion, "_laplace")
-    solved = _count_calls(monkeypatch, torsion, "UnivariateRoots")
+    solved = _count_calls(monkeypatch, fkdet, "UnivariateRoots")
     substituted = _count_calls(monkeypatch, GroupRingElement, "coefficients_at")
     found = _count_calls(monkeypatch, np, "roots")
     sweep = [fq_value(beta, TotalWinding(), t) for t in ts]
     assert (len(folded), len(expanded), len(solved)) == (1, 1, 1)
-    assert not substituted and len(found) == len(torsion._alexander_roots(beta, TotalWinding()).parts)
+    parts = len(sweep[0].estimate.diagnostics.get("multiplicities", [1]))
+    assert not substituted and len(found) == parts
     for t, got in zip(ts, sweep):
         torsion._burau_rows.cache_clear()
         torsion._minus_identity.cache_clear()
         torsion._symbolic_det.cache_clear()
-        torsion._alexander_roots.cache_clear()
+        fkdet._winding_roots.cache_clear()
         alone = fq_value(beta, TotalWinding(), t)
         assert (got.value, got.error_bound, got.estimate.method, got.estimate.diagnostics) == (
             alone.value,
