@@ -267,7 +267,7 @@ def roots_estimate(D: GroupRingElement, t0) -> FKEstimate:
         cyc = float(max(Fraction(1), t0)) ** (m - 1)
         return FKEstimate(value * cyc, err * cyc, "roots", diagnostics)
     P = D.coefficients_at(t0)
-    diagnostics = {"degree_span": [min(P), max(P)] if P else None}
+    diagnostics: dict = {"degree_span": [min(P), max(P)] if P else None}
     if not P:
         diagnostics["non_injective"] = True
         return FKEstimate(0.0, 0.0, "roots", diagnostics)
