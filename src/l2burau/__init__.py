@@ -17,7 +17,6 @@ from .braid import (
     braid_word,
     compose,
     conjugate,
-    exponent_sum,
     free_cancel,
     invert,
     is_knot_closure,
@@ -49,7 +48,6 @@ from .freegroup import (
     FreeWord,
     artin_act,
     change_of_basis,
-    fox_derivative,
     parse_word,
     winding,
     word,
@@ -61,8 +59,6 @@ from .groupring import (
     GroupRingMatrix,
     Integers,
     TPoly,
-    kappa,
-    vn_trace,
 )
 from .torsion import (
     BurauMatrix,
@@ -71,13 +67,11 @@ from .torsion import (
     MarkovReport,
     Stabilize,
     alexander_polynomial,
-    conjugation_identity_check,
     fq_value,
     generator_matrix,
     markov_report,
     reduced_burau,
     render_poly,
-    verify_block_triangularization,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

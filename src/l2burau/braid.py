@@ -103,11 +103,6 @@ def stabilize(beta: BraidWord, sign: int, after: bool = False) -> BraidWord:
     return BraidWord(n + 1, letters)
 
 
-def exponent_sum(a: BraidWord) -> int:
-    """Sum of letter signs (the writhe of the closed diagram)."""
-    return sum(1 if x > 0 else -1 for x in a.letters)
-
-
 def permutation(beta: BraidWord) -> tuple[int, ...]:
     """Image of beta under B_n -> S_n, sigma_i -> (i, i+1).
 

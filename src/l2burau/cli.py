@@ -101,15 +101,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, family=True):
+        """The shared options; returns the exclusive group of --json."""
         sp.add_argument("-b", "--braid", required=True, help="whitespace-separated letters")
         sp.add_argument("-n", "--strands", type=int, default=None)
         if family:
             sp.add_argument(
                 "-f", "--family", default="phi", help="id | phi | ab | custom:<file>"
             )
-        sp.add_argument("--json", action="store_true", help="emit JSON")
-        sp.add_argument("--csv", action="store_true", help="emit CSV where meaningful")
         sp.add_argument("-o", "--output", default=None, help="write to a file")
+        fmt = sp.add_mutually_exclusive_group()
+        fmt.add_argument("--json", action="store_true", help="emit JSON")
+        return fmt
 
     def backend_options(sp):
         # eps always runs its fixed 60-term, tail-fitted series, so reads none
@@ -125,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("fq", help="evaluate det^r(Burau - Id)/max(1,t)^n")
-    common(sp)
+    common(sp).add_argument("--csv", action="store_true", help="emit CSV")
     sp.add_argument("-t", "--t-values", default="1", help="positive rationals, e.g. '1/2 1 2'")
     backend_options(sp)
 

@@ -59,14 +59,7 @@ from .freegroup import (
     change_of_basis,
     winding,
 )
-from .groupring import (
-    CoefficientGroup,
-    Free,
-    FreeAbelian,
-    GroupRingElement,
-    GroupRingMatrix,
-    Integers,
-)
+from .groupring import CoefficientGroup, Free, FreeAbelian, Integers, _laplace
 
 
 class Identity:
@@ -313,12 +306,11 @@ def family_by_name(tag: str) -> EpiFamily:
         return AbelianImage()
     if tag.startswith("custom:"):
         path = tag.split(":", 1)[1]
-        rows = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append([int(x) for x in line.split()])
+        try:
+            with open(path) as fh:
+                rows = [[int(x) for x in line.split()] for line in fh if line.strip()]
+        except OSError as exc:
+            raise ValueError(f"cannot read custom family file {path!r}: {exc.strerror}") from None
         fam = AbelianImage(rows)
         index = _lattice_index(fam.rows)
         if index != 1:
@@ -331,12 +323,12 @@ def family_by_name(tag: str) -> EpiFamily:
 
 
 def _lattice_index(rows) -> int:
-    """gcd of the d x d minors of integer rows: 1 exactly when they span Z^d."""
-    one = GroupRingElement.one(Integers())
+    """gcd of the d x d minors of integer rows: 1 exactly when they span Z^d.
+    A minor of constant flat entries has the one key (identity, t^0)."""
     index = 0
     for sub in itertools.combinations(rows, len(rows[0])):
-        minor = GroupRingMatrix(Integers(), [[one.scale(x) for x in row] for row in sub])
-        index = math.gcd(index, int(minor.determinant().vn_trace().evaluate(1)))
+        minor = _laplace(Integers(), [[{(0, 0): x} if x else {} for x in row] for row in sub])
+        index = math.gcd(index, minor.get((0, 0), 0))
     return index
 
 

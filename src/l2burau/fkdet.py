@@ -16,10 +16,11 @@ Three backends, one per coefficient group, plus epsilon regularization:
 
   Both take a matrix and expand its determinant, exact in t, before they
   substitute t = t0.  Their polynomial-level entry points
-  ``roots_estimate(D, t0)`` and ``quadrature_estimate(D, t0, grid)``
-  start from that determinant D instead, with the same checks and
-  messages, so a caller evaluating one matrix at several t expands it
-  once (``torsion.fq_value`` does).
+  ``roots_estimate(group, D, t0)`` and ``quadrature_estimate(group, D,
+  t0, grid)`` start from that determinant instead, the flat dict D =
+  {(group element, t exponent): coefficient} that ``groupring._laplace``
+  returns, with the same checks and messages, so a caller evaluating one
+  matrix at several t expands it once (``torsion.fq_value`` does).
 * ``det_free_group`` - a von Neumann trace series for log det.  Traces
   tr((Id - B/c)^k) are computed by propagating a vector over a
   radius-truncated ball of a free group (numbered in suffix order, so a
@@ -59,11 +60,13 @@ from .freegroup import FreeWord, word as make_word
 from .groupring import (
     Free,
     FreeAbelian,
-    GroupRingElement,
     GroupRingMatrix,
     Integers,
+    _at,
+    _flat,
     _flat_add,
     _flat_addmul,
+    _laplace,
 )
 
 
@@ -241,24 +244,26 @@ def det_integers(M: GroupRingMatrix, t0) -> FKEstimate:
     _require_square(M)
     _require_positive(t0)
     _require_integers(M.group)
-    return roots_estimate(M.determinant(), t0)
+    D = _laplace(M.group, [[_flat(e) for e in row] for row in M.entries])
+    return roots_estimate(M.group, D, t0)
 
 
-def roots_estimate(D: GroupRingElement, t0) -> FKEstimate:
+def roots_estimate(group, D: dict, t0) -> FKEstimate:
     """The roots backend on a determinant already expanded over Z.
 
-    ``D`` is det(M) exact in t, as ``GroupRingMatrix.determinant`` returns
-    it.  When every term is q z^k t^k (the total-winding family) D is one
+    ``D`` is det(M) exact in t, as the flat dict {(z exponent, t
+    exponent): coefficient} of ``groupring._laplace``.  When every term is
+    q z^k t^k with q an integer (the total-winding family) D is one
     polynomial Q(s), s = z t, and every t reads M(Q(t0 .)) from the one
     cached solve of :func:`_winding_roots`; otherwise t = t0 is
     substituted first.
     """
     t0 = _require_positive(t0)
-    _require_integers(D.group)
-    T = D.terms
-    if T and all(c.coeffs.keys() == {k} and c.coeffs[k].denominator == 1 for k, c in T.items()):
-        lo, hi = min(T), max(T)
-        q = tuple(T[k].coeffs[k].numerator if k in T else 0 for k in range(lo, hi + 1))
+    _require_integers(group)
+    # an integral Fraction counts too: a rational matrix can have one
+    if D and all(g == k and c.denominator == 1 for (g, k), c in D.items()):
+        lo, hi = min(g for g, _ in D), max(g for g, _ in D)
+        q = tuple(D.get((k, k), 0) for k in range(lo, hi + 1))
         solve, m = _winding_roots(lo, q)
         diagnostics = {"degree_span": [lo, hi], "cyclotomic_factor": m}
         if solve.multiplicities:
@@ -266,7 +271,7 @@ def roots_estimate(D: GroupRingElement, t0) -> FKEstimate:
         value, err = solve.at(t0)
         cyc = float(max(Fraction(1), t0)) ** (m - 1)
         return FKEstimate(value * cyc, err * cyc, "roots", diagnostics)
-    P = D.coefficients_at(t0)
+    P = _at(D, t0)
     diagnostics: dict = {"degree_span": [min(P), max(P)] if P else None}
     if not P:
         diagnostics["non_injective"] = True
@@ -358,18 +363,19 @@ def det_free_abelian(M: GroupRingMatrix, t0, grid: int = 128) -> FKEstimate:
     _require_square(M)
     _require_positive(t0)
     _require_free_abelian(M.group, grid)
-    return quadrature_estimate(M.determinant(), t0, grid)
+    D = _laplace(M.group, [[_flat(e) for e in row] for row in M.entries])
+    return quadrature_estimate(M.group, D, t0, grid)
 
 
-def quadrature_estimate(D: GroupRingElement, t0, grid: int = 128) -> FKEstimate:
+def quadrature_estimate(group, D: dict, t0, grid: int = 128) -> FKEstimate:
     """The quadrature backend on a determinant already expanded over Z^d.
 
-    ``D`` is det(M) exact in t; only t = t0 is substituted here, so one D
-    serves every t.
+    ``D`` is det(M) exact in t, as the flat dict of ``groupring._laplace``;
+    only t = t0 is substituted here, so one D serves every t.
     """
     t0 = _require_positive(t0)
-    _require_free_abelian(D.group, grid)
-    P0 = D.coefficients_at(t0)
+    _require_free_abelian(group, grid)
+    P0 = _at(D, t0)
     if not P0:
         return FKEstimate(0.0, 0.0, "quadrature", {"non_injective": True})
     P, d = _drop_unused_axes(P0)

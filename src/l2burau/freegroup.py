@@ -177,27 +177,6 @@ def _fox_walk(u: FreeWord) -> Iterable[tuple[int, FreeWord, int]]:
             prefix = after
 
 
-def fox_derivative_terms(u: FreeWord, i: int) -> dict[FreeWord, int]:
-    """The i-th Fox derivative of a word as {group element: integer} terms."""
-    if not 1 <= i <= u.rank:
-        raise ValueError(f"derivative index {i} out of range for rank {u.rank}")
-    terms: dict[FreeWord, int] = {}
-    for g, prefix, step in _fox_walk(u):
-        if g == i:
-            terms[prefix] = terms.get(prefix, 0) + step
-    return {k: c for k, c in terms.items() if c}
-
-
-def fox_derivative(u: FreeWord, i: int):
-    """Fox derivative packaged as a group-ring element over Free(rank)."""
-    from . import groupring  # deferred: groupring imports this module
-
-    return groupring.GroupRingElement(
-        groupring.Free(u.rank),
-        {k: groupring.TPoly.const(c) for k, c in fox_derivative_terms(u, i).items()},
-    )
-
-
 # --- Artin action ---------------------------------------------------------
 
 

@@ -5,6 +5,9 @@ positive real parameter t with rational coefficients and g belongs to one
 of three computable coefficient groups: the integers, a free abelian group,
 or a free group.  Keeping t symbolic makes the Markov-move identities exact;
 numbers enter only when a determinant backend substitutes a value for t.
+The pipeline hands flat {(group element, t exponent): coefficient} dicts
+from the Burau fold through the determinant to the backends (see the flat
+kernel below); elements and matrices are for printing, JSON and callers.
 
 Group elements are stored as canonical reduced representatives (an int, an
 integer tuple, or a reduced FreeWord) and used directly as mapping keys, so
@@ -19,7 +22,7 @@ import operator
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .freegroup import Basis, FreeWord, winding
+from .freegroup import FreeWord
 
 
 RationalLike = Fraction | int
@@ -255,7 +258,7 @@ class GroupRingElement:
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         ((a,), (b,)), shifts, ring = _kernel(self.group, [[_flat(self)], [_flat(other)]])
-        return ring.element(ring.addmul(ring.zero(), a, b), sum(shifts))
+        return _unflat(self.group, ring.flat(ring.addmul(ring.zero(), a, b), sum(shifts)))
 
     def scale(self, c: TPoly | RationalLike) -> "GroupRingElement":
         if not isinstance(c, TPoly):
@@ -270,28 +273,9 @@ class GroupRingElement:
             self.group, {self.group.inv(g): c for g, c in self.terms.items()}
         )
 
-    def augmentation(self) -> TPoly:
-        out = TPoly.zero()
-        for c in self.terms.values():
-            out = out + c
-        return out
-
-    def vn_trace(self) -> TPoly:
-        """Coefficient of the identity element."""
-        for g, c in self.terms.items():
-            if self.group.is_identity(g):
-                return c
-        return TPoly.zero()
-
     def coefficients_at(self, t0: RationalLike) -> dict:
-        """{group element: Fraction} after substituting t = t0."""
-        t0 = Fraction(t0)
-        out = {}
-        for g, c in self.terms.items():
-            v = c.evaluate(t0)
-            if v:
-                out[g] = v
-        return out
+        """{group element: Fraction} after substituting t = t0 (see :func:`_at`)."""
+        return _at(_flat(self), t0)
 
     def __eq__(self, other) -> bool:
         return (
@@ -377,10 +361,11 @@ class GroupRingElement:
 #   wider than the sparse support, so only a one-dimensional box is ever
 #   packed into an int.
 #
-# The Burau fold returns flat dicts (ring.flat) and _laplace, the one
-# determinant routine, takes them, so the fold's entries reach the
-# Laplace expansion without ever becoming GroupRingElements; only the
-# determinant is decoded (ring.element).
+# The Burau fold returns flat dicts (ring.flat), and _laplace, the one
+# determinant routine, takes them and returns one, so the fold's entries
+# reach the determinant backends without ever becoming GroupRingElements.
+# _at substitutes t = t0 into a flat dict; GroupRingMatrix.determinant is
+# the one place a determinant is decoded into an element.
 
 
 def _flat(e: GroupRingElement) -> dict:
@@ -398,6 +383,19 @@ def _unflat(group: CoefficientGroup, d: dict) -> GroupRingElement:
     for (g, k), c in d.items():
         terms.setdefault(g, {})[k] = Fraction(c)
     return GroupRingElement(group, {g: TPoly._wrap(cs) for g, cs in terms.items()})
+
+
+def _at(d: dict, t0: RationalLike) -> dict:
+    """{group element: Fraction} of a flat dict after substituting t = t0 > 0,
+    elements in the order of first appearance.  The values are Fractions
+    even where every coefficient is an int, so callers divide exactly."""
+    t0 = Fraction(t0)
+    if t0 <= 0:
+        raise ValueError("t must be positive")
+    out: dict = {}
+    for (g, k), c in d.items():
+        out[g] = out.get(g, 0) + c * t0**k
+    return {g: v for g, v in out.items() if v}
 
 
 def _flat_add(acc: dict, a: dict, sign: int = 1) -> None:
@@ -443,16 +441,7 @@ def _from_coords(group: CoefficientGroup, v: list):
     return FreeWord.gen(group.rank, 1, v[0])
 
 
-class _Ring:
-    """What both representations share: ``flat(acc, offset)`` gives the
-    flat dict {(group element, t exponent): coefficient} of X^offset times
-    acc, and ``element`` decodes that dict into a GroupRingElement."""
-
-    def element(self, acc, offset: int) -> GroupRingElement:
-        return _unflat(self.group, self.flat(acc, offset))
-
-
-class _DictRing(_Ring):
+class _DictRing:
     """Entries as flat dicts; the product of two keys is ``mul``, and
     ``unpack`` maps an accumulator's keys back to (element, exponent)
     pairs.  ``one`` is a single shared dict, so callers read it and never
@@ -460,8 +449,8 @@ class _DictRing(_Ring):
 
     zero = staticmethod(dict)
 
-    def __init__(self, group: CoefficientGroup, mul, one_key, unpack=None):
-        self.group, self.mul, self.unpack = group, mul, unpack
+    def __init__(self, mul, one_key, unpack=None):
+        self.mul, self.unpack = mul, unpack
         self.one = {one_key: 1}
 
     def addmul(self, acc: dict, a: dict, b: dict, sign: int = 1) -> dict:
@@ -478,7 +467,7 @@ class _DictRing(_Ring):
         return acc if unpack is None else {unpack(k): c for k, c in acc.items()}
 
 
-class _IntRing(_Ring):
+class _IntRing:
     """Entries as ints: a polynomial in X = the line's generator u,
     evaluated at X = 2^bits."""
 
@@ -576,9 +565,9 @@ def _kernel(group: CoefficientGroup, rows: list[list[dict]], bound: int | None =
     but counted in the bounds as often as it occurs.  Returns the rows in
     the ring's representation, each row's shift, and the ring, with
     ``zero()``, ``one``, ``addmul(acc, a, b, sign)`` returning acc + sign
-    * a * b, ``shift(x, k)`` = x * X^k, ``flat(acc, offset)``, which
-    turns acc times X^offset back into a flat dict, and ``element(acc,
-    offset)``, the same as an element.  On the integer path a row's
+    * a * b, ``shift(x, k)`` = x * X^k, and ``flat(acc, offset)``, which
+    turns acc times X^offset back into a flat dict {(group element, t
+    exponent): coefficient}.  On the integer path a row's
     entries are stored divided by X^shift, so a product of one entry per
     row carries the sum of their shifts; on the dict path every shift is
     0.
@@ -611,7 +600,7 @@ def _kernel(group: CoefficientGroup, rows: list[list[dict]], bound: int | None =
     if not is_commutative(group):
         gmul = group.mul
         return rows, shifts, _DictRing(
-            group, lambda a, b: (gmul(a[0], b[0]), a[1] + b[1]), (group.identity(), 0)
+            lambda a, b: (gmul(a[0], b[0]), a[1] + b[1]), (group.identity(), 0)
         )
     vrows = [
         [{(*_coords(group, g), k): c for (g, k), c in d.items()} for d in row]
@@ -641,24 +630,12 @@ def _kernel(group: CoefficientGroup, rows: list[list[dict]], bound: int | None =
         return _from_coords(group, v[:-1]), v[-1]
 
     packed = [[{pack(v): c for v, c in d.items()} for d in row] for row in vrows]
-    return [packed[p] for p in picks], shifts, _DictRing(group, operator.add, 0, unpack)
+    return [packed[p] for p in picks], shifts, _DictRing(operator.add, 0, unpack)
 
 
-def vn_trace(x) -> TPoly:
-    """Von Neumann trace of an element or of a square matrix (diagonal sum)."""
-    if isinstance(x, GroupRingMatrix):
-        if x.rows != x.cols:
-            raise ValueError("trace needs a square matrix")
-        out = TPoly.zero()
-        for i in range(x.rows):
-            out = out + x.entries[i][i].vn_trace()
-        return out
-    return x.vn_trace()
-
-
-def _laplace(group: CoefficientGroup, rows: list[list[dict]]) -> GroupRingElement:
+def _laplace(group: CoefficientGroup, rows: list[list[dict]]) -> dict:
     """The determinant of a square matrix of flat entries over a
-    commutative group, exact in t.
+    commutative group, exact in t, as a flat dict.
 
     Laplace expansion along rows, shared over column subsets: the minor
     on the last n - r rows and the columns outside a mask of r columns is
@@ -669,7 +646,7 @@ def _laplace(group: CoefficientGroup, rows: list[list[dict]]) -> GroupRingElemen
     Exponential in n, fine for the small matrices here.
 
     The entries are converted once into the kernel's ring (see
-    ``_kernel``) and only the final sum is turned back into an element.
+    ``_kernel``) and only the final sum is turned back into a flat dict.
     When every coefficient is an integer and every exponent vector (group
     coordinates, t) lies on one line, as under phi, each entry is one int:
     its row's polynomial in the line's generator, shifted by the row's
@@ -705,30 +682,7 @@ def _laplace(group: CoefficientGroup, rows: list[list[dict]]) -> GroupRingElemen
                 sign = -sign
             here[mask] = acc
         below = here
-    return ring.element(below[0], sum(shifts))
-
-
-# --- kappa: the t-twisting ring map ---------------------------------------
-
-
-def kappa(
-    w: FreeWord,
-    family,
-    n: int,
-    basis: Basis = Basis.G,
-    coeff: TPoly | RationalLike = 1,
-) -> GroupRingElement:
-    """Send a free word to coeff * t^winding(w) * family(w).
-
-    ``family`` is any epimorphism family object exposing ``target(n)`` and
-    ``apply(word, n, basis)``; the winding exponent is computed from the
-    word in its own basis (x-letters weigh 1, g-letters weigh their index).
-    """
-    if not isinstance(coeff, TPoly):
-        coeff = TPoly.const(coeff)
-    grp = family.target(n)
-    elem = family.apply(w, n, basis)
-    return GroupRingElement(grp, {elem: coeff * TPoly.t_power(winding(w, basis))})
+    return ring.flat(below[0], sum(shifts))
 
 
 # --- Matrices --------------------------------------------------------------
@@ -817,7 +771,7 @@ class GroupRingMatrix:
                     if opposite:
                         x, y = y, x
                     acc = ring.addmul(acc, x, y)
-                row.append(ring.element(acc, sum(shifts)))
+                row.append(_unflat(self.group, ring.flat(acc, sum(shifts))))
             out.append(row)
         return GroupRingMatrix(self.group, out)
 
@@ -839,10 +793,12 @@ class GroupRingMatrix:
     def determinant(self) -> GroupRingElement:
         """Exact symbolic determinant in t; commutative coefficient groups
         only.  The entries are flattened and expanded by :func:`_laplace`,
-        the one determinant routine, which the Burau path also calls."""
+        the one determinant routine, whose flat result is decoded here and
+        nowhere else."""
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
-        return _laplace(self.group, [[_flat(e) for e in row] for row in self.entries])
+        rows = [[_flat(e) for e in row] for row in self.entries]
+        return _unflat(self.group, _laplace(self.group, rows))
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -16,10 +16,13 @@ matrices whose coefficient family is twisted one letter at a time.  A
 generator matrix is the identity but for one column, the Fox derivatives
 of the letter's entry in the braid-action table of
 :mod:`l2burau.freegroup`, so the action is written down in one place.
-The fold hands its entries to the symbolic determinant as flat dicts;
-only the determinant, or a matrix a caller asks for, is decoded into
-group-ring elements.  The Fox jacobian itself is kept by the tests, as
-the oracle the fold is compared against.
+The fold hands its entries to the symbolic determinant as flat dicts,
+and the determinant reaches the roots and quadrature backends and the
+Alexander polynomial as one; only a matrix a caller asks for (``burau``
+output, E for the free-group backends) is decoded into group-ring
+elements.  The Fox jacobian and the proof-level identities (block
+triangularization under stabilization, the conjugation identity) are
+kept by the tests, as oracles the pipeline is checked against.
 """
 
 from __future__ import annotations
@@ -42,16 +45,14 @@ from .fkdet import (
     _require_integers,
     det_epsilon_reg,
     det_free_group,
-    det_integers,
     quadrature_estimate,
     roots_estimate,
 )
 from .groupring import (
     FreeAbelian,
-    GroupRingElement,
     GroupRingMatrix,
     Integers,
-    TPoly,
+    _at,
     _flat_add,
     _kernel,
     _laplace,
@@ -246,8 +247,8 @@ class FQValue:
 # Everything before t = t0 is substituted depends only on (braid, family),
 # so a t sweep folds the braid once: reduced_burau, E = Burau - Id and the
 # symbolic determinant all read the flat rows of one fold, and
-# alexander_polynomial and verify_block_triangularization read the same
-# entries.  Four entries cover the t loops of fq, markov and the CLI.
+# alexander_polynomial reads the same determinant.  Four entries cover
+# the t loops of fq, markov and the CLI.
 # Nothing that depends on t0, the grid or the series length (an estimate,
 # a walk, a ball) is cached.
 @functools.lru_cache(maxsize=4)
@@ -261,16 +262,17 @@ def _burau_rows(beta: BraidWord, family) -> list[list[dict]]:
 
 @functools.lru_cache(maxsize=4)
 def _minus_identity(beta: BraidWord, family) -> GroupRingMatrix:
-    """E = Burau(beta) - Id, for the free-group backends and the checks."""
+    """E = Burau(beta) - Id, for the free-group backends."""
     grp = family.target(beta.strands)
     return _as_matrix(grp, _rows_minus_identity(grp, _burau_rows(beta, family)))
 
 
 @functools.lru_cache(maxsize=4)
-def _symbolic_det(beta: BraidWord, family) -> GroupRingElement:
-    """det(E), exact in t, expanded from the flat rows without building E;
-    built only when a caller asks (roots, quad, the Alexander polynomial,
-    the stabilization check)."""
+def _symbolic_det(beta: BraidWord, family) -> dict:
+    """det(E), exact in t, expanded from the flat rows without building E,
+    as the flat dict {(group element, t exponent): coefficient} of
+    ``groupring._laplace``; built only when a caller asks (roots, quad,
+    the Alexander polynomial), who reads it and never changes it."""
     grp = family.target(beta.strands)
     return _laplace(grp, _rows_minus_identity(grp, _burau_rows(beta, family)))
 
@@ -310,10 +312,10 @@ def fq_value(
             method = "series"
     if method == "roots":
         _require_integers(grp)  # before the determinant refuses a free group
-        est = roots_estimate(_symbolic_det(beta, family), t0)
+        est = roots_estimate(grp, _symbolic_det(beta, family), t0)
     elif method == "quad":
         _require_free_abelian(grp, grid)
-        est = quadrature_estimate(_symbolic_det(beta, family), t0, grid=grid)
+        est = quadrature_estimate(grp, _symbolic_det(beta, family), t0, grid=grid)
     elif method == "series":
         est = det_free_group(_minus_identity(beta, family), t0, series_len=series_len, accel=accel)
     elif method == "eps":
@@ -368,7 +370,7 @@ def alexander_polynomial(beta: BraidWord) -> dict[int, Fraction]:
         raise ValueError("closure is not a knot; Alexander backend needs one cycle")
     # under total winding both t and z carry the same exponent, so t = 1
     # loses nothing: the z-polynomial is the one-variable specialization
-    P = _symbolic_det(beta, TotalWinding()).coefficients_at(1)
+    P = _at(_symbolic_det(beta, TotalWinding()), 1)
     if not P:
         raise AssertionError("vanishing determinant for a knot closure")
     q, rem = _poly_divmod(_ascending(P), [Fraction(1)] * beta.strands)
@@ -510,172 +512,4 @@ def markov_report(
         stages=stages,
         verdict="violation" if violation else "invariant",
         max_deviation=max_dev,
-    )
-
-
-# --- proof-level identity checks ------------------------------------------------
-
-
-@dataclasses.dataclass
-class BlockTriangReport:
-    braid: BraidWord
-    sign: int
-    lower_left_zero: bool
-    top_block_matches: bool
-    corner_matches: bool
-    determinant_identity_ok: bool
-    determinant_residuals: dict
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.lower_left_zero
-            and self.top_block_matches
-            and self.corner_matches
-            and self.determinant_identity_ok
-        )
-
-
-def verify_block_triangularization(
-    beta: BraidWord, sign: int, t_checks: Sequence = (Fraction(1, 2), 1, 2)
-) -> BlockTriangReport:
-    """Check the stabilization bookkeeping behind the second Markov move.
-
-    For w = stabilize(beta, sign) over the total-winding family, compose
-    (Burau(w) - Id) on the left with the inverse generator matrix D and
-    then with the fundamental-formula matrix G (identity rows except the
-    last, which holds kappa(g_j) - 1).  The result must be block upper
-    triangular with the original (Burau(beta) - Id) as its top-left block
-    and a known corner entry.  Numerically, the determinants must satisfy
-    max(1,t)^n * t * det(Burau(w) - Id) = max(1,t)^(n+1) * det(Burau(beta) - Id)
-    for the negative crossing, and the same with t replaced by 1/t on both
-    sides for the positive crossing.
-    """
-    n = beta.strands
-    fam = TotalWinding()
-    w = braidmod.stabilize(beta, sign)
-    Ew, Eb = _minus_identity(w, fam), _minus_identity(beta, fam)
-    grp = Ew.group
-    size = n  # reduced size of a braid on n+1 strands
-
-    # D undoes the stabilizing generator: the inverse generator's matrix
-    D = generator_matrix(n + 1, n, -sign, fam).matrix
-    # G carries the fundamental formula of Fox calculus in its last row
-    rows = []
-    for r in range(size):
-        row = []
-        for ccol in range(size):
-            if r < size - 1:
-                row.append(
-                    GroupRingElement.one(grp)
-                    if r == ccol
-                    else GroupRingElement.zero(grp)
-                )
-            else:
-                j = ccol + 1
-                term = GroupRingElement(
-                    grp, {j: TPoly.t_power(j), 0: TPoly.const(-1)}
-                )
-                row.append(term)
-        rows.append(row)
-    G = GroupRingMatrix(grp, rows)
-
-    Y = G * (D * Ew)
-
-    lower_left_zero = all(Y.entries[size - 1][j].is_zero() for j in range(size - 1))
-    top_ok = all(
-        Y.entries[i][j] == Eb.entries[i][j]
-        for i in range(n - 1)
-        for j in range(n - 1)
-    )
-    if sign < 0:
-        expected_corner = GroupRingElement(
-            grp, {n + 1: TPoly.t_power(n + 1), 0: TPoly.const(-1)}
-        )
-    else:
-        expected_corner = GroupRingElement(
-            grp, {n: TPoly.t_power(n), -1: TPoly.t_power(-1, -1)}
-        )
-    corner_ok = Y.entries[size - 1][size - 1] == expected_corner
-
-    residuals = {}
-    det_ok = True
-    Dw, Db = _symbolic_det(w, fam), _symbolic_det(beta, fam)
-    for t0 in t_checks:
-        t0 = Fraction(t0)
-        dw = roots_estimate(Dw, t0).value
-        db = roots_estimate(Db, t0).value
-        mx = float(max(Fraction(1), t0))
-        tf = float(t0)
-        if sign < 0:
-            lhs = mx**n * tf * dw
-            rhs = mx ** (n + 1) * db
-        else:
-            lhs = mx**n * (1.0 / tf) * dw
-            rhs = (1.0 / tf) * mx ** (n + 1) * db
-        resid = abs(lhs - rhs) / max(1.0, abs(rhs))
-        residuals[str(t0)] = resid
-        if resid > 1e-8:
-            det_ok = False
-
-    return BlockTriangReport(
-        braid=beta,
-        sign=sign,
-        lower_left_zero=lower_left_zero,
-        top_block_matches=top_ok,
-        corner_matches=corner_ok,
-        determinant_identity_ok=det_ok,
-        determinant_residuals=residuals,
-    )
-
-
-@dataclasses.dataclass
-class ConjugationReport:
-    braid: BraidWord
-    alpha: BraidWord
-    family_name: str
-    symbolic_equal: bool
-    det_residual: float | None
-
-    @property
-    def passed(self) -> bool:
-        return self.symbolic_equal
-
-
-def conjugation_identity_check(
-    beta: BraidWord, alpha: BraidWord, family
-) -> ConjugationReport:
-    """Exact matrix identity governing the first Markov move.
-
-    Stated multiplicatively to avoid inverting a matrix over a
-    noncommutative ring: with f = family o h_{alpha^-1} and
-    g = family o h_{alpha^-1 beta},
-
-        B_f(alpha) . B_family(alpha^-1 beta alpha) ==
-        B_f(beta) . B_g(alpha)
-
-    where . is operator composition (opposite_mul in display layout).
-    For the total-winding family the determinants of both sides are also
-    compared numerically at t = 2.
-    """
-    if beta.strands != alpha.strands:
-        raise ValueError("beta and alpha must share a strand count")
-    ainv = braidmod.invert(alpha)
-    f = family.twist(ainv)
-    g = family.twist(braidmod.compose(ainv, beta))
-    conj = braidmod.conjugate(beta, alpha)
-    lhs = reduced_burau(alpha, f).matrix.opposite_mul(reduced_burau(conj, family).matrix)
-    rhs = reduced_burau(beta, f).matrix.opposite_mul(reduced_burau(alpha, g).matrix)
-    equal = lhs == rhs
-    det_resid = None
-    if isinstance(family, TotalWinding):
-        d1 = det_integers(lhs, 2).value
-        d2 = det_integers(rhs, 2).value
-        det_resid = abs(d1 - d2) / max(1.0, abs(d2))
-    return ConjugationReport(
-        braid=beta,
-        alpha=alpha,
-        family_name=getattr(family, "name", str(family)),
-        symbolic_equal=equal,
-        det_residual=det_resid,
     )

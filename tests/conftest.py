@@ -6,15 +6,20 @@ from l2burau import fkdet, torsion
 from l2burau.braid import BraidWord, is_knot_closure, random_braid
 
 
-@pytest.fixture(autouse=True)
-def fresh_t_free_caches():
+def clear_t_free_caches():
     """Empty the (braid, family) caches of torsion and the root-solve cache
-    of fkdet before every test, so a test that monkeypatches assembly never
-    reads an earlier test's matrix."""
+    of fkdet."""
     torsion._burau_rows.cache_clear()
     torsion._minus_identity.cache_clear()
     torsion._symbolic_det.cache_clear()
     fkdet._winding_roots.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_t_free_caches():
+    """Start every test with empty caches, so a test that monkeypatches
+    assembly never reads an earlier test's matrix."""
+    clear_t_free_caches()
 
 
 def random_knot_braid(rng: random.Random, strands: int, max_len: int) -> BraidWord:

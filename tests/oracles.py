@@ -1,27 +1,120 @@
-"""Reference constructions the tests compare the library against.
+"""Reference constructions and proof-level checks the tests compare the
+library against.
 
-None of them is needed by the library itself.  The Fox jacobian, the
-evaluation helpers and the Gaussian elimination below use plain dict and
-Fraction arithmetic only, so they check the group-ring kernel and the
-Burau fold without running through them.
+None of them is needed by the library itself.
+
+* Reference constructions: the Fox derivative of a word
+  (``fox_derivative_terms``, ``fox_derivative``), the exponent sum of a
+  braid, the t-twisting map ``kappa``, the augmentation and von Neumann
+  trace of elements and matrices (``augmentation``, ``vn_trace``), the
+  Fox jacobian (``jacobian_matrix``, ``unreduced_burau``), block
+  assembly, and exact evaluation and Gaussian elimination (``evaluate``,
+  ``gaussian_det``, ``det_at``).  The Fox jacobian, the evaluation helpers
+  and the Gaussian elimination use plain dict and Fraction arithmetic
+  only, so they check the group-ring kernel and the Burau fold without
+  running through them.
+* Proof-level checks of the paper's identities, which do run through the
+  library: ``verify_block_triangularization`` (the stabilization
+  bookkeeping behind the second Markov move) and
+  ``conjugation_identity_check`` (the matrix identity behind the first),
+  with their reports ``BlockTriangReport`` and ``ConjugationReport``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from l2burau import braid as braidmod
 from l2burau.braid import BraidWord
-from l2burau.freegroup import Basis, FreeWord, artin_act
+from l2burau.epifamilies import TotalWinding
+from l2burau.fkdet import det_integers, roots_estimate
+from l2burau.freegroup import Basis, FreeWord, _fox_walk, artin_act, winding
 from l2burau.groupring import (
+    Free,
     FreeAbelian,
     GroupRingElement,
     GroupRingMatrix,
     Integers,
+    RationalLike,
     TPoly,
-    kappa,
 )
-from l2burau.torsion import BurauMatrix
+from l2burau.torsion import (
+    BurauMatrix,
+    _minus_identity,
+    _symbolic_det,
+    generator_matrix,
+    reduced_burau,
+)
+
+
+def exponent_sum(a: BraidWord) -> int:
+    """Sum of letter signs (the writhe of the closed diagram)."""
+    return sum(1 if x > 0 else -1 for x in a.letters)
+
+
+def fox_derivative_terms(u: FreeWord, i: int) -> dict[FreeWord, int]:
+    """The i-th Fox derivative of a word as {group element: integer} terms."""
+    if not 1 <= i <= u.rank:
+        raise ValueError(f"derivative index {i} out of range for rank {u.rank}")
+    terms: dict[FreeWord, int] = {}
+    for g, prefix, step in _fox_walk(u):
+        if g == i:
+            terms[prefix] = terms.get(prefix, 0) + step
+    return {k: c for k, c in terms.items() if c}
+
+
+def fox_derivative(u: FreeWord, i: int) -> GroupRingElement:
+    """Fox derivative packaged as a group-ring element over Free(rank)."""
+    return GroupRingElement(
+        Free(u.rank),
+        {k: TPoly.const(c) for k, c in fox_derivative_terms(u, i).items()},
+    )
+
+
+def kappa(
+    w: FreeWord,
+    family,
+    n: int,
+    basis: Basis = Basis.G,
+    coeff: TPoly | RationalLike = 1,
+) -> GroupRingElement:
+    """Send a free word to coeff * t^winding(w) * family(w).
+
+    ``family`` is any epimorphism family object exposing ``target(n)`` and
+    ``apply(word, n, basis)``; the winding exponent is computed from the
+    word in its own basis (x-letters weigh 1, g-letters weigh their index).
+    """
+    if not isinstance(coeff, TPoly):
+        coeff = TPoly.const(coeff)
+    grp = family.target(n)
+    elem = family.apply(w, n, basis)
+    return GroupRingElement(grp, {elem: coeff * TPoly.t_power(winding(w, basis))})
+
+
+def augmentation(e: GroupRingElement) -> TPoly:
+    """The sum of all coefficients."""
+    out = TPoly.zero()
+    for c in e.terms.values():
+        out = out + c
+    return out
+
+
+def vn_trace(x) -> TPoly:
+    """Von Neumann trace of an element (the coefficient of the identity
+    element) or of a square matrix (the sum over its diagonal)."""
+    if isinstance(x, GroupRingMatrix):
+        if x.rows != x.cols:
+            raise ValueError("trace needs a square matrix")
+        out = TPoly.zero()
+        for i in range(x.rows):
+            out = out + vn_trace(x.entries[i][i])
+        return out
+    for g, c in x.terms.items():
+        if x.group.is_identity(g):
+            return c
+    return TPoly.zero()
 
 
 def kappa_of_terms(
@@ -143,3 +236,171 @@ def det_at(M: GroupRingMatrix, z: Sequence[Fraction], t: Fraction) -> Fraction:
     if not isinstance(M.group, (Integers, FreeAbelian)):
         raise ValueError("evaluation needs a commutative coefficient group")
     return gaussian_det([[evaluate(e, z, t) for e in row] for row in M.entries])
+
+
+# --- proof-level identity checks ------------------------------------------------
+
+
+@dataclasses.dataclass
+class BlockTriangReport:
+    braid: BraidWord
+    sign: int
+    lower_left_zero: bool
+    top_block_matches: bool
+    corner_matches: bool
+    determinant_identity_ok: bool
+    determinant_residuals: dict
+
+    @property
+    def passed(self) -> bool:
+        return (
+            self.lower_left_zero
+            and self.top_block_matches
+            and self.corner_matches
+            and self.determinant_identity_ok
+        )
+
+
+def verify_block_triangularization(
+    beta: BraidWord, sign: int, t_checks: Sequence = (Fraction(1, 2), 1, 2)
+) -> BlockTriangReport:
+    """Check the stabilization bookkeeping behind the second Markov move.
+
+    For w = stabilize(beta, sign) over the total-winding family, compose
+    (Burau(w) - Id) on the left with the inverse generator matrix D and
+    then with the fundamental-formula matrix G (identity rows except the
+    last, which holds kappa(g_j) - 1).  The result must be block upper
+    triangular with the original (Burau(beta) - Id) as its top-left block
+    and a known corner entry.  Numerically, the determinants must satisfy
+    max(1,t)^n * t * det(Burau(w) - Id) = max(1,t)^(n+1) * det(Burau(beta) - Id)
+    for the negative crossing, and the same with t replaced by 1/t on both
+    sides for the positive crossing.
+    """
+    n = beta.strands
+    fam = TotalWinding()
+    w = braidmod.stabilize(beta, sign)
+    Ew, Eb = _minus_identity(w, fam), _minus_identity(beta, fam)
+    grp = Ew.group
+    size = n  # reduced size of a braid on n+1 strands
+
+    # D undoes the stabilizing generator: the inverse generator's matrix
+    D = generator_matrix(n + 1, n, -sign, fam).matrix
+    # G carries the fundamental formula of Fox calculus in its last row
+    rows = []
+    for r in range(size):
+        row = []
+        for ccol in range(size):
+            if r < size - 1:
+                row.append(
+                    GroupRingElement.one(grp)
+                    if r == ccol
+                    else GroupRingElement.zero(grp)
+                )
+            else:
+                j = ccol + 1
+                term = GroupRingElement(
+                    grp, {j: TPoly.t_power(j), 0: TPoly.const(-1)}
+                )
+                row.append(term)
+        rows.append(row)
+    G = GroupRingMatrix(grp, rows)
+
+    Y = G * (D * Ew)
+
+    lower_left_zero = all(Y.entries[size - 1][j].is_zero() for j in range(size - 1))
+    top_ok = all(
+        Y.entries[i][j] == Eb.entries[i][j]
+        for i in range(n - 1)
+        for j in range(n - 1)
+    )
+    if sign < 0:
+        expected_corner = GroupRingElement(
+            grp, {n + 1: TPoly.t_power(n + 1), 0: TPoly.const(-1)}
+        )
+    else:
+        expected_corner = GroupRingElement(
+            grp, {n: TPoly.t_power(n), -1: TPoly.t_power(-1, -1)}
+        )
+    corner_ok = Y.entries[size - 1][size - 1] == expected_corner
+
+    residuals = {}
+    det_ok = True
+    Dw, Db = _symbolic_det(w, fam), _symbolic_det(beta, fam)
+    for t0 in t_checks:
+        t0 = Fraction(t0)
+        dw = roots_estimate(grp, Dw, t0).value
+        db = roots_estimate(grp, Db, t0).value
+        mx = float(max(Fraction(1), t0))
+        tf = float(t0)
+        if sign < 0:
+            lhs = mx**n * tf * dw
+            rhs = mx ** (n + 1) * db
+        else:
+            lhs = mx**n * (1.0 / tf) * dw
+            rhs = (1.0 / tf) * mx ** (n + 1) * db
+        resid = abs(lhs - rhs) / max(1.0, abs(rhs))
+        residuals[str(t0)] = resid
+        if resid > 1e-8:
+            det_ok = False
+
+    return BlockTriangReport(
+        braid=beta,
+        sign=sign,
+        lower_left_zero=lower_left_zero,
+        top_block_matches=top_ok,
+        corner_matches=corner_ok,
+        determinant_identity_ok=det_ok,
+        determinant_residuals=residuals,
+    )
+
+
+@dataclasses.dataclass
+class ConjugationReport:
+    braid: BraidWord
+    alpha: BraidWord
+    family_name: str
+    symbolic_equal: bool
+    det_residual: float | None
+
+    @property
+    def passed(self) -> bool:
+        return self.symbolic_equal
+
+
+def conjugation_identity_check(
+    beta: BraidWord, alpha: BraidWord, family
+) -> ConjugationReport:
+    """Exact matrix identity governing the first Markov move.
+
+    Stated multiplicatively to avoid inverting a matrix over a
+    noncommutative ring: with f = family o h_{alpha^-1} and
+    g = family o h_{alpha^-1 beta},
+
+        B_f(alpha) . B_family(alpha^-1 beta alpha) ==
+        B_f(beta) . B_g(alpha)
+
+    where . is operator composition (opposite_mul in display layout).
+    For the total-winding family the determinants of both sides are also
+    compared numerically at t = 2.
+    """
+    if beta.strands != alpha.strands:
+        raise ValueError("beta and alpha must share a strand count")
+    ainv = braidmod.invert(alpha)
+    f = family.twist(ainv)
+    g = family.twist(braidmod.compose(ainv, beta))
+    conj = braidmod.conjugate(beta, alpha)
+    lhs = reduced_burau(alpha, f).matrix.opposite_mul(reduced_burau(conj, family).matrix)
+    rhs = reduced_burau(beta, f).matrix.opposite_mul(reduced_burau(alpha, g).matrix)
+    equal = lhs == rhs
+    det_resid = None
+    if isinstance(family, TotalWinding):
+        d1 = det_integers(lhs, 2).value
+        d2 = det_integers(rhs, 2).value
+        det_resid = abs(d1 - d2) / max(1.0, abs(d2))
+    return ConjugationReport(
+        braid=beta,
+        alpha=alpha,
+        family_name=getattr(family, "name", str(family)),
+        symbolic_equal=equal,
+        det_residual=det_resid,
+    )

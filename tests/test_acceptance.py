@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_knot_braid
-from oracles import block_assemble, jacobian_matrix
+from oracles import block_assemble, jacobian_matrix, verify_block_triangularization
 from l2burau.braid import BraidWord, random_braid
 from l2burau.epifamilies import (
     AbelianImage,
@@ -44,7 +44,6 @@ from l2burau.torsion import (
     generator_matrix,
     markov_report,
     reduced_burau,
-    verify_block_triangularization,
 )
 from test_freegroup import fundamental_formula_check
 from test_fkdet import rand_z_matrix

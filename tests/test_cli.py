@@ -208,6 +208,28 @@ def test_sublattice_custom_file_exit_code(tmp_path, capsys):
     assert code == 2 and "sublattice" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("burau", "-b", "1", "--csv"),
+        ("markov", "-b", "1", "--moves", "stab:+1", "--csv"),
+        ("alexander", "-b", "1 1 1", "--csv"),
+        ("fq", "-b", "1", "--json", "--csv"),
+    ],
+)
+def test_csv_only_where_it_applies(capsys, argv):
+    # --csv belongs to fq alone, and there it excludes --json
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "--csv" in err
+
+
+@pytest.mark.parametrize("path", ["/no/such/images.txt", ""])
+def test_missing_custom_file_is_a_parse_error(capsys, path):
+    code, out, err = run(capsys, "fq", "-b", "1", "-f", f"custom:{path}")
+    assert code == 2 and out == ""
+    assert f"custom family file {path!r}" in err
+
+
 def test_backend_error_exit_code(capsys):
     # two-component closure: alexander rejects it after parsing succeeds
     code, _, err = run(capsys, "alexander", "-b", "1", "-n", "3")

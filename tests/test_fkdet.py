@@ -77,6 +77,18 @@ def test_roots_dilation():
     assert det_integers(m, 1).value == pytest.approx(3.0, abs=1e-14)
 
 
+def test_roots_reads_an_integral_fraction_determinant_as_one_polynomial():
+    # det [[s/2, 0], [0, 2s]] = s^2, s = z t, is expanded in Fractions, so
+    # its one coefficient is Fraction(1); it still takes the one-variable
+    # solve that divides out the cyclotomic factor
+    m = GroupRingMatrix(
+        Integers(), [[zelt({1: {1: Fraction(1, 2)}}), zelt({})], [zelt({}), zelt({1: {1: 2}})]]
+    )
+    est = det_integers(m, 2)
+    assert est.diagnostics["cyclotomic_factor"] == 1
+    assert est.value == pytest.approx(4.0, rel=1e-14)
+
+
 def test_roots_non_injective_flavors():
     zero = GroupRingMatrix.zeros(Integers(), 1, 1)
     est = det_integers(zero, 1)
@@ -180,7 +192,7 @@ def test_quadrature_ignores_term_order():
     ]
     a, b = (
         fkdet.quadrature_estimate(
-            GroupRingElement(FreeAbelian(2), {k: TPoly(c) for k, c in order}), 1
+            FreeAbelian(2), {(k, e): c for k, cs in order for e, c in cs.items()}, 1
         )
         for order in (terms, terms[::-1])
     )

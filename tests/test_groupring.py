@@ -17,12 +17,18 @@ from l2burau.groupring import (
     Integers,
     TPoly,
     is_commutative,
-    kappa,
-    vn_trace,
 )
 
 from l2burau.torsion import reduced_burau
-from oracles import block_assemble, det_at, evaluate, gaussian_det, kappa_of_terms
+from oracles import (
+    block_assemble,
+    det_at,
+    evaluate,
+    gaussian_det,
+    kappa,
+    kappa_of_terms,
+    vn_trace,
+)
 
 
 def rand_element(rng, grp, n_terms=3, rank=2, draw=None):

@@ -8,8 +8,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_knot_braid
-from oracles import det_at, evaluate, jacobian_matrix, unreduced_burau
+from conftest import clear_t_free_caches, random_knot_braid
+from oracles import (
+    conjugation_identity_check,
+    det_at,
+    evaluate,
+    jacobian_matrix,
+    kappa,
+    unreduced_burau,
+    verify_block_triangularization,
+)
 from l2burau import fkdet, torsion
 from l2burau.braid import (
     BraidWord,
@@ -33,19 +41,17 @@ from l2burau.groupring import (
     GroupRingMatrix,
     Integers,
     TPoly,
-    kappa,
+    _unflat,
 )
 from l2burau.torsion import (
     Conjugate,
     Stabilize,
     alexander_polynomial,
-    conjugation_identity_check,
     fq_value,
     generator_matrix,
     markov_report,
     reduced_burau,
     render_poly,
-    verify_block_triangularization,
 )
 
 
@@ -344,7 +350,7 @@ def test_det_integers_reads_the_same_solve_as_fq_value(letters):
 
 def test_burau_alexander_division_is_checked(monkeypatch):
     # 1 + 2s is not a multiple of 1 + s: the exact division refuses it
-    det = GroupRingElement(Integers(), {0: TPoly.const(1), 1: TPoly.t_power(1, 2)})
+    det = {(0, 0): 1, (1, 1): 2}
     monkeypatch.setattr(torsion, "_symbolic_det", lambda beta, family: det)
     with pytest.raises(AssertionError, match="not divisible"):
         alexander_polynomial(BraidWord(2, (1,)))
@@ -764,9 +770,10 @@ HANDOFF_D2 = ((1, 0), (0, 1), (1, 1), (2, -1), (-1, 3), (3, 1))
 def test_symbolic_det_of_the_flat_fold_matches_the_matrix_and_the_oracle(
     name, make, max_strands, max_len
 ):
-    # _symbolic_det expands the fold's flat rows without building E; it
-    # must give the determinant of the decoded E, and the Fraction
-    # Gaussian determinant of the Fox jacobian oracle at rational points.
+    # _symbolic_det expands the fold's flat rows without building E; its
+    # flat dict, decoded, must give the determinant of the decoded E, and
+    # the Fraction Gaussian determinant of the Fox jacobian oracle at
+    # rational points.
     # The letter repeated 41 times is one converted column counted 41
     # times in the dict path's key base.
     rng = random.Random(f"handoff-{name}")
@@ -785,7 +792,7 @@ def test_symbolic_det_of_the_flat_fold_matches_the_matrix_and_the_oracle(
         n, fam = beta.strands, make(beta.strands)
         B = reduced_burau(beta, fam).matrix
         eye = GroupRingMatrix.identity(B.group, n - 1)
-        D = torsion._symbolic_det(beta, fam)
+        D = _unflat(B.group, torsion._symbolic_det(beta, fam))
         assert D == (B - eye).determinant(), beta.render()
         if not beta.letters and n > 1:
             assert D.is_zero()
@@ -805,17 +812,14 @@ def test_fq_t_sweep_builds_matrix_and_determinant_once(monkeypatch):
     folded = _count_calls(monkeypatch, torsion, "_burau_fold")
     expanded = _count_calls(monkeypatch, torsion, "_laplace")
     solved = _count_calls(monkeypatch, fkdet, "UnivariateRoots")
-    substituted = _count_calls(monkeypatch, GroupRingElement, "coefficients_at")
+    substituted = _count_calls(monkeypatch, fkdet, "_at")
     found = _count_calls(monkeypatch, np, "roots")
     sweep = [fq_value(beta, TotalWinding(), t) for t in ts]
     assert (len(folded), len(expanded), len(solved)) == (1, 1, 1)
     parts = len(sweep[0].estimate.diagnostics.get("multiplicities", [1]))
     assert not substituted and len(found) == parts
     for t, got in zip(ts, sweep):
-        torsion._burau_rows.cache_clear()
-        torsion._minus_identity.cache_clear()
-        torsion._symbolic_det.cache_clear()
-        fkdet._winding_roots.cache_clear()
+        clear_t_free_caches()
         alone = fq_value(beta, TotalWinding(), t)
         assert (got.value, got.error_bound, got.estimate.method, got.estimate.diagnostics) == (
             alone.value,
@@ -824,6 +828,19 @@ def test_fq_t_sweep_builds_matrix_and_determinant_once(monkeypatch):
             alone.estimate.diagnostics,
         )
     assert (len(folded), len(expanded), len(solved)) == (4, 4, 4)
+
+
+def test_roots_and_quad_paths_build_no_group_ring_element(monkeypatch):
+    # from the fold through the determinant to the roots and quadrature
+    # backends and the Alexander polynomial, every entry stays a flat dict
+    built = _count_calls(monkeypatch, GroupRingElement, "__init__")
+    beta = BraidWord(4, (1, -2, 3) * 3)
+    for t in (Fraction(1, 2), 1, 2):
+        fq_value(beta, TotalWinding(), t)
+    alexander_polynomial(beta)
+    assert not built
+    fq_value(BraidWord(3, (1, -2, 1, -2)), AbelianImage(), 1)
+    assert not built
 
 
 def test_alexander_then_fq_sweep_folds_once(monkeypatch):
