@@ -68,7 +68,6 @@ from .torsion import (
     Stabilize,
     alexander_polynomial,
     fq_value,
-    generator_matrix,
     markov_report,
     reduced_burau,
     render_poly,

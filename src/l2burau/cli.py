@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -69,6 +70,16 @@ def _check_backend_options(args) -> None:
     any backend runs, whichever backend the request reaches."""
     _check_grid(args.grid)
     _check_series_len(args.series_len)
+
+
+def _check_output(path: str | None) -> None:
+    """Refuse an -o path no file can be written to, before any backend runs."""
+    if not path:
+        return
+    folder = os.path.dirname(path) or "."
+    writable = os.access(path if os.path.exists(path) else folder, os.W_OK)
+    if os.path.isdir(path) or not os.path.isdir(folder) or not writable:
+        raise ValueError(f"cannot write the output file {path!r}")
 
 
 def _parse_moves(text: str, start: braidmod.BraidWord) -> list:
@@ -310,6 +321,7 @@ def main(argv=None) -> int:
         "counterexample": _cmd_counterexample,
     }
     try:
+        _parsed(_check_output, args.output)
         return handlers[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -120,6 +120,19 @@ def _poly_divmod(num: list, den: list) -> tuple[list, list]:
     return q, _trimmed(rem[: len(den) - 1])
 
 
+def _cyclic_quotient(r: list, m: int) -> list | None:
+    """Delta with Q = (1 + s + ... + s^(m-1)) Delta, or None when the sum
+    does not divide Q, from the differences r_j = q_j - q_(j-1) of Q's
+    ascending list: (1 - s) Q = (1 - s^m) Delta gives delta_j = r_j +
+    delta_(j-m), sums only, and the division is exact iff the recurrence
+    over every r_j ends in m zeros."""
+    delta = r[:m]
+    for j in range(m, len(r)):
+        delta.append(r[j] + delta[j - m])
+    top = max(len(r) - m, 0)
+    return None if any(delta[top:]) else delta[:top]
+
+
 def _trimmed(p: list) -> list:
     """``p`` without its zero top coefficients; the zero polynomial is []."""
     while p and not p[-1]:
@@ -289,7 +302,7 @@ def _winding_roots(lo: int, q: tuple[int, ...]) -> tuple[UnivariateRoots, int]:
     vanishes mod s^m - 1: every residue class of exponents sums to zero."""
     r = [a - b for a, b in zip(q + (0,), (0,) + q)]
     m = next(m for m in range(len(q), 0, -1) if not any(sum(r[j::m]) for j in range(m)))
-    delta = _poly_divmod([Fraction(c) for c in q], [Fraction(1)] * m)[0]
+    delta = _cyclic_quotient(r, m)
     return UnivariateRoots({lo + k: c for k, c in enumerate(delta)}), m
 
 
@@ -965,12 +978,15 @@ def _check_series_len(series_len: int) -> None:
         raise ValueError("series_len must be at least 8")
 
 
+# ball states det_free_group's trace series may walk (eps takes its own)
+_SERIES_STATE_BUDGET = 1_200_000
+
+
 def det_free_group(
     M: GroupRingMatrix,
     t0,
     series_len: int = 30,
     accel: bool = True,
-    state_budget: int = 1_200_000,
 ) -> FKEstimate:
     """Regular determinant over a free group via the von Neumann trace series.
 
@@ -996,13 +1012,13 @@ def det_free_group(
         return FKEstimate(0.0, 0.0, "trace_series", {"non_injective": True})
 
     if m == 1:
-        return _det_free_single(support[0][0], series_len, accel, state_budget)
+        return _det_free_single(support[0][0], series_len, accel)
 
     if m == 2:
         reduced = _two_by_two_reduce(support)
         if reduced is not None:
             factor, schur = reduced
-            est = _det_free_single(schur, series_len, accel, state_budget)
+            est = _det_free_single(schur, series_len, accel)
             est.value *= factor
             if est.error_bound is not None:
                 est.error_bound *= factor
@@ -1010,15 +1026,13 @@ def det_free_group(
             return est
 
     rank, flat = _rewrite_entries(_walk_matrix(support))
-    mom = _trace_moments(flat, rank, series_len, state_budget)
+    mom = _trace_moments(flat, rank, series_len, _SERIES_STATE_BUDGET)
     res = _series_from_moments(mom, accel)
     res.diagnostics["injectivity_assumed"] = True
     return _series_to_estimate(res, "trace_series")
 
 
-def _det_free_single(
-    e: dict[FreeWord, Fraction], series_len: int, accel: bool, state_budget: int
-) -> FKEstimate:
+def _det_free_single(e: dict[FreeWord, Fraction], series_len: int, accel: bool) -> FKEstimate:
     if not e:
         return FKEstimate(0.0, 0.0, "trace_series", {"non_injective": True})
     # a left unitary factor is determinant-neutral and invisible to A*A, so
@@ -1036,7 +1050,7 @@ def _det_free_single(
     b: dict[FreeWord, Fraction] = {}  # A* A over the subgroup basis
     _flat_addmul(b, {w.inverse(): c for w, c in a.items()}, a, operator.mul)
     bf = {k: float(v) for k, v in b.items()}
-    mom = _trace_moments([[bf]], rank, series_len, state_budget)
+    mom = _trace_moments([[bf]], rank, series_len, _SERIES_STATE_BUDGET)
     res = _series_from_moments(mom, accel)
     res.diagnostics["subgroup_rank"] = rank
     return _series_to_estimate(res, "trace_series")

@@ -7,7 +7,9 @@ or a free group.  Keeping t symbolic makes the Markov-move identities exact;
 numbers enter only when a determinant backend substitutes a value for t.
 The pipeline hands flat {(group element, t exponent): coefficient} dicts
 from the Burau fold through the determinant to the backends (see the flat
-kernel below); elements and matrices are for printing, JSON and callers.
+kernel below); elements and matrices are a codec, for printing, JSON and
+the free-group backends, with a difference and a determinant as their
+only arithmetic.
 
 Group elements are stored as canonical reduced representatives (an int, an
 integer tuple, or a reduced FreeWord) and used directly as mapping keys, so
@@ -42,18 +44,6 @@ class TPoly:
                     clean[int(k)] = c
         self.coeffs = clean
 
-    @staticmethod
-    def const(c: RationalLike) -> "TPoly":
-        return TPoly({0: Fraction(c)})
-
-    @staticmethod
-    def t_power(k: int, c: RationalLike = 1) -> "TPoly":
-        return TPoly({k: Fraction(c)})
-
-    @staticmethod
-    def zero() -> "TPoly":
-        return TPoly()
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -63,32 +53,6 @@ class TPoly:
         res = TPoly.__new__(TPoly)
         res.coeffs = coeffs
         return res
-
-    def __add__(self, other: "TPoly") -> "TPoly":
-        out = dict(self.coeffs)
-        _flat_add(out, other.coeffs)
-        return TPoly._wrap(out)
-
-    def __neg__(self) -> "TPoly":
-        return TPoly._wrap({k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other: "TPoly") -> "TPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "TPoly") -> "TPoly":
-        out: dict[int, Fraction] = {}
-        _flat_addmul(out, self.coeffs, other.coeffs, operator.add)
-        return TPoly._wrap(out)
-
-    def scale(self, c: RationalLike) -> "TPoly":
-        c = Fraction(c)
-        return TPoly._wrap({} if not c else {k: v * c for k, v in self.coeffs.items()})
-
-    def evaluate(self, t0: RationalLike) -> Fraction:
-        t0 = Fraction(t0)
-        if t0 <= 0:
-            raise ValueError("t must be positive")
-        return sum((c * t0**k for k, c in self.coeffs.items()), Fraction(0))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TPoly) and self.coeffs == other.coeffs
@@ -229,7 +193,7 @@ class GroupRingElement:
 
     @staticmethod
     def one(group: CoefficientGroup) -> "GroupRingElement":
-        return GroupRingElement(group, {group.identity(): TPoly.const(1)})
+        return GroupRingElement(group, {group.identity(): TPoly({0: 1})})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -244,34 +208,8 @@ class GroupRingElement:
             out[g] = TPoly._wrap(acc)
         return GroupRingElement(self.group, out)
 
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return self._plus(other, 1)
-
-    def __neg__(self) -> "GroupRingElement":
-        res = GroupRingElement.__new__(GroupRingElement)
-        res.group = self.group
-        res.terms = {g: -c for g, c in self.terms.items()}
-        return res
-
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
         return self._plus(other, -1)
-
-    def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
-        ((a,), (b,)), shifts, ring = _kernel(self.group, [[_flat(self)], [_flat(other)]])
-        return _unflat(self.group, ring.flat(ring.addmul(ring.zero(), a, b), sum(shifts)))
-
-    def scale(self, c: TPoly | RationalLike) -> "GroupRingElement":
-        if not isinstance(c, TPoly):
-            c = TPoly.const(c)
-        return GroupRingElement(
-            self.group, {g: v * c for g, v in self.terms.items()}
-        )
-
-    def adjoint(self) -> "GroupRingElement":
-        """c(t) g -> c(t) g^-1; coefficients are real so stay untouched."""
-        return GroupRingElement(
-            self.group, {self.group.inv(g): c for g, c in self.terms.items()}
-        )
 
     def coefficients_at(self, t0: RationalLike) -> dict:
         """{group element: Fraction} after substituting t = t0 (see :func:`_at`)."""
@@ -287,54 +225,47 @@ class GroupRingElement:
     def __repr__(self) -> str:
         return f"<GroupRingElement {self.render()}>"
 
+    def _labelled(self, letter: str) -> list:
+        """(rendered group element, coefficient) pairs in display order."""
+        group = self.group
+        items = sorted(self.terms.items(), key=lambda kv: group.sort_key(kv[0]))
+        if isinstance(group, Free):
+            return [(group.render(g, letter), c) for g, c in items]
+        return [(group.render(g), c) for g, c in items]
+
     def render(self, letter: str = "g") -> str:
         if not self.terms:
             return "0"
-        items = sorted(self.terms.items(), key=lambda kv: self.group.sort_key(kv[0]))
         parts = []
-        for g, c in items:
+        for gs, c in self._labelled(letter):
             cs = c.render()
             if " + " in cs:  # parenthesize only genuine sums
                 cs = f"({cs})"
-            gs = (
-                self.group.render(g, letter)
-                if isinstance(self.group, Free)
-                else self.group.render(g)
-            )
             parts.append(f"{cs} [{gs}]")
         return " + ".join(parts)
 
     def to_json_obj(self, letter: str = "g") -> list:
-        items = sorted(self.terms.items(), key=lambda kv: self.group.sort_key(kv[0]))
-        out = []
-        for g, c in items:
-            gs = (
-                self.group.render(g, letter)
-                if isinstance(self.group, Free)
-                else self.group.render(g)
-            )
-            out.append(
-                {"elem": gs, "coeffs": {str(k): str(v) for k, v in c.coeffs.items()}}
-            )
-        return out
+        return [
+            {"elem": gs, "coeffs": {str(k): str(v) for k, v in c.coeffs.items()}}
+            for gs, c in self._labelled(letter)
+        ]
 
 
 # --- Flat kernel ------------------------------------------------------------
 #
-# Every exact sum of products in the package runs here: element and TPoly
-# arithmetic, matrix products, the Laplace determinant, the fold of the
-# Burau assembly, and the free-group operators of the determinant
-# backends.  Operands are flat {key: coefficient} dicts; _flat_addmul adds
-# a product of two of them to an accumulator, and _flat_add adds one.  A
-# key stands for a pair (group element, t exponent), or for a plain
-# exponent or group element where only one of them varies.  A coefficient
-# stays a Python int while its denominator is 1, so nearly every product
-# is a plain integer multiply.  Zero coefficients are never stored, so an
-# empty dict is the zero element.
+# Every exact sum and product in the package runs here: the fold of the
+# Burau assembly, the Laplace determinant, the element difference, and the
+# free-group operators of the determinant backends.  Operands are flat
+# {key: coefficient} dicts; _flat_addmul adds a product of two of them to
+# an accumulator, and _flat_add adds one.  A key stands for a pair (group
+# element, t exponent), or for a plain exponent or group element where
+# only one of them varies.  A coefficient stays a Python int while its
+# denominator is 1, so nearly every product is a plain integer multiply.
+# Zero coefficients are never stored, so an empty dict is the zero element.
 #
-# A sum of products of group-ring entries (a product of two elements or
-# matrices, a determinant, a Burau fold) first asks _kernel for a ring
-# that holds its entries, in one of two representations:
+# The kernel's two sums of products of group-ring entries, the Burau fold
+# and the determinant, first ask _kernel for a ring that holds their
+# entries, in one of two representations:
 #
 # * the integer path, taken over a commutative group when every
 #   coefficient is an integer and every exponent vector (group
@@ -559,9 +490,8 @@ def _kernel(group: CoefficientGroup, rows: list[list[dict]], bound: int | None =
     """The ring a sum of products of flat entries runs in.
 
     Every term the caller builds must be a product of at most one entry
-    term from each of ``rows`` (a row of a Laplace expansion, the column
-    of one braid letter, or the entries of one factor of a product).  A
-    row object that occurs more than once is scanned and converted once
+    term from each of ``rows`` (a row of a Laplace expansion, or the
+    column of one braid letter).  A row object that occurs more than once is scanned and converted once
     but counted in the bounds as often as it occurs.  Returns the rows in
     the ring's representation, each row's shift, and the ring, with
     ``zero()``, ``one``, ``addmul(acc, a, b, sign)`` returning acc + sign
@@ -713,80 +643,14 @@ class GroupRingMatrix:
             group, [[one if i == j else zero for j in range(m)] for i in range(m)]
         )
 
-    @staticmethod
-    def zeros(group, rows: int, cols: int) -> "GroupRingMatrix":
-        zero = GroupRingElement.zero(group)
-        return GroupRingMatrix(group, [[zero] * cols for _ in range(rows)])
-
-    def __add__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
-        self._same_shape(other)
-        return GroupRingMatrix(
-            self.group,
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-        )
-
     def __sub__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
-        self._same_shape(other)
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
         return GroupRingMatrix(
             self.group,
             [
                 [a - b for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.entries, other.entries)
-            ],
-        )
-
-    def __mul__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
-        """Standard matrix product; entry factors multiply left to right."""
-        return self._product(other, opposite=False)
-
-    def opposite_mul(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
-        """Matrix product over the opposite ring: same index pattern as the
-        standard product, but each entry pair multiplies right-to-left.
-
-        This is the composition law satisfied by Burau matrices under the
-        word-reading convention fixed in :mod:`l2burau.braid`; for a
-        commutative coefficient group it coincides with ``self * other``.
-        """
-        return self._product(other, opposite=True)
-
-    def _product(self, other: "GroupRingMatrix", opposite: bool) -> "GroupRingMatrix":
-        """Entry (i, k) is the sum over j of A[i][j] B[j][k], or of
-        B[j][k] A[i][j] when ``opposite``; every entry is converted once."""
-        if self.cols != other.rows:
-            raise ValueError(f"dimension mismatch {self.shape} x {other.shape}")
-        (a, b), shifts, ring = _kernel(
-            self.group,
-            [[_flat(e) for row in m.entries for e in row] for m in (self, other)],
-        )
-        out = []
-        for i in range(self.rows):
-            row = []
-            for k in range(other.cols):
-                acc = ring.zero()
-                for j in range(self.cols):
-                    x, y = a[i * self.cols + j], b[j * other.cols + k]
-                    if opposite:
-                        x, y = y, x
-                    acc = ring.addmul(acc, x, y)
-                row.append(_unflat(self.group, ring.flat(acc, sum(shifts))))
-            out.append(row)
-        return GroupRingMatrix(self.group, out)
-
-    def scale(self, c) -> "GroupRingMatrix":
-        return GroupRingMatrix(
-            self.group, [[e.scale(c) for e in row] for row in self.entries]
-        )
-
-    def adjoint(self) -> "GroupRingMatrix":
-        """Transpose with entry-wise adjoint, so (A B)* == B* A*."""
-        return GroupRingMatrix(
-            self.group,
-            [
-                [self.entries[i][j].adjoint() for i in range(self.rows)]
-                for j in range(self.cols)
             ],
         )
 
@@ -803,10 +667,6 @@ class GroupRingMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
-
-    def _same_shape(self, other: "GroupRingMatrix"):
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
     def __eq__(self, other) -> bool:
         return (

@@ -6,9 +6,9 @@ jacobian of its free-group automorphism taken in the nested-loop basis
 g_i = x_1..x_i, with every entry pushed through the t-twisting map kappa.
 Matrices are stored in display layout, entry (i, j) = kappa(d h(g_j) / d g_i),
 so printed generator matrices look exactly like their textbook form.  In
-this layout composition of the underlying operators is ``opposite_mul``:
-standard index pattern, entry products reversed (for commutative targets
-this is just the ordinary product).
+this layout the underlying operators compose by the standard index
+pattern with entry products reversed, (A . B)[i][k] = sum_j B[j][k] A[i][j]
+(for commutative targets this is just the ordinary product).
 
 A reduced Burau matrix is assembled one way, by the rule
 B(alpha beta) = B(alpha) . B_{phi o h_alpha}(beta): a fold of generator
@@ -40,7 +40,7 @@ from .freegroup import Basis, _fox_walk, _letter_image, winding
 from .fkdet import (
     FKEstimate,
     _ascending,
-    _poly_divmod,
+    _cyclic_quotient,
     _require_free_abelian,
     _require_integers,
     det_epsilon_reg,
@@ -116,25 +116,17 @@ def _generator_column(n: int, letter: int, family) -> dict[int, dict]:
     return dict(sorted(column.items()))
 
 
-def generator_matrix(n: int, i: int, sign: int, family) -> BurauMatrix:
-    """The (n-1) x (n-1) Burau matrix of the Artin generator sigma_i^sign:
-    the identity with column i replaced by :func:`_generator_column`."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return reduced_burau(braidmod.braid_word([sign * i], n), family)
-
-
 def _burau_fold(beta: BraidWord, family) -> list[list[dict]]:
     """Fold the generator matrices of beta with twisted families; the rows
     of the reduced Burau matrix come back as flat entries {(group element,
     t exponent): coefficient} (see ``groupring._flat``), which
     :func:`_symbolic_det` expands without building an element.
 
-    Composing with a generator matrix (``opposite_mul``) changes only
-    column i, since every other column of the generator is the identity's:
-    new[row][i] = sum_r col[r] * row[r] over the rows r of
-    :func:`_generator_column`, entry products kept in the order col * row
-    that ``opposite_mul`` uses, so any target group works.  Each distinct
+    Composing with a generator matrix (A . G, the rule of the module
+    docstring) changes only column i, since every other column of G is the
+    identity's: new[row][i] = sum_r col[r] * row[r] over the rows r of
+    :func:`_generator_column`, each entry product reversed to col * row as
+    the rule asks, so any target group works.  Each distinct
     (letter, twisted family) column is built once, and the fold runs in
     the kernel's ring (see ``groupring._kernel``, which treats each
     letter's column as one factor and converts a repeated column once),
@@ -373,8 +365,9 @@ def alexander_polynomial(beta: BraidWord) -> dict[int, Fraction]:
     P = _at(_symbolic_det(beta, TotalWinding()), 1)
     if not P:
         raise AssertionError("vanishing determinant for a knot closure")
-    q, rem = _poly_divmod(_ascending(P), [Fraction(1)] * beta.strands)
-    if rem:
+    p = _ascending(P)
+    q = _cyclic_quotient([a - b for a, b in zip([*p, 0], [0, *p])], beta.strands)
+    if q is None:
         raise AssertionError("det(Burau - Id) is not divisible by 1 + s + ... + s^(n-1)")
     out = {k: c for k, c in enumerate(q) if c}  # q[0] = P's lowest coefficient
     if out[max(out)] < 0:

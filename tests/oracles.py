@@ -3,6 +3,13 @@ library against.
 
 None of them is needed by the library itself.
 
+* Kernel-free group-ring algebra: the element product ``mul``, the
+  matrix product ``matmul`` (with ``opposite`` for the composition of
+  Burau matrices in display layout), ``adjoint``, ``scale``, ``zeros``
+  and the one-letter Burau matrix ``generator_matrix``.  The products run
+  ``groupring._flat_addmul`` on (group element, t exponent) pair keys,
+  never ``groupring._kernel``, so the fold and the Laplace expansion are
+  checked against an independent product.
 * Reference constructions: the Fox derivative of a word
   (``fox_derivative_terms``, ``fox_derivative``), the exponent sum of a
   braid, the t-twisting map ``kappa``, the augmentation and von Neumann
@@ -13,11 +20,12 @@ None of them is needed by the library itself.
   and the Gaussian elimination use plain dict and Fraction arithmetic
   only, so they check the group-ring kernel and the Burau fold without
   running through them.
-* Proof-level checks of the paper's identities, which do run through the
-  library: ``verify_block_triangularization`` (the stabilization
-  bookkeeping behind the second Markov move) and
-  ``conjugation_identity_check`` (the matrix identity behind the first),
-  with their reports ``BlockTriangReport`` and ``ConjugationReport``.
+* Proof-level checks of the paper's identities, which compose the
+  library's Burau matrices with ``matmul``:
+  ``verify_block_triangularization`` (the stabilization bookkeeping
+  behind the second Markov move) and ``conjugation_identity_check`` (the
+  matrix identity behind the first), with their reports
+  ``BlockTriangReport`` and ``ConjugationReport``.
 """
 
 from __future__ import annotations
@@ -39,14 +47,77 @@ from l2burau.groupring import (
     Integers,
     RationalLike,
     TPoly,
+    _flat,
+    _flat_add,
+    _flat_addmul,
+    _unflat,
 )
-from l2burau.torsion import (
-    BurauMatrix,
-    _minus_identity,
-    _symbolic_det,
-    generator_matrix,
-    reduced_burau,
-)
+from l2burau.torsion import BurauMatrix, _minus_identity, _symbolic_det, reduced_burau
+
+
+# --- kernel-free group-ring algebra ---------------------------------------------
+
+
+def _pair_mul(group):
+    gmul = group.mul
+    return lambda a, b: (gmul(a[0], b[0]), a[1] + b[1])
+
+
+def mul(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
+    """a * b, every term product taken left to right."""
+    out: dict = {}
+    _flat_addmul(out, _flat(a), _flat(b), _pair_mul(a.group))
+    return _unflat(a.group, out)
+
+
+def matmul(A: GroupRingMatrix, B: GroupRingMatrix, opposite: bool = False) -> GroupRingMatrix:
+    """Entry (i, k) is the sum over j of A[i][j] B[j][k], or of B[j][k]
+    A[i][j] when ``opposite``: the composition of Burau matrices."""
+    if A.cols != B.rows:
+        raise ValueError(f"dimension mismatch {A.shape} x {B.shape}")
+    pair_mul = _pair_mul(A.group)
+    a = [[_flat(e) for e in row] for row in A.entries]
+    b = [[_flat(e) for e in row] for row in B.entries]
+    out = []
+    for i in range(A.rows):
+        row = []
+        for k in range(B.cols):
+            acc: dict = {}
+            for j in range(A.cols):
+                x, y = (b[j][k], a[i][j]) if opposite else (a[i][j], b[j][k])
+                _flat_addmul(acc, x, y, pair_mul)
+            row.append(_unflat(A.group, acc))
+        out.append(row)
+    return GroupRingMatrix(A.group, out)
+
+
+def adjoint(x):
+    """c(t) g -> c(t) g^-1 on an element; the transpose with entry-wise
+    adjoints on a matrix, so adjoint(A B) == adjoint(B) adjoint(A)."""
+    if isinstance(x, GroupRingMatrix):
+        return GroupRingMatrix(x.group, [[adjoint(e) for e in col] for col in zip(*x.entries)])
+    return GroupRingElement(x.group, {x.group.inv(g): c for g, c in x.terms.items()})
+
+
+def scale(x, c: RationalLike):
+    """Every coefficient of an element or a matrix times the rational c."""
+    if isinstance(x, GroupRingMatrix):
+        return GroupRingMatrix(x.group, [[scale(e, c) for e in row] for row in x.entries])
+    return GroupRingElement(
+        x.group, {g: TPoly({k: v * c for k, v in tp.coeffs.items()}) for g, tp in x.terms.items()}
+    )
+
+
+def zeros(group, rows: int, cols: int) -> GroupRingMatrix:
+    return GroupRingMatrix(group, [[GroupRingElement.zero(group)] * cols for _ in range(rows)])
+
+
+def generator_matrix(n: int, i: int, sign: int, family) -> GroupRingMatrix:
+    """The (n-1) x (n-1) Burau matrix of the Artin generator sigma_i^sign."""
+    return reduced_burau(braidmod.braid_word([sign * i], n), family).matrix
+
+
+# --- reference constructions ------------------------------------------------------
 
 
 def exponent_sum(a: BraidWord) -> int:
@@ -69,7 +140,7 @@ def fox_derivative(u: FreeWord, i: int) -> GroupRingElement:
     """Fox derivative packaged as a group-ring element over Free(rank)."""
     return GroupRingElement(
         Free(u.rank),
-        {k: TPoly.const(c) for k, c in fox_derivative_terms(u, i).items()},
+        {k: TPoly({0: c}) for k, c in fox_derivative_terms(u, i).items()},
     )
 
 
@@ -78,7 +149,7 @@ def kappa(
     family,
     n: int,
     basis: Basis = Basis.G,
-    coeff: TPoly | RationalLike = 1,
+    coeff: RationalLike = 1,
 ) -> GroupRingElement:
     """Send a free word to coeff * t^winding(w) * family(w).
 
@@ -86,19 +157,16 @@ def kappa(
     ``apply(word, n, basis)``; the winding exponent is computed from the
     word in its own basis (x-letters weigh 1, g-letters weigh their index).
     """
-    if not isinstance(coeff, TPoly):
-        coeff = TPoly.const(coeff)
-    grp = family.target(n)
     elem = family.apply(w, n, basis)
-    return GroupRingElement(grp, {elem: coeff * TPoly.t_power(winding(w, basis))})
+    return GroupRingElement(family.target(n), {elem: TPoly({winding(w, basis): coeff})})
 
 
 def augmentation(e: GroupRingElement) -> TPoly:
     """The sum of all coefficients."""
-    out = TPoly.zero()
+    out: dict = {}
     for c in e.terms.values():
-        out = out + c
-    return out
+        _flat_add(out, c.coeffs)
+    return TPoly(out)
 
 
 def vn_trace(x) -> TPoly:
@@ -107,14 +175,14 @@ def vn_trace(x) -> TPoly:
     if isinstance(x, GroupRingMatrix):
         if x.rows != x.cols:
             raise ValueError("trace needs a square matrix")
-        out = TPoly.zero()
+        out: dict = {}
         for i in range(x.rows):
-            out = out + vn_trace(x.entries[i][i])
-        return out
+            _flat_add(out, vn_trace(x.entries[i][i]).coeffs)
+        return TPoly(out)
     for g, c in x.terms.items():
         if x.group.is_identity(g):
             return c
-    return TPoly.zero()
+    return TPoly()
 
 
 def kappa_of_terms(
@@ -123,7 +191,7 @@ def kappa_of_terms(
     """Linear extension of kappa to {free word: rational} sums."""
     out = GroupRingElement.zero(family.target(n))
     for w, c in terms.items():
-        out = out + kappa(w, family, n, basis, coeff=c)
+        out = out._plus(kappa(w, family, n, basis, coeff=c), 1)
     return out
 
 
@@ -284,7 +352,7 @@ def verify_block_triangularization(
     size = n  # reduced size of a braid on n+1 strands
 
     # D undoes the stabilizing generator: the inverse generator's matrix
-    D = generator_matrix(n + 1, n, -sign, fam).matrix
+    D = generator_matrix(n + 1, n, -sign, fam)
     # G carries the fundamental formula of Fox calculus in its last row
     rows = []
     for r in range(size):
@@ -298,14 +366,12 @@ def verify_block_triangularization(
                 )
             else:
                 j = ccol + 1
-                term = GroupRingElement(
-                    grp, {j: TPoly.t_power(j), 0: TPoly.const(-1)}
-                )
+                term = GroupRingElement(grp, {j: TPoly({j: 1}), 0: TPoly({0: -1})})
                 row.append(term)
         rows.append(row)
     G = GroupRingMatrix(grp, rows)
 
-    Y = G * (D * Ew)
+    Y = matmul(G, matmul(D, Ew))
 
     lower_left_zero = all(Y.entries[size - 1][j].is_zero() for j in range(size - 1))
     top_ok = all(
@@ -314,13 +380,9 @@ def verify_block_triangularization(
         for j in range(n - 1)
     )
     if sign < 0:
-        expected_corner = GroupRingElement(
-            grp, {n + 1: TPoly.t_power(n + 1), 0: TPoly.const(-1)}
-        )
+        expected_corner = GroupRingElement(grp, {n + 1: TPoly({n + 1: 1}), 0: TPoly({0: -1})})
     else:
-        expected_corner = GroupRingElement(
-            grp, {n: TPoly.t_power(n), -1: TPoly.t_power(-1, -1)}
-        )
+        expected_corner = GroupRingElement(grp, {n: TPoly({n: 1}), -1: TPoly({-1: -1})})
     corner_ok = Y.entries[size - 1][size - 1] == expected_corner
 
     residuals = {}
@@ -379,7 +441,7 @@ def conjugation_identity_check(
         B_f(alpha) . B_family(alpha^-1 beta alpha) ==
         B_f(beta) . B_g(alpha)
 
-    where . is operator composition (opposite_mul in display layout).
+    where . is operator composition (``matmul`` with ``opposite``).
     For the total-winding family the determinants of both sides are also
     compared numerically at t = 2.
     """
@@ -389,8 +451,8 @@ def conjugation_identity_check(
     f = family.twist(ainv)
     g = family.twist(braidmod.compose(ainv, beta))
     conj = braidmod.conjugate(beta, alpha)
-    lhs = reduced_burau(alpha, f).matrix.opposite_mul(reduced_burau(conj, family).matrix)
-    rhs = reduced_burau(beta, f).matrix.opposite_mul(reduced_burau(alpha, g).matrix)
+    lhs = matmul(reduced_burau(alpha, f).matrix, reduced_burau(conj, family).matrix, opposite=True)
+    rhs = matmul(reduced_burau(beta, f).matrix, reduced_burau(alpha, g).matrix, opposite=True)
     equal = lhs == rhs
     det_resid = None
     if isinstance(family, TotalWinding):

@@ -12,7 +12,17 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_knot_braid
-from oracles import block_assemble, jacobian_matrix, verify_block_triangularization
+from oracles import (
+    adjoint,
+    block_assemble,
+    generator_matrix,
+    jacobian_matrix,
+    matmul,
+    mul,
+    scale,
+    verify_block_triangularization,
+    zeros,
+)
 from l2burau.braid import BraidWord, random_braid
 from l2burau.epifamilies import (
     AbelianImage,
@@ -41,7 +51,6 @@ from l2burau.torsion import (
     Stabilize,
     alexander_polynomial,
     fq_value,
-    generator_matrix,
     markov_report,
     reduced_burau,
 )
@@ -62,9 +71,9 @@ def test_criterion_1_boyd_quadrature():
     e = GroupRingElement(
         grp,
         {
-            (0, 0): TPoly.const(1),
-            (1, 0): TPoly.const(1),
-            (0, 1): TPoly.const(1),
+            (0, 0): TPoly({0: 1}),
+            (1, 0): TPoly({0: 1}),
+            (0, 1): TPoly({0: 1}),
         },
     )
     start = time.time()
@@ -114,7 +123,7 @@ def test_criterion_4_generator_determinants():
     for n in range(2, 6):
         for i in range(1, n):
             for sign in (1, -1):
-                E = generator_matrix(n, i, sign, TotalWinding()).matrix
+                E = generator_matrix(n, i, sign, TotalWinding())
                 for t0 in (Fraction(1, 2), Fraction(1), Fraction(2)):
                     est = det_integers(E, t0)
                     target = float(t0**sign)
@@ -184,7 +193,7 @@ def test_criterion_7_property_suites():
         ):
             continue
         dA, dB = det_integers(A, t0).value, det_integers(B, t0).value
-        dAB = det_integers(A * B, t0).value
+        dAB = det_integers(matmul(A, B), t0).value
         assert abs(dAB - dA * dB) <= 1e-9 * max(1.0, abs(dA * dB))
         done += 1
     done = 0
@@ -195,7 +204,7 @@ def test_criterion_7_property_suites():
             and B.determinant().coefficients_at(t0)
         ):
             continue
-        Z = GroupRingMatrix.zeros(Integers(), 2, 2)
+        Z = zeros(Integers(), 2, 2)
         tri = block_assemble([[A, C], [Z, B]])
         assert det_integers(tri, t0).value == pytest.approx(
             det_integers(A, t0).value * det_integers(B, t0).value, rel=1e-9
@@ -203,10 +212,10 @@ def test_criterion_7_property_suites():
         done += 1
     for _ in range(5):  # (3) induction from <x1> inside F3
         coeffs = {
-            rng.randint(-2, 2): TPoly.const(Fraction(rng.randint(1, 3), rng.randint(3, 5)))
+            rng.randint(-2, 2): TPoly({0: Fraction(rng.randint(1, 3), rng.randint(3, 5))})
             for _ in range(2)
         }
-        coeffs[0] = TPoly.const(1)
+        coeffs[0] = TPoly({0: 1})
         over_z = GroupRingMatrix(
             Integers(), [[GroupRingElement(Integers(), coeffs)]]
         )
@@ -226,15 +235,15 @@ def test_criterion_7_property_suites():
         k = rng.randint(-2, 2)
         B = GroupRingMatrix(
             Integers(),
-            [[GroupRingElement(Integers(), {k: TPoly.const(rng.choice((1, -2)))})]],
+            [[GroupRingElement(Integers(), {k: TPoly({0: rng.choice((1, -2))})})]],
         )
         m = block_assemble([[A, B], [C, D]])
         if not m.determinant().coefficients_at(t0):
             continue
         b = B.entries[0][0]
         ((bk, btp),) = b.terms.items()
-        binv = GroupRingElement(Integers(), {-bk: TPoly.const(1 / btp.coeffs[0])})
-        schur = A.entries[0][0] * binv * D.entries[0][0] - C.entries[0][0]
+        binv = GroupRingElement(Integers(), {-bk: TPoly({0: 1 / btp.coeffs[0]})})
+        schur = mul(mul(A.entries[0][0], binv), D.entries[0][0]) - C.entries[0][0]
         lhs = det_integers(m, t0).value
         rhs = (
             det_integers(GroupRingMatrix(Integers(), [[b]]), t0).value
@@ -245,10 +254,10 @@ def test_criterion_7_property_suites():
     for _ in range(5):  # (8) adjoint symmetry
         A = rand_z_matrix(rng)
         assert det_integers(A, t0).value == pytest.approx(
-            det_integers(A.adjoint(), t0).value, rel=1e-9
+            det_integers(adjoint(A), t0).value, rel=1e-9
         )
     for lam, size in ((Fraction(-3), 1), (Fraction(5, 2), 3)):  # (9) dilations
-        m = GroupRingMatrix.identity(Integers(), size).scale(TPoly.const(lam))
+        m = scale(GroupRingMatrix.identity(Integers(), size), lam)
         assert det_integers(m, 1).value == pytest.approx(
             float(abs(lam)) ** size, rel=1e-11
         )
@@ -260,8 +269,10 @@ def test_criterion_7_property_suites():
             a = random_braid(rng, n, 5)
             b = random_braid(rng, n, 5)
             lhs = jacobian_matrix(compose_braids(a, b), Identity(), Basis.G, n - 1)
-            rhs = reduced_burau(a, Identity()).matrix.opposite_mul(
-                reduced_burau(b, twist(Identity(), a)).matrix
+            rhs = matmul(
+                reduced_burau(a, Identity()).matrix,
+                reduced_burau(b, twist(Identity(), a)).matrix,
+                opposite=True,
             )
             assert lhs == rhs
             pairs += 1

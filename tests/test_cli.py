@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from l2burau import torsion
+from l2burau import cli, torsion
 from l2burau.braid import BraidWord
 from l2burau.cli import main
 from l2burau.epifamilies import AbelianImage, Identity
@@ -315,3 +315,22 @@ def test_output_file(tmp_path, capsys):
     assert code == 0 and out == ""
     data = json.loads(target.read_text())
     assert data == {"0": "1", "1": "-3", "2": "1"}
+
+
+@pytest.mark.parametrize(
+    "argv, backend",
+    [
+        (("fq", "-b", "1"), "fq_value"),
+        (("alexander", "-b", "1 1 1"), "alexander_polynomial"),
+    ],
+)
+def test_unwritable_output_path_is_an_argument_error(tmp_path, capsys, monkeypatch, argv, backend):
+    # the -o path is checked before any backend runs: exit 2, the path named
+    def refuse(*args, **kwargs):
+        raise AssertionError("a backend ran before the output path was checked")
+
+    monkeypatch.setattr(cli, backend, refuse)
+    for path in ("/no/such/dir/out.txt", str(tmp_path)):
+        code, out, err = run(capsys, *argv, "-o", path)
+        assert code == 2 and out == ""
+        assert path in err

@@ -34,7 +34,7 @@ from l2burau.groupring import (
     TPoly,
 )
 from l2burau.torsion import fq_value, reduced_burau
-from oracles import block_assemble
+from oracles import adjoint, block_assemble, matmul, mul, scale, zeros
 
 BOYD = 1.3813564445184977  # Mahler measure of 1 + X + Y
 TWO_OVER_SQRT3 = 2.0 / math.sqrt(3.0)
@@ -90,14 +90,14 @@ def test_roots_reads_an_integral_fraction_determinant_as_one_polynomial():
 
 
 def test_roots_non_injective_flavors():
-    zero = GroupRingMatrix.zeros(Integers(), 1, 1)
+    zero = zeros(Integers(), 1, 1)
     est = det_integers(zero, 1)
     assert est.value == 0.0 and est.diagnostics.get("non_injective")
 
 
 def test_roots_requires_square_and_positive_t():
     with pytest.raises(ValueError):
-        det_integers(GroupRingMatrix.zeros(Integers(), 1, 2), 1)
+        det_integers(zeros(Integers(), 1, 2), 1)
     with pytest.raises(ValueError):
         det_integers(GroupRingMatrix.identity(Integers(), 1), 0)
 
@@ -139,7 +139,7 @@ def test_quadrature_diagonal_support():
 def test_quadrature_high_dimension_capped():
     grp = FreeAbelian(4)
     e = GroupRingElement(
-        grp, {(0, 0, 0, 0): TPoly.const(1), (1, 1, 1, 1): TPoly.t_power(1, -1)}
+        grp, {(0, 0, 0, 0): TPoly({0: 1}), (1, 1, 1, 1): TPoly({1: -1})}
     )
     m = GroupRingMatrix(grp, [[e]])
     for t0 in (Fraction(1, 2), 2):
@@ -226,7 +226,7 @@ def test_series_validation():
     with pytest.raises(ValueError):
         det_free_group(m, 1, series_len=4)
     with pytest.raises(ValueError):
-        det_free_group(GroupRingMatrix.zeros(Free(2), 1, 2), 1)
+        det_free_group(zeros(Free(2), 1, 2), 1)
 
 
 def test_series_no_accel_bound_is_honest():
@@ -241,7 +241,7 @@ def test_series_no_accel_bound_is_honest():
 
 
 def test_series_zero_matrix():
-    est = det_free_group(GroupRingMatrix.zeros(Free(2), 1, 1), 1)
+    est = det_free_group(zeros(Free(2), 1, 1), 1)
     assert est.value == 0.0 and est.diagnostics["non_injective"]
 
 
@@ -264,7 +264,7 @@ def test_series_matrix_block_diagonal():
     a = felt(2, {"x1": {0: 1}})
     b = felt(2, {"x2": {0: 1}})
     zero = GroupRingElement.zero(grp)
-    two = GroupRingElement(grp, {FreeWord.identity(2): TPoly.const(2)})
+    two = GroupRingElement(grp, {FreeWord.identity(2): TPoly({0: 2})})
     m = GroupRingMatrix(grp, [[a, zero], [zero, two]])
     est = det_free_group(m, 1)
     assert abs(est.value - 2.0) < 2e-2
@@ -565,7 +565,7 @@ def test_multiplicativity_over_z(rng):
         if A.determinant().coefficients_at(t0) and B.determinant().coefficients_at(t0):
             dA = det_integers(A, t0).value
             dB = det_integers(B, t0).value
-            dAB = det_integers(A * B, t0).value
+            dAB = det_integers(matmul(A, B), t0).value
             assert abs(dAB - dA * dB) <= 1e-9 * max(1.0, abs(dA * dB))
             done += 1
 
@@ -581,7 +581,7 @@ def test_block_triangular_over_z(rng):
         ):
             continue
         C = rand_z_matrix(rng)
-        Z = GroupRingMatrix.zeros(Integers(), 2, 2)
+        Z = zeros(Integers(), 2, 2)
         upper = block_assemble([[A, C], [Z, B]])
         lower = block_assemble([[A, Z], [C, B]])
         target = det_integers(A, t0).value * det_integers(B, t0).value
@@ -596,7 +596,7 @@ def test_adjoint_symmetry(rng):
         if not A.determinant().coefficients_at(t0):
             continue
         assert det_integers(A, t0).value == pytest.approx(
-            det_integers(A.adjoint(), t0).value, rel=1e-9
+            det_integers(adjoint(A), t0).value, rel=1e-9
         )
 
 
@@ -611,7 +611,7 @@ def test_two_by_two_trick_identity_over_z(rng):
         k = rng.randint(-2, 2)
         B = GroupRingMatrix(
             Integers(),
-            [[GroupRingElement(Integers(), {k: TPoly.const(rng.choice((1, 2, -1)))})]],
+            [[GroupRingElement(Integers(), {k: TPoly({0: rng.choice((1, 2, -1))})})]],
         )
         m = block_assemble([[A, B], [C, D]])
         P = m.determinant().coefficients_at(t0)
@@ -621,12 +621,10 @@ def test_two_by_two_trick_identity_over_z(rng):
         binv = GroupRingElement(
             Integers(),
             {
-                -next(iter(b.terms)): TPoly.const(
-                    1 / next(iter(b.terms.values())).coeffs[0]
-                )
+                -next(iter(b.terms)): TPoly({0: 1 / next(iter(b.terms.values())).coeffs[0]})
             },
         )
-        schur = A.entries[0][0] * binv * D.entries[0][0] - C.entries[0][0]
+        schur = mul(mul(A.entries[0][0], binv), D.entries[0][0]) - C.entries[0][0]
         lhs = det_integers(m, t0).value
         rhs = det_integers(one_by_one(b), t0).value * det_integers(
             one_by_one(schur), t0
@@ -638,11 +636,11 @@ def test_two_by_two_trick_identity_over_z(rng):
 def test_dilations_all_backends():
     lam = Fraction(-5, 2)
     for size in (1, 2):
-        mz = GroupRingMatrix.identity(Integers(), size).scale(TPoly.const(lam))
+        mz = scale(GroupRingMatrix.identity(Integers(), size), lam)
         assert det_integers(mz, 1).value == pytest.approx(2.5**size, rel=1e-12)
-        ma = GroupRingMatrix.identity(FreeAbelian(2), size).scale(TPoly.const(lam))
+        ma = scale(GroupRingMatrix.identity(FreeAbelian(2), size), lam)
         assert det_free_abelian(ma, 1).value == pytest.approx(2.5**size, rel=1e-9)
-        mf = GroupRingMatrix.identity(Free(2), size).scale(TPoly.const(lam))
+        mf = scale(GroupRingMatrix.identity(Free(2), size), lam)
         assert det_free_group(mf, 1).value == pytest.approx(2.5**size, rel=1e-9)
         me = det_epsilon_reg(mz, 1)
         assert me.value == pytest.approx(2.5**size, rel=1e-6)
