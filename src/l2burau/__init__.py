@@ -40,8 +40,10 @@ from .fkdet import (
     det_free_group,
     det_integers,
     fold_subgroup_basis,
+    epsilon_estimate,
     quadrature_estimate,
     roots_estimate,
+    series_estimate,
 )
 from .freegroup import (
     Basis,

@@ -147,9 +147,3 @@ def free_cancel(a: BraidWord) -> BraidWord:
         else:
             out.append(x)
     return BraidWord(a.strands, tuple(out))
-
-
-def random_braid(rng, strands: int, length: int) -> BraidWord:
-    """Uniform random word of the given length (for property tests)."""
-    gens = [i for i in range(1, strands)] + [-i for i in range(1, strands)]
-    return BraidWord(strands, tuple(rng.choice(gens) for _ in range(length)))

@@ -1,38 +1,38 @@
 """Fuglede-Kadison determinant estimation over the computable groups.
 
-Three backends, one per coefficient group, plus epsilon regularization:
+Three backends, one per coefficient group, plus epsilon regularization.
+Each is a ``<backend>_estimate`` on flat data, exact in t: roots and
+quadrature read the determinant D = {(group element, t exponent):
+coefficient} that ``groupring._laplace`` returns, series and eps the
+square matrix E as rows of such dicts.  So a caller evaluating one
+matrix at several t builds its input once (``torsion.fq_value`` does).
+Each ``det_*`` flattens a ``GroupRingMatrix`` once and calls its estimate,
+with the same checks and messages.
 
-* ``det_integers`` - symbolic one-variable determinant, then the Mahler
-  measure from polynomial roots (exact up to root-finding tolerance; P
-  is proved square-free modulo a prime or split exactly first).  Under phi
-  det is one polynomial Q(s), s = z t: 1 + s + ... + s^(m-1) is divided
-  out exactly and one cached solve of the quotient serves every t.
-* ``det_free_abelian`` - symbolic multivariate determinant, then the
-  Mahler measure as a midpoint tensor quadrature of log|P| on the torus,
-  with grid doublings supplying the error bound.  P is evaluated from its
-  dense coefficient box and one phase table per axis, on the half of the
-  grid that conjugate symmetry leaves, in fixed-size blocks.  Supports
+* ``roots_estimate`` (``det_integers``) - the Mahler measure of the
+  one-variable determinant from its roots (exact up to root-finding
+  tolerance; P is proved square-free modulo a prime or split exactly
+  first).  Under phi det is one polynomial Q(s), s = z t: 1 + s + ... +
+  s^(m-1) is divided out exactly and one cached solve of the quotient
+  serves every t.
+* ``quadrature_estimate`` (``det_free_abelian``) - the Mahler measure as
+  a midpoint tensor quadrature of log|P| on the torus, with grid
+  doublings supplying the error bound.  P is evaluated from its dense
+  coefficient box and one phase table per axis, on the half of the grid
+  that conjugate symmetry leaves, in fixed-size blocks.  Supports
   touching at most one coordinate fall back to the exact root method.
-
-  Both take a matrix and expand its determinant, exact in t, before they
-  substitute t = t0.  Their polynomial-level entry points
-  ``roots_estimate(group, D, t0)`` and ``quadrature_estimate(group, D,
-  t0, grid)`` start from that determinant instead, the flat dict D =
-  {(group element, t exponent): coefficient} that ``groupring._laplace``
-  returns, with the same checks and messages, so a caller evaluating one
-  matrix at several t expands it once (``torsion.fq_value`` does).
-* ``det_free_group`` - a von Neumann trace series for log det.  Traces
-  tr((Id - B/c)^k) are computed by propagating a vector over a
-  radius-truncated ball of a free group (numbered in suffix order, so a
-  word acts on it as a few arithmetic runs), after rewriting the support
-  over a free basis of the subgroup it generates.  The slowly decaying
-  tail of the series is completed by a fitted power-law or geometric
-  model.  A single entry whose subgroup has rank 1 is a Laurent
-  polynomial and goes to the exact root method instead.
-* ``det_epsilon_reg`` - determinants of A*A + eps Id for a decreasing
-  eps sequence, extrapolated to eps -> 0.  Every shifted series is derived
-  from the moments of one walk, so it checks the tail model and the eps
-  extrapolation, not the walk itself.
+* ``series_estimate`` (``det_free_group``) - a von Neumann trace series
+  for log det.  Traces tr((Id - B/c)^k) are computed by propagating a
+  vector over a radius-truncated ball of a free group (numbered in suffix
+  order, so a word acts on it as a few arithmetic runs), after rewriting
+  the support over a free basis of the subgroup it generates.  The slowly
+  decaying tail is completed by a fitted power-law or geometric model.
+  A single entry whose subgroup has rank 1 is a Laurent polynomial and
+  goes to the exact root method instead.
+* ``epsilon_estimate`` (``det_epsilon_reg``) - determinants of A*A + eps
+  Id for a decreasing eps sequence, extrapolated to eps -> 0.  Every
+  shifted series is derived from the moments of one walk, so it checks
+  the tail model and the eps extrapolation, not the walk itself.
 
 Every backend computes the regular determinant flavor: zero on detected
 non-injective operators.
@@ -88,9 +88,11 @@ class FKEstimate:
         }
 
 
-def _require_square(M: GroupRingMatrix):
+def _flat_rows(M: GroupRingMatrix) -> list[list[dict]]:
+    """The rows of a square matrix as flat entries (``groupring._flat``)."""
     if M.rows != M.cols:
         raise ValueError(f"determinant needs a square matrix, got {M.shape}")
+    return [[_flat(e) for e in row] for row in M.entries]
 
 
 def _require_positive(t0) -> Fraction:
@@ -120,12 +122,13 @@ def _poly_divmod(num: list, den: list) -> tuple[list, list]:
     return q, _trimmed(rem[: len(den) - 1])
 
 
-def _cyclic_quotient(r: list, m: int) -> list | None:
+def _cyclic_quotient(q: Sequence, m: int) -> list | None:
     """Delta with Q = (1 + s + ... + s^(m-1)) Delta, or None when the sum
-    does not divide Q, from the differences r_j = q_j - q_(j-1) of Q's
-    ascending list: (1 - s) Q = (1 - s^m) Delta gives delta_j = r_j +
-    delta_(j-m), sums only, and the division is exact iff the recurrence
-    over every r_j ends in m zeros."""
+    does not divide Q, from Q's ascending coefficients q: with the
+    differences r_j = q_j - q_(j-1), (1 - s) Q = (1 - s^m) Delta gives
+    delta_j = r_j + delta_(j-m), sums only, and the division is exact iff
+    the recurrence over every r_j ends in m zeros."""
+    r = [a - b for a, b in zip([*q, 0], [0, *q])]
     delta = r[:m]
     for j in range(m, len(r)):
         delta.append(r[j] + delta[j - m])
@@ -254,11 +257,10 @@ def _require_integers(group) -> None:
 
 def det_integers(M: GroupRingMatrix, t0) -> FKEstimate:
     """Determinant over Z via the symbolic polynomial and its roots."""
-    _require_square(M)
+    rows = _flat_rows(M)
     _require_positive(t0)
     _require_integers(M.group)
-    D = _laplace(M.group, [[_flat(e) for e in row] for row in M.entries])
-    return roots_estimate(M.group, D, t0)
+    return roots_estimate(M.group, _laplace(M.group, rows), t0)
 
 
 def roots_estimate(group, D: dict, t0) -> FKEstimate:
@@ -298,12 +300,11 @@ def _winding_roots(lo: int, q: tuple[int, ...]) -> tuple[UnivariateRoots, int]:
     """The one root solve of Q(s) = sum q_k s^(lo + k), after dividing out
     the largest 1 + s + ... + s^(m-1) that divides it (m >= n under phi, by
     the Burau-Alexander formula): its roots lie on the unit circle, so
-    M(Q(t .)) = max(1, t)^(m-1) M(Delta(t .)).  It divides Q iff (1 - s) Q
-    vanishes mod s^m - 1: every residue class of exponents sums to zero."""
-    r = [a - b for a, b in zip(q + (0,), (0,) + q)]
-    m = next(m for m in range(len(q), 0, -1) if not any(sum(r[j::m]) for j in range(m)))
-    delta = _cyclic_quotient(r, m)
-    return UnivariateRoots({lo + k: c for k, c in enumerate(delta)}), m
+    M(Q(t .)) = max(1, t)^(m-1) M(Delta(t .)).  m = 1 always divides."""
+    for m in range(len(q), 0, -1):
+        delta = _cyclic_quotient(q, m)
+        if delta is not None:
+            return UnivariateRoots({lo + k: c for k, c in enumerate(delta)}), m
 
 
 # --- quadrature backend (free abelian) ---------------------------------------
@@ -373,11 +374,10 @@ def _require_free_abelian(group, grid: int) -> None:
 
 def det_free_abelian(M: GroupRingMatrix, t0, grid: int = 128) -> FKEstimate:
     """Determinant over Z^d: the Mahler measure of the determinant polynomial."""
-    _require_square(M)
+    rows = _flat_rows(M)
     _require_positive(t0)
     _require_free_abelian(M.group, grid)
-    D = _laplace(M.group, [[_flat(e) for e in row] for row in M.entries])
-    return quadrature_estimate(M.group, D, t0, grid)
+    return quadrature_estimate(M.group, _laplace(M.group, rows), t0, grid)
 
 
 def quadrature_estimate(group, D: dict, t0, grid: int = 128) -> FKEstimate:
@@ -973,22 +973,29 @@ def _series_to_estimate(res: _SeriesResult, method: str) -> FKEstimate:
     return FKEstimate(value, err, method, res.diagnostics)
 
 
+# ball states the trace series and the eps walk may visit, and the longest
+# series: the walk costs milliseconds a term, so a longer one would run
+# for minutes with no output
+_SERIES_STATE_BUDGET = 1_200_000
+_EPS_STATE_BUDGET = 400_000
+_MAX_SERIES_LEN = 512
+
+
 def _check_series_len(series_len: int) -> None:
     if series_len < 8:
         raise ValueError("series_len must be at least 8")
+    if series_len > _MAX_SERIES_LEN:
+        raise ValueError(f"series_len must be at most {_MAX_SERIES_LEN}")
 
 
-# ball states det_free_group's trace series may walk (eps takes its own)
-_SERIES_STATE_BUDGET = 1_200_000
+def det_free_group(M: GroupRingMatrix, t0, series_len: int = 30, accel: bool = True) -> FKEstimate:
+    """Regular determinant over a free group: :func:`series_estimate` on M."""
+    return series_estimate(M.group, _flat_rows(M), t0, series_len, accel)
 
 
-def det_free_group(
-    M: GroupRingMatrix,
-    t0,
-    series_len: int = 30,
-    accel: bool = True,
-) -> FKEstimate:
-    """Regular determinant over a free group via the von Neumann trace series.
+def series_estimate(group, E: list, t0, series_len: int = 30, accel: bool = True) -> FKEstimate:
+    """Regular determinant over a free group via the von Neumann trace
+    series, of E given as rows of flat entries, exact in t.
 
     1x1 operators are rewritten over a free basis of the subgroup their
     support generates, which shrinks both the ambient rank and the word
@@ -999,15 +1006,14 @@ def det_free_group(
     det(A B^-1 D - C); larger matrices run the series directly and flag
     that injectivity was assumed.
     """
-    _require_square(M)
     t0 = _require_positive(t0)
-    if not isinstance(M.group, Free):
+    if not isinstance(group, Free):
         raise ValueError("det_free_group needs a Free coefficient group")
     _check_series_len(series_len)
-    m = M.rows
+    m = len(E)
     if m == 0:
         return FKEstimate(1.0, 0.0, "trace_series", {"empty": True})
-    support = [[e.coefficients_at(t0) for e in row] for row in M.entries]
+    support = [[_at(e, t0) for e in row] for row in E]
     if all(not e for row in support for e in row):
         return FKEstimate(0.0, 0.0, "trace_series", {"non_injective": True})
 
@@ -1101,10 +1107,14 @@ def _neville_to_zero(xs: list[float], ys: list[float]) -> tuple[float, float]:
 
 
 def det_epsilon_reg(
-    M: GroupRingMatrix,
-    t0,
-    series_len: int = 60,
-    state_budget: int = 400_000,
+    M: GroupRingMatrix, t0, series_len: int = 60, state_budget: int = _EPS_STATE_BUDGET
+) -> FKEstimate:
+    """Epsilon-regularized determinant: :func:`epsilon_estimate` on M."""
+    return epsilon_estimate(M.group, _flat_rows(M), t0, series_len, state_budget)
+
+
+def epsilon_estimate(
+    group, E: list, t0, series_len: int = 60, state_budget: int = _EPS_STATE_BUDGET
 ) -> FKEstimate:
     """sqrt(det(A* A + eps Id)) extrapolated along a decreasing eps sequence.
 
@@ -1113,18 +1123,17 @@ def det_epsilon_reg(
     walk over A* A (see :func:`_series_from_moments`).  The eps limit is
     then taken by polynomial extrapolation, in both eps and sqrt(eps),
     keeping whichever settles better.  Supported over Z and over free
-    groups (Z embeds as the rank-one free group for the walk).
+    groups (Z embeds as the rank-one free group for the walk); ``E`` is
+    read as in :func:`series_estimate`.
     """
-    _require_square(M)
     t0 = _require_positive(t0)
-    m = M.rows
+    m = len(E)
     if m == 0:
         return FKEstimate(1.0, 0.0, "epsilon_reg", {"empty": True})
-    support_q = [[e.coefficients_at(t0) for e in row] for row in M.entries]
+    support_q = [[_at(e, t0) for e in row] for row in E]
     if all(not e for row in support_q for e in row):
         return FKEstimate(0.0, 0.0, "epsilon_reg", {"non_injective": True})
 
-    group = M.group
     if isinstance(group, Free):
         as_words = support_q
     elif isinstance(group, Integers):

@@ -239,13 +239,3 @@ def change_of_basis(w: FreeWord, frm: Basis, to: Basis) -> FreeWord:
         images = [FreeWord(n, tuple(p for p in ((i - 1, -1), (i, 1)) if p[0] >= 1))
                   for i in range(1, n + 1)]
     return _substitute(images, w)
-
-
-def random_word(rng, rank: int, length: int) -> FreeWord:
-    """Random reduced word of roughly the requested length."""
-    letters: list[tuple[int, int]] = []
-    for _ in range(length):
-        g = rng.randint(1, rank)
-        e = rng.choice((1, -1))
-        letters.append((g, e))
-    return word(rank, letters)

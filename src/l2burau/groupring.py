@@ -6,10 +6,10 @@ of three computable coefficient groups: the integers, a free abelian group,
 or a free group.  Keeping t symbolic makes the Markov-move identities exact;
 numbers enter only when a determinant backend substitutes a value for t.
 The pipeline hands flat {(group element, t exponent): coefficient} dicts
-from the Burau fold through the determinant to the backends (see the flat
-kernel below); elements and matrices are a codec, for printing, JSON and
-the free-group backends, with a difference and a determinant as their
-only arithmetic.
+from the Burau fold through the determinant to all four backends (see the
+flat kernel below); elements and matrices are a codec, for ``burau``
+output, JSON and the benchmark, with a difference and a determinant as
+their only arithmetic.
 
 Group elements are stored as canonical reduced representatives (an int, an
 integer tuple, or a reduced FreeWord) and used directly as mapping keys, so
@@ -211,10 +211,6 @@ class GroupRingElement:
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
         return self._plus(other, -1)
 
-    def coefficients_at(self, t0: RationalLike) -> dict:
-        """{group element: Fraction} after substituting t = t0 (see :func:`_at`)."""
-        return _at(_flat(self), t0)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GroupRingElement)
@@ -294,7 +290,8 @@ class GroupRingElement:
 #
 # The Burau fold returns flat dicts (ring.flat), and _laplace, the one
 # determinant routine, takes them and returns one, so the fold's entries
-# reach the determinant backends without ever becoming GroupRingElements.
+# reach every determinant backend, as E's rows or as det(E), without ever
+# becoming GroupRingElements.
 # _at substitutes t = t0 into a flat dict; GroupRingMatrix.determinant is
 # the one place a determinant is decoded into an element.
 

@@ -16,13 +16,14 @@ matrices whose coefficient family is twisted one letter at a time.  A
 generator matrix is the identity but for one column, the Fox derivatives
 of the letter's entry in the braid-action table of
 :mod:`l2burau.freegroup`, so the action is written down in one place.
-The fold hands its entries to the symbolic determinant as flat dicts,
-and the determinant reaches the roots and quadrature backends and the
-Alexander polynomial as one; only a matrix a caller asks for (``burau``
-output, E for the free-group backends) is decoded into group-ring
-elements.  The Fox jacobian and the proof-level identities (block
-triangularization under stabilization, the conjugation identity) are
-kept by the tests, as oracles the pipeline is checked against.
+The fold hands its entries as flat dicts to the symbolic determinant,
+which the roots and quadrature backends and the Alexander polynomial
+read, and as the flat rows of E = Burau - Id to the series and eps
+backends; only the matrix ``reduced_burau`` returns (``burau`` output)
+is decoded into group-ring elements.  The Fox jacobian and the
+proof-level identities (block triangularization under stabilization,
+the conjugation identity) are kept by the tests, as oracles the
+pipeline is checked against.
 """
 
 from __future__ import annotations
@@ -43,10 +44,11 @@ from .fkdet import (
     _cyclic_quotient,
     _require_free_abelian,
     _require_integers,
-    det_epsilon_reg,
-    det_free_group,
+    _require_positive,
+    epsilon_estimate,
     quadrature_estimate,
     roots_estimate,
+    series_estimate,
 )
 from .groupring import (
     FreeAbelian,
@@ -181,28 +183,13 @@ def _burau_fold(beta: BraidWord, family) -> list[list[dict]]:
     return [[flat(d, offsets[c]) for c, d in enumerate(row)] for row in rows]
 
 
-def _as_matrix(group, rows: list[list[dict]]) -> GroupRingMatrix:
-    return GroupRingMatrix(group, [[_unflat(group, d) for d in row] for row in rows])
-
-
-def _rows_minus_identity(group, rows: list[list[dict]]) -> list[list[dict]]:
-    """Flat rows of Burau - Id; the cached rows are copied, never changed."""
-    one = {(group.identity(), 0): 1}
-    out = []
-    for i, row in enumerate(rows):
-        row = list(row)
-        row[i] = dict(row[i])
-        _flat_add(row[i], one, -1)
-        out.append(row)
-    return out
-
-
 def reduced_burau(beta: BraidWord, family) -> BurauMatrix:
     """The reduced Burau matrix of a braid word over a coefficient family:
-    the generator matrices folded with twisted families, one
-    column update per letter (see :func:`_burau_fold`)."""
-    mat = _as_matrix(family.target(beta.strands), _burau_rows(beta, family))
-    return BurauMatrix(mat, family, beta, Basis.G)
+    the generator matrices folded with twisted families, one column
+    update per letter (see :func:`_burau_fold`), decoded into elements."""
+    grp = family.target(beta.strands)
+    rows = [[_unflat(grp, d) for d in row] for row in _burau_rows(beta, family)]
+    return BurauMatrix(GroupRingMatrix(grp, rows), family, beta, Basis.G)
 
 
 # --- the candidate Markov function -------------------------------------------
@@ -239,8 +226,9 @@ class FQValue:
 # Everything before t = t0 is substituted depends only on (braid, family),
 # so a t sweep folds the braid once: reduced_burau, E = Burau - Id and the
 # symbolic determinant all read the flat rows of one fold, and
-# alexander_polynomial reads the same determinant.  Four entries cover
-# the t loops of fq, markov and the CLI.
+# alexander_polynomial reads the same determinant (E is copied from the
+# rows on each call).  Four entries cover the t loops of fq, markov and
+# the CLI.
 # Nothing that depends on t0, the grid or the series length (an estimate,
 # a walk, a ball) is cached.
 @functools.lru_cache(maxsize=4)
@@ -252,21 +240,26 @@ def _burau_rows(beta: BraidWord, family) -> list[list[dict]]:
     return rows
 
 
-@functools.lru_cache(maxsize=4)
-def _minus_identity(beta: BraidWord, family) -> GroupRingMatrix:
-    """E = Burau(beta) - Id, for the free-group backends."""
-    grp = family.target(beta.strands)
-    return _as_matrix(grp, _rows_minus_identity(grp, _burau_rows(beta, family)))
+def _minus_identity(beta: BraidWord, family) -> list[list[dict]]:
+    """The flat rows of E = Burau(beta) - Id; the cached rows of the fold
+    are copied, never changed."""
+    one = {(family.target(beta.strands).identity(), 0): 1}
+    out = []
+    for i, row in enumerate(_burau_rows(beta, family)):
+        row = list(row)
+        row[i] = dict(row[i])
+        _flat_add(row[i], one, -1)
+        out.append(row)
+    return out
 
 
 @functools.lru_cache(maxsize=4)
 def _symbolic_det(beta: BraidWord, family) -> dict:
-    """det(E), exact in t, expanded from the flat rows without building E,
-    as the flat dict {(group element, t exponent): coefficient} of
-    ``groupring._laplace``; built only when a caller asks (roots, quad,
-    the Alexander polynomial), who reads it and never changes it."""
-    grp = family.target(beta.strands)
-    return _laplace(grp, _rows_minus_identity(grp, _burau_rows(beta, family)))
+    """det(E), exact in t, as the flat dict {(group element, t exponent):
+    coefficient} of ``groupring._laplace``; built only when a caller asks
+    (roots, quad, the Alexander polynomial), who reads it and never
+    changes it."""
+    return _laplace(family.target(beta.strands), _minus_identity(beta, family))
 
 
 def fq_value(
@@ -283,15 +276,14 @@ def fq_value(
 
     The determinant backend follows the family's target group unless
     ``method`` forces one of roots | quad | series | eps.  Roots and quad
-    read the symbolic determinant, series and eps the matrix E = Burau -
-    Id; both come from caches keyed by (beta, family), so calls that
-    differ only in t share them, and both read one cached fold.  Under phi
-    every t reads M(det(t .)) from one cached root solve, with the factor
-    1 + s + ... + s^(n-1) divided out exactly (``fkdet._winding_roots``).
+    read the symbolic determinant, series and eps the flat rows of E =
+    Burau - Id; both read one fold cached by (beta, family), and the
+    determinant is cached too, so calls that differ only in t share them.
+    Under phi every t reads M(det(t .)) from one cached root solve, with
+    the factor 1 + s + ... + s^(n-1) divided out exactly
+    (``fkdet._winding_roots``).
     """
-    t0 = Fraction(t0)
-    if t0 <= 0:
-        raise ValueError("t must be positive")
+    t0 = _require_positive(t0)
     n = beta.strands
     _burau_rows(beta, family)  # assembly errors come before backend errors
     grp = family.target(n)
@@ -309,9 +301,9 @@ def fq_value(
         _require_free_abelian(grp, grid)
         est = quadrature_estimate(grp, _symbolic_det(beta, family), t0, grid=grid)
     elif method == "series":
-        est = det_free_group(_minus_identity(beta, family), t0, series_len=series_len, accel=accel)
+        est = series_estimate(grp, _minus_identity(beta, family), t0, series_len, accel)
     elif method == "eps":
-        est = det_epsilon_reg(_minus_identity(beta, family), t0)
+        est = epsilon_estimate(grp, _minus_identity(beta, family), t0)
     else:
         raise ValueError(f"unknown method {method!r}")
     norm = float(max(Fraction(1), t0)) ** n
@@ -365,8 +357,7 @@ def alexander_polynomial(beta: BraidWord) -> dict[int, Fraction]:
     P = _at(_symbolic_det(beta, TotalWinding()), 1)
     if not P:
         raise AssertionError("vanishing determinant for a knot closure")
-    p = _ascending(P)
-    q = _cyclic_quotient([a - b for a, b in zip([*p, 0], [0, *p])], beta.strands)
+    q = _cyclic_quotient(_ascending(P), beta.strands)
     if q is None:
         raise AssertionError("det(Burau - Id) is not divisible by 1 + s + ... + s^(n-1)")
     out = {k: c for k, c in enumerate(q) if c}  # q[0] = P's lowest coefficient

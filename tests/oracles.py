@@ -16,10 +16,12 @@ None of them is needed by the library itself.
   trace of elements and matrices (``augmentation``, ``vn_trace``), the
   Fox jacobian (``jacobian_matrix``, ``unreduced_burau``), block
   assembly, and exact evaluation and Gaussian elimination (``evaluate``,
-  ``gaussian_det``, ``det_at``).  The Fox jacobian, the evaluation helpers
-  and the Gaussian elimination use plain dict and Fraction arithmetic
-  only, so they check the group-ring kernel and the Burau fold without
-  running through them.
+  ``gaussian_det``, ``det_at``).  ``coefficients_at`` substitutes t = t0
+  into an element, and ``minus_identity_matrix`` decodes the flat rows of
+  E = Burau - Id that the series and eps backends read.  The Fox
+  jacobian, the evaluation helpers and the Gaussian elimination use plain
+  dict and Fraction arithmetic only, so they check the group-ring kernel
+  and the Burau fold without running through them.
 * Proof-level checks of the paper's identities, which compose the
   library's Burau matrices with ``matmul``:
   ``verify_block_triangularization`` (the stabilization bookkeeping
@@ -47,6 +49,7 @@ from l2burau.groupring import (
     Integers,
     RationalLike,
     TPoly,
+    _at,
     _flat,
     _flat_add,
     _flat_addmul,
@@ -265,6 +268,18 @@ def block_assemble(blocks: Sequence[Sequence[GroupRingMatrix]]) -> GroupRingMatr
     return GroupRingMatrix(group, rows)
 
 
+def coefficients_at(e: GroupRingElement, t0: RationalLike) -> dict:
+    """{group element: Fraction} of e after substituting t = t0."""
+    return _at(_flat(e), t0)
+
+
+def minus_identity_matrix(beta: BraidWord, family) -> GroupRingMatrix:
+    """E = Burau(beta) - Id as a matrix: the flat rows the backends read, decoded."""
+    grp = family.target(beta.strands)
+    rows = _minus_identity(beta, family)
+    return GroupRingMatrix(grp, [[_unflat(grp, d) for d in row] for row in rows])
+
+
 def evaluate(e: GroupRingElement, z: Sequence[Fraction], t: Fraction) -> Fraction:
     """e at the rational point (z, t): z holds one value per coordinate of
     Z^d (one value for Z)."""
@@ -347,7 +362,7 @@ def verify_block_triangularization(
     n = beta.strands
     fam = TotalWinding()
     w = braidmod.stabilize(beta, sign)
-    Ew, Eb = _minus_identity(w, fam), _minus_identity(beta, fam)
+    Ew, Eb = minus_identity_matrix(w, fam), minus_identity_matrix(beta, fam)
     grp = Ew.group
     size = n  # reduced size of a braid on n+1 strands
 

@@ -9,9 +9,9 @@ from l2burau.braid import (
     invert,
     parse_braid,
     permutation,
-    random_braid,
     stabilize,
 )
+from conftest import random_braid
 from oracles import exponent_sum
 
 

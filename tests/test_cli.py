@@ -244,6 +244,8 @@ def test_out_of_range_backend_options_are_argument_errors(capsys):
         torsion.fq_value(BraidWord(3, (1, 2, 1, 2)), AbelianImage(), 1, grid=63)
     with pytest.raises(ValueError) as series_error:
         torsion.fq_value(BraidWord(3, (-1, 2)), Identity(), 1, series_len=7)
+    with pytest.raises(ValueError) as long_series_error:
+        torsion.fq_value(BraidWord(3, (-1, 2)), Identity(), 1, series_len=513)
     requests = (
         ("fq", "-b", "1 2 1 2", "-n", "3", "-f", "ab"),
         ("fq", "-b", "1", "-f", "phi"),
@@ -254,6 +256,7 @@ def test_out_of_range_backend_options_are_argument_errors(capsys):
         ("--grid", "63", grid_error),
         ("--grid", "0", grid_error),
         ("--series-len", "7", series_error),
+        ("--series-len", "513", long_series_error),
     ):
         for argv in requests:
             assert run(capsys, *argv, option, value) == (2, "", f"error: {error.value}\n")

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from l2burau.braid import BraidWord, compose, permutation, random_braid
+from conftest import random_braid, random_word
+from l2burau.braid import BraidWord, compose, permutation
 from l2burau.epifamilies import (
     AbelianImage,
     Identity,
@@ -11,7 +12,7 @@ from l2burau.epifamilies import (
     family_by_name,
     twist,
 )
-from l2burau.freegroup import Basis, FreeWord, artin_act, parse_word, random_word
+from l2burau.freegroup import Basis, FreeWord, artin_act, parse_word
 from l2burau.groupring import Free, FreeAbelian, Integers
 
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import random_word
 from l2burau import fkdet
 from l2burau.braid import BraidWord
 from l2burau.epifamilies import Identity, TotalWinding
@@ -24,7 +25,7 @@ from l2burau.fkdet import (
     fold_subgroup_basis,
     mahler_univariate,
 )
-from l2burau.freegroup import FreeWord, parse_word, random_word, word
+from l2burau.freegroup import FreeWord, parse_word, word
 from l2burau.groupring import (
     Free,
     FreeAbelian,
@@ -34,7 +35,7 @@ from l2burau.groupring import (
     TPoly,
 )
 from l2burau.torsion import fq_value, reduced_burau
-from oracles import adjoint, block_assemble, matmul, mul, scale, zeros
+from oracles import adjoint, block_assemble, coefficients_at, matmul, mul, scale, zeros
 
 BOYD = 1.3813564445184977  # Mahler measure of 1 + X + Y
 TWO_OVER_SQRT3 = 2.0 / math.sqrt(3.0)
@@ -226,6 +227,8 @@ def test_series_validation():
     with pytest.raises(ValueError):
         det_free_group(m, 1, series_len=4)
     with pytest.raises(ValueError):
+        det_free_group(m, 1, series_len=513)
+    with pytest.raises(ValueError):
         det_free_group(zeros(Free(2), 1, 2), 1)
 
 
@@ -332,7 +335,7 @@ def _minus_one_over_phi():
 
 def test_trace_moments_match_closed_form_over_z():
     E = _minus_one_over_phi()
-    p = E.entries[0][0].coefficients_at(1)
+    p = coefficients_at(E.entries[0][0], 1)
     b: dict[int, Fraction] = {}  # |p|^2 as a Laurent polynomial
     for i, ci in p.items():
         for j, cj in p.items():
@@ -562,7 +565,7 @@ def test_multiplicativity_over_z(rng):
     while done < 15:
         A = rand_z_matrix(rng)
         B = rand_z_matrix(rng)
-        if A.determinant().coefficients_at(t0) and B.determinant().coefficients_at(t0):
+        if coefficients_at(A.determinant(), t0) and coefficients_at(B.determinant(), t0):
             dA = det_integers(A, t0).value
             dB = det_integers(B, t0).value
             dAB = det_integers(matmul(A, B), t0).value
@@ -576,8 +579,8 @@ def test_block_triangular_over_z(rng):
         A = rand_z_matrix(rng)
         B = rand_z_matrix(rng)
         if not (
-            A.determinant().coefficients_at(t0)
-            and B.determinant().coefficients_at(t0)
+            coefficients_at(A.determinant(), t0)
+            and coefficients_at(B.determinant(), t0)
         ):
             continue
         C = rand_z_matrix(rng)
@@ -593,7 +596,7 @@ def test_adjoint_symmetry(rng):
     t0 = Fraction(4, 3)
     for _ in range(10):
         A = rand_z_matrix(rng)
-        if not A.determinant().coefficients_at(t0):
+        if not coefficients_at(A.determinant(), t0):
             continue
         assert det_integers(A, t0).value == pytest.approx(
             det_integers(adjoint(A), t0).value, rel=1e-9
@@ -614,7 +617,7 @@ def test_two_by_two_trick_identity_over_z(rng):
             [[GroupRingElement(Integers(), {k: TPoly({0: rng.choice((1, 2, -1))})})]],
         )
         m = block_assemble([[A, B], [C, D]])
-        P = m.determinant().coefficients_at(t0)
+        P = coefficients_at(m.determinant(), t0)
         if not P:
             continue
         b = B.entries[0][0]

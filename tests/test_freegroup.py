@@ -2,14 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from l2burau.braid import BraidWord, invert, random_braid
+from conftest import random_braid, random_word
+from l2burau.braid import BraidWord, invert
 from l2burau.freegroup import (
     Basis,
     FreeWord,
     artin_act,
     change_of_basis,
     parse_word,
-    random_word,
     winding,
     word,
 )

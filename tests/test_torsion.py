@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import clear_t_free_caches, random_knot_braid
+from conftest import clear_t_free_caches, random_braid, random_knot_braid
 from oracles import (
     conjugation_identity_check,
     det_at,
@@ -17,6 +17,7 @@ from oracles import (
     jacobian_matrix,
     kappa,
     matmul,
+    minus_identity_matrix,
     scale,
     unreduced_burau,
     verify_block_triangularization,
@@ -27,7 +28,6 @@ from l2burau.braid import (
     compose,
     conjugate,
     invert,
-    random_braid,
     stabilize,
 )
 from l2burau.epifamilies import (
@@ -350,15 +350,32 @@ def test_fq_square_free_delta_records_no_split():
     assert abs(v.value - (3 + math.sqrt(5)) / 2) <= v.error_bound
 
 
-@pytest.mark.parametrize("letters", [(1, -2, 1, -2, 1), (1, -2, 1, -2), (1, 1, 1)])
-def test_det_integers_reads_the_same_solve_as_fq_value(letters):
-    # det_integers on E = Burau - Id meets the same determinant and the same
-    # exact division as fq_value, so value, bound and diagnostics agree
+SYMBOLIC_BRAIDS = [(1, -2, 1, -2, 1), (1, -2, 1, -2), (1, 1, 1)]
+
+
+@pytest.mark.parametrize(
+    "family, method, wrapper, letters",
+    [
+        pytest.param(family, method, wrapper, letters, id=f"{family.name}-{method}-{letters}")
+        for family, method, wrapper, braids in (
+            (TotalWinding(), "roots", fkdet.det_integers, SYMBOLIC_BRAIDS),
+            (AbelianImage(), "quad", fkdet.det_free_abelian, SYMBOLIC_BRAIDS),
+            # each free-group walk takes a good part of a second: one braid
+            (Identity(), "series", fkdet.det_free_group, [(1, -2, 1, -2)]),
+            (Identity(), "eps", fkdet.det_epsilon_reg, [(1, -2, 1, -2)]),
+        )
+        for letters in braids
+    ],
+)
+def test_det_wrapper_reads_the_same_estimate_as_fq_value(family, method, wrapper, letters):
+    # a det_* wrapper on the decoded E = Burau - Id meets the same flat
+    # input as fq_value (for roots the same determinant and the same exact
+    # division), so value, bound and diagnostics agree
     beta = BraidWord(3, letters)
-    E = torsion._minus_identity(beta, TotalWinding())
+    E = minus_identity_matrix(beta, family)
     for t0 in (Fraction(1, 2), Fraction(1), Fraction(2)):
-        got = det_integers(E, t0)
-        want = fq_value(beta, TotalWinding(), t0).estimate
+        got = wrapper(E, t0)
+        want = fq_value(beta, family, t0, method=method).estimate
         assert (got.value, got.error_bound, got.diagnostics) == (
             want.value,
             want.error_bound,
@@ -850,7 +867,8 @@ def test_fq_t_sweep_builds_matrix_and_determinant_once(monkeypatch):
 
 def test_roots_and_quad_paths_build_no_group_ring_element(monkeypatch):
     # from the fold through the determinant to the roots and quadrature
-    # backends and the Alexander polynomial, every entry stays a flat dict
+    # backends and the Alexander polynomial, and from the fold to the
+    # series and eps backends, every entry stays a flat dict
     built = _count_calls(monkeypatch, GroupRingElement, "__init__")
     beta = BraidWord(4, (1, -2, 3) * 3)
     for t in (Fraction(1, 2), 1, 2):
@@ -858,6 +876,9 @@ def test_roots_and_quad_paths_build_no_group_ring_element(monkeypatch):
     alexander_polynomial(beta)
     assert not built
     fq_value(BraidWord(3, (1, -2, 1, -2)), AbelianImage(), 1)
+    assert not built
+    for method in ("series", "eps"):
+        fq_value(BraidWord(3, (-1, 2)), Identity(), 1, method=method)
     assert not built
 
 
