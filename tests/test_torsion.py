@@ -353,24 +353,9 @@ def test_fq_square_free_delta_records_no_split():
 SYMBOLIC_BRAIDS = [(1, -2, 1, -2, 1), (1, -2, 1, -2), (1, 1, 1)]
 
 
-@pytest.mark.parametrize(
-    "family, method, wrapper, letters",
-    [
-        pytest.param(family, method, wrapper, letters, id=f"{family.name}-{method}-{letters}")
-        for family, method, wrapper, braids in (
-            (TotalWinding(), "roots", fkdet.det_integers, SYMBOLIC_BRAIDS),
-            (AbelianImage(), "quad", fkdet.det_free_abelian, SYMBOLIC_BRAIDS),
-            # each free-group walk takes a good part of a second: one braid
-            (Identity(), "series", fkdet.det_free_group, [(1, -2, 1, -2)]),
-            (Identity(), "eps", fkdet.det_epsilon_reg, [(1, -2, 1, -2)]),
-        )
-        for letters in braids
-    ],
-)
-def test_det_wrapper_reads_the_same_estimate_as_fq_value(family, method, wrapper, letters):
+def _assert_same_estimate_as_fq_value(family, method, wrapper, letters):
     # a det_* wrapper on the decoded E = Burau - Id meets the same flat
-    # input as fq_value (for roots the same determinant and the same exact
-    # division), so value, bound and diagnostics agree
+    # input as fq_value, so value, bound and diagnostics agree
     beta = BraidWord(3, letters)
     E = minus_identity_matrix(beta, family)
     for t0 in (Fraction(1, 2), Fraction(1), Fraction(2)):
@@ -381,6 +366,30 @@ def test_det_wrapper_reads_the_same_estimate_as_fq_value(family, method, wrapper
             want.error_bound,
             want.diagnostics,
         )
+
+
+@pytest.mark.parametrize("letters", SYMBOLIC_BRAIDS)
+def test_det_integers_reads_the_same_solve_as_fq_value(letters):
+    # det_integers on E = Burau - Id meets the same determinant and the same
+    # exact division as fq_value
+    _assert_same_estimate_as_fq_value(TotalWinding(), "roots", fkdet.det_integers, letters)
+
+
+@pytest.mark.parametrize(
+    "family, method, wrapper, letters",
+    [
+        pytest.param(family, method, wrapper, letters, id=f"{family.name}-{method}-{letters}")
+        for family, method, wrapper, braids in (
+            (AbelianImage(), "quad", fkdet.det_free_abelian, SYMBOLIC_BRAIDS),
+            # each free-group walk takes a good part of a second: one braid
+            (Identity(), "series", fkdet.det_free_group, [(1, -2, 1, -2)]),
+            (Identity(), "eps", fkdet.det_epsilon_reg, [(1, -2, 1, -2)]),
+        )
+        for letters in braids
+    ],
+)
+def test_det_wrapper_reads_the_same_estimate_as_fq_value(family, method, wrapper, letters):
+    _assert_same_estimate_as_fq_value(family, method, wrapper, letters)
 
 
 def test_burau_alexander_division_is_checked(monkeypatch):
