@@ -286,7 +286,7 @@ EpiFamily = Identity | TotalWinding | AbelianImage
 def twists_cheaply(family) -> bool:
     """True when :func:`twist` avoids materializing Artin image words.
 
-    The benchmark harness is its only caller, and ROADMAP item 6 drops it.
+    The benchmark harness is its only caller, and ROADMAP item 9 drops it.
     """
     return isinstance(family, (TotalWinding, AbelianImage))
 

@@ -426,13 +426,20 @@ def quadrature_estimate(group, D: dict, t0, grid: int = 128) -> FKEstimate:
 def fold_subgroup_basis(words: Sequence[FreeWord]) -> tuple[int, list[FreeWord]]:
     """Rewrite words over a free basis of the subgroup they generate.
 
-    Builds a bouquet of loops labeled by the words, folds it into an
-    immersion, extracts a spanning tree, and reads each word off as a
-    product of the non-tree (basis) edges along its path.  Returns
-    (rank, rewritten words); the rank is 1 when the subgroup is trivial
-    so callers always get a usable ambient group.
+    Builds a bouquet of loops labeled by the words and folds it into an
+    immersion in one worklist pass: each vertex class keeps one label map
+    {+-g: neighbour}, every edge is added at both ends, and a label already
+    taken by another class merges the two classes (union-find), moving the
+    smaller map into the larger one by pushing its edges back onto the
+    worklist.  A folded vertex is named by the smallest original vertex in
+    its class, so the result does not depend on merge order.  The edges off
+    a BFS spanning tree (labels in order x1, x1^-1, x2, ...), numbered in
+    sorted (u, g, v) order, are the basis, and each word is read off as the
+    product of the basis edges along its path.  Returns (rank, rewritten
+    words); the rank is 1 when the subgroup is trivial so callers always
+    get a usable ambient group.
     """
-    edges: list[tuple[int, int, int]] = []  # (u, g, v): u --g--> v, g > 0
+    work: list[tuple[int, int, int]] = []  # (u, g, v): u --g--> v, g = +-generator
     n_vertices = 1
     for w in words:
         cur = 0
@@ -441,10 +448,11 @@ def fold_subgroup_basis(words: Sequence[FreeWord]) -> tuple[int, list[FreeWord]]
             nxt = 0 if idx == len(letters) - 1 else n_vertices
             if nxt != 0:
                 n_vertices += 1
-            edges.append((cur, g, nxt) if s > 0 else (nxt, g, cur))
+            work.append((cur, g * s, nxt))
             cur = nxt
 
     parent = list(range(n_vertices))
+    labels: list[dict[int, int]] = [{} for _ in range(n_vertices)]
 
     def find(v: int) -> int:
         while parent[v] != v:
@@ -452,67 +460,51 @@ def fold_subgroup_basis(words: Sequence[FreeWord]) -> tuple[int, list[FreeWord]]
             v = parent[v]
         return v
 
-    # fold: no vertex may carry two distinct out-edges (or in-edges) with
-    # one label; rescan after every merge since earlier bookkeeping staled
-    changed = True
-    while changed:
-        changed = False
-        out_seen: dict[tuple[int, int], int] = {}
-        in_seen: dict[tuple[int, int], int] = {}
-        for u, g, v in edges:
-            u, v = find(u), find(v)
-            prev = out_seen.get((u, g))
-            if prev is not None and prev != v:
-                parent[find(v)] = find(prev)
-                changed = True
-                break
-            out_seen[(u, g)] = v
-            prev = in_seen.get((v, g))
-            if prev is not None and prev != u:
-                parent[find(u)] = find(prev)
-                changed = True
-                break
-            in_seen[(v, g)] = u
+    while work:
+        u, g, v = work.pop()
+        for a, lab, b in ((u, g, v), (v, -g, u)):
+            a, b = find(a), find(b)
+            c = find(labels[a].setdefault(lab, b))
+            if c != b:  # two lab-edges leave a: merge their far ends
+                keep, gone = min(b, c), max(b, c)
+                parent[gone] = keep
+                big, small = labels[keep], labels[gone]
+                if len(big) < len(small):
+                    big, small = small, big
+                labels[keep], labels[gone] = big, {}
+                work.extend((keep, x, y) for x, y in small.items())
 
-    fedges = {(find(u), g, find(v)) for (u, g, v) in edges}
-    adj: dict[int, dict[int, int]] = {}
-    for u, g, v in fedges:
-        adj.setdefault(u, {})[g] = v
-        adj.setdefault(v, {})[-g] = u
-
-    base = find(0)
+    adj = {
+        v: {lab: find(t) for lab, t in labels[v].items()}
+        for v in range(n_vertices)
+        if parent[v] == v
+    }
     tree_edges: set[tuple[int, int, int]] = set()
-    visited = {base}
-    order = [base]
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        for lab in sorted(adj.get(v, {}), key=lambda x: (abs(x), x < 0)):
+    order = [0]
+    visited = {0}
+    for v in order:
+        for lab in sorted(adj[v], key=lambda x: (abs(x), x < 0)):
             t = adj[v][lab]
             if t not in visited:
                 visited.add(t)
                 order.append(t)
                 tree_edges.add((v, lab, t) if lab > 0 else (t, -lab, v))
 
-    basis_index: dict[tuple[int, int, int], int] = {}
-    for u, g, v in sorted(fedges):
-        if (u, g, v) not in tree_edges:
-            basis_index[(u, g, v)] = len(basis_index) + 1
+    fedges = sorted((u, g, v) for u, m in adj.items() for g, v in m.items() if g > 0)
+    basis_index = {e: i for i, e in enumerate((e for e in fedges if e not in tree_edges), 1)}
 
     rank = max(len(basis_index), 1)
     rewritten = []
     for w in words:
-        cur = base
+        cur = 0
         out: list[tuple[int, int]] = []
         for g, s in w.letters():
             nxt = adj[cur][g * s]
-            key = (cur, g, nxt) if s > 0 else (nxt, g, cur)
-            idx = basis_index.get(key)
+            idx = basis_index.get((cur, g, nxt) if s > 0 else (nxt, g, cur))
             if idx is not None:
                 out.append((idx, s))
             cur = nxt
-        if cur != base:
+        if cur != 0:
             raise AssertionError("folded path fails to close; folding bug")
         rewritten.append(make_word(rank, out))
     return rank, rewritten
@@ -769,7 +761,7 @@ def _fit_tail(taus: np.ndarray, series_len: int) -> tuple[float, float, dict]:
 
 
 def _trace_moments(
-    entries: list[list[dict[FreeWord, float]]],
+    entries: list[list[dict[FreeWord, Fraction | float]]],
     rank: int,
     series_len: int,
     state_budget: int,
@@ -777,10 +769,11 @@ def _trace_moments(
     """Walk tau_k = tr((Id - B/c0)^k), k = 1..series_len, for a positive B.
 
     ``entries`` holds B as an m x m matrix of {word: coefficient} sums over
-    Free(rank); B must be self-adjoint (entry (j, i) at w^-1 equals entry
-    (i, j) at w), else ``ValueError``.  The walk runs on the largest ball
-    the state budget allows, where T = Id - B/c0 truncates to the
-    self-adjoint P T P, so with v_j = (P T P)^j e the traces are
+    Free(rank), exact or float and walked in floats; B must be self-adjoint
+    (entry (j, i) at w^-1 equals entry (i, j) at w), else ``ValueError``.
+    The walk runs on the largest ball the state budget allows, where
+    T = Id - B/c0 truncates to the self-adjoint P T P, so with
+    v_j = (P T P)^j e the traces are
     tau_2j = <v_j, v_j> and tau_2j+1 = <v_j, v_j+1>: ceil(K/2) steps give
     K traces.  Each word acts through its runs in the suffix-ordered ball
     (:meth:`FreeBall.runs`), so a step is a few slice updates per term.
@@ -790,7 +783,10 @@ def _trace_moments(
     bit-identical traces however their entries were assembled.
     """
     entries = [
-        [dict(sorted(e.items(), key=lambda wc: Free.sort_key(wc[0]))) for e in row]
+        [
+            {w: float(c) for w, c in sorted(e.items(), key=lambda wc: Free.sort_key(wc[0]))}
+            for e in row
+        ]
         for row in entries
     ]
     m = len(entries)
@@ -950,21 +946,14 @@ def _walk_matrix(support: list[list[dict[FreeWord, Fraction]]]):
     return out
 
 
-def _sorted_support(words) -> list[FreeWord]:
-    return sorted(set(words), key=Free.sort_key)
-
-
 def _rewrite_entries(entries):
     """Jointly rewrite all entry supports over a basis of their subgroup."""
-    words = _sorted_support(w for row in entries for e in row for w in e)
+    words = sorted({w for row in entries for e in row for w in e}, key=Free.sort_key)
     if not words:
         return 1, [[{} for e in row] for row in entries]
     rank, rewritten = fold_subgroup_basis(words)
     table = dict(zip(words, rewritten))
-    flat = [
-        [{table[w]: float(c) for w, c in e.items()} for e in row] for row in entries
-    ]
-    return rank, flat
+    return rank, [[{table[w]: c for w, c in e.items()} for e in row] for row in entries]
 
 
 def _series_to_estimate(res: _SeriesResult, method: str) -> FKEstimate:
@@ -1044,10 +1033,7 @@ def _det_free_single(e: dict[FreeWord, Fraction], series_len: int, accel: bool) 
     # a left unitary factor is determinant-neutral and invisible to A*A, so
     # rebase the support at a shortest word before extracting the subgroup
     w0inv = min(e, key=Free.sort_key).inverse()
-    shifted = {w0inv * w: c for w, c in e.items()}
-    words = _sorted_support(shifted)
-    rank, rewritten = fold_subgroup_basis(words)
-    a = {rw: shifted[w] for w, rw in zip(words, rewritten)}
+    rank, [[a]] = _rewrite_entries([[{w0inv * w: c for w, c in e.items()}]])
     if rank == 1:  # a Laurent polynomial in the one generator: exact roots
         uni = {sum(x for _, x in w.syllables): c for w, c in a.items()}
         value, err = mahler_univariate(uni)
@@ -1055,8 +1041,7 @@ def _det_free_single(e: dict[FreeWord, Fraction], series_len: int, accel: bool) 
         return FKEstimate(value, err, "roots", diagnostics)
     b: dict[FreeWord, Fraction] = {}  # A* A over the subgroup basis
     _flat_addmul(b, {w.inverse(): c for w, c in a.items()}, a, operator.mul)
-    bf = {k: float(v) for k, v in b.items()}
-    mom = _trace_moments([[bf]], rank, series_len, _SERIES_STATE_BUDGET)
+    mom = _trace_moments([[b]], rank, series_len, _SERIES_STATE_BUDGET)
     res = _series_from_moments(mom, accel)
     res.diagnostics["subgroup_rank"] = rank
     return _series_to_estimate(res, "trace_series")
@@ -1127,6 +1112,7 @@ def epsilon_estimate(
     read as in :func:`series_estimate`.
     """
     t0 = _require_positive(t0)
+    _check_series_len(series_len)
     m = len(E)
     if m == 0:
         return FKEstimate(1.0, 0.0, "epsilon_reg", {"empty": True})

@@ -18,7 +18,10 @@ None of them is needed by the library itself.
   assembly, and exact evaluation and Gaussian elimination (``evaluate``,
   ``gaussian_det``, ``det_at``).  ``coefficients_at`` substitutes t = t0
   into an element, and ``minus_identity_matrix`` decodes the flat rows of
-  E = Burau - Id that the series and eps backends read.  The Fox
+  E = Burau - Id that the series and eps backends read.
+  ``rescan_fold_subgroup_basis`` is the Stallings fold that restarts its
+  edge scan after every merge, kept as the reference for the one-pass
+  worklist fold of ``fkdet.fold_subgroup_basis``.  The Fox
   jacobian, the evaluation helpers and the Gaussian elimination use plain
   dict and Fraction arithmetic only, so they check the group-ring kernel
   and the Burau fold without running through them.
@@ -40,7 +43,7 @@ from l2burau import braid as braidmod
 from l2burau.braid import BraidWord
 from l2burau.epifamilies import TotalWinding
 from l2burau.fkdet import det_integers, roots_estimate
-from l2burau.freegroup import Basis, FreeWord, _fox_walk, artin_act, winding
+from l2burau.freegroup import Basis, FreeWord, _fox_walk, artin_act, winding, word
 from l2burau.groupring import (
     Free,
     FreeAbelian,
@@ -278,6 +281,102 @@ def minus_identity_matrix(beta: BraidWord, family) -> GroupRingMatrix:
     grp = family.target(beta.strands)
     rows = _minus_identity(beta, family)
     return GroupRingMatrix(grp, [[_unflat(grp, d) for d in row] for row in rows])
+
+
+def rescan_fold_subgroup_basis(words: Sequence[FreeWord]) -> tuple[int, list[FreeWord]]:
+    """Reference for ``fkdet.fold_subgroup_basis``: the same rewrite, folded
+    by a full rescan of every edge after each single merge.
+
+    Builds a bouquet of loops labeled by the words, folds it into an
+    immersion, extracts a spanning tree, and reads each word off as a
+    product of the non-tree (basis) edges along its path.  Returns
+    (rank, rewritten words); the rank is 1 when the subgroup is trivial
+    so callers always get a usable ambient group.
+    """
+    edges: list[tuple[int, int, int]] = []  # (u, g, v): u --g--> v, g > 0
+    n_vertices = 1
+    for w in words:
+        cur = 0
+        letters = list(w.letters())
+        for idx, (g, s) in enumerate(letters):
+            nxt = 0 if idx == len(letters) - 1 else n_vertices
+            if nxt != 0:
+                n_vertices += 1
+            edges.append((cur, g, nxt) if s > 0 else (nxt, g, cur))
+            cur = nxt
+
+    parent = list(range(n_vertices))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    # fold: no vertex may carry two distinct out-edges (or in-edges) with
+    # one label; rescan after every merge since earlier bookkeeping staled
+    changed = True
+    while changed:
+        changed = False
+        out_seen: dict[tuple[int, int], int] = {}
+        in_seen: dict[tuple[int, int], int] = {}
+        for u, g, v in edges:
+            u, v = find(u), find(v)
+            prev = out_seen.get((u, g))
+            if prev is not None and prev != v:
+                parent[find(v)] = find(prev)
+                changed = True
+                break
+            out_seen[(u, g)] = v
+            prev = in_seen.get((v, g))
+            if prev is not None and prev != u:
+                parent[find(u)] = find(prev)
+                changed = True
+                break
+            in_seen[(v, g)] = u
+
+    fedges = {(find(u), g, find(v)) for (u, g, v) in edges}
+    adj: dict[int, dict[int, int]] = {}
+    for u, g, v in fedges:
+        adj.setdefault(u, {})[g] = v
+        adj.setdefault(v, {})[-g] = u
+
+    base = find(0)
+    tree_edges: set[tuple[int, int, int]] = set()
+    visited = {base}
+    order = [base]
+    qi = 0
+    while qi < len(order):
+        v = order[qi]
+        qi += 1
+        for lab in sorted(adj.get(v, {}), key=lambda x: (abs(x), x < 0)):
+            t = adj[v][lab]
+            if t not in visited:
+                visited.add(t)
+                order.append(t)
+                tree_edges.add((v, lab, t) if lab > 0 else (t, -lab, v))
+
+    basis_index: dict[tuple[int, int, int], int] = {}
+    for u, g, v in sorted(fedges):
+        if (u, g, v) not in tree_edges:
+            basis_index[(u, g, v)] = len(basis_index) + 1
+
+    rank = max(len(basis_index), 1)
+    rewritten = []
+    for w in words:
+        cur = base
+        out: list[tuple[int, int]] = []
+        for g, s in w.letters():
+            nxt = adj[cur][g * s]
+            key = (cur, g, nxt) if s > 0 else (nxt, g, cur)
+            idx = basis_index.get(key)
+            if idx is not None:
+                out.append((idx, s))
+            cur = nxt
+        if cur != base:
+            raise AssertionError("folded path fails to close; folding bug")
+        rewritten.append(word(rank, out))
+    return rank, rewritten
 
 
 def evaluate(e: GroupRingElement, z: Sequence[Fraction], t: Fraction) -> Fraction:

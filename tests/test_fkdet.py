@@ -6,6 +6,8 @@ domains overlap.
 """
 
 import math
+import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -33,9 +35,19 @@ from l2burau.groupring import (
     GroupRingMatrix,
     Integers,
     TPoly,
+    _at,
 )
-from l2burau.torsion import fq_value, reduced_burau
-from oracles import adjoint, block_assemble, coefficients_at, matmul, mul, scale, zeros
+from l2burau.torsion import _minus_identity, fq_value, reduced_burau
+from oracles import (
+    adjoint,
+    block_assemble,
+    coefficients_at,
+    matmul,
+    mul,
+    rescan_fold_subgroup_basis,
+    scale,
+    zeros,
+)
 
 BOYD = 1.3813564445184977  # Mahler measure of 1 + X + Y
 TWO_OVER_SQRT3 = 2.0 / math.sqrt(3.0)
@@ -230,6 +242,15 @@ def test_series_validation():
         det_free_group(m, 1, series_len=513)
     with pytest.raises(ValueError):
         det_free_group(zeros(Free(2), 1, 2), 1)
+
+
+def test_epsilon_validation():
+    m = one_by_one(felt(2, {"e": {0: 1}}))
+    for bad in (4, 513):
+        with pytest.raises(ValueError):
+            det_epsilon_reg(m, 1, series_len=bad)
+    with pytest.raises(ValueError, match="at least 8"):
+        det_epsilon_reg(m, 1, series_len=2)
 
 
 def test_series_no_accel_bound_is_honest():
@@ -685,6 +706,61 @@ def test_fold_preserves_products(rng):
         ws = [random_word(rng, 3, rng.randint(1, 6)) for _ in range(3)]
         rank, rewritten = fold_subgroup_basis(ws + [ws[0] * ws[1]])
         assert rewritten[0] * rewritten[1] == rewritten[3]
+
+
+def _same_up_to_renumbering(got, want) -> bool:
+    """True when one permutation of generator indices turns got into want."""
+    perm: dict[int, int] = {}
+    for g, w in zip(got, want):
+        gl, wl = list(g.letters()), list(w.letters())
+        if len(gl) != len(wl):
+            return False
+        for (a, s), (b, t) in zip(gl, wl):
+            if s != t or perm.setdefault(a, b) != b:
+                return False
+    return len(set(perm.values())) == len(perm)
+
+
+def test_fold_matches_rescan_reference_on_random_sets():
+    rng = random.Random(20261019)
+    for _ in range(400):
+        rank = rng.randint(1, 3)
+        ws = [random_word(rng, rank, rng.randint(0, 8)) for _ in range(rng.randint(1, 5))]
+        got_rank, got = fold_subgroup_basis(ws)
+        want_rank, want = rescan_fold_subgroup_basis(ws)
+        assert got_rank == want_rank
+        assert _same_up_to_renumbering(got, want), ws
+
+
+FREE_MARKOV_ID_BRAIDS = [(-1,), (-1, 2), (1, -2), (2, 1, -2, -2), (1, -2, 1, -2), (1, 2, 3)]
+
+
+@pytest.mark.parametrize("letters", FREE_MARKOV_ID_BRAIDS)
+def test_fold_matches_rescan_reference_on_free_markov_supports(letters, monkeypatch):
+    beta = BraidWord(max(abs(g) for g in letters) + 1, letters)
+    support = [[_at(e, 1) for e in row] for row in _minus_identity(beta, Identity())]
+    a_star_a = fkdet._walk_matrix(support)
+    folded = [sorted({w for row in a_star_a for e in row for w in e}, key=Free.sort_key)]
+    fold = fkdet.fold_subgroup_basis
+
+    def recording(words):
+        folded.append(list(words))
+        return fold(words)
+
+    monkeypatch.setattr(fkdet, "fold_subgroup_basis", recording)
+    fq_value(beta, Identity(), 1)
+    assert len(folded) > 1  # the estimate itself rewrote a support
+    for words in folded:
+        assert fold(words) == rescan_fold_subgroup_basis(words)
+
+
+def test_fq_seven_letter_identity_within_budget():
+    # the restart-after-every-merge fold spent over 10 s folding this A*A support
+    start = time.perf_counter()
+    v = fq_value(BraidWord(4, (1, -2, 3, 1, -2, 3, 1)), Identity(), 1)
+    assert time.perf_counter() - start < 5.0
+    assert v.value == pytest.approx(4.841108685558774, rel=1e-9)
+    assert v.error_bound == pytest.approx(46.68375693302155, rel=1e-9)
 
 
 def test_mahler_univariate_constant():
