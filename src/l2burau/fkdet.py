@@ -24,7 +24,8 @@ with the same checks and messages.
 * ``series_estimate`` (``det_free_group``) - a von Neumann trace series
   for log det.  Traces tr((Id - B/c)^k) are computed by propagating a
   vector over a radius-truncated ball of a free group (numbered in suffix
-  order, so a word acts on it as a few arithmetic runs), after rewriting
+  order, so a word acts on it as a few arithmetic runs; on its support
+  only while that is sparse), after rewriting
   the support over a free basis of the subgroup it generates.  The slowly
   decaying tail is completed by a fitted power-law or geometric model.
   A single entry whose subgroup has rank 1 is a Laurent polynomial and
@@ -51,7 +52,7 @@ import functools
 import itertools
 import operator
 from fractions import Fraction
-from math import exp, fsum, lcm, log, sqrt
+from math import exp, fsum, gcd, lcm, log, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -105,23 +106,6 @@ def _require_positive(t0) -> Fraction:
 # --- roots backend (integers) -----------------------------------------------
 
 
-def _poly_divmod(num: list, den: list) -> tuple[list, list]:
-    """Quotient and remainder over Q of ascending coefficient lists.
-
-    ``den`` must have a nonzero top coefficient; the remainder comes back
-    without trailing zeros, so an exact division leaves ``[]``.
-    """
-    rem = list(num)
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    for k in range(len(q) - 1, -1, -1):
-        coef = rem[k + len(den) - 1] / den[-1]
-        q[k] = coef
-        if coef:
-            for j, dc in enumerate(den):
-                rem[k + j] -= coef * dc
-    return q, _trimmed(rem[: len(den) - 1])
-
-
 def _cyclic_quotient(q: Sequence, m: int) -> list | None:
     """Delta with Q = (1 + s + ... + s^(m-1)) Delta, or None when the sum
     does not divide Q, from Q's ascending coefficients q: with the
@@ -152,28 +136,70 @@ def _derivative(p: list) -> list:
     return [k * c for k, c in enumerate(p)][1:]
 
 
-def _monic_gcd(a: list, b: list) -> list:
+def _primitive(p: list[int]) -> list[int]:
+    """p over the gcd of its coefficients, top coefficient positive."""
+    if not p:
+        return p
+    g = gcd(*p) * (1 if p[-1] > 0 else -1)
+    return [c // g for c in p]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of c a by b over Z, for some nonzero integer c."""
+    r, lead, n = list(a), b[-1], len(b)
+    while len(r) >= n:
+        g = gcd(r[-1], lead)
+        f, s, k = r[-1] // g, lead // g, len(r) - n
+        r = [s * c for c in r]
+        for j, c in enumerate(b):
+            r[k + j] -= f * c
+        r = _trimmed(r)
+    return r
+
+
+def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd over Q of integer polynomials, as a primitive one with positive
+    top coefficient, by a primitive pseudo-remainder sequence: each
+    remainder is cut to its primitive part, which keeps the integers
+    small where Euclid over Fractions swells with the degree."""
+    a, b = _primitive(a), _primitive(b)
     while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    return [c / a[-1] for c in a]
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return a
+
+
+def _exact_quotient(num: list[int], den: list[int]) -> list[int]:
+    """num / den for integer polynomials with den primitive and dividing
+    num over Q; the quotient is integral by Gauss's lemma."""
+    rem = list(num)
+    q = [0] * max(len(num) - len(den) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = rem[k + len(den) - 1] // den[-1]
+        if q[k]:
+            for j, dc in enumerate(den):
+                rem[k + j] -= q[k] * dc
+    return q
 
 
 def _squarefree_parts(p: list) -> list[tuple[list, int]]:
-    """Yun's algorithm over Q: p = lead(p) * prod f_i^i, as [(f_i, i)].
+    """Yun's algorithm: p = lead(p) * prod f_i^i, as [(f_i, i)].
 
-    The f_i are monic, square-free and pairwise coprime; constant parts
-    are left out.  Every division but the gcd remainders is exact.
+    The f_i are monic Fractions, square-free and pairwise coprime;
+    constant parts are left out.  p is rational; the gcds run over Z on
+    its primitive multiple, and every division is exact.
     """
+    scale = lcm(*(Fraction(c).denominator for c in p))
+    p = _primitive([int(c * scale) for c in p])
     dp = _derivative(p)
-    a = _monic_gcd(p, dp)
-    b, c = _poly_divmod(p, a)[0], _poly_divmod(dp, a)[0]
+    a = _primitive_gcd(p, dp)
+    b, c = _exact_quotient(p, a), _exact_quotient(dp, a)
     parts, mult = [], 1
     while len(b) > 1:
         d = _trimmed([x - y for x, y in itertools.zip_longest(c, _derivative(b), fillvalue=0)])
-        a = _monic_gcd(b, d)
+        a = _primitive_gcd(b, d)
         if len(a) > 1:
-            parts.append((a, mult))
-        b, c = _poly_divmod(b, a)[0], _poly_divmod(d, a)[0]
+            parts.append(([Fraction(x, a[-1]) for x in a], mult))
+        b, c = _exact_quotient(b, a), _exact_quotient(d, a)
         mult += 1
     return parts
 
@@ -658,6 +684,9 @@ def _clip(run, cut: int):
 
 
 _PIECE = 1 << 14  # pairs per walk update, so its scratch product (128 kB) stays in cache
+# a walk step reads only the support of v_j while that support holds at
+# most this share of the m x size nodes, then switches to slice updates
+_SPARSE_SHARE = 1 / 64
 
 
 def _split(run, n: int):
@@ -776,7 +805,8 @@ def _trace_moments(
     v_j = (P T P)^j e the traces are
     tau_2j = <v_j, v_j> and tau_2j+1 = <v_j, v_j+1>: ceil(K/2) steps give
     K traces.  Each word acts through its runs in the suffix-ordered ball
-    (:meth:`FreeBall.runs`), so a step is a few slice updates per term.
+    (:meth:`FreeBall.runs`), so a step is a few slice updates per term,
+    or, while v_j is sparse, a scatter over its support.
     The radius-(R-1) ball that measures the truncation is the index
     prefix [0, offsets[R]) of the big one, walked with the same runs
     clipped to it.  Terms are walked in word order, so equal matrices give
@@ -844,10 +874,13 @@ def _half_walk(diag: np.ndarray, steps: list, size: int, series_len: int) -> np.
     """tau_1..tau_K of the self-adjoint walk on ``size`` nodes, in ceil(K/2) steps.
 
     Each step entry (i, j, coefficient, runs) adds both its term and the
-    mirror term.  The walk alternates between two buffers, so each run is
-    turned once into basic-slice views of both, and a step is a list of
+    mirror term.  While the support of v_j is small, a step reads that
+    support only (:func:`_sparse_steps`); then the walk carries on in the
+    same two buffers, alternating between them, so each run is turned
+    once into basic-slice views of both, and a step is a list of
     y += c x updates on those views.  Long runs are cut into pieces whose
-    product c x fits a cache-sized scratch array.
+    product c x fits a cache-sized scratch array.  The stride-2 runs of
+    rank 1 overlap in their reads and walk densely from the start.
     """
     m = len(diag)
     n_steps = (series_len + 1) // 2
@@ -868,10 +901,14 @@ def _half_walk(diag: np.ndarray, steps: list, size: int, series_len: int) -> np.
             ups.append((cw, v[j][src], nv[i][tgt], tmp))
             ups.append((cw, v[i][tgt], nv[j][src], tmp))
         updates.append(ups)
+    unit = all(r[3] == r[4] == 1 for *_, runs in steps for r in runs)
+    terms = _directed_terms(steps) if unit else None
     for comp in range(m):
-        bufs[0].fill(0.0)
+        for b in bufs:
+            b.fill(0.0)
         bufs[0][comp, 0] = 1.0
-        for k in range(n_steps):
+        start = 0 if terms is None else _sparse_steps(diag, terms, bufs, comp, n_steps, taus)
+        for k in range(start, n_steps):
             v, nv = bufs[k % 2], bufs[1 - k % 2]
             np.multiply(diag[:, None], v, out=nv)
             for cw, x, y, tmp in updates[k % 2]:
@@ -880,6 +917,73 @@ def _half_walk(diag: np.ndarray, steps: list, size: int, series_len: int) -> np.
             taus[2 * k] += np.vdot(v, nv)
             taus[2 * k + 1] += np.vdot(nv, nv)
     return taus[:series_len]
+
+
+def _directed_terms(steps: list) -> list:
+    """Every step entry as its two directed terms for :func:`_sparse_steps`.
+
+    A term (read row, write row, coefficient, starts, ends, shifts) maps
+    node x of the read row, with starts[r] <= x < ends[r], to node
+    x + shifts[r] of the write row.  The runs are unit-stride and sorted
+    by read start; their reads are disjoint because x -> x w is injective.
+    """
+    terms = []
+    for i, j, cw, runs in steps:
+        if not runs:
+            continue
+        r = np.array([run[:3] for run in runs], dtype=np.int64)
+        for read, write, a, b in ((j, i, 0, 1), (i, j, 1, 0)):
+            order = np.argsort(r[:, a], kind="stable")
+            starts = r[order, a]
+            terms.append((read, write, cw, starts, starts + r[order, 2], r[order, b] - starts))
+    return terms
+
+
+def _sparse_steps(diag: np.ndarray, terms: list, bufs, comp: int, n_steps: int, taus) -> int:
+    """The first steps of :func:`_half_walk` from e_comp, on the support only.
+
+    Both buffers hold v_0 = e_comp and 0.  Step k reads v_k on its support
+    S_k, zeroes v_(k-1) on S_(k-1), writes v_(k+1) in place and marks its
+    targets, which give S_(k+1); the traces are dot products over S_k and
+    S_(k+1).  Runs while the support holds at most _SPARSE_SHARE of the
+    nodes and returns the number of steps taken; v_k is then whole in
+    bufs[k % 2] and the other buffer is overwritten by the next step.
+    """
+    m, size = bufs[0].shape
+    limit = _SPARSE_SHARE * m * size
+    bounds = np.arange(m + 1) * size
+    mask = np.zeros(m * size, dtype=bool)
+    supp, prev = np.array([comp * size]), np.array([], dtype=np.int64)
+    for k in range(n_steps):
+        if len(supp) > limit:
+            return k
+        v, nv = bufs[k % 2].reshape(-1), bufs[1 - k % 2].reshape(-1)
+        nv[prev] = 0.0
+        x = v[supp]
+        cut = np.searchsorted(supp, bounds)
+        rows = []  # (nodes within the row, their values) per row
+        for r, (a, b) in enumerate(zip(cut, cut[1:])):
+            nodes = supp[a:b]
+            nv[nodes] = diag[r] * x[a:b]
+            if diag[r]:
+                mask[nodes] = True
+            rows.append((nodes - bounds[r], x[a:b]))
+        for read, write, cw, starts, ends, shifts in terms:
+            nodes, vals = rows[read]
+            run = np.searchsorted(starts, nodes, side="right") - 1
+            hit = (run >= 0) & (nodes < ends[run])
+            tgt = nodes[hit] + shifts[run[hit]] + bounds[write]
+            nv[tgt] += cw * vals[hit]  # targets are distinct within a term
+            mask[tgt] = True
+        taus[2 * k] += np.dot(x, nv[supp])
+        if np.count_nonzero(mask) > limit:
+            taus[2 * k + 1] += np.vdot(nv, nv)
+            return k + 1
+        prev, supp = supp, np.flatnonzero(mask)
+        mask[supp] = False
+        y = nv[supp]
+        taus[2 * k + 1] += np.dot(y, y)
+    return n_steps
 
 
 def _series_from_moments(mom: _Moments, accel: bool, eps: float = 0.0) -> _SeriesResult:

@@ -53,17 +53,22 @@ class FreeWord:
 
     rank: int
     syllables: tuple[tuple[int, int], ...]
+    # the letter count, found while the syllables are validated; sort keys
+    # read it for every term, so it is not summed again
+    _length: int = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be positive")
-        prev = 0
+        prev = length = 0
         for g, e in self.syllables:
             if not 1 <= g <= self.rank:
                 raise ValueError(f"generator {g} out of range for rank {self.rank}")
             if e == 0 or g == prev:
                 raise ValueError("syllables must be reduced with nonzero exponents")
             prev = g
+            length += abs(e)
+        object.__setattr__(self, "_length", length)
 
     @staticmethod
     def identity(rank: int) -> "FreeWord":
@@ -97,7 +102,7 @@ class FreeWord:
 
     def length(self) -> int:
         """Reduced word length (number of letters)."""
-        return sum(abs(e) for _, e in self.syllables)
+        return self._length
 
     def letters(self) -> Iterable[tuple[int, int]]:
         """Yield (generator, +-1) letter by letter."""

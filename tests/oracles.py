@@ -21,7 +21,9 @@ None of them is needed by the library itself.
   E = Burau - Id that the series and eps backends read.
   ``rescan_fold_subgroup_basis`` is the Stallings fold that restarts its
   edge scan after every merge, kept as the reference for the one-pass
-  worklist fold of ``fkdet.fold_subgroup_basis``.  The Fox
+  worklist fold of ``fkdet.fold_subgroup_basis``, and
+  ``fraction_squarefree_parts`` is Yun's algorithm over Fractions, kept
+  as the reference for the integer one of ``fkdet._squarefree_parts``.  The Fox
   jacobian, the evaluation helpers and the Gaussian elimination use plain
   dict and Fraction arithmetic only, so they check the group-ring kernel
   and the Burau fold without running through them.
@@ -36,13 +38,14 @@ None of them is needed by the library itself.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from l2burau import braid as braidmod
 from l2burau.braid import BraidWord
 from l2burau.epifamilies import TotalWinding
-from l2burau.fkdet import det_integers, roots_estimate
+from l2burau.fkdet import _derivative, _trimmed, det_integers, roots_estimate
 from l2burau.freegroup import Basis, FreeWord, _fox_walk, artin_act, winding, word
 from l2burau.groupring import (
     Free,
@@ -377,6 +380,43 @@ def rescan_fold_subgroup_basis(words: Sequence[FreeWord]) -> tuple[int, list[Fre
             raise AssertionError("folded path fails to close; folding bug")
         rewritten.append(word(rank, out))
     return rank, rewritten
+
+
+def _poly_divmod(num: list, den: list) -> tuple[list, list]:
+    """Quotient and remainder over Q of ascending coefficient lists."""
+    rem = list(num)
+    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        coef = rem[k + len(den) - 1] / den[-1]
+        q[k] = coef
+        if coef:
+            for j, dc in enumerate(den):
+                rem[k + j] -= coef * dc
+    return q, _trimmed(rem[: len(den) - 1])
+
+
+def _monic_gcd(a: list, b: list) -> list:
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def fraction_squarefree_parts(p: list) -> list[tuple[list, int]]:
+    """Reference for ``fkdet._squarefree_parts``: Yun's algorithm with every
+    gcd a Euclidean remainder sequence over Fractions."""
+    p = [Fraction(c) for c in p]
+    dp = _derivative(p)
+    a = _monic_gcd(p, dp)
+    b, c = _poly_divmod(p, a)[0], _poly_divmod(dp, a)[0]
+    parts, mult = [], 1
+    while len(b) > 1:
+        d = _trimmed([x - y for x, y in itertools.zip_longest(c, _derivative(b), fillvalue=0)])
+        a = _monic_gcd(b, d)
+        if len(a) > 1:
+            parts.append((a, mult))
+        b, c = _poly_divmod(b, a)[0], _poly_divmod(d, a)[0]
+        mult += 1
+    return parts
 
 
 def evaluate(e: GroupRingElement, z: Sequence[Fraction], t: Fraction) -> Fraction:

@@ -8,6 +8,7 @@ domains overlap.
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +43,7 @@ from oracles import (
     adjoint,
     block_assemble,
     coefficients_at,
+    fraction_squarefree_parts,
     matmul,
     mul,
     rescan_fold_subgroup_basis,
@@ -504,9 +506,37 @@ def _full_walk(entries, nodes, c, series_len):
     return taus
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_half_walk_matches_full_walk(rng, monkeypatch, m):
+def _record_sparse_steps(monkeypatch) -> list[tuple[int, int]]:
+    """(sparse steps taken, steps) of every component walk from now on."""
+    taken = []
+    sparse_steps = fkdet._sparse_steps
+
+    def recording(diag, terms, bufs, comp, n_steps, taus):
+        k = sparse_steps(diag, terms, bufs, comp, n_steps, taus)
+        taken.append((k, n_steps))
+        return k
+
+    monkeypatch.setattr(fkdet, "_sparse_steps", recording)
+    return taken
+
+
+# the switch share of the sparse start: None keeps the module's, which on
+# these small balls switches mid-walk; 0 walks densely from the first
+# step and 1 on the support to the last
+@pytest.mark.parametrize(
+    "m, share",
+    [pytest.param(m, None, id=str(m)) for m in (1, 2, 3)]
+    + [
+        pytest.param(m, share, id=f"{name}-{m}")
+        for name, share in (("dense", 0.0), ("sparse", 1.0))
+        for m in (1, 2, 3)
+    ],
+)
+def test_half_walk_matches_full_walk(rng, monkeypatch, m, share):
     monkeypatch.setattr(fkdet, "_PIECE", 5)  # cut long runs here as on full-size balls
+    if share is not None:
+        monkeypatch.setattr(fkdet, "_SPARSE_SHARE", share)
+    taken = _record_sparse_steps(monkeypatch)
     for rank in (1, 2, 3):
         entries = _random_self_adjoint(rng, m, rank)
         for series_len in (13, 20):
@@ -519,6 +549,14 @@ def test_half_walk_matches_full_walk(rng, monkeypatch, m):
                 want = _full_walk(entries, nodes[:size], mom.norm_bound, series_len)
                 assert len(got) == series_len
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    # rank 1 walks densely; the others start sparse as the share says
+    assert taken
+    if share == 0.0:
+        assert all(k == 0 for k, _ in taken)
+    elif share == 1.0:
+        assert all(k == n for k, n in taken)
+    else:
+        assert any(0 < k < n for k, n in taken)
 
 
 @pytest.mark.parametrize(
@@ -544,6 +582,65 @@ def test_exact_moments_survive_a_larger_ball(monkeypatch, letters, strands, rule
     bigger = _trace_moments(entries, rank, K0, fkdet.FreeBall(rank, mom.radius + 1).size)
     assert bigger.radius == mom.radius + 1
     np.testing.assert_allclose(mom.taus[:K0], bigger.taus, rtol=1e-12, atol=0)
+
+
+def _walk_input(monkeypatch, letters, strands, method=None) -> tuple:
+    """The arguments ``fq_value`` hands ``_trace_moments`` for a braid over id at t = 1."""
+    walked = []
+
+    def recording(*args):
+        walked.append(args)
+        return _trace_moments(*args)
+
+    monkeypatch.setattr(fkdet, "_trace_moments", recording)
+    fq_value(BraidWord(strands, letters), Identity(), 1, method=method)
+    monkeypatch.setattr(fkdet, "_trace_moments", _trace_moments)
+    assert len(walked) == 1
+    return walked[0]
+
+
+# the operators the free-markov benchmark walks: fq over id, the
+# conjugation pair of its markov request, and the eps request
+@pytest.mark.parametrize(
+    "letters, strands, method",
+    [
+        ((1, 2, 3), 4, None),
+        ((1, -2, 1, -2), 3, None),
+        ((1, -2), 3, None),
+        ((2, 1, -2, -2), 3, None),
+        ((-1, 2), 3, "eps"),
+    ],
+    ids=lambda x: " ".join(map(str, x)) if isinstance(x, tuple) else str(x),
+)
+def test_sparse_start_keeps_the_dense_traces(monkeypatch, letters, strands, method):
+    args = _walk_input(monkeypatch, letters, strands, method)
+    taken = _record_sparse_steps(monkeypatch)
+    got = _trace_moments(*args)
+    assert any(k > 0 for k, _ in taken)
+    monkeypatch.setattr(fkdet, "_SPARSE_SHARE", 0.0)
+    dense = _trace_moments(*args)
+    np.testing.assert_allclose(got.taus, dense.taus, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.taus_small, dense.taus_small, rtol=1e-12, atol=0)
+    assert (got.radius, got.norm_bound, got.exact_moments) == (
+        dense.radius,
+        dense.norm_bound,
+        dense.exact_moments,
+    )
+
+
+def test_sparse_start_needs_little_beyond_the_dense_buffers(monkeypatch):
+    # the mask and the support indices ride on the two walk buffers
+    args = _walk_input(monkeypatch, (1, 2, 3), 4)
+    entries, rank, _, state_budget = args
+    size = fkdet.FreeBall(rank, fkdet._ball_radius_for(rank, state_budget)).size
+    buffers = 2 * len(entries) * size * np.dtype(float).itemsize
+    tracemalloc.start()
+    try:
+        _trace_moments(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * buffers
 
 
 def test_half_walk_rejects_non_self_adjoint():
@@ -803,6 +900,29 @@ def test_mahler_univariate_repeated_roots(coeffs, value):
     # square-free split runs at every multiplicity and gets them back
     got, err = mahler_univariate({k: Fraction(c) for k, c in coeffs.items()})
     assert abs(got - value) <= min(err, 1e-12 * value)
+
+
+def test_yun_over_z_matches_yun_over_fractions(rng):
+    # the primitive pseudo-remainder gcds give the same monic parts as
+    # Euclid over Q, on f g^2 h^3 with a rational scale
+    def poly(degree):
+        p = [rng.randint(-9, 9) for _ in range(degree)]
+        return p + [rng.choice((-3, -2, -1, 1, 2, 3))]
+
+    def times(a, b):
+        return [
+            sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+            for k in range(len(a) + len(b) - 1)
+        ]
+
+    for _ in range(40):
+        f, g, h = poly(rng.randint(1, 4)), poly(rng.randint(1, 3)), poly(rng.randint(1, 2))
+        p = times(times(f, times(g, g)), times(h, times(h, h)))
+        scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        p = [c * scale for c in p]
+        parts = fkdet._squarefree_parts(p)
+        assert parts == fraction_squarefree_parts(p)
+        assert max(m for _, m in parts) >= 2
 
 
 def test_lead_divisible_by_the_gate_prime_routes_to_yun():

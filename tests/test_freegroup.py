@@ -226,3 +226,18 @@ def test_render_parse():
     w = parse_word("x1 x2^-1 x1^3", 2)
     assert w.render("x") == "x1 x2^-1 x1^3"
     assert word(2, [(1, 1), (1, 2)]).syllables == ((1, 3),)
+
+
+def test_letter_count_keeps_word_order(rng):
+    # the count __post_init__ takes is the syllable sum, words sort as
+    # before, and it stays out of equality, hashing and repr
+    words = [random_word(rng, 3, rng.randint(0, 12)) for _ in range(300)]
+    words += [u * v.inverse() for u, v in zip(words, words[1:])]
+    for w in words:
+        assert w.length() == sum(abs(e) for _, e in w.syllables)
+    by_letters = sorted(words, key=lambda w: (sum(abs(e) for _, e in w.syllables), w.syllables))
+    assert sorted(words, key=Free.sort_key) == by_letters
+    w = parse_word("x1 x2^-1 x1^3", 2)
+    twin = FreeWord(2, ((1, 1), (2, -1), (1, 3)))
+    assert w == twin and hash(w) == hash(twin) and w.length() == 5
+    assert repr(w) == "FreeWord(rank=2, syllables=((1, 1), (2, -1), (1, 3)))"
