@@ -163,6 +163,7 @@ _WARNINGS = {
     # diagnostics flag -> what it means for the printed value
     "tail_vacuous": "series cut while its terms are still material, no tail model",
     "injectivity_assumed": "no reduction applies; the operator is assumed injective",
+    "bound_vacuous": "the error bound is not below the value",
 }
 
 

@@ -25,7 +25,8 @@ with the same checks and messages.
   for log det.  Traces tr((Id - B/c)^k) are computed by propagating a
   vector over a radius-truncated ball of a free group (numbered in suffix
   order, so a word acts on it as a few arithmetic runs; on its support
-  only while that is sparse), after rewriting
+  only while that is sparse, then scaled so that most runs are a plain
+  add), after rewriting
   the support over a free basis of the subgroup it generates.  The slowly
   decaying tail is completed by a fitted power-law or geometric model.
   A single entry whose subgroup has rank 1 is a Laurent polynomial and
@@ -52,7 +53,7 @@ import functools
 import itertools
 import operator
 from fractions import Fraction
-from math import exp, fsum, gcd, lcm, log, sqrt
+from math import exp, frexp, fsum, gcd, lcm, log, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -79,6 +80,12 @@ class FKEstimate:
     error_bound: float | None  # None means "unknown"
     method: str
     diagnostics: dict = dataclasses.field(default_factory=dict)
+
+    def __post_init__(self):
+        # a bound not below the value cannot tell it from zero; callers
+        # scale value and bound together, which keeps the flag true
+        if self.error_bound and self.error_bound >= abs(self.value):
+            self.diagnostics["bound_vacuous"] = True
 
     def to_json_obj(self) -> dict:
         return {
@@ -684,6 +691,9 @@ def _clip(run, cut: int):
 
 
 _PIECE = 1 << 14  # pairs per walk update, so its scratch product (128 kB) stays in cache
+# a run this short costs a slice update more in call overhead than in
+# pairs, so each term gathers all of its short runs at once
+_SHORT_RUN = _PIECE >> 6
 # a walk step reads only the support of v_j while that support holds at
 # most this share of the m x size nodes, then switches to slice updates
 _SPARSE_SHARE = 1 / 64
@@ -805,12 +815,15 @@ def _trace_moments(
     v_j = (P T P)^j e the traces are
     tau_2j = <v_j, v_j> and tau_2j+1 = <v_j, v_j+1>: ceil(K/2) steps give
     K traces.  Each word acts through its runs in the suffix-ordered ball
-    (:meth:`FreeBall.runs`), so a step is a few slice updates per term,
-    or, while v_j is sparse, a scatter over its support.
-    The radius-(R-1) ball that measures the truncation is the index
-    prefix [0, offsets[R]) of the big one, walked with the same runs
-    clipped to it.  Terms are walked in word order, so equal matrices give
-    bit-identical traces however their entries were assembled.
+    (:meth:`FreeBall.runs`), so a step is a few slice updates per term
+    and one gather over the term's short runs, on v_j scaled by a power of
+    its commonest coefficient so that most updates are a plain add (see
+    :func:`_half_walk`), or, while v_j is sparse, a scatter over its
+    support.  The radius-(R-1) ball that measures the truncation is the
+    index prefix [0, offsets[R]) of the big one, walked with the same runs
+    clipped to it.  Terms are walked in word order, and the scale and the
+    gathers depend only on them, so equal matrices give bit-identical
+    traces however their entries were assembled.
     """
     entries = [
         [
@@ -870,37 +883,40 @@ def _mirror_terms(entries, c: float) -> tuple[np.ndarray, list]:
     return diag, terms
 
 
+_UNIT_OPS = {1.0: np.add, -1.0: np.subtract}  # the update y +-= x of a unit coefficient
+
+
 def _half_walk(diag: np.ndarray, steps: list, size: int, series_len: int) -> np.ndarray:
     """tau_1..tau_K of the self-adjoint walk on ``size`` nodes, in ceil(K/2) steps.
 
     Each step entry (i, j, coefficient, runs) adds both its term and the
     mirror term.  While the support of v_j is small, a step reads that
     support only (:func:`_sparse_steps`); then the walk carries on in the
-    same two buffers, alternating between them, so each run is turned
-    once into basic-slice views of both, and a step is a list of
-    y += c x updates on those views.  Long runs are cut into pieces whose
-    product c x fits a cache-sized scratch array.  The stride-2 runs of
-    rank 1 overlap in their reads and walk densely from the start.
+    same two buffers, alternating between them, on u_j = v_j / f_j with
+    the scaled updates of :func:`_dense_updates`: u_(j+1) = (T / s) u_j,
+    so f_(j+1) = s f_j and the traces take the factors f_j f_(j+1) and
+    f_(j+1)^2.  Most terms then have coefficient +-1, a plain add or
+    subtract of slice views.  Whenever <u_(j+1), u_(j+1)> leaves
+    [2^-500, 2^500] an exact power of two moves from u_(j+1) into
+    f_(j+1), so even 512 traces stay finite.  The stride-2 runs of rank 1
+    overlap in their reads and walk densely from the start.
     """
     m = len(diag)
     n_steps = (series_len + 1) // 2
     taus = np.zeros(2 * n_steps)
     bufs = (np.empty((m, size)), np.empty((m, size)))
+    flat = [b.reshape(-1) for b in bufs]
+    s, slices, gathers = _dense_updates(steps, size)
     scratch = np.empty(_PIECE)
-    pieces = [
-        (i, j, cw, _run_slices(p), scratch[: p[2]])
-        for i, j, cw, runs in steps
-        for r in runs
-        for p in _split(r, _PIECE)
-    ]
     # updates[k % 2] is step k, which reads bufs[k % 2] and writes the other
-    updates = []
-    for v, nv in (bufs, bufs[::-1]):
-        ups = []
-        for i, j, cw, (src, tgt), tmp in pieces:
-            ups.append((cw, v[j][src], nv[i][tgt], tmp))
-            ups.append((cw, v[i][tgt], nv[j][src], tmp))
-        updates.append(ups)
+    updates = [
+        [
+            (_UNIT_OPS.get(a), a, v[r][src], nv[w][tgt], scratch[:count])
+            for a, r, src, w, tgt, count in slices
+        ]
+        for v, nv in (bufs, bufs[::-1])
+    ]
+    scaled_diag = (diag / s)[:, None]
     unit = all(r[3] == r[4] == 1 for *_, runs in steps for r in runs)
     terms = _directed_terms(steps) if unit else None
     for comp in range(m):
@@ -908,15 +924,67 @@ def _half_walk(diag: np.ndarray, steps: list, size: int, series_len: int) -> np.
             b.fill(0.0)
         bufs[0][comp, 0] = 1.0
         start = 0 if terms is None else _sparse_steps(diag, terms, bufs, comp, n_steps, taus)
+        f = 1.0  # v_k = f u_k, and the sparse steps leave u_start = v_start
         for k in range(start, n_steps):
-            v, nv = bufs[k % 2], bufs[1 - k % 2]
-            np.multiply(diag[:, None], v, out=nv)
-            for cw, x, y, tmp in updates[k % 2]:
-                np.multiply(x, cw, out=tmp)
-                np.add(y, tmp, out=y)
-            taus[2 * k] += np.vdot(v, nv)
-            taus[2 * k + 1] += np.vdot(nv, nv)
+            u, nu = bufs[k % 2], bufs[1 - k % 2]
+            uf, nuf = flat[k % 2], flat[1 - k % 2]
+            np.multiply(scaled_diag, u, out=nu)
+            for op, a, x, y, tmp in updates[k % 2]:
+                if op is None:
+                    op, x = np.add, np.multiply(x, a, out=tmp)
+                op(y, x, out=y)
+            for a, src, tgt in gathers:
+                x = uf[src]
+                if a == -1.0:
+                    nuf[tgt] -= x
+                else:
+                    nuf[tgt] += x if a == 1.0 else a * x
+            nf = f * s
+            taus[2 * k] += f * nf * np.vdot(u, nu)
+            dot = np.vdot(nu, nu)
+            taus[2 * k + 1] += nf * nf * dot
+            if dot and not 2.0**-500 <= dot <= 2.0**500:
+                shift = frexp(dot)[1] // 2
+                np.multiply(nu, 2.0**-shift, out=nu)
+                nf *= 2.0**shift
+            f = nf
     return taus[:series_len]
+
+
+def _dense_updates(steps: list, size: int) -> tuple[float, list, list]:
+    """The scaled updates of a dense step of :func:`_half_walk`.
+
+    s is the coefficient magnitude over the most run pairs (the larger on
+    a tie), and every coefficient is divided by it.  A run of at least
+    _SHORT_RUN pairs is cut into pieces of at most _PIECE, each a
+    (coefficient, read row, source slice, write row, target slice, pairs)
+    update in both directions.  The shorter runs of a term go into one
+    (coefficient, sources, targets) gather per direction, over the
+    flattened m x size buffers; its targets are distinct, as x -> x w is
+    injective.  Both depend only on the step entries, which come in word
+    order, so equal matrices give the same updates.  Returns (s, slice
+    updates, gathers).
+    """
+    weight: dict[float, int] = {}
+    for *_, cw, runs in steps:
+        pairs = sum(r[2] for r in runs)
+        if cw and pairs:
+            weight[abs(cw)] = weight.get(abs(cw), 0) + pairs
+    s = max(weight, key=lambda a: (weight[a], a), default=1.0)
+    slices, gathers = [], []
+    for i, j, cw, runs in steps:
+        a = cw / s
+        few = [r for r in runs if r[2] < _SHORT_RUN]
+        for r in runs:
+            if r[2] >= _SHORT_RUN:
+                for p in _split(r, _PIECE):
+                    src, tgt = _run_slices(p)
+                    slices += [(a, j, src, i, tgt, p[2]), (a, i, tgt, j, src, p[2])]
+        if few:
+            src = np.concatenate([s0 + ss * np.arange(n) for s0, _, n, ss, _ in few])
+            tgt = np.concatenate([t0 + ts * np.arange(n) for _, t0, n, _, ts in few])
+            gathers += [(a, j * size + src, i * size + tgt), (a, i * size + tgt, j * size + src)]
+    return s, slices, gathers
 
 
 def _directed_terms(steps: list) -> list:
@@ -944,9 +1012,10 @@ def _sparse_steps(diag: np.ndarray, terms: list, bufs, comp: int, n_steps: int, 
 
     Both buffers hold v_0 = e_comp and 0.  Step k reads v_k on its support
     S_k, zeroes v_(k-1) on S_(k-1), writes v_(k+1) in place and marks its
-    targets, which give S_(k+1); the traces are dot products over S_k and
-    S_(k+1).  Runs while the support holds at most _SPARSE_SHARE of the
-    nodes and returns the number of steps taken; v_k is then whole in
+    targets; those not marked before in the step, sorted, are S_(k+1), so
+    no step scans the whole mask.  The traces are dot products over S_k
+    and S_(k+1).  Runs while the support holds at most _SPARSE_SHARE of
+    the nodes and returns the number of steps taken; v_k is then whole in
     bufs[k % 2] and the other buffer is overwritten by the next step.
     """
     m, size = bufs[0].shape
@@ -962,11 +1031,13 @@ def _sparse_steps(diag: np.ndarray, terms: list, bufs, comp: int, n_steps: int, 
         x = v[supp]
         cut = np.searchsorted(supp, bounds)
         rows = []  # (nodes within the row, their values) per row
+        fresh = [supp[:0]]  # the targets of this step, each once
         for r, (a, b) in enumerate(zip(cut, cut[1:])):
             nodes = supp[a:b]
             nv[nodes] = diag[r] * x[a:b]
             if diag[r]:
                 mask[nodes] = True
+                fresh.append(nodes)
             rows.append((nodes - bounds[r], x[a:b]))
         for read, write, cw, starts, ends, shifts in terms:
             nodes, vals = rows[read]
@@ -974,12 +1045,15 @@ def _sparse_steps(diag: np.ndarray, terms: list, bufs, comp: int, n_steps: int, 
             hit = (run >= 0) & (nodes < ends[run])
             tgt = nodes[hit] + shifts[run[hit]] + bounds[write]
             nv[tgt] += cw * vals[hit]  # targets are distinct within a term
+            tgt = tgt[~mask[tgt]]
             mask[tgt] = True
+            fresh.append(tgt)
         taus[2 * k] += np.dot(x, nv[supp])
-        if np.count_nonzero(mask) > limit:
+        if sum(map(len, fresh)) > limit:
             taus[2 * k + 1] += np.vdot(nv, nv)
             return k + 1
-        prev, supp = supp, np.flatnonzero(mask)
+        # the pieces are sorted runs, which a stable (merge) sort joins cheaply
+        prev, supp = supp, np.sort(np.concatenate(fresh), kind="stable")
         mask[supp] = False
         y = nv[supp]
         taus[2 * k + 1] += np.dot(y, y)

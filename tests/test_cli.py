@@ -115,6 +115,25 @@ def test_text_output_warns_on_diagnostic_flags(capsys):
     assert code == 0 and "warning" not in out
 
 
+def test_text_output_warns_on_a_vacuous_bound(capsys):
+    # the 4-torus quadrature of this ab braid answers 1.11 +- 8.77, a bound
+    # that cannot tell the value from zero
+    argv = ["fq", "-b", "1 2 3 1 2 3", "-n", "4", "-f", "ab"]
+    code, out, _ = run(capsys, *argv, "--json")
+    (fq,) = json.loads(out)
+    assert code == 0 and fq["error_bound"] >= fq["value"] > 0
+    assert fq["diagnostics"]["bound_vacuous"] is True
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.splitlines() == [
+        "t=1: F = 1.113484798 (+- 8.77)",
+        "  warning: bound_vacuous: the error bound is not below the value",
+    ]
+    # a bound below the value sets no flag
+    code, out, _ = run(capsys, "fq", "-b", "1 2 1 2", "-n", "3", "-f", "ab", "--json")
+    (fq,) = json.loads(out)
+    assert code == 0 and "bound_vacuous" not in fq["diagnostics"]
+
+
 # a 120-letter word on 12 strands: an 11 x 11 symbolic determinant per t
 BUDGET_WORD = (
     "-1 -1 -2 -6 -10 3 11 3 -7 -7 10 10 -4 5 -10 -8 10 1 -4 -3 -2 -8 -7 -5 "

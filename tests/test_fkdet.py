@@ -472,16 +472,40 @@ def test_clipped_runs_are_the_smaller_ball(rng):
                 assert sorted(_expand(clipped)) == sorted(_expand(small.runs(w)))
 
 
-def _random_self_adjoint(rng, m, rank):
-    """m x m {word: float} entries with entry (j, i) at w^-1 equal to (i, j) at w."""
+def _random_self_adjoint(rng, m, rank, coefficient=lambda rng: rng.uniform(-2.0, 2.0)):
+    """m x m {word: coefficient} entries with entry (j, i) at w^-1 equal to (i, j) at w."""
     entries = [[{} for _ in range(m)] for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
             for _ in range(rng.randint(1, 3)):
                 w = random_word(rng, rank, rng.randint(0, 3))
-                c = rng.uniform(-2.0, 2.0)
+                c = coefficient(rng)
                 entries[i][j][w] = c
                 entries[j][i][w.inverse()] = c
+    return entries
+
+
+def _integer_self_adjoint(rng, m, rank):
+    return _random_self_adjoint(rng, m, rank, lambda rng: rng.choice((-2, -1, 1, 2)))
+
+
+def _diffusion(rng, m, rank):
+    """+-1 terms on words of length 1 to 3 and, on the diagonal, their
+    count in the row, or 16 less it if that is more: B is positive, its
+    norm bound is at least 16 times every other coefficient, and its
+    traces decay slowly enough to stay normal floats over 512 steps."""
+    entries = [[{} for _ in range(m)] for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            for _ in range(6 if i == j else 3):
+                w = random_word(rng, rank, rng.randint(1, 3))
+                if not w.is_identity():
+                    c = rng.choice((-1, 1))
+                    entries[i][j][w] = c
+                    entries[j][i][w.inverse()] = c
+    for i, row in enumerate(entries):
+        count = sum(len(e) for e in row)
+        row[i][FreeWord.identity(rank)] = max(count, 16 - count)
     return entries
 
 
@@ -522,24 +546,43 @@ def _record_sparse_steps(monkeypatch) -> list[tuple[int, int]]:
 
 # the switch share of the sparse start: None keeps the module's, which on
 # these small balls switches mid-walk; 0 walks densely from the first
-# step and 1 on the support to the last
+# step and 1 on the support to the last.  Float coefficients leave one
+# unit term; integer ones give unit and non-unit runs; the diffusion walks
+# 512 traces, on scaled vectors that would overflow without the
+# power-of-two rescale
 @pytest.mark.parametrize(
-    "m, share",
-    [pytest.param(m, None, id=str(m)) for m in (1, 2, 3)]
+    "m, share, operator",
+    [pytest.param(m, None, _random_self_adjoint, id=str(m)) for m in (1, 2, 3)]
     + [
-        pytest.param(m, share, id=f"{name}-{m}")
+        pytest.param(m, share, _random_self_adjoint, id=f"{name}-{m}")
         for name, share in (("dense", 0.0), ("sparse", 1.0))
         for m in (1, 2, 3)
+    ]
+    + [
+        pytest.param(m, None, operator, id=f"{name}-{m}")
+        for name, operator in (("integer", _integer_self_adjoint), ("512", _diffusion))
+        for m in (1, 2)
     ],
 )
-def test_half_walk_matches_full_walk(rng, monkeypatch, m, share):
-    monkeypatch.setattr(fkdet, "_PIECE", 5)  # cut long runs here as on full-size balls
+def test_half_walk_matches_full_walk(rng, monkeypatch, m, share, operator):
+    # cut long runs and gather short ones here, as on full-size balls
+    monkeypatch.setattr(fkdet, "_PIECE", 5)
+    monkeypatch.setattr(fkdet, "_SHORT_RUN", 3)
     if share is not None:
         monkeypatch.setattr(fkdet, "_SPARSE_SHARE", share)
     taken = _record_sparse_steps(monkeypatch)
+    plans = []  # (s, slice updates, gathers) of every dense walk
+    dense_updates = fkdet._dense_updates
+
+    def recording(*args):
+        plans.append(dense_updates(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(fkdet, "_dense_updates", recording)
+    series_lens = (512,) if operator is _diffusion else (13, 20)
     for rank in (1, 2, 3):
-        entries = _random_self_adjoint(rng, m, rank)
-        for series_len in (13, 20):
+        entries = operator(rng, m, rank)
+        for series_len in series_lens:
             mom = _trace_moments(entries, rank, series_len, 2_000)
             R = mom.radius
             assert R > 2
@@ -547,8 +590,14 @@ def test_half_walk_matches_full_walk(rng, monkeypatch, m, share):
             for got, radius in ((mom.taus, R), (mom.taus_small, R - 1)):
                 size = fkdet.FreeBall(rank, radius).size
                 want = _full_walk(entries, nodes[:size], mom.norm_bound, series_len)
-                assert len(got) == series_len
+                assert len(got) == series_len and np.all(np.isfinite(got))
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    coefficients = [abs(a) for _, slices, _ in plans for a, *_ in slices]
+    assert 1.0 in coefficients and any(gathers for *_, gathers in plans)
+    if operator is _integer_self_adjoint:
+        assert any(a != 1.0 for a in coefficients)
+    if operator is _diffusion:  # s is a coefficient of Id - B/c0
+        assert all(s <= 1 / 16 for s, *_ in plans)
     # rank 1 walks densely; the others start sparse as the share says
     assert taken
     if share == 0.0:
