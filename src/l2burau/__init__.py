@@ -10,7 +10,13 @@ determinants over the three computable target groups, evaluates the
 candidate Markov function det^r(Burau - Id) / max(1,t)^n, and runs
 Markov-move experiments, including the known counter-examples for the
 identity and abelianization families.
+
+The determinant backends (:mod:`l2burau.fkdet`) are the only module that
+imports numpy.  Importing the package does not load them: the names it
+re-exports from there resolve on first access.
 """
+
+from importlib import import_module as _import_module
 
 from .braid import (
     BraidWord,
@@ -26,24 +32,10 @@ from .braid import (
 )
 from .epifamilies import (
     AbelianImage,
-    AdmissibilityReport,
     Identity,
     TotalWinding,
-    check_admissibility,
     family_by_name,
     twist,
-)
-from .fkdet import (
-    FKEstimate,
-    det_epsilon_reg,
-    det_free_abelian,
-    det_free_group,
-    det_integers,
-    fold_subgroup_basis,
-    epsilon_estimate,
-    quadrature_estimate,
-    roots_estimate,
-    series_estimate,
 )
 from .freegroup import (
     Basis,
@@ -75,5 +67,27 @@ from .torsion import (
     render_poly,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_FKDET_NAMES = frozenset({
+    "FKEstimate",
+    "det_epsilon_reg",
+    "det_free_abelian",
+    "det_free_group",
+    "det_integers",
+    "epsilon_estimate",
+    "fold_subgroup_basis",
+    "quadrature_estimate",
+    "roots_estimate",
+    "series_estimate",
+})
+
+
+def __getattr__(name: str):
+    """``fkdet`` and the names re-exported from it, loaded on first access."""
+    if name != "fkdet" and name not in _FKDET_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    fkdet = _import_module(".fkdet", __name__)
+    return fkdet if name == "fkdet" else getattr(fkdet, name)
+
+
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | _FKDET_NAMES | {"fkdet"})
 __version__ = "0.1.0"

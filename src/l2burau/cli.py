@@ -6,6 +6,8 @@ backend), markov (apply a move sequence and compare), alexander
 (Alexander polynomial of a knot closure), counterexample (reproduce the
 known Markov-invariance failures).  Exit codes: 0 success,
 1 counterexample check failed, 2 argument or parse error, 3 backend error.
+Only fq, markov and counterexample reach a determinant backend, so only
+they load numpy; burau, alexander, --help and argument errors never do.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from . import braid as braidmod
 from .braid import parse_braid
 from .epifamilies import family_by_name
-from .fkdet import _check_grid, _check_series_len
+from .groupring import _check_grid, _check_series_len
 from .torsion import (
     Conjugate,
     Stabilize,

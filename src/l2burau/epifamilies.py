@@ -41,7 +41,6 @@ cache of the t-free part of an evaluation.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from typing import Sequence
@@ -368,64 +367,3 @@ def _solve_exact(rows):
     for i, c in enumerate(piv):
         sol[c] = m[i][-1]
     return sol
-
-
-# --- admissibility checking ------------------------------------------------
-
-
-@dataclasses.dataclass
-class AdmissibilityReport:
-    family: str
-    passed: bool
-    conjugation_ok: bool
-    stabilization_ok: bool | None  # None: square not defined for this family
-    first_failure: str | None = None
-
-    def to_json_obj(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-def check_admissibility(family, beta: BraidWord, alpha: BraidWord) -> AdmissibilityReport:
-    """Verify both Markov-compatibility squares on every free generator.
-
-    Conjugation square: Q(h_alpha(x_i)) == chi(Q(x_i)).  Stabilization
-    square: Q_{n+1}(iota(x_i)) == sigma(Q_n(x_i)), reported as None when
-    the family has no sigma.  Failures are reported, not raised.
-    """
-    if beta.strands != alpha.strands:
-        raise ValueError("beta and alpha must share a strand count")
-    n = beta.strands
-    name = getattr(family, "name", str(family))
-    first_failure = None
-    gens = [FreeWord.gen(n, i) for i in range(1, n + 1)]
-
-    conj_ok = True
-    try:
-        chi = family.chi_map(alpha)
-    except ValueError as exc:
-        conj_ok = False
-        first_failure = f"chi: {exc}"
-    else:
-        for i, xi in enumerate(gens, 1):
-            lhs = family.apply(artin_act(alpha, xi, Basis.X), n, Basis.X)
-            rhs = chi(family.apply(xi, n, Basis.X))
-            if lhs != rhs:
-                conj_ok = False
-                first_failure = f"conjugation square fails at x{i}"
-                break
-
-    try:
-        stabilized = [family.sigma(family.apply(xi, n, Basis.X), n) for xi in gens]
-    except ValueError:
-        stab_ok = None
-    else:
-        stab_ok = True
-        for i, (xi, rhs) in enumerate(zip(gens, stabilized), 1):
-            if family.apply(xi.with_rank(n + 1), n + 1, Basis.X) != rhs:
-                stab_ok = False
-                if first_failure is None:
-                    first_failure = f"stabilization square fails at x{i}"
-                break
-
-    passed = conj_ok and (stab_ok is not False)
-    return AdmissibilityReport(name, passed, conj_ok, stab_ok, first_failure)

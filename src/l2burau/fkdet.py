@@ -7,7 +7,9 @@ coefficient} that ``groupring._laplace`` returns, series and eps the
 square matrix E as rows of such dicts.  So a caller evaluating one
 matrix at several t builds its input once (``torsion.fq_value`` does).
 Each ``det_*`` flattens a ``GroupRingMatrix`` once and calls its estimate,
-with the same checks and messages.
+with the same checks and messages.  This is the only module that imports
+numpy, and the rest of the package loads it only on the first call that
+reaches a backend (the dispatch of ``torsion.fq_value``).
 
 * ``roots_estimate`` (``det_integers``) - the Mahler measure of the
   one-variable determinant from its roots (exact up to root-finding
@@ -64,11 +66,16 @@ from .groupring import (
     FreeAbelian,
     GroupRingMatrix,
     Integers,
+    _ascending,
     _at,
+    _check_grid,
+    _check_series_len,
+    _cyclic_quotient,
     _flat,
     _flat_add,
     _flat_addmul,
     _laplace,
+    _require_positive,
 )
 
 
@@ -103,28 +110,7 @@ def _flat_rows(M: GroupRingMatrix) -> list[list[dict]]:
     return [[_flat(e) for e in row] for row in M.entries]
 
 
-def _require_positive(t0) -> Fraction:
-    t0 = Fraction(t0)
-    if t0 <= 0:
-        raise ValueError("t must be positive")
-    return t0
-
-
 # --- roots backend (integers) -----------------------------------------------
-
-
-def _cyclic_quotient(q: Sequence, m: int) -> list | None:
-    """Delta with Q = (1 + s + ... + s^(m-1)) Delta, or None when the sum
-    does not divide Q, from Q's ascending coefficients q: with the
-    differences r_j = q_j - q_(j-1), (1 - s) Q = (1 - s^m) Delta gives
-    delta_j = r_j + delta_(j-m), sums only, and the division is exact iff
-    the recurrence over every r_j ends in m zeros."""
-    r = [a - b for a, b in zip([*q, 0], [0, *q])]
-    delta = r[:m]
-    for j in range(m, len(r)):
-        delta.append(r[j] + delta[j - m])
-    top = max(len(r) - m, 0)
-    return None if any(delta[top:]) else delta[:top]
 
 
 def _trimmed(p: list) -> list:
@@ -132,11 +118,6 @@ def _trimmed(p: list) -> list:
     while p and not p[-1]:
         p = p[:-1]
     return p
-
-
-def _ascending(coeffs: dict[int, Fraction]) -> list[Fraction]:
-    """Coefficients from the lowest power to the highest, gaps as zeros."""
-    return [Fraction(coeffs.get(k, 0)) for k in range(min(coeffs), max(coeffs) + 1)]
 
 
 def _derivative(p: list) -> list:
@@ -392,11 +373,6 @@ def _log_abs_mean(P: dict[tuple, Fraction], d: int, n_grid: int) -> float:
             np.log(A, out=A)
             total += weight * float(A.sum())
     return total / float(n_grid**d)
-
-
-def _check_grid(grid: int) -> None:
-    if grid < 64:
-        raise ValueError("grid must be at least 64")
 
 
 def _require_free_abelian(group, grid: int) -> None:
@@ -1140,19 +1116,10 @@ def _series_to_estimate(res: _SeriesResult, method: str) -> FKEstimate:
     return FKEstimate(value, err, method, res.diagnostics)
 
 
-# ball states the trace series and the eps walk may visit, and the longest
-# series: the walk costs milliseconds a term, so a longer one would run
-# for minutes with no output
+# ball states the trace series and the eps walk may visit (the longest
+# series is ``groupring._MAX_SERIES_LEN``)
 _SERIES_STATE_BUDGET = 1_200_000
 _EPS_STATE_BUDGET = 400_000
-_MAX_SERIES_LEN = 512
-
-
-def _check_series_len(series_len: int) -> None:
-    if series_len < 8:
-        raise ValueError("series_len must be at least 8")
-    if series_len > _MAX_SERIES_LEN:
-        raise ValueError(f"series_len must be at most {_MAX_SERIES_LEN}")
 
 
 def det_free_group(M: GroupRingMatrix, t0, series_len: int = 30, accel: bool = True) -> FKEstimate:

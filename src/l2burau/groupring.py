@@ -313,13 +313,18 @@ def _unflat(group: CoefficientGroup, d: dict) -> GroupRingElement:
     return GroupRingElement(group, {g: TPoly._wrap(cs) for g, cs in terms.items()})
 
 
+def _require_positive(t0) -> Fraction:
+    t0 = Fraction(t0)
+    if t0 <= 0:
+        raise ValueError("t must be positive")
+    return t0
+
+
 def _at(d: dict, t0: RationalLike) -> dict:
     """{group element: Fraction} of a flat dict after substituting t = t0 > 0,
     elements in the order of first appearance.  The values are Fractions
     even where every coefficient is an int, so callers divide exactly."""
-    t0 = Fraction(t0)
-    if t0 <= 0:
-        raise ValueError("t must be positive")
+    t0 = _require_positive(t0)
     out: dict = {}
     for (g, k), c in d.items():
         out[g] = out.get(g, 0) + c * t0**k
@@ -689,3 +694,47 @@ class GroupRingMatrix:
 
     def __repr__(self) -> str:
         return f"<GroupRingMatrix {self.rows}x{self.cols} over {self.group}>"
+
+
+# --- Shared with the backends ------------------------------------------------
+#
+# What the pipeline and the CLI read without loading the numeric backends
+# (and numpy with them): the one-variable coefficient lists of the
+# Burau-Alexander division, and the limits on the backend options, which
+# the CLI checks before any backend runs.
+
+
+def _ascending(coeffs: dict[int, Fraction]) -> list[Fraction]:
+    """Coefficients from the lowest power to the highest, gaps as zeros."""
+    return [Fraction(coeffs.get(k, 0)) for k in range(min(coeffs), max(coeffs) + 1)]
+
+
+def _cyclic_quotient(q: Sequence, m: int) -> list | None:
+    """Delta with Q = (1 + s + ... + s^(m-1)) Delta, or None when the sum
+    does not divide Q, from Q's ascending coefficients q: with the
+    differences r_j = q_j - q_(j-1), (1 - s) Q = (1 - s^m) Delta gives
+    delta_j = r_j + delta_(j-m), sums only, and the division is exact iff
+    the recurrence over every r_j ends in m zeros."""
+    r = [a - b for a, b in zip([*q, 0], [0, *q])]
+    delta = r[:m]
+    for j in range(m, len(r)):
+        delta.append(r[j] + delta[j - m])
+    top = max(len(r) - m, 0)
+    return None if any(delta[top:]) else delta[:top]
+
+
+# the longest trace series: the walk costs milliseconds a term, so a longer
+# one would run for minutes with no output
+_MAX_SERIES_LEN = 512
+
+
+def _check_grid(grid: int) -> None:
+    if grid < 64:
+        raise ValueError("grid must be at least 64")
+
+
+def _check_series_len(series_len: int) -> None:
+    if series_len < 8:
+        raise ValueError("series_len must be at least 8")
+    if series_len > _MAX_SERIES_LEN:
+        raise ValueError(f"series_len must be at most {_MAX_SERIES_LEN}")

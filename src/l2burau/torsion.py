@@ -24,6 +24,11 @@ is decoded into group-ring elements.  The Fox jacobian and the
 proof-level identities (block triangularization under stabilization,
 the conjugation identity) are kept by the tests, as oracles the
 pipeline is checked against.
+
+The dispatch of :func:`fq_value` is the one entry point into a
+determinant backend: it loads :mod:`l2burau.fkdet`, and numpy with it, on
+its first call, so ``reduced_burau`` and ``alexander_polynomial`` run on
+the exact layers alone.
 """
 
 from __future__ import annotations
@@ -32,34 +37,28 @@ import dataclasses
 import functools
 from fractions import Fraction
 from math import log
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import braid as braidmod
 from .braid import BraidWord
 from .epifamilies import TotalWinding
 from .freegroup import Basis, _fox_walk, _letter_image, winding
-from .fkdet import (
-    FKEstimate,
-    _ascending,
-    _cyclic_quotient,
-    _require_free_abelian,
-    _require_integers,
-    _require_positive,
-    epsilon_estimate,
-    quadrature_estimate,
-    roots_estimate,
-    series_estimate,
-)
 from .groupring import (
     FreeAbelian,
     GroupRingMatrix,
     Integers,
+    _ascending,
     _at,
+    _cyclic_quotient,
     _flat_add,
     _kernel,
     _laplace,
+    _require_positive,
     _unflat,
 )
+
+if TYPE_CHECKING:
+    from .fkdet import FKEstimate
 
 
 @dataclasses.dataclass(frozen=True)
@@ -294,16 +293,18 @@ def fq_value(
             method = "quad"
         else:
             method = "series"
+    from . import fkdet  # the one entry into a backend, and into numpy
+
     if method == "roots":
-        _require_integers(grp)  # before the determinant refuses a free group
-        est = roots_estimate(grp, _symbolic_det(beta, family), t0)
+        fkdet._require_integers(grp)  # before the determinant refuses a free group
+        est = fkdet.roots_estimate(grp, _symbolic_det(beta, family), t0)
     elif method == "quad":
-        _require_free_abelian(grp, grid)
-        est = quadrature_estimate(grp, _symbolic_det(beta, family), t0, grid=grid)
+        fkdet._require_free_abelian(grp, grid)
+        est = fkdet.quadrature_estimate(grp, _symbolic_det(beta, family), t0, grid=grid)
     elif method == "series":
-        est = series_estimate(grp, _minus_identity(beta, family), t0, series_len, accel)
+        est = fkdet.series_estimate(grp, _minus_identity(beta, family), t0, series_len, accel)
     elif method == "eps":
-        est = epsilon_estimate(grp, _minus_identity(beta, family), t0)
+        est = fkdet.epsilon_estimate(grp, _minus_identity(beta, family), t0)
     else:
         raise ValueError(f"unknown method {method!r}")
     norm = float(max(Fraction(1), t0)) ** n

@@ -27,8 +27,10 @@ None of them is needed by the library itself.
   jacobian, the evaluation helpers and the Gaussian elimination use plain
   dict and Fraction arithmetic only, so they check the group-ring kernel
   and the Burau fold without running through them.
-* Proof-level checks of the paper's identities, which compose the
-  library's Burau matrices with ``matmul``:
+* Proof-level checks of the paper's identities:
+  ``check_admissibility`` (a family's two Markov-compatibility squares on
+  every free generator, reported as an ``AdmissibilityReport``), and,
+  composing the library's Burau matrices with ``matmul``,
   ``verify_block_triangularization`` (the stabilization bookkeeping
   behind the second Markov move) and ``conjugation_identity_check`` (the
   matrix identity behind the first), with their reports
@@ -461,6 +463,61 @@ def det_at(M: GroupRingMatrix, z: Sequence[Fraction], t: Fraction) -> Fraction:
 
 
 # --- proof-level identity checks ------------------------------------------------
+
+
+@dataclasses.dataclass
+class AdmissibilityReport:
+    family: str
+    passed: bool
+    conjugation_ok: bool
+    stabilization_ok: bool | None  # None: square not defined for this family
+    first_failure: str | None = None
+
+
+def check_admissibility(family, beta: BraidWord, alpha: BraidWord) -> AdmissibilityReport:
+    """Verify both Markov-compatibility squares on every free generator.
+
+    Conjugation square: Q(h_alpha(x_i)) == chi(Q(x_i)).  Stabilization
+    square: Q_{n+1}(iota(x_i)) == sigma(Q_n(x_i)), reported as None when
+    the family has no sigma.  Failures are reported, not raised.
+    """
+    if beta.strands != alpha.strands:
+        raise ValueError("beta and alpha must share a strand count")
+    n = beta.strands
+    name = getattr(family, "name", str(family))
+    first_failure = None
+    gens = [FreeWord.gen(n, i) for i in range(1, n + 1)]
+
+    conj_ok = True
+    try:
+        chi = family.chi_map(alpha)
+    except ValueError as exc:
+        conj_ok = False
+        first_failure = f"chi: {exc}"
+    else:
+        for i, xi in enumerate(gens, 1):
+            lhs = family.apply(artin_act(alpha, xi, Basis.X), n, Basis.X)
+            rhs = chi(family.apply(xi, n, Basis.X))
+            if lhs != rhs:
+                conj_ok = False
+                first_failure = f"conjugation square fails at x{i}"
+                break
+
+    try:
+        stabilized = [family.sigma(family.apply(xi, n, Basis.X), n) for xi in gens]
+    except ValueError:
+        stab_ok = None
+    else:
+        stab_ok = True
+        for i, (xi, rhs) in enumerate(zip(gens, stabilized), 1):
+            if family.apply(xi.with_rank(n + 1), n + 1, Basis.X) != rhs:
+                stab_ok = False
+                if first_failure is None:
+                    first_failure = f"stabilization square fails at x{i}"
+                break
+
+    passed = conj_ok and (stab_ok is not False)
+    return AdmissibilityReport(name, passed, conj_ok, stab_ok, first_failure)
 
 
 @dataclasses.dataclass

@@ -15,6 +15,7 @@ from conftest import random_braid, random_knot_braid, random_word
 from oracles import (
     adjoint,
     block_assemble,
+    check_admissibility,
     coefficients_at,
     generator_matrix,
     jacobian_matrix,
@@ -29,7 +30,6 @@ from l2burau.epifamilies import (
     AbelianImage,
     Identity,
     TotalWinding,
-    check_admissibility,
     twist,
 )
 from l2burau.fkdet import (

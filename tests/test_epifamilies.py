@@ -3,12 +3,12 @@ import itertools
 import pytest
 
 from conftest import random_braid, random_word
+from oracles import check_admissibility
 from l2burau.braid import BraidWord, compose, permutation
 from l2burau.epifamilies import (
     AbelianImage,
     Identity,
     TotalWinding,
-    check_admissibility,
     family_by_name,
     twist,
 )
