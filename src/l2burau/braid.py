@@ -110,21 +110,13 @@ def permutation(beta: BraidWord) -> tuple[int, ...]:
     convention fixed in this module, permutation(compose(a, b)) equals
     permutation(a) composed after permutation(b).
     """
-    n = beta.strands
-    perm = list(range(1, n + 1))
-    # the last letter acts first, so its transposition sits innermost
-    for x in reversed(beta.letters):
+    p = list(range(1, beta.strands + 1))
+    # pi = t_|x1| o ... o t_|xL|, the last letter acting first, and
+    # composing t_i on the right swaps the positions i and i + 1 of the tuple
+    for x in beta.letters:
         i = abs(x)
-        out = [0] * n
-        for k in range(n):
-            v = perm[k]
-            if v == i:
-                v = i + 1
-            elif v == i + 1:
-                v = i
-            out[k] = v
-        perm = out
-    return tuple(perm)
+        p[i - 1], p[i] = p[i], p[i - 1]
+    return tuple(p)
 
 
 def is_knot_closure(beta: BraidWord) -> bool:

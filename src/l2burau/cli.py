@@ -13,7 +13,6 @@ they load numpy; burau, alexander, --help and argument errors never do.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -217,6 +216,8 @@ def _cmd_fq(args) -> int:
     if args.json:
         _emit(args, json.dumps([r.to_json_obj() for r in results], indent=2))
     elif args.csv:
+        import csv  # only this branch writes CSV, so other requests start without it
+
         buf = io.StringIO()
         wr = csv.writer(buf)
         wr.writerow(["t", "value", "error_bound", "method"])
@@ -226,10 +227,7 @@ def _cmd_fq(args) -> int:
     else:
         lines = []
         for r in results:
-            lines.append(
-                f"t={r.t0}: F = {r.value:.10g}"
-                + (f" (+- {r.error_bound:.3g})" if r.error_bound is not None else "")
-            )
+            lines.append(f"t={r.t0}: F = {r.value:.10g} (+- {r.error_bound:.3g})")
             lines.extend(_warnings(r.estimate.diagnostics, "  "))
         _emit(args, "\n".join(lines))
     return 0
@@ -284,7 +282,7 @@ def _cmd_counterexample(args) -> int:
     stabilized = braidmod.stabilize(base, +1, after=True)  # sigma_1^-1 sigma_2
     v1 = fq_value(base, family, 1)
     v2 = fq_value(stabilized, family, 1)
-    ok1 = abs(v1.value - base_target) <= max(tol, (v1.error_bound or 0.0) + 1e-9)
+    ok1 = abs(v1.value - base_target) <= max(tol, v1.error_bound + 1e-9)
     ok2 = abs(v2.value - stab_target) <= tol
     verdict = "PASS" if (ok1 and ok2) else "FAIL"
     payload = {

@@ -84,7 +84,7 @@ class FKEstimate:
     """A determinant estimate with provenance and convergence diagnostics."""
 
     value: float
-    error_bound: float | None  # None means "unknown"
+    error_bound: float
     method: str
     diagnostics: dict = dataclasses.field(default_factory=dict)
 
@@ -93,14 +93,6 @@ class FKEstimate:
         # scale value and bound together, which keeps the flag true
         if self.error_bound and self.error_bound >= abs(self.value):
             self.diagnostics["bound_vacuous"] = True
-
-    def to_json_obj(self) -> dict:
-        return {
-            "value": self.value,
-            "error_bound": "unknown" if self.error_bound is None else self.error_bound,
-            "method": self.method,
-            "diagnostics": self.diagnostics,
-        }
 
 
 def _flat_rows(M: GroupRingMatrix) -> list[list[dict]]:
@@ -666,20 +658,12 @@ def _clip(run, cut: int):
     return (s0 + ss * lo, t0 + ts * lo, hi - lo, ss, ts)
 
 
-_PIECE = 1 << 14  # pairs per walk update, so its scratch product (128 kB) stays in cache
 # a run this short costs a slice update more in call overhead than in
 # pairs, so each term gathers all of its short runs at once
-_SHORT_RUN = _PIECE >> 6
+_SHORT_RUN = 256
 # a walk step reads only the support of v_j while that support holds at
 # most this share of the m x size nodes, then switches to slice updates
 _SPARSE_SHARE = 1 / 64
-
-
-def _split(run, n: int):
-    """A run cut into consecutive runs of at most n pairs."""
-    s0, t0, count, ss, ts = run
-    for a in range(0, count, n):
-        yield (s0 + ss * a, t0 + ts * a, min(n, count - a), ss, ts)
 
 
 def _run_slices(run) -> tuple[slice, slice]:
@@ -871,8 +855,8 @@ def _half_walk(diag: np.ndarray, steps: list, size: int, series_len: int) -> np.
     same two buffers, alternating between them, on u_j = v_j / f_j with
     the scaled updates of :func:`_dense_updates`: u_(j+1) = (T / s) u_j,
     so f_(j+1) = s f_j and the traces take the factors f_j f_(j+1) and
-    f_(j+1)^2.  Most terms then have coefficient +-1, a plain add or
-    subtract of slice views.  Whenever <u_(j+1), u_(j+1)> leaves
+    f_(j+1)^2.  Each long run is one slice update, most of them a plain
+    add or subtract (coefficient +-1).  Whenever <u_(j+1), u_(j+1)> leaves
     [2^-500, 2^500] an exact power of two moves from u_(j+1) into
     f_(j+1), so even 512 traces stay finite.  The stride-2 runs of rank 1
     overlap in their reads and walk densely from the start.
@@ -883,13 +867,9 @@ def _half_walk(diag: np.ndarray, steps: list, size: int, series_len: int) -> np.
     bufs = (np.empty((m, size)), np.empty((m, size)))
     flat = [b.reshape(-1) for b in bufs]
     s, slices, gathers = _dense_updates(steps, size)
-    scratch = np.empty(_PIECE)
     # updates[k % 2] is step k, which reads bufs[k % 2] and writes the other
     updates = [
-        [
-            (_UNIT_OPS.get(a), a, v[r][src], nv[w][tgt], scratch[:count])
-            for a, r, src, w, tgt, count in slices
-        ]
+        [(_UNIT_OPS.get(a), a, v[r][src], nv[w][tgt]) for a, r, src, w, tgt in slices]
         for v, nv in (bufs, bufs[::-1])
     ]
     scaled_diag = (diag / s)[:, None]
@@ -905,10 +885,11 @@ def _half_walk(diag: np.ndarray, steps: list, size: int, series_len: int) -> np.
             u, nu = bufs[k % 2], bufs[1 - k % 2]
             uf, nuf = flat[k % 2], flat[1 - k % 2]
             np.multiply(scaled_diag, u, out=nu)
-            for op, a, x, y, tmp in updates[k % 2]:
+            for op, a, x, y in updates[k % 2]:
                 if op is None:
-                    op, x = np.add, np.multiply(x, a, out=tmp)
-                op(y, x, out=y)
+                    np.add(y, a * x, out=y)
+                else:
+                    op(y, x, out=y)
             for a, src, tgt in gathers:
                 x = uf[src]
                 if a == -1.0:
@@ -932,14 +913,13 @@ def _dense_updates(steps: list, size: int) -> tuple[float, list, list]:
 
     s is the coefficient magnitude over the most run pairs (the larger on
     a tie), and every coefficient is divided by it.  A run of at least
-    _SHORT_RUN pairs is cut into pieces of at most _PIECE, each a
-    (coefficient, read row, source slice, write row, target slice, pairs)
-    update in both directions.  The shorter runs of a term go into one
-    (coefficient, sources, targets) gather per direction, over the
-    flattened m x size buffers; its targets are distinct, as x -> x w is
-    injective.  Both depend only on the step entries, which come in word
-    order, so equal matrices give the same updates.  Returns (s, slice
-    updates, gathers).
+    _SHORT_RUN pairs is one (coefficient, read row, source slice, write
+    row, target slice) update in each direction.  The shorter runs of a
+    term go into one (coefficient, sources, targets) gather per direction,
+    over the flattened m x size buffers.  Targets are distinct within a
+    run and within a gather, as x -> x w is injective.  Both depend only
+    on the step entries, which come in word order, so equal matrices give
+    the same updates.  Returns (s, slice updates, gathers).
     """
     weight: dict[float, int] = {}
     for *_, cw, runs in steps:
@@ -953,9 +933,8 @@ def _dense_updates(steps: list, size: int) -> tuple[float, list, list]:
         few = [r for r in runs if r[2] < _SHORT_RUN]
         for r in runs:
             if r[2] >= _SHORT_RUN:
-                for p in _split(r, _PIECE):
-                    src, tgt = _run_slices(p)
-                    slices += [(a, j, src, i, tgt, p[2]), (a, i, tgt, j, src, p[2])]
+                src, tgt = _run_slices(r)
+                slices += [(a, j, src, i, tgt), (a, i, tgt, j, src)]
         if few:
             src = np.concatenate([s0 + ss * np.arange(n) for s0, _, n, ss, _ in few])
             tgt = np.concatenate([t0 + ts * np.arange(n) for _, t0, n, _, ts in few])
@@ -1122,6 +1101,20 @@ _SERIES_STATE_BUDGET = 1_200_000
 _EPS_STATE_BUDGET = 400_000
 
 
+def _substituted(E: list, t0, series_len: int, method: str) -> tuple[list, FKEstimate | None]:
+    """The front end of series and eps: check t and ``series_len``, then
+    substitute t = t0 in E.  Returns (support, None), or ([], the
+    estimate) when E is empty or zero."""
+    t0 = _require_positive(t0)
+    _check_series_len(series_len)
+    if not E:
+        return [], FKEstimate(1.0, 0.0, method, {"empty": True})
+    support = [[_at(e, t0) for e in row] for row in E]
+    if all(not e for row in support for e in row):
+        return [], FKEstimate(0.0, 0.0, method, {"non_injective": True})
+    return support, None
+
+
 def det_free_group(M: GroupRingMatrix, t0, series_len: int = 30, accel: bool = True) -> FKEstimate:
     """Regular determinant over a free group: :func:`series_estimate` on M."""
     return series_estimate(M.group, _flat_rows(M), t0, series_len, accel)
@@ -1140,17 +1133,13 @@ def series_estimate(group, E: list, t0, series_len: int = 30, accel: bool = True
     det(A B^-1 D - C); larger matrices run the series directly and flag
     that injectivity was assumed.
     """
-    t0 = _require_positive(t0)
+    _require_positive(t0)  # a bad t is reported before a bad group
     if not isinstance(group, Free):
         raise ValueError("det_free_group needs a Free coefficient group")
-    _check_series_len(series_len)
-    m = len(E)
-    if m == 0:
-        return FKEstimate(1.0, 0.0, "trace_series", {"empty": True})
-    support = [[_at(e, t0) for e in row] for row in E]
-    if all(not e for row in support for e in row):
-        return FKEstimate(0.0, 0.0, "trace_series", {"non_injective": True})
-
+    support, done = _substituted(E, t0, series_len, "trace_series")
+    if done:
+        return done
+    m = len(support)
     if m == 1:
         return _det_free_single(support[0][0], series_len, accel)
 
@@ -1160,8 +1149,7 @@ def series_estimate(group, E: list, t0, series_len: int = 30, accel: bool = True
             factor, schur = reduced
             est = _det_free_single(schur, series_len, accel)
             est.value *= factor
-            if est.error_bound is not None:
-                est.error_bound *= factor
+            est.error_bound *= factor
             est.diagnostics["two_by_two_factor"] = factor
             return est
 
@@ -1256,24 +1244,14 @@ def epsilon_estimate(
     groups (Z embeds as the rank-one free group for the walk); ``E`` is
     read as in :func:`series_estimate`.
     """
-    t0 = _require_positive(t0)
-    _check_series_len(series_len)
-    m = len(E)
-    if m == 0:
-        return FKEstimate(1.0, 0.0, "epsilon_reg", {"empty": True})
-    support_q = [[_at(e, t0) for e in row] for row in E]
-    if all(not e for row in support_q for e in row):
-        return FKEstimate(0.0, 0.0, "epsilon_reg", {"non_injective": True})
-
+    support, done = _substituted(E, t0, series_len, "epsilon_reg")
+    if done:
+        return done
     if isinstance(group, Free):
-        as_words = support_q
+        as_words = support
     elif isinstance(group, Integers):
         as_words = [
-            [
-                {make_word(1, ((1, k),)): c for k, c in e.items()}
-                for e in row
-            ]
-            for row in support_q
+            [{FreeWord.gen(1, 1, k): c for k, c in e.items()} for e in row] for row in support
         ]
     else:
         raise ValueError(
@@ -1282,9 +1260,8 @@ def epsilon_estimate(
         )
 
     rank, flat = _rewrite_entries(_walk_matrix(as_words))
-    epsilons = [_norm_bound(flat) * 0.15 / (4.0**i) for i in range(6)]
-
     mom = _trace_moments(flat, rank, series_len, state_budget)
+    epsilons = [mom.norm_bound * 0.15 / (4.0**i) for i in range(6)]
     series = [_series_from_moments(mom, True, eps) for eps in epsilons]
     logs = [res.log_det for res in series]
     series_err = max(res.error_log for res in series)

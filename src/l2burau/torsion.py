@@ -70,10 +70,6 @@ class BurauMatrix:
     braid: BraidWord
     basis: Basis
 
-    @property
-    def size(self) -> int:
-        return self.matrix.rows
-
     def render(self) -> str:
         letter = "g" if self.basis is Basis.G else "x"
         return self.matrix.render(letter)
@@ -202,7 +198,7 @@ class FQValue:
     family_name: str
     t0: Fraction
     value: float
-    error_bound: float | None
+    error_bound: float
     normalization: str
     estimate: FKEstimate
 
@@ -213,9 +209,7 @@ class FQValue:
             "family": self.family_name,
             "t": str(self.t0),
             "value": self.value,
-            "error_bound": (
-                "unknown" if self.error_bound is None else self.error_bound
-            ),
+            "error_bound": self.error_bound,
             "normalization": self.normalization,
             "method": self.estimate.method,
             "diagnostics": self.estimate.diagnostics,
@@ -308,14 +302,12 @@ def fq_value(
     else:
         raise ValueError(f"unknown method {method!r}")
     norm = float(max(Fraction(1), t0)) ** n
-    value = est.value / norm
-    err = None if est.error_bound is None else est.error_bound / norm
     return FQValue(
         braid=beta,
         family_name=getattr(family, "name", str(family)),
         t0=t0,
-        value=value,
-        error_bound=err,
+        value=est.value / norm,
+        error_bound=est.error_bound / norm,
         normalization=f"divided by max(1,t)^{n}",
         estimate=est,
     )
@@ -429,9 +421,7 @@ class MarkovReport:
                     "move": s.move,
                     "braid": s.braid.render(),
                     "value": s.fq.value,
-                    "error_bound": (
-                        "unknown" if s.fq.error_bound is None else s.fq.error_bound
-                    ),
+                    "error_bound": s.fq.error_bound,
                     "method": s.fq.estimate.method,
                     "diagnostics": s.fq.estimate.diagnostics,
                 }
@@ -485,10 +475,7 @@ def markov_report(
         for j in range(i + 1, len(fqs)):
             dev = _pair_deviation(fqs[i], fqs[j], t0)
             max_dev = max(max_dev, dev)
-            budget = (
-                (fqs[i].error_bound or 0.0) + (fqs[j].error_bound or 0.0) + tolerance
-            )
-            if dev > budget:
+            if dev > fqs[i].error_bound + fqs[j].error_bound + tolerance:
                 violation = True
     return MarkovReport(
         braid=beta,

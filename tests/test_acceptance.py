@@ -112,7 +112,7 @@ def test_criterion_3_identity_counterexample():
     bm = reduced_burau(BraidWord(3, (-1, 2)), Identity())
     E = bm.matrix - GroupRingMatrix.identity(bm.matrix.group, 2)
     eps = det_epsilon_reg(E, 1)
-    combined = (v.estimate.error_bound or 0.0) + (eps.error_bound or 0.0)
+    combined = v.estimate.error_bound + eps.error_bound
     assert abs(v.estimate.value - eps.value) <= combined
     report(3, f"identity family: F={v.value:.6f} (target 2/sqrt(3)=1.154701 "
               f"+- 2e-2) in {elapsed:.1f}s; eps backend {eps.value:.6f} agrees "
@@ -229,7 +229,7 @@ def test_criterion_7_property_suites():
         )
         oracle = det_integers(over_z, 1)
         series = det_free_group(over_f, 1, series_len=40)
-        assert abs(series.value - oracle.value) <= (series.error_bound or 0) + 1e-4
+        assert abs(series.value - oracle.value) <= series.error_bound + 1e-4
     done = 0
     while done < 8:  # (6) the 2x2 trick with a monomial block
         A, C, D = (rand_z_matrix(rng, size=1) for _ in range(3))

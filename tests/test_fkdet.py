@@ -255,6 +255,24 @@ def test_epsilon_validation():
         det_epsilon_reg(m, 1, series_len=2)
 
 
+def test_series_and_eps_front_end_order():
+    # series refuses the group before it reads series_len; eps answers an
+    # empty E and reads the group only once E is nonzero
+    ab = FreeAbelian(2)
+    one = z2elt({(0, 0): {0: 1}})
+    with pytest.raises(ValueError, match="det_free_group needs a Free coefficient group"):
+        fkdet.series_estimate(ab, [[fkdet._flat(one)]], 1, series_len=4)
+    est = fkdet.epsilon_estimate(ab, [], 1)
+    assert (est.value, est.error_bound, est.diagnostics) == (1.0, 0.0, {"empty": True})
+    with pytest.raises(ValueError, match="epsilon regularization runs over Z or free groups"):
+        fkdet.epsilon_estimate(ab, [[fkdet._flat(one)]], 1)
+    E = [[fkdet._flat(felt(2, {"e": {0: 1}}))]]
+    for estimate in (fkdet.series_estimate, fkdet.epsilon_estimate):
+        for bad in (4, 513):
+            with pytest.raises(ValueError, match="series_len must be"):
+                estimate(Free(2), E, 1, bad)
+
+
 def test_series_no_accel_bound_is_honest():
     m = one_by_one(felt(2, {"e": {0: 1}, "x1": {0: 1}, "x2": {0: 1}}))
     est = det_free_group(m, 1, series_len=12, accel=False)
@@ -280,7 +298,7 @@ def test_series_induction_property():
         zelt({0: {0: 1}, 1: {0: Fraction(-1, 3)}, -1: {0: Fraction(1, 5)}})
     )
     oracle = det_integers(mz, 1)
-    assert abs(est.value - oracle.value) <= (est.error_bound or 0) + 1e-12
+    assert abs(est.value - oracle.value) <= est.error_bound + 1e-12
 
 
 def test_series_matrix_block_diagonal():
@@ -324,7 +342,7 @@ def test_two_by_two_trick_against_commutative_oracle():
     )
     est = det_free_group(fm, 1)
     assert est.diagnostics.get("two_by_two_factor") == 2.0
-    assert abs(est.value - oracle) <= (est.error_bound or 0) + 1e-3
+    assert abs(est.value - oracle) <= est.error_bound + 1e-3
 
 
 # --- det_epsilon_reg -------------------------------------------------------------
@@ -347,7 +365,7 @@ def test_epsilon_agrees_with_series_on_boyd():
     m = one_by_one(felt(2, {"e": {0: 1}, "x1": {0: 1}, "x2": {0: 1}}))
     s = det_free_group(m, 1)
     e = det_epsilon_reg(m, 1)
-    assert abs(s.value - e.value) <= (s.error_bound or 0) + (e.error_bound or 0)
+    assert abs(s.value - e.value) <= s.error_bound + e.error_bound
 
 
 def _minus_one_over_phi():
@@ -565,8 +583,7 @@ def _record_sparse_steps(monkeypatch) -> list[tuple[int, int]]:
     ],
 )
 def test_half_walk_matches_full_walk(rng, monkeypatch, m, share, operator):
-    # cut long runs and gather short ones here, as on full-size balls
-    monkeypatch.setattr(fkdet, "_PIECE", 5)
+    # slice long runs and gather short ones here, as on full-size balls
     monkeypatch.setattr(fkdet, "_SHORT_RUN", 3)
     if share is not None:
         monkeypatch.setattr(fkdet, "_SPARSE_SHARE", share)
@@ -814,6 +831,70 @@ def test_dilations_all_backends():
         assert det_free_group(mf, 1).value == pytest.approx(2.5**size, rel=1e-9)
         me = det_epsilon_reg(mz, 1)
         assert me.value == pytest.approx(2.5**size, rel=1e-6)
+
+
+def _free_matrix(rows):
+    return GroupRingMatrix(Free(2), [[felt(2, e) for e in row] for row in rows])
+
+
+ONE, THREE = {0: 1}, {0: 3}
+BOYD_FREE = {"e": ONE, "x1": ONE, "x2": ONE}
+# B = x1 is one term, so det = |1| det(A B^-1 D - C), a rank-2 walk
+SCHUR_2X2 = [[{"e": ONE, "x2": ONE}, {"x1": ONE}], [{"e": ONE}, {"x2": ONE}]]
+# m >= 3 walks M* M whole
+WALK_3X3 = [
+    [{"e": THREE, "x1": ONE}, {"x2": ONE}, {}],
+    [{}, {"e": THREE, "x2": ONE}, {"x1": ONE}],
+    [{"x1": ONE}, {}, {"e": THREE}],
+]
+
+
+# every return path of every backend: (estimate, what marks the path)
+@pytest.mark.parametrize(
+    "run, path",
+    [
+        pytest.param(lambda: det_integers(one_by_one(zelt({0: {0: 1}, 1: {1: -1}})), 2),
+                     lambda est: "cyclotomic_factor" in est.diagnostics, id="roots-winding"),
+        pytest.param(lambda: det_integers(one_by_one(zelt({0: {0: 1}, 1: {0: Fraction(1, 2)}})), 2),
+                     lambda est: "cyclotomic_factor" not in est.diagnostics and est.value > 0,
+                     id="roots-substituted"),
+        pytest.param(lambda: det_integers(one_by_one(zelt({0: {0: 1, 1: -1}})), 1),
+                     lambda est: est.diagnostics.get("non_injective"), id="roots-zero"),
+        pytest.param(lambda: det_free_abelian(
+                         one_by_one(z2elt({(0, 0): {0: 1}, (1, 0): {0: 1}, (0, 1): {0: 1}})), 1),
+                     lambda est: est.method == "quadrature" and "grids" in est.diagnostics,
+                     id="quad-grid"),
+        pytest.param(lambda: det_free_abelian(one_by_one(z2elt({(0, 0): {0: 1}, (1, 0): {0: 2}})), 1),
+                     lambda est: est.diagnostics.get("reduced_to_univariate"), id="quad-univariate"),
+        pytest.param(lambda: det_free_abelian(zeros(FreeAbelian(2), 1, 1), 1),
+                     lambda est: est.diagnostics.get("non_injective"), id="quad-zero"),
+        pytest.param(lambda: fkdet.series_estimate(Free(2), [], 1),
+                     lambda est: est.diagnostics.get("empty"), id="series-empty"),
+        pytest.param(lambda: det_free_group(zeros(Free(2), 2, 2), 1),
+                     lambda est: est.diagnostics.get("non_injective"), id="series-zero"),
+        pytest.param(lambda: det_free_group(one_by_one(felt(2, {"e": {0: 1}, "x1 x2": {0: 2}})), 1),
+                     lambda est: est.diagnostics.get("subgroup_rank") == 1, id="series-rank-1"),
+        pytest.param(lambda: det_free_group(one_by_one(felt(2, BOYD_FREE)), 1),
+                     lambda est: est.diagnostics.get("subgroup_rank") == 2, id="series-1x1"),
+        pytest.param(lambda: det_free_group(_free_matrix(SCHUR_2X2), 1),
+                     lambda est: est.diagnostics.get("two_by_two_factor") == 1.0, id="series-2x2"),
+        pytest.param(lambda: det_free_group(_free_matrix(WALK_3X3), 1, series_len=8),
+                     lambda est: est.diagnostics.get("injectivity_assumed"), id="series-3x3"),
+        pytest.param(lambda: fkdet.epsilon_estimate(Free(2), [], 1),
+                     lambda est: est.diagnostics.get("empty"), id="eps-empty"),
+        pytest.param(lambda: det_epsilon_reg(zeros(Free(2), 1, 1), 1),
+                     lambda est: est.diagnostics.get("non_injective"), id="eps-zero"),
+        pytest.param(lambda: det_epsilon_reg(one_by_one(zelt({0: {0: 1}, 1: {1: -1}})), 2),
+                     lambda est: est.diagnostics["rank"] == 1, id="eps-integers"),
+        pytest.param(lambda: det_epsilon_reg(one_by_one(felt(2, BOYD_FREE)), 1),
+                     lambda est: est.diagnostics["rank"] == 2, id="eps-free"),
+    ],
+)
+def test_every_bound_is_a_finite_float(run, path):
+    est = run()
+    assert path(est)
+    assert type(est.error_bound) is float
+    assert math.isfinite(est.error_bound) and est.error_bound >= 0.0
 
 
 # --- folding ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The import boundary: ``l2burau.fkdet`` is the only module that imports
-numpy, and it loads only when a request reaches a determinant backend.
+numpy, and it loads only when a request reaches a determinant backend;
+``csv`` loads only for ``fq --csv``.
 
 Each command runs in a fresh interpreter, which reports at exit which of
-numpy and ``l2burau.fkdet`` it loaded.  CLI commands run through
+numpy, ``l2burau.fkdet`` and ``csv`` it loaded.  CLI commands run through
 ``l2burau.cli.main``, as the ``l2burau`` console script does.
 """
 
@@ -20,9 +21,10 @@ SRC = Path(l2burau.__file__).resolve().parents[1]
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
 BACKEND = {"numpy", "l2burau.fkdet"}
+WATCHED = BACKEND | {"csv"}
 REPORT = (
     "import atexit, sys\n"
-    f"atexit.register(lambda: print('loaded:', *sorted({BACKEND!r} & set(sys.modules)), "
+    f"atexit.register(lambda: print('loaded:', *sorted({WATCHED!r} & set(sys.modules)), "
     "file=sys.stderr))\n"
 )
 CLI = "from l2burau.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -43,7 +45,7 @@ PUBLIC = [
 
 
 def loaded(code: str, *argv: str) -> tuple[int, set[str]]:
-    """The exit code of ``python -c code argv...`` and which of BACKEND it loaded."""
+    """The exit code of ``python -c code argv...`` and which of WATCHED it loaded."""
     proc = subprocess.run([sys.executable, "-c", REPORT + code, *argv], capture_output=True,
                           text=True, env=ENV, timeout=120)
     last = proc.stderr.splitlines()[-1]
@@ -70,6 +72,11 @@ def test_exact_commands_never_load_the_backends(args, code):
 
 def test_an_estimate_loads_the_backends():
     assert loaded(CLI, "fq", "-b", "1 2 1 2", "-n", "3", "-f", "ab") == (0, BACKEND)
+
+
+@pytest.mark.parametrize("flag, extra", [("--json", set()), ("--csv", {"csv"})])
+def test_only_csv_output_loads_csv(flag, extra):
+    assert loaded(CLI, "fq", "-b", "1 1 1", flag) == (0, BACKEND | extra)
 
 
 def test_public_names_resolve_to_their_defining_modules():
