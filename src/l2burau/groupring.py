@@ -260,8 +260,7 @@ class GroupRingElement:
 # Zero coefficients are never stored, so an empty dict is the zero element.
 #
 # The kernel's two sums of products of group-ring entries, the Burau fold
-# and the determinant, first ask _kernel for a ring that holds their
-# entries, in one of two representations:
+# and the determinant, hold their entries in one of two representations:
 #
 # * the integer path, taken over a commutative group when every
 #   coefficient is an integer and every exponent vector (group
@@ -269,16 +268,12 @@ class GroupRingElement:
 #   That covers the total-winding family phi, constant matrices and most
 #   rank <= 1 targets.  An entry is then a Laurent polynomial in one
 #   variable X = u, and it is held as one Python int: the polynomial,
-#   divided by the lowest power of X in its row, evaluated at X = 2^b
-#   (Kronecker substitution).  Sums and products are int sums and
-#   products, and the coefficients come back as balanced base-2^b digits.
-#   Every coefficient of a sum of products that takes at most one term
-#   from each row is at most B = prod over rows of (1 + the l1 norms of
-#   the row's entries) in absolute value (a caller with a tighter bound,
-#   such as the Burau fold, passes its own), so b = bitlen(B) + 1 holds
-#   each as one digit, the extra bit for its sign, and no digit carries.
-#   Negative exponents never enter an int: each row is divided by its
-#   lowest power of X, and the caller adds the shifts back.
+#   divided by a power of X kept beside it, evaluated at X = 2^b
+#   (Kronecker substitution), so negative exponents never enter an int.
+#   Sums and products are int sums and products, and the coefficients
+#   come back as balanced base-2^b digits: b = bitlen(B) + 1 for a bound B
+#   on every coefficient read back holds each as one digit, the extra bit
+#   for its sign, and no digit carries.
 # * the dict path, for everything else (Z^d at rank >= 2, free groups,
 #   rational coefficients): the flat dicts themselves.  Over a commutative
 #   group a key is one int whose balanced digits in an odd base are the
@@ -288,10 +283,18 @@ class GroupRingElement:
 #   wider than the sparse support, so only a one-dimensional box is ever
 #   packed into an int.
 #
-# The Burau fold returns flat dicts (ring.flat), and _laplace, the one
-# determinant routine, takes them and returns one, so the fold's entries
-# reach every determinant backend, as E's rows or as det(E), without ever
-# becoming GroupRingElements.
+# On the integer path the Burau fold keeps one encoding up to the
+# determinant: it finds the line of its generator columns itself and
+# returns a _LineMatrix, its ints and column offsets, with B from its own
+# l1 recursion.  E = Burau - Id is formed on those ints, and _laplace, the
+# one determinant routine, reads each entry's digits once, re-spaces them
+# to the width of Hadamard's bound (_hadamard) and decodes only det(E).
+# Flat rows (the fold's dict path, GroupRingMatrix.determinant) reach
+# _laplace through _kernel, which finds their line (_on_line) and packs
+# them.  Either way det(E) comes back as one flat dict, so the fold's
+# entries reach every determinant backend, as E's rows or as det(E),
+# without ever becoming GroupRingElements; they are decoded into flat
+# rows only for ``burau`` output and the series and eps backends.
 # _at substitutes t = t0 into a flat dict; GroupRingMatrix.determinant is
 # the one place a determinant is decoded into an element.
 
@@ -391,10 +394,6 @@ class _DictRing:
         _flat_addmul(acc, a, b, self.mul, sign)
         return acc
 
-    @staticmethod
-    def shift(x: dict, k: int) -> dict:
-        return x  # keys carry every exponent, so no row is ever shifted
-
     def flat(self, acc: dict, offset: int) -> dict:
         unpack = self.unpack
         return acc if unpack is None else {unpack(k): c for k, c in acc.items()}
@@ -415,10 +414,6 @@ class _IntRing:
     def addmul(acc: int, a: int, b: int, sign: int = 1) -> int:
         return acc + a * b if sign > 0 else acc - a * b
 
-    def shift(self, x: int, k: int) -> int:
-        """x * X^k for k >= 0."""
-        return x << (self.bits * k)
-
     def flat(self, acc: int, offset: int) -> dict:
         """Digits below the lowest set bit are zero, so they are skipped,
         not read."""
@@ -435,78 +430,163 @@ class _IntRing:
         return out
 
 
+class _LineMatrix:
+    """A square matrix on the integer path, in the encoding the Burau fold
+    builds it in: entry (r, c) is ints[r][c] * X^offsets[c] in ``ring``,
+    whose width holds every coefficient of the matrix and of the matrix
+    minus the identity.  :func:`_laplace` reads it without decoding an
+    entry; ``flat_rows`` decodes it for the callers that read flat
+    rows."""
+
+    __slots__ = ("ring", "ints", "offsets")
+
+    def __init__(self, ring: _IntRing, ints: list[list[int]], offsets: list[int]):
+        self.ring, self.ints, self.offsets = ring, ints, offsets
+
+    def __len__(self) -> int:
+        return len(self.ints)
+
+    def flat_rows(self) -> list[list[dict]]:
+        flat = self.ring.flat
+        return [[flat(x, off) for x, off in zip(row, self.offsets)] for row in self.ints]
+
+    def minus_identity(self) -> "_LineMatrix":
+        """The matrix minus the identity, on the ints: a column with a
+        positive offset is moved to offset 0 first, so that X^0 is one of
+        its digits."""
+        bits = self.ring.bits
+        offsets = [min(off, 0) for off in self.offsets]
+        ints = [
+            [x << bits * (off - low) for x, off, low in zip(row, self.offsets, offsets)]
+            for row in self.ints
+        ]
+        for i, row in enumerate(ints):
+            row[i] -= 1 << bits * -offsets[i]
+        return _LineMatrix(self.ring, ints, offsets)
+
+    def det_rows(self) -> tuple[list[list[int]], list[int], _IntRing]:
+        """The rows, shifts and ring of ``_kernel`` for a determinant: each
+        entry's digits are read once, which gives its l1 norm and its
+        lowest power of X, and are re-spaced to the width of
+        :func:`_hadamard`, each row divided by its lowest power."""
+        bits, offsets = self.ring.bits, self.offsets
+        digits, norms, lows = [], [], []
+        for row in self.ints:
+            entries = []
+            for x, off in zip(row, offsets):
+                skip = ((x & -x).bit_length() - 1) // bits if x else 0
+                entries.append((off + skip, _balanced_digits(x >> bits * skip, bits)))
+            digits.append(entries)
+            norms.append([sum(map(abs, ds)) for _, ds in entries])
+            lows.append(min((k for k, ds in entries if ds), default=0))
+        width = _hadamard(norms).bit_length() + 1
+        rows = []
+        for entries, low in zip(digits, lows):
+            row = []
+            for k, ds in entries:
+                acc = 0
+                for d in reversed(ds):
+                    acc = (acc << width) + d
+                row.append(acc << width * (k - low) if acc else 0)
+            rows.append(row)
+        return rows, lows, _IntRing(self.ring.group, self.ring.u, width)
+
+
 def _balanced_digits(x: int, bits: int) -> list[int]:
     """Digits d_i of x = sum d_i 2^(bits i), lowest first, with |d_i| <
     2^(bits-1), which makes them unique (the kernel's bound guarantees
-    it); read off the binary string of |x| in one pass."""
+    it), read by masks and shifts."""
     half, full = 1 << (bits - 1), 1 << bits
-    sign = -1 if x < 0 else 1
-    binary = format(abs(x), "b") if x else ""
-    out, carry = [], 0
-    for end in range(len(binary), 0, -bits):
-        d = int(binary[max(0, end - bits):end], 2) + carry
-        carry = int(d >= half)
-        out.append(sign * (d - carry * full))
-    if carry:
-        out.append(sign)
+    mask = full - 1
+    out = []
+    while x:
+        d = x & mask
+        if d >= half:
+            d -= full
+        out.append(d)
+        x = (x - d) >> bits
     return out
+
+
+def _line_steps(group: CoefficientGroup, keys) -> tuple[list[int], dict] | None:
+    """(u, {key: k}) when the exponent vector (group coordinates, t
+    exponent) of every (group element, t exponent) key is k * u for one
+    primitive u whose first nonzero coordinate is positive; None
+    otherwise.  Without a nonzero vector u is the zero vector."""
+    dim = len(_coords(group, group.identity())) + 1
+    u, pivot = [0] * dim, None
+    steps: dict = {}
+    for key in keys:
+        if key in steps:
+            continue
+        v = [*_coords(group, key[0]), key[1]]
+        if not any(v):
+            s = 0
+        else:
+            if pivot is None:
+                pivot = next(i for i, x in enumerate(v) if x)
+                step = math.gcd(*v) * (1 if v[pivot] > 0 else -1)
+                u = [x // step for x in v]
+            s = v[pivot] // u[pivot]
+            if v != [s * y for y in u]:
+                return None
+        steps[key] = s
+    return u, steps
 
 
 def _on_line(group: CoefficientGroup, rows: list[list[dict]]):
     """(u, rows as {k: coefficient} dicts) when every coefficient is an int
-    and every exponent vector (group coordinates, t exponent) is k * u for
-    one primitive u whose first nonzero coordinate is positive; None
-    otherwise.  Without a nonzero vector u is the zero vector."""
-    dim = len(_coords(group, group.identity())) + 1
-    u, pivot = [0] * dim, None
-    steps: dict = {}  # (group element, t exponent) -> its k, once placed
-    out = []
-    for row in rows:
-        line_row = []
-        for d in row:
-            entry = {}
-            for key, c in d.items():
-                if type(c) is not int:
-                    return None
-                s = steps.get(key)
-                if s is None:
-                    v = [*_coords(group, key[0]), key[1]]
-                    if not any(v):
-                        s = 0
-                    else:
-                        if pivot is None:
-                            pivot = next(i for i, x in enumerate(v) if x)
-                            step = math.gcd(*v) * (1 if v[pivot] > 0 else -1)
-                            u = [x // step for x in v]
-                        s = v[pivot] // u[pivot]
-                        if v != [s * y for y in u]:
-                            return None
-                    steps[key] = s
-                entry[s] = c
-            line_row.append(entry)
-        out.append(line_row)
-    return u, out
+    and every key lies on one line (see :func:`_line_steps`); None
+    otherwise."""
+    if any(type(c) is not int for row in rows for d in row for c in d.values()):
+        return None
+    line = _line_steps(group, (key for row in rows for d in row for key in d))
+    if line is None:
+        return None
+    u, steps = line
+    return u, [[{steps[key]: c for key, c in d.items()} for d in row] for row in rows]
 
 
-def _kernel(group: CoefficientGroup, rows: list[list[dict]], bound: int | None = None):
+def _hadamard(norms: list[list[int]]) -> int:
+    """Hadamard's bound on every coefficient of det(M), from the l1 norms
+    of M's entries: on |X| = 1 an entry is at most its l1 norm in absolute
+    value, so |det M| is at most the product over rows of the euclidean
+    norms of their l1 norms, and over columns too, and a coefficient of a
+    Laurent polynomial is at most its maximum on the circle (von zur
+    Gathen and Gerhard, *Modern Computer Algebra*, ch. 16).  Never larger
+    than :func:`_one_per_row`, but it bounds a determinant only, not every
+    sum of products."""
+    by_rows = math.prod(sum(x * x for x in row) for row in norms)
+    by_cols = math.prod(sum(x * x for x in col) for col in zip(*norms))
+    return math.isqrt(min(by_rows, by_cols))
+
+
+def _one_per_row(norms: list[list[int]]) -> int:
+    """prod over rows of (1 + the row's l1 norm): every coefficient of a sum
+    of products that takes at most one term from each row is at most this
+    in absolute value."""
+    return math.prod(1 + sum(row) for row in norms)
+
+
+def _kernel(group: CoefficientGroup, rows: list[list[dict]], bound=_one_per_row):
     """The ring a sum of products of flat entries runs in.
 
     Every term the caller builds must be a product of at most one entry
     term from each of ``rows`` (a row of a Laplace expansion, or the
-    column of one braid letter).  A row object that occurs more than once is scanned and converted once
-    but counted in the bounds as often as it occurs.  Returns the rows in
-    the ring's representation, each row's shift, and the ring, with
-    ``zero()``, ``one``, ``addmul(acc, a, b, sign)`` returning acc + sign
-    * a * b, ``shift(x, k)`` = x * X^k, and ``flat(acc, offset)``, which
+    column of one braid letter).  A row object that occurs more than once
+    is scanned and converted once but counted in the bounds as often as
+    it occurs.  Returns the rows in the ring's representation, each row's
+    shift, and the ring, with ``zero()``, ``one``, ``addmul(acc, a, b,
+    sign)`` returning acc + sign * a * b, and ``flat(acc, offset)``, which
     turns acc times X^offset back into a flat dict {(group element, t
-    exponent): coefficient}.  On the integer path a row's
-    entries are stored divided by X^shift, so a product of one entry per
-    row carries the sum of their shifts; on the dict path every shift is
-    0.
+    exponent): coefficient}.  On the integer path a row's entries are
+    stored divided by X^shift, so a product of one entry per row carries
+    the sum of their shifts; on the dict path every shift is 0.
 
-    ``bound`` caps the absolute value of every coefficient the caller
-    turns back into an element; by default it is prod over rows of (1 +
-    the l1 norms of the row's entries), which holds for any such sum.
+    ``bound`` maps the matrix of the entries' l1 norms, one row per row
+    given, to a cap on the absolute value of every coefficient the caller
+    turns back into an element: :func:`_one_per_row` by default, which
+    holds for any such sum, or :func:`_hadamard` for a determinant.
     """
     index: dict = {}  # id of a distinct row -> its place in ``distinct``
     distinct = []
@@ -518,10 +598,8 @@ def _kernel(group: CoefficientGroup, rows: list[list[dict]], bound: int | None =
     line = _on_line(group, distinct) if is_commutative(group) else None
     if line is not None:
         u, line_rows = line
-        if bound is None:
-            norms = [1 + sum(abs(c) for d in row for c in d.values()) for row in line_rows]
-            bound = math.prod(norms[p] for p in picks)
-        bits = bound.bit_length() + 1
+        norms = [[sum(map(abs, d.values())) for d in row] for row in line_rows]
+        bits = bound([norms[p] for p in picks]).bit_length() + 1
         lows = [min((k for d in row for k in d), default=0) for row in line_rows]
         int_rows = [
             [sum(c << (bits * (k - low)) for k, c in d.items()) for d in row]
@@ -565,9 +643,10 @@ def _kernel(group: CoefficientGroup, rows: list[list[dict]], bound: int | None =
     return [packed[p] for p in picks], shifts, _DictRing(operator.add, 0, unpack)
 
 
-def _laplace(group: CoefficientGroup, rows: list[list[dict]]) -> dict:
-    """The determinant of a square matrix of flat entries over a
-    commutative group, exact in t, as a flat dict.
+def _laplace(group: CoefficientGroup, rows: list[list[dict]] | _LineMatrix) -> dict:
+    """The determinant of a square matrix of flat entries, or of a
+    :class:`_LineMatrix`, over a commutative group, exact in t, as a flat
+    dict.
 
     Laplace expansion along rows, shared over column subsets: the minor
     on the last n - r rows and the columns outside a mask of r columns is
@@ -577,20 +656,25 @@ def _laplace(group: CoefficientGroup, rows: list[list[dict]]) -> dict:
     from level r + 1, so only two adjacent levels are alive at a time.
     Exponential in n, fine for the small matrices here.
 
-    The entries are converted once into the kernel's ring (see
-    ``_kernel``) and only the final sum is turned back into a flat dict.
-    When every coefficient is an integer and every exponent vector (group
-    coordinates, t) lies on one line, as under phi, each entry is one int:
-    its row's polynomial in the line's generator, shifted by the row's
-    lowest exponent, evaluated at X = 2^b with b = bitlen(prod over rows
-    of (1 + sum of the row's entry l1 norms)) + 1, so a product-accumulate
-    is one int multiply and add.  Otherwise the entries are flat dicts and
-    a product-accumulate multiplies them term by term.
+    The entries are converted once into the kernel's ring and only the
+    final sum is turned back into a flat dict.  On the integer path (a
+    _LineMatrix, as the Burau fold builds under phi, or flat entries whose
+    coefficients are integers and whose exponent vectors lie on one line)
+    each entry is one int: its polynomial in the line's generator, divided
+    by its row's lowest power, evaluated at X = 2^b with b = bitlen(H) + 1
+    for Hadamard's bound H (:func:`_hadamard`), so a product-accumulate is
+    one int multiply and add.  A _LineMatrix is re-spaced to that width
+    from its digits (``_LineMatrix.det_rows``), without finding its line
+    again; flat entries go through ``_kernel``.  Otherwise the entries are
+    flat dicts and a product-accumulate multiplies them term by term.
     """
     if not is_commutative(group):
         raise ValueError("symbolic determinant needs a commutative group")
     n = len(rows)
-    rows, shifts, ring = _kernel(group, rows)
+    if isinstance(rows, _LineMatrix):
+        rows, shifts, ring = rows.det_rows()
+    else:
+        rows, shifts, ring = _kernel(group, rows, _hadamard)
     addmul = ring.addmul
     levels = [{0}]  # levels[r]: the reachable masks of r columns
     for row in rows[:-1]:

@@ -16,11 +16,14 @@ matrices whose coefficient family is twisted one letter at a time.  A
 generator matrix is the identity but for one column, the Fox derivatives
 of the letter's entry in the braid-action table of
 :mod:`l2burau.freegroup`, so the action is written down in one place.
-The fold hands its entries as flat dicts to the symbolic determinant,
-which the roots and quadrature backends and the Alexander polynomial
-read, and as the flat rows of E = Burau - Id to the series and eps
-backends; only the matrix ``reduced_burau`` returns (``burau`` output)
-is decoded into group-ring elements.  The Fox jacobian and the
+On the integer path (phi, and any target whose entries lie on one
+line) the fold hands the symbolic determinant its Kronecker ints and
+column offsets, E = Burau - Id is formed on them, and only det(E) is
+decoded, into the flat dict the roots and quadrature backends and the
+Alexander polynomial read; otherwise the fold's entries are flat dicts.
+The series and eps backends read the flat rows of E; only the matrix
+``reduced_burau`` returns (``burau`` output) is decoded into group-ring
+elements.  The Fox jacobian and the
 proof-level identities (block triangularization under stabilization,
 the conjugation identity) are kept by the tests, as oracles the
 pipeline is checked against.
@@ -51,10 +54,14 @@ from .groupring import (
     _at,
     _cyclic_quotient,
     _flat_add,
+    _IntRing,
     _kernel,
     _laplace,
+    _line_steps,
+    _LineMatrix,
     _require_positive,
     _unflat,
+    is_commutative,
 )
 
 if TYPE_CHECKING:
@@ -83,18 +90,11 @@ class BurauMatrix:
         return out
 
 
-def _check_winding_consistency(rows: list[list[dict]]):
-    """Over the total-winding family every term must satisfy t-exp == z-exp."""
-    for row in rows:
-        for d in row:
-            for elem, k in d:
-                if k != elem:
-                    raise AssertionError(f"twisting inconsistency: t^{k} against z^{elem}")
-
-
+@functools.lru_cache(maxsize=64)
 def _generator_column(n: int, letter: int, family) -> dict[int, dict]:
     """Column |letter| of the Burau matrix of one Artin generator, as
-    {row: flat entry}.
+    {row: flat entry}, cached, so a sweep over one family builds each of
+    its 2(n-1) columns once; callers read it and never change it.
 
     Only g_i, i = |letter|, moves, so every other column is the
     identity's.  Row r of column i is kappa(d h(g_i) / d g_r), the Fox
@@ -113,36 +113,35 @@ def _generator_column(n: int, letter: int, family) -> dict[int, dict]:
     return dict(sorted(column.items()))
 
 
-def _burau_fold(beta: BraidWord, family) -> list[list[dict]]:
-    """Fold the generator matrices of beta with twisted families; the rows
-    of the reduced Burau matrix come back as flat entries {(group element,
-    t exponent): coefficient} (see ``groupring._flat``), which
-    :func:`_symbolic_det` expands without building an element.
+def _burau_fold(beta: BraidWord, family) -> _LineMatrix | list[list[dict]]:
+    """Fold the generator matrices of beta with twisted families into the
+    reduced Burau matrix: a :class:`groupring._LineMatrix` on the integer
+    path, which :func:`_symbolic_det` expands without decoding an entry,
+    else rows of flat entries {(group element, t exponent): coefficient}
+    (see ``groupring._flat``).
 
     Composing with a generator matrix (A . G, the rule of the module
     docstring) changes only column i, since every other column of G is the
     identity's: new[row][i] = sum_r col[r] * row[r] over the rows r of
     :func:`_generator_column`, each entry product reversed to col * row as
     the rule asks, so any target group works.  Each distinct
-    (letter, twisted family) column is built once, and the fold runs in
-    the kernel's ring (see ``groupring._kernel``, which treats each
-    letter's column as one factor and converts a repeated column once),
-    so each letter costs O(n) entry products instead of the O(n^3) of a
-    full matrix product.
+    (letter, twisted family) column is looked up once, so each letter
+    costs O(n) entry products instead of the O(n^3) of a full matrix
+    product.
 
-    The column update also bounds the result: a letter's image in the
-    braid-action table uses each generator once, so every entry of a
-    generator column is one term of coefficient +-1, and an entry of the
-    new column i has l1 norm at most sum_r norms[r], where norms[c] bounds
-    the l1 norms of column c; max(norms) caps every coefficient and sets the
-    width of the integer path's digits (a far tighter cap than the
-    kernel's product over letters).  On the integer path column c of the
-    running matrix is stored divided by X^offsets[c], and a letter's
-    multipliers are shifted to the lowest offset they meet, so they stay
-    as short as the column itself.  The entries come back through
-    ``ring.flat``, which reads each int's digits from its lowest nonzero
-    one; :func:`_laplace` divides each row by its lowest power again, so
-    the determinant never carries the zero low digits the offsets leave.
+    A letter's image in the braid-action table uses each generator once,
+    so every entry of a generator column is one term of coefficient +-1.
+    So an entry of the new column i has l1 norm at most sum_r norms[r],
+    where norms[c] bounds the l1 norms of column c.  When the columns' keys
+    lie on one line (``groupring._line_steps``: phi, constant columns,
+    rank <= 1 targets), a column entry is +-X^j, and the fold runs on
+    Kronecker ints one digit wider than max(norms) + 1, which holds every
+    coefficient of the matrix and of E = Burau - Id (a far tighter cap than
+    the kernel's product over letters).  Column c of the running matrix is
+    stored divided by X^offsets[c], the lowest power a letter's update can
+    reach, and the update shifts each row[r] by the rest, with no
+    multiply.  Otherwise the fold runs in the dict ring of
+    ``groupring._kernel``, which converts each distinct column once.
     """
     n = beta.strands
     grp = family.target(n)
@@ -157,25 +156,46 @@ def _burau_fold(beta: BraidWord, family) -> list[list[dict]]:
             col = _generator_column(n, letter, fam)
             known = built[letter, fam] = (abs(letter) - 1, [r - 1 for r in col], list(col.values()))
         letters.append(known)
+    line = None
+    if is_commutative(grp):
+        line = _line_steps(grp, (key for _, _, col in built.values() for d in col for key in d))
+    if line is None:
+        columns, _, ring = _kernel(grp, [col for _, _, col in letters])
+        addmul = ring.addmul
+        rows = [[ring.one if r == c else ring.zero() for c in range(n - 1)] for r in range(n - 1)]
+        for (i, where, _), col in zip(letters, columns):
+            for row in rows:
+                new = ring.zero()
+                for r, cf in zip(where, col):
+                    if row[r]:
+                        new = addmul(new, cf, row[r])
+                row[i] = new
+        return [[ring.flat(d, 0) for d in row] for row in rows]
+    u, steps = line
     norms = [1] * (n - 1)
     for i, where, _ in letters:
         norms[i] = sum(norms[r] for r in where)
-    columns, shifts, ring = _kernel(grp, [col for _, _, col in letters], max(norms, default=1))
-    addmul, shift = ring.addmul, ring.shift
-    rows = [[ring.one if r == c else ring.zero() for c in range(n - 1)] for r in range(n - 1)]
+    bits = (max(norms, default=1) + 1).bit_length() + 1
+    # each distinct column as (row, power j, sign of +-X^j)
+    monomials = {
+        id(col): [(r, steps[key], c > 0) for r, d in zip(where, col) for key, c in d.items()]
+        for _, where, col in built.values()
+    }
+    rows = [[int(r == c) for c in range(n - 1)] for r in range(n - 1)]
     offsets = [0] * (n - 1)
-    for (i, where, _), col, col_low in zip(letters, columns, shifts):
-        low = min(offsets[r] for r in where)
-        col = [shift(cf, offsets[r] - low) for r, cf in zip(where, col)]
+    for i, _, col in letters:
+        terms = monomials[id(col)]
+        low = min(offsets[r] + j for r, j, _ in terms)
+        terms = [(r, bits * (offsets[r] + j - low), plus) for r, j, plus in terms]
         for row in rows:
-            new = ring.zero()
-            for r, cf in zip(where, col):
-                if row[r]:
-                    new = addmul(new, cf, row[r])
+            new = 0
+            for r, s, plus in terms:
+                x = row[r]
+                if x:
+                    new = new + (x << s) if plus else new - (x << s)
             row[i] = new
-        offsets[i] = low + col_low
-    flat = ring.flat
-    return [[flat(d, offsets[c]) for c, d in enumerate(row)] for row in rows]
+        offsets[i] = low
+    return _LineMatrix(_IntRing(grp, u, bits), rows, offsets)
 
 
 def reduced_burau(beta: BraidWord, family) -> BurauMatrix:
@@ -183,7 +203,7 @@ def reduced_burau(beta: BraidWord, family) -> BurauMatrix:
     the generator matrices folded with twisted families, one column
     update per letter (see :func:`_burau_fold`), decoded into elements."""
     grp = family.target(beta.strands)
-    rows = [[_unflat(grp, d) for d in row] for row in _burau_rows(beta, family)]
+    rows = [[_unflat(grp, d) for d in row] for row in _flat_burau(beta, family)]
     return BurauMatrix(GroupRingMatrix(grp, rows), family, beta, Basis.G)
 
 
@@ -218,19 +238,29 @@ class FQValue:
 
 # Everything before t = t0 is substituted depends only on (braid, family),
 # so a t sweep folds the braid once: reduced_burau, E = Burau - Id and the
-# symbolic determinant all read the flat rows of one fold, and
-# alexander_polynomial reads the same determinant (E is copied from the
-# rows on each call).  Four entries cover the t loops of fq, markov and
-# the CLI.
+# symbolic determinant all read one cached fold, and alexander_polynomial
+# reads the same determinant.  Four entries cover the t loops of fq,
+# markov and the CLI.
 # Nothing that depends on t0, the grid or the series length (an estimate,
 # a walk, a ball) is cached.
 @functools.lru_cache(maxsize=4)
-def _burau_rows(beta: BraidWord, family) -> list[list[dict]]:
-    """The flat rows of the fold; callers copy before they change one."""
+def _burau_rows(beta: BraidWord, family) -> _LineMatrix | list[list[dict]]:
+    """The fold of :func:`_burau_fold`, cached; callers copy before they
+    change a row.  Under phi every key is (k, k), so the fold's line
+    generator must be (1, 1), or zero when every entry is constant."""
     rows = _burau_fold(beta, family)
-    if isinstance(family, TotalWinding):
-        _check_winding_consistency(rows)
+    if isinstance(family, TotalWinding) and not (
+        isinstance(rows, _LineMatrix) and rows.ring.u in ([1, 1], [0, 0])
+    ):
+        raise AssertionError("twisting inconsistency: t and z exponents differ under phi")
     return rows
+
+
+def _flat_burau(beta: BraidWord, family) -> list[list[dict]]:
+    """The rows of the fold as flat entries, decoded from the integer path
+    on each call."""
+    rows = _burau_rows(beta, family)
+    return rows.flat_rows() if isinstance(rows, _LineMatrix) else rows
 
 
 def _minus_identity(beta: BraidWord, family) -> list[list[dict]]:
@@ -238,7 +268,7 @@ def _minus_identity(beta: BraidWord, family) -> list[list[dict]]:
     are copied, never changed."""
     one = {(family.target(beta.strands).identity(), 0): 1}
     out = []
-    for i, row in enumerate(_burau_rows(beta, family)):
+    for i, row in enumerate(_flat_burau(beta, family)):
         row = list(row)
         row[i] = dict(row[i])
         _flat_add(row[i], one, -1)
@@ -251,8 +281,11 @@ def _symbolic_det(beta: BraidWord, family) -> dict:
     """det(E), exact in t, as the flat dict {(group element, t exponent):
     coefficient} of ``groupring._laplace``; built only when a caller asks
     (roots, quad, the Alexander polynomial), who reads it and never
-    changes it."""
-    return _laplace(family.target(beta.strands), _minus_identity(beta, family))
+    changes it.  On the integer path E is formed on the fold's ints and
+    only det(E) is decoded; otherwise ``_laplace`` reads E's flat rows."""
+    rows = _burau_rows(beta, family)
+    E = rows.minus_identity() if isinstance(rows, _LineMatrix) else _minus_identity(beta, family)
+    return _laplace(family.target(beta.strands), E)
 
 
 def fq_value(

@@ -8,10 +8,11 @@ from l2burau.freegroup import FreeWord, word
 
 
 def clear_t_free_caches():
-    """Empty the (braid, family) caches of torsion and the root-solve cache
-    of fkdet."""
+    """Empty the (braid, family) caches of torsion, its generator-column
+    cache, and the root-solve cache of fkdet."""
     torsion._burau_rows.cache_clear()
     torsion._symbolic_det.cache_clear()
+    torsion._generator_column.cache_clear()
     fkdet._winding_roots.cache_clear()
 
 

@@ -15,8 +15,10 @@ None of them is needed by the library itself.
   braid, the t-twisting map ``kappa``, the augmentation and von Neumann
   trace of elements and matrices (``augmentation``, ``vn_trace``), the
   Fox jacobian (``jacobian_matrix``, ``unreduced_burau``), block
-  assembly, and exact evaluation and Gaussian elimination (``evaluate``,
-  ``gaussian_det``, ``det_at``).  ``coefficients_at`` substitutes t = t0
+  assembly, exact evaluation and Gaussian elimination (``evaluate``,
+  ``gaussian_det``, ``det_at``), and the classical reduced Burau matrix
+  over phi at a rational point, multiplied out letter by letter
+  (``phi_burau_at``).  ``coefficients_at`` substitutes t = t0
   into an element, and ``minus_identity_matrix`` decodes the flat rows of
   E = Burau - Id that the series and eps backends read.
   ``rescan_fold_subgroup_basis`` is the Stallings fold that restarts its
@@ -460,6 +462,24 @@ def det_at(M: GroupRingMatrix, z: Sequence[Fraction], t: Fraction) -> Fraction:
     if not isinstance(M.group, (Integers, FreeAbelian)):
         raise ValueError("evaluation needs a commutative coefficient group")
     return gaussian_det([[evaluate(e, z, t) for e in row] for row in M.entries])
+
+
+def phi_burau_at(beta: BraidWord, s: Fraction) -> list[list[Fraction]]:
+    """The reduced Burau matrix of beta over phi at s = z t, as Fractions:
+    the product of the classical generator matrices, each the identity
+    with column i replaced by (s, -s, 1) for sigma_i and (1, -1/s, 1/s)
+    for its inverse, in rows i - 1, i, i + 1."""
+    m = beta.strands - 1
+    out = [[Fraction(int(r == c)) for c in range(m)] for r in range(m)]
+    for letter in beta.letters:
+        g = [[Fraction(int(r == c)) for c in range(m)] for r in range(m)]
+        i = abs(letter) - 1
+        col = (s, -s, 1) if letter > 0 else (1, -1 / s, 1 / s)
+        for r, v in zip((i - 1, i, i + 1), col):
+            if 0 <= r < m:
+                g[r][i] = Fraction(v)
+        out = [[sum(x * y for x, y in zip(row, c)) for c in zip(*g)] for row in out]
+    return out
 
 
 # --- proof-level identity checks ------------------------------------------------

@@ -33,6 +33,7 @@ from oracles import (
     kappa_of_terms,
     matmul,
     mul,
+    phi_burau_at,
     scale,
     vn_trace,
     zeros,
@@ -400,22 +401,6 @@ def _ring_of(M):
     return groupring._kernel(M.group, [[groupring._flat(e) for e in row] for row in M.entries])[2]
 
 
-def _phi_table(n, letter, s):
-    """The reduced Burau matrix of one letter over phi at s = z t, as
-    Fractions: the identity with column i replaced."""
-    m = [[Fraction(int(r == c)) for c in range(n - 1)] for r in range(n - 1)]
-    i = abs(letter) - 1
-    col = (s, -s, 1) if letter > 0 else (1, -1 / s, 1 / s)
-    for r, v in zip((i - 1, i, i + 1), col):
-        if 0 <= r < n - 1:
-            m[r][i] = Fraction(v)
-    return m
-
-
-def _mat_mul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
 POINTS = ((Fraction(2), Fraction(1, 3)), (Fraction(-3, 2), Fraction(5, 7)), (Fraction(7, 5), Fraction(-2)))
 
 
@@ -429,9 +414,7 @@ def test_integer_path_phi_burau_and_determinant_match_fraction_oracles():
         assert isinstance(_ring_of(E), groupring._IntRing)
         D = E.determinant()
         for z0, t0 in POINTS:
-            want = [[Fraction(int(r == c)) for c in range(n - 1)] for r in range(n - 1)]
-            for letter in beta.letters:
-                want = _mat_mul(want, _phi_table(n, letter, z0 * t0))
+            want = phi_burau_at(beta, z0 * t0)
             assert [[evaluate(e, (z0,), t0) for e in row] for row in B.entries] == want
             assert evaluate(D, (z0,), t0) == det_at(E, (z0,), t0), (case, beta.render())
 
@@ -440,9 +423,9 @@ def test_balanced_digits_at_the_ends_of_their_range():
     rng = random.Random("digits")
     for bits in (2, 3, 7, 30, 64, 65):
         top = (1 << (bits - 1)) - 1  # the largest digit the kernel's bound allows
-        for _ in range(30):
+        for count in [12] * 30 + [200] * 5:
             digits = [rng.choice((-top, top, -1, 0, 1, rng.randint(-top, top)))
-                      for _ in range(rng.randint(1, 12))]
+                      for _ in range(rng.randint(1, count))]
             while digits and not digits[-1]:
                 digits.pop()
             x = sum(d << (bits * i) for i, d in enumerate(digits))
@@ -495,6 +478,50 @@ def test_integer_path_degenerate_shapes():
         M = GroupRingMatrix(grp, [[scale(one, x) for x in row] for row in rows])
         assert isinstance(_ring_of(M), groupring._IntRing)
         assert M.determinant() == scale(one, gaussian_det([[Fraction(x) for x in row] for row in rows]))
+
+
+def _line_matrix(rows, bits):
+    """Flat entries on the phi line as a groupring._LineMatrix of the given
+    width, each column divided by its lowest power."""
+    offsets = [min((k for d in col for k, _ in d), default=0) for col in zip(*rows)]
+    ints = [
+        [sum(c << bits * (k - off) for (k, _), c in d.items()) for d, off in zip(row, offsets)]
+        for row in rows
+    ]
+    return groupring._LineMatrix(groupring._IntRing(Integers(), [1, 1], bits), ints, offsets)
+
+
+def test_determinant_coefficients_lie_within_the_hadamard_width():
+    # Hadamard's bound caps every coefficient of a determinant and is never
+    # wider than the one-term-per-row product; _laplace reads det back at
+    # its width, from flat rows and from the fold's encoding alike
+    grp = Integers()
+    rng = random.Random("hadamard")
+    for size in range(1, 7):
+        for _ in range(10):
+            rows = [[{} for _ in range(size)] for _ in range(size)]
+            for d in (d for row in rows for d in row):
+                for _ in range(rng.randint(0, 3)):
+                    k, c = rng.randint(-4, 4), rng.choice((-9, -1, 1, 9, rng.randint(-9, 9)))
+                    if c:
+                        d[k, k] = c
+            norms = [[sum(map(abs, d.values())) for d in row] for row in rows]
+            bound = groupring._hadamard(norms)
+            assert bound <= groupring._one_per_row(norms)
+            D = groupring._laplace(grp, rows)
+            assert all(abs(c) <= bound for c in D.values())
+            assert groupring._laplace(grp, _line_matrix(rows, 6)) == D
+            M = GroupRingMatrix(grp, [[groupring._unflat(grp, d) for d in row] for row in rows])
+            for z0, t0 in POINTS:
+                assert evaluate(groupring._unflat(grp, D), (z0,), t0) == det_at(M, (z0,), t0)
+    # the order-4 Sylvester matrix meets the bound: |det| = 16 = sqrt(4^4)
+    sylvester = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+    rows = [[{(0, 0): x} for x in row] for row in sylvester]
+    assert groupring._hadamard([[1] * 4] * 4) == 16
+    assert groupring._laplace(grp, rows) == {(0, 0): 16}
+    line = _line_matrix(rows, 3)
+    assert line.det_rows()[2].bits == 6  # bitlen(16) + 1
+    assert groupring._laplace(grp, line) == {(0, 0): 16}
 
 
 def test_dict_path_determinants_as_before():

@@ -18,11 +18,12 @@ from oracles import (
     kappa,
     matmul,
     minus_identity_matrix,
+    phi_burau_at,
     scale,
     unreduced_burau,
     verify_block_triangularization,
 )
-from l2burau import fkdet, torsion
+from l2burau import fkdet, groupring, torsion
 from l2burau.braid import (
     BraidWord,
     compose,
@@ -743,6 +744,7 @@ SWEEP_KNOTS = {
     # table braid, Alexander polynomial
     "3_1": ((2, (1, 1, 1)), {0: 1, 1: -1, 2: 1}),
     "4_1": ((3, (1, -2, 1, -2)), {0: 1, 1: -3, 2: 1}),
+    "6_2": ((3, (1, 1, 1, -2, 1, -2)), {0: 1, 1: -3, 2: 3, 3: -3, 4: 1}),
     "7_1": ((2, (1,) * 7), {k: (-1) ** k for k in range(7)}),
 }
 SWEEP_CONJUGATOR = BraidWord(7, (
@@ -759,13 +761,32 @@ def mahler_roots_oracle(poly, t: float) -> float:
     return abs(float(poly[deg])) * t**deg * float(np.prod(np.maximum(1.0, np.abs(roots) / t)))
 
 
+def _sweep_variants(name):
+    """The table braid of ``name`` stabilized to 7 strands with +1 and
+    conjugated by SWEEP_CONJUGATOR, then three seeded conjugators and
+    stabilization signs at each of 7 and 8 strands."""
+    (strands, letters), _ = SWEEP_KNOTS[name]
+    rng = random.Random(f"sweep-{name}")
+    cases = [(7, [1] * 7, SWEEP_CONJUGATOR)]
+    for n in (7, 7, 7, 8, 8, 8):
+        cases.append((n, [rng.choice((1, -1)) for _ in range(n)], random_braid(rng, n, 30)))
+    for n, signs, alpha in cases:
+        beta = BraidWord(strands, letters)
+        for sign in signs[strands:]:
+            beta = stabilize(beta, sign)
+        yield conjugate(beta, alpha)
+
+
 @pytest.mark.parametrize("name", sorted(SWEEP_KNOTS))
 def test_compose_route_at_sweep_size(name):
-    (strands, letters), table = SWEEP_KNOTS[name]
-    beta = BraidWord(strands, letters)
-    while beta.strands < 7:
-        beta = stabilize(beta, 1)
-    beta = conjugate(beta, SWEEP_CONJUGATOR)
+    # the table polynomial is a closed form for the whole integer path:
+    # fold, E on the ints, the Hadamard-width determinant and the root solve
+    for beta in _sweep_variants(name):
+        _check_sweep_variant(name, beta)
+
+
+def _check_sweep_variant(name, beta):
+    _, table = SWEEP_KNOTS[name]
     n = beta.strands
     assert alexander_polynomial(beta) == {k: Fraction(c) for k, c in table.items()}
     # det(Burau - Id) = +-s^k Delta(s) (1 + s + ... + s^(n-1)) at s = t z,
@@ -778,7 +799,7 @@ def test_compose_route_at_sweep_size(name):
         v = fq_value(beta, TotalWinding(), t0)
         t, top = float(t0), float(max(Fraction(1), t0))
         want = t**k * top ** (n - 1) * mahler_roots_oracle(table, t) / top**n
-        assert abs(v.value - want) <= v.error_bound, (name, t0, v.value, want)
+        assert abs(v.value - want) <= v.error_bound, (name, beta.render(), t0, v.value, want)
 
 
 # --- the t-free part of fq_value, built once per (braid, family) ----------------
@@ -903,6 +924,61 @@ def test_alexander_then_fq_sweep_folds_once(monkeypatch):
     reduced_burau(beta, TotalWinding())
     torsion._minus_identity(beta, TotalWinding())
     assert (len(folded), len(expanded)) == (1, 1)
+
+
+def test_phi_path_keeps_one_encoding_from_fold_to_root_solve(monkeypatch):
+    # under phi the fold's ints reach the expansion as they are: no fold
+    # entry is decoded into a flat dict (det(E) is the one int decoded per
+    # expansion) and no line is found again; one fold and one expansion
+    # per braid, as before
+    beta, knot = random_braid(random.Random(11), 7, 60), BraidWord(5, (1, -2, 3, -4) * 3)
+    folded = _count_calls(monkeypatch, torsion, "_burau_fold")
+    expanded = _count_calls(monkeypatch, torsion, "_laplace")
+    decoded = _count_calls(monkeypatch, groupring._IntRing, "flat")
+    relined = _count_calls(monkeypatch, groupring, "_on_line")
+    for t in (Fraction(1, 2), 1, 2):
+        fq_value(beta, TotalWinding(), t)
+    alexander_polynomial(knot)
+    for t in (Fraction(1, 2), 2):
+        fq_value(knot, TotalWinding(), t)
+    assert (len(folded), len(expanded), len(decoded)) == (2, 2, 2)
+    assert not relined
+
+
+def test_phi_fold_off_the_winding_line_is_refused():
+    # under phi every key is (k, k): a family whose z exponents drift from
+    # the t exponents folds onto another line, which the cached fold refuses
+
+    class Doubled(TotalWinding):
+        __eq__, __hash__ = object.__eq__, object.__hash__  # its own cache entries
+
+        def apply(self, w, n, basis=Basis.X):
+            return 2 * super().apply(w, n, basis)
+
+    with pytest.raises(AssertionError, match="twisting inconsistency"):
+        torsion._burau_rows(BraidWord(3, (1, -2, 1)), Doubled())
+    assert torsion._burau_rows(BraidWord(3, ()), TotalWinding()).ring.u == [0, 0]
+
+
+def test_symbolic_det_on_the_integer_path_matches_the_flat_route_and_the_oracles():
+    # phi braids of 4-8 strands and 40-80 letters: det(E) from the fold's
+    # ints equals the expansion of E's flat rows, term for term and in
+    # order, and the Gaussian determinant of E at rational points; the
+    # fold itself matches the classical generator matrices multiplied out
+    rng = random.Random("line-det")
+    for case in range(20):
+        beta = random_braid(rng, 4 + case % 5, rng.randint(40, 80))
+        fam = TotalWinding()
+        D = torsion._symbolic_det(beta, fam)
+        flat = groupring._laplace(Integers(), torsion._minus_identity(beta, fam))
+        assert list(D.items()) == list(flat.items()), beta.render()
+        B = reduced_burau(beta, fam).matrix
+        E = B - GroupRingMatrix.identity(B.group, beta.strands - 1)
+        for z0, t0 in ((Fraction(2), Fraction(1, 3)), (Fraction(-3, 2), Fraction(5, 7))):
+            assert [[evaluate(e, (z0,), t0) for e in row] for row in B.entries] == phi_burau_at(
+                beta, z0 * t0
+            )
+            assert evaluate(_unflat(B.group, D), (z0,), t0) == det_at(E, (z0,), t0)
 
 
 def test_fq_value_reuses_no_backend_result(monkeypatch):
