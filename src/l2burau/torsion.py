@@ -135,9 +135,9 @@ def _burau_fold(beta: BraidWord, family) -> _LineMatrix | list[list[dict]]:
     where norms[c] bounds the l1 norms of column c.  When the columns' keys
     lie on one line (``groupring._line_steps``: phi, constant columns,
     rank <= 1 targets), a column entry is +-X^j, and the fold runs on
-    Kronecker ints one digit wider than max(norms) + 1, which holds every
-    coefficient of the matrix and of E = Burau - Id (a far tighter cap than
-    the kernel's product over letters).  Column c of the running matrix is
+    Kronecker ints whose digits hold +-(max(norms) + 1), a cap on every
+    coefficient of the matrix and of E = Burau - Id (far tighter than the
+    kernel's product over letters).  Column c of the running matrix is
     stored divided by X^offsets[c], the lowest power a letter's update can
     reach, and the update shifts each row[r] by the rest, with no
     multiply.  Otherwise the fold runs in the dict ring of

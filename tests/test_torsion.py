@@ -767,10 +767,10 @@ def _sweep_variants(name):
     stabilization signs at each of 7 and 8 strands."""
     (strands, letters), _ = SWEEP_KNOTS[name]
     rng = random.Random(f"sweep-{name}")
-    cases = [(7, [1] * 7, SWEEP_CONJUGATOR)]
+    cases = [([1] * 7, SWEEP_CONJUGATOR)]
     for n in (7, 7, 7, 8, 8, 8):
-        cases.append((n, [rng.choice((1, -1)) for _ in range(n)], random_braid(rng, n, 30)))
-    for n, signs, alpha in cases:
+        cases.append(([rng.choice((1, -1)) for _ in range(n)], random_braid(rng, n, 30)))
+    for signs, alpha in cases:
         beta = BraidWord(strands, letters)
         for sign in signs[strands:]:
             beta = stabilize(beta, sign)
@@ -781,25 +781,21 @@ def _sweep_variants(name):
 def test_compose_route_at_sweep_size(name):
     # the table polynomial is a closed form for the whole integer path:
     # fold, E on the ints, the Hadamard-width determinant and the root solve
+    table = SWEEP_KNOTS[name][1]
     for beta in _sweep_variants(name):
-        _check_sweep_variant(name, beta)
-
-
-def _check_sweep_variant(name, beta):
-    _, table = SWEEP_KNOTS[name]
-    n = beta.strands
-    assert alexander_polynomial(beta) == {k: Fraction(c) for k, c in table.items()}
-    # det(Burau - Id) = +-s^k Delta(s) (1 + s + ... + s^(n-1)) at s = t z,
-    # symmetric about half the exponent sum e, which fixes k; the second
-    # factor has Mahler measure max(1, t)^(n-1)
-    e = sum(1 if x > 0 else -1 for x in beta.letters)
-    assert (e - (n - 1) - max(table)) % 2 == 0
-    k = (e - (n - 1) - max(table)) // 2
-    for t0 in (Fraction(1, 2), Fraction(1), Fraction(2)):
-        v = fq_value(beta, TotalWinding(), t0)
-        t, top = float(t0), float(max(Fraction(1), t0))
-        want = t**k * top ** (n - 1) * mahler_roots_oracle(table, t) / top**n
-        assert abs(v.value - want) <= v.error_bound, (name, beta.render(), t0, v.value, want)
+        n = beta.strands
+        assert alexander_polynomial(beta) == {k: Fraction(c) for k, c in table.items()}
+        # det(Burau - Id) = +-s^k Delta(s) (1 + s + ... + s^(n-1)) at s = t z,
+        # symmetric about half the exponent sum e, which fixes k; the second
+        # factor has Mahler measure max(1, t)^(n-1)
+        e = sum(1 if x > 0 else -1 for x in beta.letters)
+        assert (e - (n - 1) - max(table)) % 2 == 0
+        k = (e - (n - 1) - max(table)) // 2
+        for t0 in (Fraction(1, 2), Fraction(1), Fraction(2)):
+            v = fq_value(beta, TotalWinding(), t0)
+            t, top = float(t0), float(max(Fraction(1), t0))
+            want = t**k * top ** (n - 1) * mahler_roots_oracle(table, t) / top**n
+            assert abs(v.value - want) <= v.error_bound, (name, beta.render(), t0, v.value, want)
 
 
 # --- the t-free part of fq_value, built once per (braid, family) ----------------
