@@ -75,6 +75,7 @@ from .groupring import (
     _flat_add,
     _flat_addmul,
     _laplace,
+    _line_steps,
     _require_positive,
 )
 
@@ -385,18 +386,23 @@ def quadrature_estimate(group, D: dict, t0, grid: int = 128) -> FKEstimate:
     """The quadrature backend on a determinant already expanded over Z^d.
 
     ``D`` is det(M) exact in t, as the flat dict of ``groupring._laplace``;
-    only t = t0 is substituted here, so one D serves every t.
+    only t = t0 is substituted here, so one D serves every t.  A support
+    on one line once shifted by one of its points (``groupring._line_steps``)
+    is solved by roots, as a polynomial in the line's step; any other is
+    integrated over the torus of the axes it uses.
     """
     t0 = _require_positive(t0)
     _require_free_abelian(group, grid)
     P0 = _at(D, t0)
     if not P0:
         return FKEstimate(0.0, 0.0, "quadrature", {"non_injective": True})
-    P, d = _drop_unused_axes(P0)
-    if d <= 1:
-        uni = {(k[0] if k else 0): c for k, c in P.items()}
-        value, err = mahler_univariate(uni)
+    k0 = next(iter(P0))
+    shifted = {tuple(a - b for a, b in zip(k, k0)): c for k, c in P0.items()}
+    line = _line_steps(group, ((v, 0) for v in shifted))
+    if line is not None:
+        value, err = mahler_univariate({line[1][v, 0]: c for v, c in shifted.items()})
         return FKEstimate(value, err, "roots", {"reduced_to_univariate": True})
+    P, d = _drop_unused_axes(P0)
     n = grid
     while (4 * n) ** d > 2**26:  # keep even the doubled grids affordable
         n //= 2

@@ -260,43 +260,41 @@ class GroupRingElement:
 # Zero coefficients are never stored, so an empty dict is the zero element.
 #
 # The kernel's two sums of products of group-ring entries, the Burau fold
-# and the determinant, hold their entries in one of two representations:
+# (_fold_columns) and the determinant (_laplace), hold their entries in
+# one of two encodings:
 #
-# * the integer path, taken over a commutative group when every
-#   coefficient is an integer and every exponent vector (group
-#   coordinates, t exponent) is a multiple k u of one primitive vector u.
-#   That covers the total-winding family phi, constant matrices and most
-#   rank <= 1 targets.  An entry is then a Laurent polynomial in one
-#   variable X = u, and it is held as one Python int: the polynomial,
-#   divided by a power of X kept beside it, evaluated at X = 2^b
-#   (Kronecker substitution), so negative exponents never enter an int.
-#   Sums and products are int sums and products, and the coefficients
-#   come back as balanced base-2^b digits: b = bitlen(B) + 1 for a bound B
-#   on every coefficient read back holds each as one digit, the extra bit
-#   for its sign, and no digit carries.
-# * the dict path, for everything else (Z^d at rank >= 2, free groups,
-#   rational coefficients): the flat dicts themselves.  Over a commutative
-#   group a key is one int whose balanced digits in an odd base are the
-#   group coordinates and then the t exponent, so the key product is the
-#   int sum; over a free group of rank >= 2 a key stays the (element,
-#   exponent) pair.  A dense box over several variables could be far
-#   wider than the sparse support, so only a one-dimensional box is ever
-#   packed into an int.
+# * the integer encoding, a _LineMatrix, over a commutative group when
+#   every coefficient is an integer and every exponent vector (group
+#   coordinates, t exponent) is a multiple k u of one primitive vector u
+#   (_line_steps, the one line test): phi, constant matrices and most
+#   rank <= 1 targets.  An entry is then a Laurent polynomial in X = u,
+#   held as one Python int: the polynomial, divided by a power of X kept
+#   beside it, evaluated at X = 2^b (Kronecker substitution), so negative
+#   exponents never enter an int.  Sums and products are int sums and
+#   products, and the coefficients come back as balanced base-2^b digits
+#   (_digits): b = bitlen(B) + 1 for a bound B on every coefficient read
+#   back holds each as one digit, the extra bit for its sign, and no digit
+#   carries.  It has two producers: the fold, which finds the line of its
+#   generator columns and takes B from its own l1 recursion, and
+#   _LineMatrix.of, which encodes flat rows.
+# * the dict encoding (_kernel), for everything else (Z^d at rank >= 2,
+#   free groups, rational coefficients): the flat dicts themselves.  Over
+#   a commutative group a key is one int whose balanced digits in an odd
+#   base are the group coordinates and then the t exponent, so the key
+#   product is the int sum; over a free group of rank >= 2 a key stays the
+#   (element, exponent) pair.  A dense box over several variables could be
+#   far wider than the sparse support, so only a one-dimensional box is
+#   ever packed into an int.
 #
-# On the integer path the Burau fold keeps one encoding up to the
-# determinant: it finds the line of its generator columns itself and
-# returns a _LineMatrix, its ints and column offsets, with B from its own
-# l1 recursion.  E = Burau - Id is formed on those ints, and _laplace, the
-# one determinant routine, reads each entry's digits once, re-spaces them
-# to the width of Hadamard's bound (_hadamard) and decodes only det(E).
-# Flat rows (the fold's dict path, GroupRingMatrix.determinant) reach
-# _laplace through _kernel, which finds their line (_on_line) and packs
-# them.  Either way det(E) comes back as one flat dict, so the fold's
-# entries reach every determinant backend, as E's rows or as det(E),
-# without ever becoming GroupRingElements; they are decoded into flat
-# rows only for ``burau`` output and the series and eps backends.
-# _at substitutes t = t0 into a flat dict; GroupRingMatrix.determinant is
-# the one place a determinant is decoded into an element.
+# _laplace takes a _LineMatrix as it is, or flat rows through
+# _LineMatrix.of; under phi the fold's ints reach it as E = Burau - Id,
+# formed on the ints, and only det(E) is decoded.  det(E) comes back as
+# one flat dict, so the fold's entries reach every determinant backend,
+# as E's rows or as det(E), without becoming GroupRingElements; they are
+# decoded into flat rows only for ``burau`` output and the series and eps
+# backends.  _at substitutes t = t0 into a flat dict;
+# GroupRingMatrix.determinant is the one place a determinant is decoded
+# into an element.
 
 
 def _flat(e: GroupRingElement) -> dict:
@@ -415,12 +413,10 @@ class _IntRing:
         return acc + a * b if sign > 0 else acc - a * b
 
     def flat(self, acc: int, offset: int) -> dict:
-        """Digits below the lowest set bit are zero, so they are skipped,
-        not read."""
-        bits, keys = self.bits, self._keys
-        skip = ((acc & -acc).bit_length() - 1) // bits if acc else 0
-        out = {}
-        for k, c in enumerate(_balanced_digits(acc >> (bits * skip), bits), offset + skip):
+        """acc times X^offset as a flat dict."""
+        keys, out = self._keys, {}
+        skip, digits = _digits(acc, self.bits)
+        for k, c in enumerate(digits, offset + skip):
             if c:
                 key = keys.get(k)
                 if key is None:
@@ -431,17 +427,37 @@ class _IntRing:
 
 
 class _LineMatrix:
-    """A square matrix on the integer path, in the encoding the Burau fold
-    builds it in: entry (r, c) is ints[r][c] * X^offsets[c] in ``ring``,
-    whose width holds every coefficient of the matrix and of the matrix
-    minus the identity.  :func:`_laplace` reads it without decoding an
-    entry; ``flat_rows`` decodes it for the callers that read flat
-    rows."""
+    """A square matrix in the integer encoding: entry (r, c) is ints[r][c]
+    * X^offsets[c] in ``ring``, whose width holds every coefficient of the
+    matrix and of the matrix minus the identity.  The Burau fold
+    (:func:`_fold_columns`) builds one, and :meth:`of` encodes flat rows;
+    :func:`_laplace` reads either without decoding an entry, and
+    ``flat_rows`` decodes it for the callers that read flat rows."""
 
     __slots__ = ("ring", "ints", "offsets")
 
     def __init__(self, ring: _IntRing, ints: list[list[int]], offsets: list[int]):
         self.ring, self.ints, self.offsets = ring, ints, offsets
+
+    @staticmethod
+    def of(group: CoefficientGroup, rows: list[list[dict]]) -> "_LineMatrix | None":
+        """Square flat rows in the integer encoding, when the group is
+        commutative, every coefficient is an int and every key lies on one
+        line (:func:`_line_steps`); None otherwise.  Each column is stored
+        divided by its lowest power, and the digits hold the largest
+        coefficient plus one."""
+        cs = [c for row in rows for d in row for c in d.values()]
+        if not is_commutative(group) or any(type(c) is not int for c in cs):
+            return None
+        line = _line_steps(group, (key for row in rows for d in row for key in d))
+        if line is None:
+            return None
+        u, steps = line
+        bits = (max(map(abs, cs), default=0) + 1).bit_length() + 1
+        offsets = [min((steps[key] for d in col for key in d), default=0) for col in zip(*rows)]
+        ints = [[sum(c << bits * (steps[k] - off) for k, c in d.items())
+                 for d, off in zip(row, offsets)] for row in rows]
+        return _LineMatrix(_IntRing(group, u, bits), ints, offsets)
 
     def __len__(self) -> int:
         return len(self.ints)
@@ -465,17 +481,15 @@ class _LineMatrix:
         return _LineMatrix(self.ring, ints, offsets)
 
     def det_rows(self) -> tuple[list[list[int]], list[int], _IntRing]:
-        """The rows, shifts and ring of ``_kernel`` for a determinant: each
+        """The rows, row shifts and ring :func:`_laplace` expands: each
         entry's digits are read once, which gives its l1 norm and its
         lowest power of X, and are re-spaced to the width of
         :func:`_hadamard`, each row divided by its lowest power."""
         bits, offsets = self.ring.bits, self.offsets
         digits, norms, lows = [], [], []
         for row in self.ints:
-            entries = []
-            for x, off in zip(row, offsets):
-                skip = ((x & -x).bit_length() - 1) // bits if x else 0
-                entries.append((off + skip, _balanced_digits(x >> bits * skip, bits)))
+            read = [_digits(x, bits) for x in row]
+            entries = [(off + skip, ds) for off, (skip, ds) in zip(offsets, read)]
             digits.append(entries)
             norms.append([sum(map(abs, ds)) for _, ds in entries])
             lows.append(min((k for k, ds in entries if ds), default=0))
@@ -494,7 +508,7 @@ class _LineMatrix:
 
 def _balanced_digits(x: int, bits: int) -> list[int]:
     """Digits d_i of x = sum d_i 2^(bits i), lowest first, with |d_i| <
-    2^(bits-1), which makes them unique (the kernel's bound guarantees
+    2^(bits-1), which makes them unique (the encoding's bound guarantees
     it), read by masks and shifts."""
     half, full = 1 << (bits - 1), 1 << bits
     mask = full - 1
@@ -506,6 +520,14 @@ def _balanced_digits(x: int, bits: int) -> list[int]:
         out.append(d)
         x = (x - d) >> bits
     return out
+
+
+def _digits(x: int, bits: int) -> tuple[int, list[int]]:
+    """(s, digits) with x = 2^(bits s) sum_i digits[i] 2^(bits i): the
+    digits below the lowest set bit are zero, so they are skipped, not
+    read, and the rest are read by :func:`_balanced_digits`."""
+    skip = ((x & -x).bit_length() - 1) // bits if x else 0
+    return skip, _balanced_digits(x >> bits * skip, bits)
 
 
 def _line_steps(group: CoefficientGroup, keys) -> tuple[list[int], dict] | None:
@@ -534,19 +556,6 @@ def _line_steps(group: CoefficientGroup, keys) -> tuple[list[int], dict] | None:
     return u, steps
 
 
-def _on_line(group: CoefficientGroup, rows: list[list[dict]]):
-    """(u, rows as {k: coefficient} dicts) when every coefficient is an int
-    and every key lies on one line (see :func:`_line_steps`); None
-    otherwise."""
-    if any(type(c) is not int for row in rows for d in row for c in d.values()):
-        return None
-    line = _line_steps(group, (key for row in rows for d in row for key in d))
-    if line is None:
-        return None
-    u, steps = line
-    return u, [[{steps[key]: c for key, c in d.items()} for d in row] for row in rows]
-
-
 def _hadamard(norms: list[list[int]]) -> int:
     """Hadamard's bound on every coefficient of det(M), from the l1 norms
     of M's entries: on |X| = 1 an entry is at most its l1 norm in absolute
@@ -554,40 +563,31 @@ def _hadamard(norms: list[list[int]]) -> int:
     norms of their l1 norms, and over columns too, and a coefficient of a
     Laurent polynomial is at most its maximum on the circle (von zur
     Gathen and Gerhard, *Modern Computer Algebra*, ch. 16).  Never larger
-    than :func:`_one_per_row`, but it bounds a determinant only, not every
-    sum of products."""
+    than the product over rows of (1 + the row's l1 norm), which bounds
+    every sum of products that takes at most one term from each row."""
     by_rows = math.prod(sum(x * x for x in row) for row in norms)
     by_cols = math.prod(sum(x * x for x in col) for col in zip(*norms))
     return math.isqrt(min(by_rows, by_cols))
 
 
-def _one_per_row(norms: list[list[int]]) -> int:
-    """prod over rows of (1 + the row's l1 norm): every coefficient of a sum
-    of products that takes at most one term from each row is at most this
-    in absolute value."""
-    return math.prod(1 + sum(row) for row in norms)
-
-
-def _kernel(group: CoefficientGroup, rows: list[list[dict]], bound=_one_per_row):
-    """The ring a sum of products of flat entries runs in.
+def _kernel(group: CoefficientGroup, rows: list[list[dict]]):
+    """The dict encoding of a sum of products of flat entries: the rows,
+    their keys in the ring's form, and the ring, with ``zero()``, ``one``,
+    ``addmul(acc, a, b, sign)`` returning acc + sign * a * b, and
+    ``flat(acc, offset)``, which turns acc back into a flat dict.
 
     Every term the caller builds must be a product of at most one entry
     term from each of ``rows`` (a row of a Laplace expansion, or the
-    column of one braid letter).  A row object that occurs more than once
-    is scanned and converted once but counted in the bounds as often as
-    it occurs.  Returns the rows in the ring's representation, each row's
-    shift, and the ring, with ``zero()``, ``one``, ``addmul(acc, a, b,
-    sign)`` returning acc + sign * a * b, and ``flat(acc, offset)``, which
-    turns acc times X^offset back into a flat dict {(group element, t
-    exponent): coefficient}.  On the integer path a row's entries are
-    stored divided by X^shift, so a product of one entry per row carries
-    the sum of their shifts; on the dict path every shift is 0.
-
-    ``bound`` maps the matrix of the entries' l1 norms, one row per row
-    given, to a cap on the absolute value of every coefficient the caller
-    turns back into an element: :func:`_one_per_row` by default, which
-    holds for any such sum, or :func:`_hadamard` for a determinant.
+    column of one braid letter).  Over a commutative group the keys are
+    packed ints, and a row object that occurs more than once is packed
+    once but counted in the base as often as it occurs; over a free group
+    of rank >= 2 they stay (element, exponent) pairs.
     """
+    if not is_commutative(group):
+        gmul = group.mul
+        return rows, _DictRing(
+            lambda a, b: (gmul(a[0], b[0]), a[1] + b[1]), (group.identity(), 0)
+        )
     index: dict = {}  # id of a distinct row -> its place in ``distinct``
     distinct = []
     for row in rows:
@@ -595,23 +595,6 @@ def _kernel(group: CoefficientGroup, rows: list[list[dict]], bound=_one_per_row)
             index[id(row)] = len(distinct)
             distinct.append(row)
     picks = [index[id(row)] for row in rows]
-    line = _on_line(group, distinct) if is_commutative(group) else None
-    if line is not None:
-        u, line_rows = line
-        norms = [[sum(map(abs, d.values())) for d in row] for row in line_rows]
-        bits = bound([norms[p] for p in picks]).bit_length() + 1
-        lows = [min((k for d in row for k in d), default=0) for row in line_rows]
-        int_rows = [
-            [sum(c << (bits * (k - low)) for k, c in d.items()) for d in row]
-            for row, low in zip(line_rows, lows)
-        ]
-        return [int_rows[p] for p in picks], [lows[p] for p in picks], _IntRing(group, u, bits)
-    shifts = [0] * len(rows)
-    if not is_commutative(group):
-        gmul = group.mul
-        return rows, shifts, _DictRing(
-            lambda a, b: (gmul(a[0], b[0]), a[1] + b[1]), (group.identity(), 0)
-        )
     vrows = [
         [{(*_coords(group, g), k): c for (g, k), c in d.items()} for d in row]
         for row in distinct
@@ -640,7 +623,70 @@ def _kernel(group: CoefficientGroup, rows: list[list[dict]], bound=_one_per_row)
         return _from_coords(group, v[:-1]), v[-1]
 
     packed = [[{pack(v): c for v, c in d.items()} for d in row] for row in vrows]
-    return [packed[p] for p in picks], shifts, _DictRing(operator.add, 0, unpack)
+    return [packed[p] for p in picks], _DictRing(operator.add, 0, unpack)
+
+
+def _fold_columns(
+    group: CoefficientGroup, m: int, letters: list[tuple[int, list[int], list[dict]]]
+) -> _LineMatrix | list[list[dict]]:
+    """The m x m identity composed with one matrix per letter that is the
+    identity but for one column: letter (i, where, col) sets entry i of
+    every row to sum_r col[r] * row[r] over the rows r in ``where``, each
+    product taken col * row.  A column object that repeats is converted
+    once.
+
+    Every column entry must be one term of coefficient +-1 (a Burau
+    generator column), so an entry of the new column i has l1 norm at
+    most sum_r norms[r], where norms[c] bounds the l1 norms of column c.
+    When the columns' keys lie on one line (:func:`_line_steps`), a column
+    entry is +-X^j, and the fold returns a :class:`_LineMatrix` whose
+    digits hold +-(max(norms) + 1), a cap on every coefficient of the
+    matrix and of the matrix minus the identity.  Column c is stored
+    divided by X^offsets[c], the lowest power a letter's update can reach,
+    and the update shifts each row[r] by the rest, with no multiply.
+    Otherwise the fold runs in the dict encoding of :func:`_kernel` and
+    returns rows of flat entries.
+    """
+    distinct = {id(col): (where, col) for _, where, col in letters}
+    keys = (key for _, col in distinct.values() for d in col for key in d)
+    line = _line_steps(group, keys) if is_commutative(group) else None
+    if line is None:
+        columns, ring = _kernel(group, [col for _, _, col in letters])
+        addmul = ring.addmul
+        rows = [[ring.one if r == c else ring.zero() for c in range(m)] for r in range(m)]
+        for (i, where, _), col in zip(letters, columns):
+            for row in rows:
+                new = ring.zero()
+                for r, cf in zip(where, col):
+                    if row[r]:
+                        new = addmul(new, cf, row[r])
+                row[i] = new
+        return [[ring.flat(d, 0) for d in row] for row in rows]
+    u, steps = line
+    norms = [1] * m
+    for i, where, _ in letters:
+        norms[i] = sum(norms[r] for r in where)
+    bits = (max(norms, default=1) + 1).bit_length() + 1
+    # each distinct column as (row, power j, sign of +-X^j)
+    monomials = {
+        key: [(r, steps[k], c > 0) for r, d in zip(where, col) for k, c in d.items()]
+        for key, (where, col) in distinct.items()
+    }
+    rows = [[int(r == c) for c in range(m)] for r in range(m)]
+    offsets = [0] * m
+    for i, _, col in letters:
+        terms = monomials[id(col)]
+        low = min(offsets[r] + j for r, j, _ in terms)
+        terms = [(r, bits * (offsets[r] + j - low), plus) for r, j, plus in terms]
+        for row in rows:
+            new = 0
+            for r, s, plus in terms:
+                x = row[r]
+                if x:
+                    new = new + (x << s) if plus else new - (x << s)
+            row[i] = new
+        offsets[i] = low
+    return _LineMatrix(_IntRing(group, u, bits), rows, offsets)
 
 
 def _laplace(group: CoefficientGroup, rows: list[list[dict]] | _LineMatrix) -> dict:
@@ -656,25 +702,22 @@ def _laplace(group: CoefficientGroup, rows: list[list[dict]] | _LineMatrix) -> d
     from level r + 1, so only two adjacent levels are alive at a time.
     Exponential in n, fine for the small matrices here.
 
-    The entries are converted once into the kernel's ring and only the
-    final sum is turned back into a flat dict.  On the integer path (a
-    _LineMatrix, as the Burau fold builds under phi, or flat entries whose
-    coefficients are integers and whose exponent vectors lie on one line)
-    each entry is one int: its polynomial in the line's generator, divided
-    by its row's lowest power, evaluated at X = 2^b with b = bitlen(H) + 1
-    for Hadamard's bound H (:func:`_hadamard`), so a product-accumulate is
-    one int multiply and add.  A _LineMatrix is re-spaced to that width
-    from its digits (``_LineMatrix.det_rows``), without finding its line
-    again; flat entries go through ``_kernel``.  Otherwise the entries are
-    flat dicts and a product-accumulate multiplies them term by term.
+    Flat rows reach the int path only through :meth:`_LineMatrix.of`.
+    On it each entry's digits are read once and re-spaced to bitlen(H) + 1
+    bits for Hadamard's bound H (``_LineMatrix.det_rows``), so a
+    product-accumulate is one int multiply and add; otherwise the entries
+    are flat dicts (:func:`_kernel`) multiplied term by term.  Only the
+    final sum is turned back into a flat dict.
     """
     if not is_commutative(group):
         raise ValueError("symbolic determinant needs a commutative group")
     n = len(rows)
-    if isinstance(rows, _LineMatrix):
-        rows, shifts, ring = rows.det_rows()
+    line = rows if isinstance(rows, _LineMatrix) else _LineMatrix.of(group, rows)
+    if line is None:
+        (rows, ring), shift = _kernel(group, rows), 0
     else:
-        rows, shifts, ring = _kernel(group, rows, _hadamard)
+        rows, lows, ring = line.det_rows()
+        shift = sum(lows)
     addmul = ring.addmul
     levels = [{0}]  # levels[r]: the reachable masks of r columns
     for row in rows[:-1]:
@@ -698,7 +741,7 @@ def _laplace(group: CoefficientGroup, rows: list[list[dict]] | _LineMatrix) -> d
                 sign = -sign
             here[mask] = acc
         below = here
-    return ring.flat(below[0], sum(shifts))
+    return ring.flat(below[0], shift)
 
 
 # --- Matrices --------------------------------------------------------------

@@ -16,17 +16,17 @@ matrices whose coefficient family is twisted one letter at a time.  A
 generator matrix is the identity but for one column, the Fox derivatives
 of the letter's entry in the braid-action table of
 :mod:`l2burau.freegroup`, so the action is written down in one place.
-On the integer path (phi, and any target whose entries lie on one
-line) the fold hands the symbolic determinant its Kronecker ints and
-column offsets, E = Burau - Id is formed on them, and only det(E) is
-decoded, into the flat dict the roots and quadrature backends and the
-Alexander polynomial read; otherwise the fold's entries are flat dicts.
-The series and eps backends read the flat rows of E; only the matrix
-``reduced_burau`` returns (``burau`` output) is decoded into group-ring
-elements.  The Fox jacobian and the
-proof-level identities (block triangularization under stabilization,
-the conjugation identity) are kept by the tests, as oracles the
-pipeline is checked against.
+This module builds the columns and twists the family; the column updates
+and their encoding belong to ``groupring._fold_columns``.  On the integer
+path (phi, and any target whose entries lie on one line) the fold is a
+``groupring._LineMatrix``, E = Burau - Id is formed on its ints, and only
+det(E) is decoded, into the flat dict the roots and quadrature backends
+and the Alexander polynomial read; otherwise the fold's entries are flat
+dicts.  The series and eps backends read the flat rows of E; only the
+matrix ``reduced_burau`` returns (``burau`` output) is decoded into
+group-ring elements.  The Fox jacobian and the proof-level identities
+(block triangularization under stabilization, the conjugation identity)
+are kept by the tests, as oracles the pipeline is checked against.
 
 The dispatch of :func:`fq_value` is the one entry point into a
 determinant backend: it loads :mod:`l2burau.fkdet`, and numpy with it, on
@@ -54,14 +54,11 @@ from .groupring import (
     _at,
     _cyclic_quotient,
     _flat_add,
-    _IntRing,
-    _kernel,
+    _fold_columns,
     _laplace,
-    _line_steps,
     _LineMatrix,
     _require_positive,
     _unflat,
-    is_commutative,
 )
 
 if TYPE_CHECKING:
@@ -115,87 +112,36 @@ def _generator_column(n: int, letter: int, family) -> dict[int, dict]:
 
 def _burau_fold(beta: BraidWord, family) -> _LineMatrix | list[list[dict]]:
     """Fold the generator matrices of beta with twisted families into the
-    reduced Burau matrix: a :class:`groupring._LineMatrix` on the integer
-    path, which :func:`_symbolic_det` expands without decoding an entry,
-    else rows of flat entries {(group element, t exponent): coefficient}
-    (see ``groupring._flat``).
+    reduced Burau matrix (``groupring._fold_columns``): a
+    ``groupring._LineMatrix`` on the integer path, else rows of flat
+    entries {(group element, t exponent): coefficient}.
 
     Composing with a generator matrix (A . G, the rule of the module
     docstring) changes only column i, since every other column of G is the
     identity's: new[row][i] = sum_r col[r] * row[r] over the rows r of
     :func:`_generator_column`, each entry product reversed to col * row as
-    the rule asks, so any target group works.  Each distinct
-    (letter, twisted family) column is looked up once, so each letter
-    costs O(n) entry products instead of the O(n^3) of a full matrix
-    product.
-
-    A letter's image in the braid-action table uses each generator once,
-    so every entry of a generator column is one term of coefficient +-1.
-    So an entry of the new column i has l1 norm at most sum_r norms[r],
-    where norms[c] bounds the l1 norms of column c.  When the columns' keys
-    lie on one line (``groupring._line_steps``: phi, constant columns,
-    rank <= 1 targets), a column entry is +-X^j, and the fold runs on
-    Kronecker ints whose digits hold +-(max(norms) + 1), a cap on every
-    coefficient of the matrix and of E = Burau - Id (far tighter than the
-    kernel's product over letters).  Column c of the running matrix is
-    stored divided by X^offsets[c], the lowest power a letter's update can
-    reach, and the update shifts each row[r] by the rest, with no
-    multiply.  Otherwise the fold runs in the dict ring of
-    ``groupring._kernel``, which converts each distinct column once.
+    the rule asks, so any target group works, and each letter costs O(n)
+    entry products instead of the O(n^3) of a full matrix product.  Each
+    distinct (letter, twisted family) column is looked up once, and
+    twisted by its letter once, when another letter follows it, so a
+    family that twists to itself (phi) builds no braid word per letter.
     """
     n = beta.strands
-    grp = family.target(n)
-    built: dict = {}  # (letter, twisted family) -> (i, rows, flat column)
+    built: dict = {}  # (letter, twisted family) -> [(i, rows, column), family after it]
     letters = []
-    fam = family  # twisted by the letters before this one
+    fam, last = family, None  # fam is twisted by the letters before this one
     for idx, letter in enumerate(beta.letters):
         if idx:
-            fam = fam.twist(BraidWord(n, (beta.letters[idx - 1],)))
-        known = built.get((letter, fam))
-        if known is None:
+            if last[1] is None:
+                last[1] = fam.twist(BraidWord(n, (beta.letters[idx - 1],)))
+            fam = last[1]
+        last = built.get((letter, fam))
+        if last is None:
             col = _generator_column(n, letter, fam)
-            known = built[letter, fam] = (abs(letter) - 1, [r - 1 for r in col], list(col.values()))
-        letters.append(known)
-    line = None
-    if is_commutative(grp):
-        line = _line_steps(grp, (key for _, _, col in built.values() for d in col for key in d))
-    if line is None:
-        columns, _, ring = _kernel(grp, [col for _, _, col in letters])
-        addmul = ring.addmul
-        rows = [[ring.one if r == c else ring.zero() for c in range(n - 1)] for r in range(n - 1)]
-        for (i, where, _), col in zip(letters, columns):
-            for row in rows:
-                new = ring.zero()
-                for r, cf in zip(where, col):
-                    if row[r]:
-                        new = addmul(new, cf, row[r])
-                row[i] = new
-        return [[ring.flat(d, 0) for d in row] for row in rows]
-    u, steps = line
-    norms = [1] * (n - 1)
-    for i, where, _ in letters:
-        norms[i] = sum(norms[r] for r in where)
-    bits = (max(norms, default=1) + 1).bit_length() + 1
-    # each distinct column as (row, power j, sign of +-X^j)
-    monomials = {
-        id(col): [(r, steps[key], c > 0) for r, d in zip(where, col) for key, c in d.items()]
-        for _, where, col in built.values()
-    }
-    rows = [[int(r == c) for c in range(n - 1)] for r in range(n - 1)]
-    offsets = [0] * (n - 1)
-    for i, _, col in letters:
-        terms = monomials[id(col)]
-        low = min(offsets[r] + j for r, j, _ in terms)
-        terms = [(r, bits * (offsets[r] + j - low), plus) for r, j, plus in terms]
-        for row in rows:
-            new = 0
-            for r, s, plus in terms:
-                x = row[r]
-                if x:
-                    new = new + (x << s) if plus else new - (x << s)
-            row[i] = new
-        offsets[i] = low
-    return _LineMatrix(_IntRing(grp, u, bits), rows, offsets)
+            column = (abs(letter) - 1, [r - 1 for r in col], list(col.values()))
+            last = built[letter, fam] = [column, None]
+        letters.append(last[0])
+    return _fold_columns(family.target(n), n - 1, letters)
 
 
 def reduced_burau(beta: BraidWord, family) -> BurauMatrix:

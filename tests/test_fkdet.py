@@ -17,7 +17,7 @@ import pytest
 from conftest import random_word
 from l2burau import fkdet
 from l2burau.braid import BraidWord
-from l2burau.epifamilies import Identity, TotalWinding
+from l2burau.epifamilies import AbelianImage, Identity, TotalWinding
 from l2burau.fkdet import (
     _series_from_moments,
     _trace_moments,
@@ -144,23 +144,47 @@ def test_quadrature_univariate_reduction():
 
 
 def test_quadrature_diagonal_support():
-    # both axes used, but the zero set is a diagonal subtorus
+    # both axes used, but the support lies on one line: 1 - 2 w, w = z1 z2,
+    # is solved by its roots
     m = one_by_one(z2elt({(0, 0): {0: 1}, (1, 1): {0: -2}}))
     est = det_free_abelian(m, 1)
-    assert est.method == "quadrature"
-    assert est.value == pytest.approx(2.0, abs=1e-6)
+    assert (est.method, est.diagnostics) == ("roots", {"reduced_to_univariate": True})
+    assert est.value == pytest.approx(2.0, abs=1e-12)
 
 
 def test_quadrature_high_dimension_capped():
+    # (1 - t z1 z2)(2 + z3 z4): a rank-2 support that uses all four axes,
+    # so the torus is integrated, with Mahler measure 2 max(1, t)
     grp = FreeAbelian(4)
-    e = GroupRingElement(
-        grp, {(0, 0, 0, 0): TPoly({0: 1}), (1, 1, 1, 1): TPoly({1: -1})}
-    )
+    e = GroupRingElement(grp, {
+        (0, 0, 0, 0): TPoly({0: 2}), (0, 0, 1, 1): TPoly({0: 1}),
+        (1, 1, 0, 0): TPoly({1: -2}), (1, 1, 1, 1): TPoly({1: -1}),
+    })
     m = GroupRingMatrix(grp, [[e]])
     for t0 in (Fraction(1, 2), 2):
         est = det_free_abelian(m, t0)
         assert max(est.diagnostics["grids"]) ** 4 <= 2**26
-        assert est.value == pytest.approx(float(max(Fraction(1), Fraction(t0))), abs=1e-4)
+        assert est.value == pytest.approx(2 * float(max(Fraction(1), Fraction(t0))), abs=1e-4)
+
+
+def test_quadrature_rank_one_supports_are_exact():
+    # sigma_1^k on 2 strands over ab: det(E) = +-z1^a z2^b t^k - 1 has a
+    # rank-1 support on both axes, so F = max(1, t^k) / max(1, t)^2 comes
+    # from one root solve, also at t = 1, where the torus grid sits on the
+    # zero set of the determinant
+    for letters, k in (((1, 1), 2), ((-1, -1), -2), ((1, 1, 1), 3), ((1,) * 4, 4)):
+        for t0 in (Fraction(1, 2), Fraction(1), Fraction(2)):
+            f = fq_value(BraidWord(2, letters), AbelianImage(), t0)
+            want = max(1.0, float(t0) ** k) / max(1.0, float(t0)) ** 2
+            assert f.estimate.diagnostics == {"reduced_to_univariate": True}
+            assert f.error_bound <= 1e-9
+            assert abs(f.value - want) <= f.error_bound, (letters, t0)
+    # the same support in four axes, which the grid cap once had to integrate
+    e = GroupRingElement(FreeAbelian(4), {(0, 0, 0, 0): TPoly({0: 1}), (1, 1, 1, 1): TPoly({1: -1})})
+    for t0 in (Fraction(1, 2), 2):
+        est = det_free_abelian(GroupRingMatrix(FreeAbelian(4), [[e]]), t0)
+        assert est.method == "roots"
+        assert est.value == pytest.approx(float(max(Fraction(1), t0)), abs=1e-12)
 
 
 def test_quadrature_grid_validation():

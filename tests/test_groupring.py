@@ -1,4 +1,5 @@
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -392,13 +393,15 @@ def test_json_matrix_round_trip():
 # --- the kernel's integer path ------------------------------------------------
 #
 # Over phi, constants and other one-line supports every entry is one int
-# (see groupring._kernel).  These tests check it against oracles that never
+# (see groupring._LineMatrix).  These tests check it against oracles that never
 # run through the kernel: Fraction evaluation at rational points, Gaussian
 # elimination, and the classical Burau generator matrices multiplied out.
 
 
 def _ring_of(M):
-    return groupring._kernel(M.group, [[groupring._flat(e) for e in row] for row in M.entries])[2]
+    rows = [[groupring._flat(e) for e in row] for row in M.entries]
+    line = groupring._LineMatrix.of(M.group, rows)
+    return groupring._kernel(M.group, rows)[1] if line is None else line.ring
 
 
 POINTS = ((Fraction(2), Fraction(1, 3)), (Fraction(-3, 2), Fraction(5, 7)), (Fraction(7, 5), Fraction(-2)))
@@ -507,7 +510,7 @@ def test_determinant_coefficients_lie_within_the_hadamard_width():
                         d[k, k] = c
             norms = [[sum(map(abs, d.values())) for d in row] for row in rows]
             bound = groupring._hadamard(norms)
-            assert bound <= groupring._one_per_row(norms)
+            assert bound <= math.prod(1 + sum(row) for row in norms)  # one term per row
             D = groupring._laplace(grp, rows)
             assert all(abs(c) <= bound for c in D.values())
             assert groupring._laplace(grp, _line_matrix(rows, 6)) == D

@@ -41,6 +41,7 @@ from l2burau.fkdet import det_integers, mahler_univariate
 from l2burau.freegroup import Basis, FreeWord, parse_word, word
 from l2burau.groupring import (
     Free,
+    FreeAbelian,
     GroupRingElement,
     GroupRingMatrix,
     Integers,
@@ -925,13 +926,13 @@ def test_alexander_then_fq_sweep_folds_once(monkeypatch):
 def test_phi_path_keeps_one_encoding_from_fold_to_root_solve(monkeypatch):
     # under phi the fold's ints reach the expansion as they are: no fold
     # entry is decoded into a flat dict (det(E) is the one int decoded per
-    # expansion) and no line is found again; one fold and one expansion
-    # per braid, as before
+    # expansion) and no flat rows are encoded again; one fold and one
+    # expansion per braid, as before
     beta, knot = random_braid(random.Random(11), 7, 60), BraidWord(5, (1, -2, 3, -4) * 3)
     folded = _count_calls(monkeypatch, torsion, "_burau_fold")
     expanded = _count_calls(monkeypatch, torsion, "_laplace")
     decoded = _count_calls(monkeypatch, groupring._IntRing, "flat")
-    relined = _count_calls(monkeypatch, groupring, "_on_line")
+    relined = _count_calls(monkeypatch, groupring._LineMatrix, "of")
     for t in (Fraction(1, 2), 1, 2):
         fq_value(beta, TotalWinding(), t)
     alexander_polynomial(knot)
@@ -939,6 +940,32 @@ def test_phi_path_keeps_one_encoding_from_fold_to_root_solve(monkeypatch):
         fq_value(knot, TotalWinding(), t)
     assert (len(folded), len(expanded), len(decoded)) == (2, 2, 2)
     assert not relined
+
+
+def test_ab_fold_off_the_line_with_e_on_a_line_expands_on_ints(monkeypatch):
+    # over ab the columns of sigma_1 and of its twist lie on two lines, so
+    # the fold runs on dicts and never calls the constructor; E = B - Id of
+    # sigma_1^2 and sigma_1^3 is a monomial minus 1, on one line, so the
+    # expansion encodes it as one _LineMatrix
+    built = []
+    encode = groupring._LineMatrix.of
+
+    def counted(group, rows):
+        built.append(encode(group, rows))
+        return built[-1]
+
+    monkeypatch.setattr(groupring._LineMatrix, "of", counted)
+    for k in (2, 3):
+        beta = BraidWord(2, (1,) * k)
+        assert isinstance(torsion._burau_fold(beta, AbelianImage()), list)
+        assert not built
+        D = _unflat(FreeAbelian(2), torsion._symbolic_det(beta, AbelianImage()))
+        assert len(built) == 1 and isinstance(built.pop(), groupring._LineMatrix)
+        B = reduced_burau(beta, AbelianImage()).matrix
+        E = B - GroupRingMatrix.identity(B.group, 1)
+        for z0, t0 in (((Fraction(2), Fraction(-1, 3)), Fraction(5, 7)),
+                       ((Fraction(-3, 2), Fraction(7, 5)), Fraction(2))):
+            assert evaluate(D, z0, t0) == det_at(E, z0, t0)
 
 
 def test_phi_fold_off_the_winding_line_is_refused():
