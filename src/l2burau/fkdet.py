@@ -400,7 +400,8 @@ def quadrature_estimate(group, D: dict, t0, grid: int = 128) -> FKEstimate:
     shifted = {tuple(a - b for a, b in zip(k, k0)): c for k, c in P0.items()}
     line = _line_steps(group, ((v, 0) for v in shifted))
     if line is not None:
-        value, err = mahler_univariate({line[1][v, 0]: c for v, c in shifted.items()})
+        steps = line[1]
+        value, err = mahler_univariate({steps[v, 0]: c for v, c in shifted.items()})
         return FKEstimate(value, err, "roots", {"reduced_to_univariate": True})
     P, d = _drop_unused_axes(P0)
     n = grid

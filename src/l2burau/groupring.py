@@ -480,11 +480,11 @@ class _LineMatrix:
             row[i] -= 1 << bits * -offsets[i]
         return _LineMatrix(self.ring, ints, offsets)
 
-    def det_rows(self) -> tuple[list[list[int]], list[int], _IntRing]:
-        """The rows, row shifts and ring :func:`_laplace` expands: each
-        entry's digits are read once, which gives its l1 norm and its
-        lowest power of X, and are re-spaced to the width of
-        :func:`_hadamard`, each row divided by its lowest power."""
+    def det_rows(self) -> tuple[list[list[int]], int, _IntRing]:
+        """The rows, shift and ring :func:`_laplace` expands: each entry's
+        digits are read once, which gives its l1 norm and its lowest power
+        of X, and are re-spaced to the width of :func:`_hadamard`, each row
+        divided by its lowest power; the shift is the sum of those powers."""
         bits, offsets = self.ring.bits, self.offsets
         digits, norms, lows = [], [], []
         for row in self.ints:
@@ -503,7 +503,7 @@ class _LineMatrix:
                     acc = (acc << width) + d
                 row.append(acc << width * (k - low) if acc else 0)
             rows.append(row)
-        return rows, lows, _IntRing(self.ring.group, self.ring.u, width)
+        return rows, sum(lows), _IntRing(self.ring.group, self.ring.u, width)
 
 
 def _balanced_digits(x: int, bits: int) -> list[int]:
@@ -711,13 +711,12 @@ def _laplace(group: CoefficientGroup, rows: list[list[dict]] | _LineMatrix) -> d
     """
     if not is_commutative(group):
         raise ValueError("symbolic determinant needs a commutative group")
-    n = len(rows)
+    n, shift = len(rows), 0
     line = rows if isinstance(rows, _LineMatrix) else _LineMatrix.of(group, rows)
     if line is None:
-        (rows, ring), shift = _kernel(group, rows), 0
+        rows, ring = _kernel(group, rows)
     else:
-        rows, lows, ring = line.det_rows()
-        shift = sum(lows)
+        rows, shift, ring = line.det_rows()
     addmul = ring.addmul
     levels = [{0}]  # levels[r]: the reachable masks of r columns
     for row in rows[:-1]:

@@ -124,7 +124,8 @@ def _burau_fold(beta: BraidWord, family) -> _LineMatrix | list[list[dict]]:
     entry products instead of the O(n^3) of a full matrix product.  Each
     distinct (letter, twisted family) column is looked up once, and
     twisted by its letter once, when another letter follows it, so a
-    family that twists to itself (phi) builds no braid word per letter.
+    family that twists to itself (phi) builds one braid word per distinct
+    column, not one per letter.
     """
     n = beta.strands
     built: dict = {}  # (letter, twisted family) -> [(i, rows, column), family after it]

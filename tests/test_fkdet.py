@@ -179,7 +179,7 @@ def test_quadrature_rank_one_supports_are_exact():
             assert f.estimate.diagnostics == {"reduced_to_univariate": True}
             assert f.error_bound <= 1e-9
             assert abs(f.value - want) <= f.error_bound, (letters, t0)
-    # the same support in four axes, which the grid cap once had to integrate
+    # a rank-1 support on four axes needs no grid either
     e = GroupRingElement(FreeAbelian(4), {(0, 0, 0, 0): TPoly({0: 1}), (1, 1, 1, 1): TPoly({1: -1})})
     for t0 in (Fraction(1, 2), 2):
         est = det_free_abelian(GroupRingMatrix(FreeAbelian(4), [[e]]), t0)
