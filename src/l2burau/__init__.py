@@ -4,12 +4,14 @@ Fuglede-Kadison determinant estimation.
 The package computes reduced Burau matrices of braids with coefficients
 twisted through a family of epimorphisms (:class:`Identity`,
 :class:`TotalWinding`, or one :class:`AbelianImage` class for the
-abelianization and custom abelian quotients; each family owns its twist
-and its Markov compatibility maps chi and sigma), estimates Fuglede-Kadison
-determinants over the three computable target groups, evaluates the
-candidate Markov function det^r(Burau - Id) / max(1,t)^n, and runs
-Markov-move experiments, including the known counter-examples for the
-identity and abelianization families.
+abelianization and custom abelian quotients; each family gives its
+target group, its value on g-basis words and its twist, which is all the
+Burau fold reads), estimates Fuglede-Kadison determinants over the three
+computable target groups, evaluates the candidate Markov function
+det^r(Burau - Id) / max(1,t)^n, and runs Markov-move experiments,
+including the known counter-examples for the identity and abelianization
+families.  The Markov-compatibility maps chi and sigma of the paper's
+proof are checked by the tests, not carried by the families.
 
 The determinant backends (:mod:`l2burau.fkdet`) are the only module that
 imports numpy.  Importing the package does not load them: the names it

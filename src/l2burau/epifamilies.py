@@ -10,33 +10,30 @@ Q(x_1), ..., Q(x_n).  ``AbelianImage()`` is the rank-free abelianization
 file.  A file's rows must span Z^d for the family to be an epimorphism,
 which :func:`family_by_name` checks.
 
-Every family class carries the whole protocol a Markov experiment needs:
+A family carries what the Burau fold reads, and nothing else:
 
-* ``target(n)`` and ``apply(w, n, basis)``: the quotient Q on n strands;
-* ``twist(prefix)``: family o h_prefix, which the Burau fold takes one
-  letter at a time.  The total winding is unchanged by it, an abelian
-  family permutes its rows (h_alpha(x_i) is a conjugate of x_{pi(i)}, pi
-  the strand permutation of alpha), and the identity becomes a twisted
-  :class:`Identity` that keeps the images h_prefix(g_1), ..., h_prefix(g_n),
-  built by substituting them into the braid-action table of
-  :mod:`l2burau.freegroup`, letter by letter;
-* ``chi_map(alpha)``: a callable chi with Q o h_alpha == chi o Q
-  (conjugation square); an abelian family solves C Q(x_i) = Q(x_{pi(i)})
-  straight from its rows, so no image word is ever built;
-* ``sigma(elem, n)``: the stabilization monomorphism with
-  Q_{n+1} o iota == sigma o Q_n.
+* ``target(n)``: the quotient group Q on n strands;
+* ``apply(w, n)``: Q of a word in the nested-loop basis g_i = x_1..x_i,
+  the basis every Burau column is written in;
+* ``twist(prefix)``: family o h_prefix, which the fold takes one letter
+  at a time.  The total winding is unchanged by it, an abelian family
+  permutes its rows (h_alpha(x_i) is a conjugate of x_{pi(i)}, pi the
+  strand permutation of alpha), and the identity becomes a twisted
+  :class:`Identity` that keeps the images h_prefix(g_1), ...,
+  h_prefix(g_n), built by substituting them into the braid-action table
+  of :mod:`l2burau.freegroup`, letter by letter;
+* ``name``, and equality and hashing by value, so a (braid, family) pair
+  can key a cache of the t-free part of an evaluation.
 
-Where a square is undefined, ``chi_map`` and ``sigma`` raise ValueError.
-Only the rank-free families (id, phi, ab) define sigma; a twisted
-identity defines neither map.
+The Markov-compatibility maps of the paper's proof (chi for conjugation,
+sigma for stabilization) and the evaluation of a family on x-basis words
+are kept by the tests, in ``tests/oracles.py``, with the admissibility
+check that reads them.
 
 Quotients onto braid-closure groups and their deeper images are outside
 the computable range of this library (no terminating word problem is
 available there); they appear only in documentation and in the
 one-variable consequences tested through the torsion module.
-
-Families compare and hash by value, so a (braid, family) pair can key a
-cache of the t-free part of an evaluation.
 """
 
 from __future__ import annotations
@@ -45,19 +42,9 @@ import itertools
 import math
 from typing import Sequence
 
-from fractions import Fraction
-
 from . import braid as braidmod
 from .braid import BraidWord
-from .freegroup import (
-    Basis,
-    FreeWord,
-    _letter_image,
-    _substitute,
-    artin_act,
-    change_of_basis,
-    winding,
-)
+from .freegroup import Basis, FreeWord, _letter_image, _substitute, winding
 from .groupring import CoefficientGroup, Free, FreeAbelian, Integers, _laplace
 
 
@@ -66,7 +53,7 @@ class Identity:
 
     ``images=None`` is the untwisted identity, at every rank.  Otherwise
     ``images[j-1]`` is h_prefix(g_j) in the g-basis, and the family is
-    defined at that rank only; x-basis words go through the g-basis.
+    defined at that rank only.
     """
 
     def __init__(self, images: Sequence[FreeWord] | None = None):
@@ -90,13 +77,10 @@ class Identity:
     def target(self, n: int) -> CoefficientGroup:
         return Free(n)
 
-    def apply(self, w: FreeWord, n: int, basis: Basis = Basis.X) -> FreeWord:
+    def apply(self, w: FreeWord, n: int) -> FreeWord:
         if w.rank != n:
             raise ValueError(f"rank {w.rank} does not match strands {n}")
-        if self.images is None:
-            return w
-        out = _substitute(self._images(n), change_of_basis(w, basis, Basis.G))
-        return change_of_basis(out, Basis.G, basis)
+        return w if self.images is None else _substitute(self._images(n), w)
 
     def twist(self, prefix: BraidWord) -> "Identity":
         """self o h_prefix, one letter at a time: artin_act applies the last
@@ -108,18 +92,6 @@ class Identity:
         for a in prefix.letters:
             images[abs(a) - 1] = _substitute(images, _letter_image(a, n))
         return Identity(images)
-
-    def chi_map(self, alpha: BraidWord):
-        """chi = h_alpha itself, on x-basis words; undefined once twisted."""
-        if self.images is not None:
-            raise ValueError(f"chi map undefined for {self!r}")
-        return lambda w: artin_act(alpha, w, Basis.X)
-
-    def sigma(self, elem: FreeWord, n: int) -> FreeWord:
-        """The inclusion F_n into F_{n+1}; undefined once twisted."""
-        if self.images is not None:
-            raise ValueError(f"stabilization map undefined for {self!r}")
-        return elem.with_rank(n + 1)
 
     def __repr__(self):
         return "Identity()" if self.images is None else f"Identity({self.images!r})"
@@ -135,7 +107,7 @@ class TotalWinding:
     """Q = total winding onto Z: every x_i to 1, hence g_i to i.
 
     The total winding of a word is braid-invariant, so a twist leaves the
-    family unchanged and chi and sigma are both the identity of Z.
+    family unchanged.
     """
 
     name = "phi"
@@ -143,19 +115,13 @@ class TotalWinding:
     def target(self, n: int) -> CoefficientGroup:
         return Integers()
 
-    def apply(self, w: FreeWord, n: int, basis: Basis = Basis.X) -> int:
+    def apply(self, w: FreeWord, n: int) -> int:
         if w.rank != n:
             raise ValueError(f"rank {w.rank} does not match strands {n}")
-        return winding(w, basis)
+        return winding(w, Basis.G)
 
     def twist(self, prefix: BraidWord) -> "TotalWinding":
         return self
-
-    def chi_map(self, alpha: BraidWord):
-        return lambda k: k
-
-    def sigma(self, elem: int, n: int) -> int:
-        return elem
 
     def __repr__(self):
         return "TotalWinding()"
@@ -172,8 +138,7 @@ class AbelianImage:
 
     ``rows=None`` is the rank-free abelianization: x_i to the i-th basis
     vector of Z^n at every rank n.  A matrix of rows is defined only at
-    its own rank: applying it to words of another rank is an error, and
-    it has no stabilization map.
+    its own rank: applying it to words of another rank is an error.
 
     ``name`` says where the rows came from: ``ab`` for the abelianization,
     ``custom`` for a matrix given as such (as a file read by
@@ -215,15 +180,12 @@ class AbelianImage:
     def target(self, n: int) -> CoefficientGroup:
         return FreeAbelian(n if self.rows is None else self.d)
 
-    def apply(self, w: FreeWord, n: int, basis: Basis = Basis.X) -> tuple[int, ...]:
+    def apply(self, w: FreeWord, n: int) -> tuple[int, ...]:
         self._check(n, w.rank)
         x = [0] * n  # exponent sum of each x_i in w
-        for g, e in w.syllables:
-            if basis is Basis.X:
-                x[g - 1] += e
-            else:  # g_i = x_1 ... x_i
-                for j in range(g):
-                    x[j] += e
+        for g, e in w.syllables:  # g_i = x_1 ... x_i
+            for j in range(g):
+                x[j] += e
         if self.rows is None:
             return tuple(x)
         return tuple(
@@ -236,38 +198,6 @@ class AbelianImage:
         out = AbelianImage(rows[p - 1] for p in braidmod.permutation(prefix))
         out.name = "twisted"
         return out
-
-    def chi_map(self, alpha: BraidWord):
-        """The rational d x d matrix C with C Q(x_i) = Q(x_{pi(i)}) for every
-        i, as a map that refuses images off the integer lattice."""
-        rows = self._rows(alpha.strands)
-        perm = braidmod.permutation(alpha)
-        mat = []
-        for a in range(len(rows[0])):
-            # row a of C solves: sum_b C[a][b] * rows[i][b] = rows[pi(i)][a] for all i
-            sol = _solve_exact(
-                [[Fraction(x) for x in rows[i]] + [Fraction(rows[p - 1][a])]
-                 for i, p in enumerate(perm)]
-            )
-            if sol is None:
-                raise ValueError(
-                    f"{self.name} family admits no conjugation-compatibility map for this braid"
-                )
-            mat.append(sol)
-
-        def chi(elem):
-            out = tuple(sum(c * x for c, x in zip(row, elem)) for row in mat)
-            if any(x.denominator != 1 for x in out):
-                raise ValueError(f"chi maps {tuple(elem)} off the integer lattice: {out}")
-            return tuple(int(x) for x in out)
-
-        return chi
-
-    def sigma(self, elem, n: int):
-        """Stabilization of the rank-free abelianization: Z^n into Z^(n+1)."""
-        if self.rows is not None:
-            raise ValueError(f"stabilization map undefined for {self!r}")
-        return tuple(elem) + (0,)
 
     def __repr__(self):
         return f"AbelianImage({self.rows!r})"
@@ -330,40 +260,3 @@ def _lattice_index(rows) -> int:
         index = math.gcd(index, minor.get((0, 0), 0))
     return index
 
-
-def _solve_exact(rows):
-    """Solve the linear system given as an augmented rational matrix.
-
-    Returns one solution vector or None when inconsistent.
-    """
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) - 1
-    piv = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        inv = Fraction(1, 1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        piv.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][-1] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(piv):
-        sol[c] = m[i][-1]
-    return sol

@@ -213,7 +213,8 @@ class UnivariateRoots:
     is proved square-free (:func:`_squarefree_mod_p`) or else split exactly
     as lead z^lo prod f_i^i (:func:`_squarefree_parts`, ``multiplicities``
     the i).  Each part gets ``np.roots``, two Newton steps and relative
-    bound 5e-12 (deg + 1)^2 + 1e-14 / M, i times."""
+    bound 5e-12 (deg + 1)^2 + 1e-14 / M, i times; a part of degree 0 or 1,
+    whose root is one quotient, gets the rounding bound 1e-15, i times."""
 
     def __init__(self, coeffs: dict[int, Fraction | int]):
         coeffs = {k: c for k, c in coeffs.items() if c}
@@ -247,7 +248,14 @@ class UnivariateRoots:
             deg = len(poly) - 1
             v = float(abs(poly[0]) * t**deg * np.prod(np.maximum(1.0, radii / t)))
             value *= v**m
-            errs.append((v, m * (v * 5e-12 * (deg + 1) ** 2 + 1e-14 if deg else v * 1e-15)))
+            # a part of degree <= 1 has no root finder error: its root r is
+            # one quotient, within 4 roundings of 2^-53 of the exact root
+            # (2 for its coefficients as floats, 2 for the last Newton
+            # residual and update), and v adds at most 4 more (the leading
+            # coefficient as a float, t as a float, |r| / t and the product),
+            # so 8 * 2^-53 = 8.9e-16 < 1e-15 relative, m times for v^m
+            err = v * 5e-12 * (deg + 1) ** 2 + 1e-14 if deg > 1 else v * 1e-15
+            errs.append((v, m * err))
         return value, sum(e * (value / v) for v, e in errs)
 
 

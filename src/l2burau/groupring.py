@@ -274,9 +274,12 @@ class GroupRingElement:
 #   products, and the coefficients come back as balanced base-2^b digits
 #   (_digits): b = bitlen(B) + 1 for a bound B on every coefficient read
 #   back holds each as one digit, the extra bit for its sign, and no digit
-#   carries.  It has two producers: the fold, which finds the line of its
-#   generator columns and takes B from its own l1 recursion, and
-#   _LineMatrix.of, which encodes flat rows.
+#   carries.  The fold is the one producer of a _LineMatrix: it finds the
+#   line of its generator columns and takes B from its own l1 recursion.
+#   The determinant packs its rows once, at the width of Hadamard's bound
+#   (_det_pack), from per-entry (lowest power, digits) pairs, read off a
+#   _LineMatrix's ints or straight off flat rows that lie on a line
+#   (_line_entries).
 # * the dict encoding (_kernel), for everything else (Z^d at rank >= 2,
 #   free groups, rational coefficients): the flat dicts themselves.  Over
 #   a commutative group a key is one int whose balanced digits in an odd
@@ -287,7 +290,7 @@ class GroupRingElement:
 #   ever packed into an int.
 #
 # _laplace takes a _LineMatrix as it is, or flat rows through
-# _LineMatrix.of; under phi the fold's ints reach it as E = Burau - Id,
+# _line_entries; under phi the fold's ints reach it as E = Burau - Id,
 # formed on the ints, and only det(E) is decoded.  det(E) comes back as
 # one flat dict, so the fold's entries reach every determinant backend,
 # as E's rows or as det(E), without becoming GroupRingElements; they are
@@ -430,34 +433,14 @@ class _LineMatrix:
     """A square matrix in the integer encoding: entry (r, c) is ints[r][c]
     * X^offsets[c] in ``ring``, whose width holds every coefficient of the
     matrix and of the matrix minus the identity.  The Burau fold
-    (:func:`_fold_columns`) builds one, and :meth:`of` encodes flat rows;
-    :func:`_laplace` reads either without decoding an entry, and
-    ``flat_rows`` decodes it for the callers that read flat rows."""
+    (:func:`_fold_columns`) is its one producer; :func:`_laplace` reads it
+    without decoding an entry, and ``flat_rows`` decodes it for the
+    callers that read flat rows."""
 
     __slots__ = ("ring", "ints", "offsets")
 
     def __init__(self, ring: _IntRing, ints: list[list[int]], offsets: list[int]):
         self.ring, self.ints, self.offsets = ring, ints, offsets
-
-    @staticmethod
-    def of(group: CoefficientGroup, rows: list[list[dict]]) -> "_LineMatrix | None":
-        """Square flat rows in the integer encoding, when the group is
-        commutative, every coefficient is an int and every key lies on one
-        line (:func:`_line_steps`); None otherwise.  Each column is stored
-        divided by its lowest power, and the digits hold the largest
-        coefficient plus one."""
-        cs = [c for row in rows for d in row for c in d.values()]
-        if not is_commutative(group) or any(type(c) is not int for c in cs):
-            return None
-        line = _line_steps(group, (key for row in rows for d in row for key in d))
-        if line is None:
-            return None
-        u, steps = line
-        bits = (max(map(abs, cs), default=0) + 1).bit_length() + 1
-        offsets = [min((steps[key] for d in col for key in d), default=0) for col in zip(*rows)]
-        ints = [[sum(c << bits * (steps[k] - off) for k, c in d.items())
-                 for d, off in zip(row, offsets)] for row in rows]
-        return _LineMatrix(_IntRing(group, u, bits), ints, offsets)
 
     def __len__(self) -> int:
         return len(self.ints)
@@ -482,28 +465,55 @@ class _LineMatrix:
 
     def det_rows(self) -> tuple[list[list[int]], int, _IntRing]:
         """The rows, shift and ring :func:`_laplace` expands: each entry's
-        digits are read once, which gives its l1 norm and its lowest power
-        of X, and are re-spaced to the width of :func:`_hadamard`, each row
-        divided by its lowest power; the shift is the sum of those powers."""
-        bits, offsets = self.ring.bits, self.offsets
-        digits, norms, lows = [], [], []
+        digits are read once and packed by :func:`_det_pack`."""
+        bits = self.ring.bits
+        entries = []
         for row in self.ints:
             read = [_digits(x, bits) for x in row]
-            entries = [(off + skip, ds) for off, (skip, ds) in zip(offsets, read)]
-            digits.append(entries)
-            norms.append([sum(map(abs, ds)) for _, ds in entries])
-            lows.append(min((k for k, ds in entries if ds), default=0))
-        width = _hadamard(norms).bit_length() + 1
-        rows = []
-        for entries, low in zip(digits, lows):
-            row = []
-            for k, ds in entries:
-                acc = 0
-                for d in reversed(ds):
-                    acc = (acc << width) + d
-                row.append(acc << width * (k - low) if acc else 0)
-            rows.append(row)
-        return rows, sum(lows), _IntRing(self.ring.group, self.ring.u, width)
+            entries.append([(off + skip, ds) for off, (skip, ds) in zip(self.offsets, read)])
+        return _det_pack(self.ring.group, self.ring.u, entries)
+
+
+def _line_entries(group: CoefficientGroup, rows: list[list[dict]]):
+    """(u, entries) for square flat rows whose group is commutative, whose
+    coefficients are all ints and whose keys lie on one line
+    (:func:`_line_steps`), None otherwise: entry (k, digits) is
+    X^k sum_i digits[i] X^i, with k the entry's lowest power of X = u."""
+    if not is_commutative(group) or any(
+        type(c) is not int for row in rows for d in row for c in d.values()
+    ):
+        return None
+    line = _line_steps(group, (key for row in rows for d in row for key in d))
+    if line is None:
+        return None
+    u, steps = line
+
+    def entry(d: dict) -> tuple[int, list[int]]:
+        powers = {steps[key]: c for key, c in d.items()}
+        low = min(powers, default=0)
+        return low, [powers.get(k, 0) for k in range(low, max(powers, default=-1) + 1)]
+
+    return u, [[entry(d) for d in row] for row in rows]
+
+
+def _det_pack(group: CoefficientGroup, u: list[int], entries) -> tuple[list, int, _IntRing]:
+    """The integer rows of a Laplace expansion, from entries (k, digits)
+    meaning X^k sum_i digits[i] X^i: the digits are spaced to the width of
+    :func:`_hadamard`, from the entries' l1 norms, and each row is divided
+    by its lowest power; the shift is the sum of those powers."""
+    norms = [[sum(map(abs, ds)) for _, ds in row] for row in entries]
+    lows = [min((k for k, ds in row if ds), default=0) for row in entries]
+    width = _hadamard(norms).bit_length() + 1
+    rows = []
+    for row, low in zip(entries, lows):
+        packed = []
+        for k, ds in row:
+            acc = 0
+            for d in reversed(ds):
+                acc = (acc << width) + d
+            packed.append(acc << width * (k - low) if acc else 0)
+        rows.append(packed)
+    return rows, sum(lows), _IntRing(group, u, width)
 
 
 def _balanced_digits(x: int, bits: int) -> list[int]:
@@ -702,21 +712,23 @@ def _laplace(group: CoefficientGroup, rows: list[list[dict]] | _LineMatrix) -> d
     from level r + 1, so only two adjacent levels are alive at a time.
     Exponential in n, fine for the small matrices here.
 
-    Flat rows reach the int path only through :meth:`_LineMatrix.of`.
-    On it each entry's digits are read once and re-spaced to bitlen(H) + 1
-    bits for Hadamard's bound H (``_LineMatrix.det_rows``), so a
-    product-accumulate is one int multiply and add; otherwise the entries
-    are flat dicts (:func:`_kernel`) multiplied term by term.  Only the
-    final sum is turned back into a flat dict.
+    Flat rows reach the int path only through :func:`_line_entries`.  On
+    it each entry's digits, read once off the ints of a
+    :class:`_LineMatrix` or off flat rows, are packed at bitlen(H) + 1 bits
+    for Hadamard's bound H (:func:`_det_pack`), so a product-accumulate is
+    one int multiply and add; otherwise the entries are flat dicts
+    (:func:`_kernel`) multiplied term by term.  Only the final sum is
+    turned back into a flat dict.
     """
     if not is_commutative(group):
         raise ValueError("symbolic determinant needs a commutative group")
     n, shift = len(rows), 0
-    line = rows if isinstance(rows, _LineMatrix) else _LineMatrix.of(group, rows)
-    if line is None:
-        rows, ring = _kernel(group, rows)
+    if isinstance(rows, _LineMatrix):
+        rows, shift, ring = rows.det_rows()
+    elif (line := _line_entries(group, rows)) is not None:
+        rows, shift, ring = _det_pack(group, *line)
     else:
-        rows, shift, ring = line.det_rows()
+        rows, ring = _kernel(group, rows)
     addmul = ring.addmul
     levels = [{0}]  # levels[r]: the reachable masks of r columns
     for row in rows[:-1]:

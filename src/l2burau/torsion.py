@@ -105,7 +105,7 @@ def _generator_column(n: int, letter: int, family) -> dict[int, dict]:
     for r, u, c in _fox_walk(_letter_image(letter, n)):
         if r < n:
             if u is not last:  # the family is applied once per prefix
-                last, key = u, (family.apply(u, n, Basis.G), winding(u, Basis.G))
+                last, key = u, (family.apply(u, n), winding(u, Basis.G))
             _flat_add(column.setdefault(r, {}), {key: c})
     return dict(sorted(column.items()))
 

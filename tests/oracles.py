@@ -29,6 +29,11 @@ None of them is needed by the library itself.
   jacobian, the evaluation helpers and the Gaussian elimination use plain
   dict and Fraction arithmetic only, so they check the group-ring kernel
   and the Burau fold without running through them.
+* The Markov-compatibility maps of the paper's proof, which no library
+  path reads: ``chi_map(family, alpha)`` (conjugation, Q o h_alpha ==
+  chi o Q) and ``sigma(family, elem, n)`` (stabilization, Q_{n+1} o iota
+  == sigma o Q_n), and ``family_apply``, a family on a word in either
+  basis (the library's families read g-basis words only).
 * Proof-level checks of the paper's identities:
   ``check_admissibility`` (a family's two Markov-compatibility squares on
   every free generator, reported as an ``AdmissibilityReport``), and,
@@ -48,9 +53,17 @@ from typing import Mapping, Sequence
 
 from l2burau import braid as braidmod
 from l2burau.braid import BraidWord
-from l2burau.epifamilies import TotalWinding
+from l2burau.epifamilies import AbelianImage, Identity, TotalWinding
 from l2burau.fkdet import _derivative, _trimmed, det_integers, roots_estimate
-from l2burau.freegroup import Basis, FreeWord, _fox_walk, artin_act, winding, word
+from l2burau.freegroup import (
+    Basis,
+    FreeWord,
+    _fox_walk,
+    artin_act,
+    change_of_basis,
+    winding,
+    word,
+)
 from l2burau.groupring import (
     Free,
     FreeAbelian,
@@ -157,6 +170,14 @@ def fox_derivative(u: FreeWord, i: int) -> GroupRingElement:
     )
 
 
+def family_apply(family, w: FreeWord, n: int, basis: Basis = Basis.X):
+    """family(w) for a word in either basis: the word is rewritten in the
+    g-basis the family reads, and an image word comes back in the basis
+    w came in."""
+    out = family.apply(change_of_basis(w, basis, Basis.G), n)
+    return change_of_basis(out, Basis.G, basis) if isinstance(out, FreeWord) else out
+
+
 def kappa(
     w: FreeWord,
     family,
@@ -167,10 +188,11 @@ def kappa(
     """Send a free word to coeff * t^winding(w) * family(w).
 
     ``family`` is any epimorphism family object exposing ``target(n)`` and
-    ``apply(word, n, basis)``; the winding exponent is computed from the
-    word in its own basis (x-letters weigh 1, g-letters weigh their index).
+    ``apply(word, n)`` on g-basis words (:func:`family_apply`); the winding
+    exponent is computed from the word in its own basis (x-letters weigh
+    1, g-letters weigh their index).
     """
-    elem = family.apply(w, n, basis)
+    elem = family_apply(family, w, n, basis)
     return GroupRingElement(family.target(n), {elem: TPoly({winding(w, basis): coeff})})
 
 
@@ -213,8 +235,8 @@ def _generator_images(family, n: int, basis: Basis):
     imgs, invs = [None], [None]  # 1-indexed
     for g in range(1, n + 1):
         w = FreeWord.gen(n, g)
-        imgs.append(family.apply(w, n, basis))
-        invs.append(family.apply(w.inverse(), n, basis))
+        imgs.append(family_apply(family, w, n, basis))
+        invs.append(family_apply(family, w.inverse(), n, basis))
     return imgs, invs
 
 
@@ -482,6 +504,100 @@ def phi_burau_at(beta: BraidWord, s: Fraction) -> list[list[Fraction]]:
     return out
 
 
+# --- Markov-compatibility maps -----------------------------------------------------
+
+
+def chi_map(family, alpha: BraidWord):
+    """The conjugation map: a callable chi with Q o h_alpha == chi o Q on
+    x-basis words.  For the identity it is h_alpha itself, for the total
+    winding the identity of Z, and an abelian family solves
+    C Q(x_i) = Q(x_{pi(i)}) straight from its rows, so no image word is
+    built.  ValueError where the square is undefined (a twisted identity,
+    or rows no rational C maps this way)."""
+    if isinstance(family, TotalWinding):
+        return lambda k: k
+    if isinstance(family, Identity) and family.images is None:
+        return lambda w: artin_act(alpha, w, Basis.X)
+    if not isinstance(family, AbelianImage):
+        raise ValueError(f"chi map undefined for {family!r}")
+    # the rational d x d matrix C with C Q(x_i) = Q(x_{pi(i)}) for every i,
+    # as a map that refuses images off the integer lattice
+    rows = family._rows(alpha.strands)
+    perm = braidmod.permutation(alpha)
+    mat = []
+    for a in range(len(rows[0])):
+        # row a of C solves: sum_b C[a][b] * rows[i][b] = rows[pi(i)][a] for all i
+        sol = _solve_exact(
+            [[Fraction(x) for x in rows[i]] + [Fraction(rows[p - 1][a])]
+             for i, p in enumerate(perm)]
+        )
+        if sol is None:
+            raise ValueError(
+                f"{family.name} family admits no conjugation-compatibility map for this braid"
+            )
+        mat.append(sol)
+
+    def chi(elem):
+        out = tuple(sum(c * x for c, x in zip(row, elem)) for row in mat)
+        if any(x.denominator != 1 for x in out):
+            raise ValueError(f"chi maps {tuple(elem)} off the integer lattice: {out}")
+        return tuple(int(x) for x in out)
+
+    return chi
+
+
+def sigma(family, elem, n: int):
+    """The stabilization monomorphism with Q_{n+1} o iota == sigma o Q_n:
+    the inclusion F_n into F_{n+1} for the identity, the identity of Z for
+    the total winding, and Z^n into Z^(n+1) for the abelianization.  Only
+    these rank-free families define it; ValueError otherwise."""
+    if isinstance(family, TotalWinding):
+        return elem
+    if isinstance(family, Identity) and family.images is None:
+        return elem.with_rank(n + 1)
+    if isinstance(family, AbelianImage) and family.rows is None:
+        return tuple(elem) + (0,)
+    raise ValueError(f"stabilization map undefined for {family!r}")
+
+
+def _solve_exact(rows):
+    """Solve the linear system given as an augmented rational matrix.
+
+    Returns one solution vector or None when inconsistent.
+    """
+    m = [row[:] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) - 1
+    piv = []
+    r = 0
+    for c in range(ncols):
+        sel = None
+        for i in range(r, nrows):
+            if m[i][c] != 0:
+                sel = i
+                break
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        inv = Fraction(1, 1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        piv.append(c)
+        r += 1
+        if r == nrows:
+            break
+    for i in range(r, nrows):
+        if m[i][-1] != 0:
+            return None
+    sol = [Fraction(0)] * ncols
+    for i, c in enumerate(piv):
+        sol[c] = m[i][-1]
+    return sol
+
+
 # --- proof-level identity checks ------------------------------------------------
 
 
@@ -510,27 +626,27 @@ def check_admissibility(family, beta: BraidWord, alpha: BraidWord) -> Admissibil
 
     conj_ok = True
     try:
-        chi = family.chi_map(alpha)
+        chi = chi_map(family, alpha)
     except ValueError as exc:
         conj_ok = False
         first_failure = f"chi: {exc}"
     else:
         for i, xi in enumerate(gens, 1):
-            lhs = family.apply(artin_act(alpha, xi, Basis.X), n, Basis.X)
-            rhs = chi(family.apply(xi, n, Basis.X))
+            lhs = family_apply(family, artin_act(alpha, xi, Basis.X), n)
+            rhs = chi(family_apply(family, xi, n))
             if lhs != rhs:
                 conj_ok = False
                 first_failure = f"conjugation square fails at x{i}"
                 break
 
     try:
-        stabilized = [family.sigma(family.apply(xi, n, Basis.X), n) for xi in gens]
+        stabilized = [sigma(family, family_apply(family, xi, n), n) for xi in gens]
     except ValueError:
         stab_ok = None
     else:
         stab_ok = True
         for i, (xi, rhs) in enumerate(zip(gens, stabilized), 1):
-            if family.apply(xi.with_rank(n + 1), n + 1, Basis.X) != rhs:
+            if family_apply(family, xi.with_rank(n + 1), n + 1) != rhs:
                 stab_ok = False
                 if first_failure is None:
                     first_failure = f"stabilization square fails at x{i}"

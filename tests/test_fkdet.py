@@ -171,14 +171,25 @@ def test_quadrature_rank_one_supports_are_exact():
     # sigma_1^k on 2 strands over ab: det(E) = +-z1^a z2^b t^k - 1 has a
     # rank-1 support on both axes, so F = max(1, t^k) / max(1, t)^2 comes
     # from one root solve, also at t = 1, where the torus grid sits on the
-    # zero set of the determinant
+    # zero set of the determinant; for k = 2, 3 the polynomial in the
+    # line's step is linear, its root one quotient, so its bound is a
+    # rounding bound (for k = 4 it is X^2 - 1, which gets the a-priori one)
     for letters, k in (((1, 1), 2), ((-1, -1), -2), ((1, 1, 1), 3), ((1,) * 4, 4)):
         for t0 in (Fraction(1, 2), Fraction(1), Fraction(2)):
             f = fq_value(BraidWord(2, letters), AbelianImage(), t0)
             want = max(1.0, float(t0) ** k) / max(1.0, float(t0)) ** 2
             assert f.estimate.diagnostics == {"reduced_to_univariate": True}
-            assert f.error_bound <= 1e-9
+            assert f.error_bound <= (1e-14 * max(1, want) if abs(k) < 4 else 1e-9)
             assert abs(f.value - want) <= f.error_bound, (letters, t0)
+    # sigma_1^+-1 over id: a rank-1 subgroup, det(E) = -(z t)^+-1 - 1, so
+    # F = max(1, t^+-1) / max(1, t)^2, exactly
+    exact = {1: (1, 1, 0.5), -1: (2, 1, 0.25)}
+    for letter, values in exact.items():
+        for t0, want in zip((Fraction(1, 2), Fraction(1), Fraction(2)), values):
+            f = fq_value(BraidWord(2, (letter,)), Identity(), t0)
+            assert f.estimate.diagnostics["subgroup_rank"] == 1
+            assert f.error_bound <= 1e-14 * max(1, want)
+            assert f.value == want, (letter, t0)
     # a rank-1 support on four axes needs no grid either
     e = GroupRingElement(FreeAbelian(4), {(0, 0, 0, 0): TPoly({0: 1}), (1, 1, 1, 1): TPoly({1: -1})})
     for t0 in (Fraction(1, 2), 2):

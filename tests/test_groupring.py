@@ -400,8 +400,10 @@ def test_json_matrix_round_trip():
 
 def _ring_of(M):
     rows = [[groupring._flat(e) for e in row] for row in M.entries]
-    line = groupring._LineMatrix.of(M.group, rows)
-    return groupring._kernel(M.group, rows)[1] if line is None else line.ring
+    line = groupring._line_entries(M.group, rows)
+    if line is None:
+        return groupring._kernel(M.group, rows)[1]
+    return groupring._det_pack(M.group, *line)[2]
 
 
 POINTS = ((Fraction(2), Fraction(1, 3)), (Fraction(-3, 2), Fraction(5, 7)), (Fraction(7, 5), Fraction(-2)))

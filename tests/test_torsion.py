@@ -38,7 +38,7 @@ from l2burau.epifamilies import (
     twist,
 )
 from l2burau.fkdet import det_integers, mahler_univariate
-from l2burau.freegroup import Basis, FreeWord, parse_word, word
+from l2burau.freegroup import Basis, FreeWord, artin_act, parse_word, word
 from l2burau.groupring import (
     Free,
     FreeAbelian,
@@ -932,7 +932,7 @@ def test_phi_path_keeps_one_encoding_from_fold_to_root_solve(monkeypatch):
     folded = _count_calls(monkeypatch, torsion, "_burau_fold")
     expanded = _count_calls(monkeypatch, torsion, "_laplace")
     decoded = _count_calls(monkeypatch, groupring._IntRing, "flat")
-    relined = _count_calls(monkeypatch, groupring._LineMatrix, "of")
+    relined = _count_calls(monkeypatch, groupring, "_line_entries")
     for t in (Fraction(1, 2), 1, 2):
         fq_value(beta, TotalWinding(), t)
     alexander_polynomial(knot)
@@ -944,23 +944,23 @@ def test_phi_path_keeps_one_encoding_from_fold_to_root_solve(monkeypatch):
 
 def test_ab_fold_off_the_line_with_e_on_a_line_expands_on_ints(monkeypatch):
     # over ab the columns of sigma_1 and of its twist lie on two lines, so
-    # the fold runs on dicts and never calls the constructor; E = B - Id of
-    # sigma_1^2 and sigma_1^3 is a monomial minus 1, on one line, so the
-    # expansion encodes it as one _LineMatrix
+    # the fold runs on dicts and never reads a line off flat rows; E = B - Id
+    # of sigma_1^2 and sigma_1^3 is a monomial minus 1, on one line, so the
+    # expansion reads its flat rows onto the integer path once
     built = []
-    encode = groupring._LineMatrix.of
+    encode = groupring._line_entries
 
     def counted(group, rows):
         built.append(encode(group, rows))
         return built[-1]
 
-    monkeypatch.setattr(groupring._LineMatrix, "of", counted)
+    monkeypatch.setattr(groupring, "_line_entries", counted)
     for k in (2, 3):
         beta = BraidWord(2, (1,) * k)
         assert isinstance(torsion._burau_fold(beta, AbelianImage()), list)
         assert not built
         D = _unflat(FreeAbelian(2), torsion._symbolic_det(beta, AbelianImage()))
-        assert len(built) == 1 and isinstance(built.pop(), groupring._LineMatrix)
+        assert len(built) == 1 and built.pop() is not None
         B = reduced_burau(beta, AbelianImage()).matrix
         E = B - GroupRingMatrix.identity(B.group, 1)
         for z0, t0 in (((Fraction(2), Fraction(-1, 3)), Fraction(5, 7)),
@@ -975,12 +975,73 @@ def test_phi_fold_off_the_winding_line_is_refused():
     class Doubled(TotalWinding):
         __eq__, __hash__ = object.__eq__, object.__hash__  # its own cache entries
 
-        def apply(self, w, n, basis=Basis.X):
-            return 2 * super().apply(w, n, basis)
+        def apply(self, w, n):
+            return 2 * super().apply(w, n)
 
     with pytest.raises(AssertionError, match="twisting inconsistency"):
         torsion._burau_rows(BraidWord(3, (1, -2, 1)), Doubled())
     assert torsion._burau_rows(BraidWord(3, ()), TotalWinding()).ring.u == [0, 0]
+
+
+class RowImage:
+    """An abelian family written against the protocol the pipeline reads,
+    and nothing more: x_i to rows[i-1], so g_j = x_1..x_j to the sum of
+    the first j rows, and the twist by a prefix takes each row to the image
+    of h_prefix(x_i), read off the Artin action rather than a permutation."""
+
+    name = "custom"
+
+    def __init__(self, rows):
+        self.rows = tuple(tuple(row) for row in rows)
+
+    def target(self, n):
+        return FreeAbelian(len(self.rows[0]))
+
+    def apply(self, w, n):
+        assert w.rank == n == len(self.rows)
+        out = [0] * len(self.rows[0])
+        for g, e in w.syllables:
+            for row in self.rows[:g]:
+                out = [a + e * b for a, b in zip(out, row)]
+        return tuple(out)
+
+    def twist(self, prefix):
+        n = prefix.strands
+        rows = []
+        for i in range(1, n + 1):
+            x = [0] * n
+            for g, e in artin_act(prefix, FreeWord.gen(n, i), Basis.X).syllables:
+                x[g - 1] += e
+            rows.append([sum(c * row[a] for c, row in zip(x, self.rows))
+                         for a in range(len(self.rows[0]))])
+        return RowImage(rows)
+
+    def __eq__(self, other):
+        return isinstance(other, RowImage) and self.rows == other.rows
+
+    def __hash__(self):
+        return hash((RowImage, self.rows))
+
+
+def test_a_family_of_target_apply_and_twist_runs_the_whole_pipeline():
+    # a family that answers only name, target, apply on g-basis words,
+    # twist, == and hash gives the Burau matrix, F and the Markov report
+    # of AbelianImage with the same rows, at d = 1 and d = 2, through the
+    # torus quadrature and its roots solve of rank-1 supports
+    rng = random.Random("row-image")
+    for rows in ([[1], [2], [-1]], [[1], [1], [1], [1]], [[1, 0], [0, 1], [1, 1]]):
+        n = len(rows)
+        for _ in range(6):
+            beta = random_braid(rng, n, rng.randint(1, 8))
+            alpha = random_braid(rng, n, 3)
+            ours, lib = RowImage(rows), AbelianImage(rows)
+            assert reduced_burau(beta, ours).matrix == reduced_burau(beta, lib).matrix
+            for t0 in (Fraction(1, 2), 1):
+                a, b = fq_value(beta, ours, t0), fq_value(beta, lib, t0)
+                assert a.to_json_obj() == b.to_json_obj(), (rows, beta.render(), t0)
+            moves = [Conjugate(alpha)]
+            a = markov_report(beta, moves, ours, 2).to_json_obj()
+            assert a == markov_report(beta, moves, lib, 2).to_json_obj()
 
 
 def test_symbolic_det_on_the_integer_path_matches_the_flat_route_and_the_oracles():
