@@ -28,7 +28,7 @@ from .torsion import (
     Stabilize,
     alexander_polynomial,
     fq_value,
-    markov_report,
+    markov_reports,
     reduced_burau,
     render_poly,
 )
@@ -64,13 +64,6 @@ def _parse_t_values(text: str) -> list[Fraction]:
     if any(v <= 0 for v in vals):
         raise ValueError("t values must be positive")
     return vals
-
-
-def _check_backend_options(args) -> None:
-    """The library's own limits on --grid and --series-len, checked before
-    any backend runs, whichever backend the request reaches."""
-    _check_grid(args.grid)
-    _check_series_len(args.series_len)
 
 
 def _check_output(path: str | None) -> None:
@@ -196,23 +189,25 @@ def _cmd_burau(args) -> int:
     return 0
 
 
-def _cmd_fq(args) -> int:
+def _request(args):
+    """The braid, family, moves (markov only), t values and backend
+    keywords of an fq or markov request, checked in this order.  The
+    library's own limits on --grid and --series-len are checked before any
+    backend runs, whichever backend the request reaches."""
     beta = _parsed(parse_braid, args.braid, args.strands)
     family = _parsed(family_by_name, args.family)
+    moves = _parsed(_parse_moves, args.moves, beta) if args.command == "markov" else None
     t_values = _parsed(_parse_t_values, args.t_values)
-    _parsed(_check_backend_options, args)
-    results = [
-        fq_value(
-            beta,
-            family,
-            t0,
-            method=args.method,
-            grid=args.grid,
-            series_len=args.series_len,
-            accel=args.accel,
-        )
-        for t0 in t_values
-    ]
+    _parsed(_check_grid, args.grid)
+    _parsed(_check_series_len, args.series_len)
+    options = dict(method=args.method, grid=args.grid, series_len=args.series_len,
+                   accel=args.accel)
+    return beta, family, moves, t_values, options
+
+
+def _cmd_fq(args) -> int:
+    beta, family, _, t_values, options = _request(args)
+    results = [fq_value(beta, family, t0, **options) for t0 in t_values]
     if args.json:
         _emit(args, json.dumps([r.to_json_obj() for r in results], indent=2))
     elif args.csv:
@@ -234,24 +229,8 @@ def _cmd_fq(args) -> int:
 
 
 def _cmd_markov(args) -> int:
-    beta = _parsed(parse_braid, args.braid, args.strands)
-    family = _parsed(family_by_name, args.family)
-    moves = _parsed(_parse_moves, args.moves, beta)
-    t_values = _parsed(_parse_t_values, args.t_values)
-    _parsed(_check_backend_options, args)
-    reports = [
-        markov_report(
-            beta,
-            moves,
-            family,
-            t0,
-            method=args.method,
-            grid=args.grid,
-            series_len=args.series_len,
-            accel=args.accel,
-        )
-        for t0 in t_values
-    ]
+    beta, family, moves, t_values, options = _request(args)
+    reports = markov_reports(beta, moves, family, t_values, **options)
     if args.json:
         _emit(args, json.dumps([r.to_json_obj() for r in reports], indent=2))
     else:

@@ -214,7 +214,10 @@ class UnivariateRoots:
     as lead z^lo prod f_i^i (:func:`_squarefree_parts`, ``multiplicities``
     the i).  Each part gets ``np.roots``, two Newton steps and relative
     bound 5e-12 (deg + 1)^2 + 1e-14 / M, i times; a part of degree 0 or 1,
-    whose root is one quotient, gets the rounding bound 1e-15, i times."""
+    whose root is one quotient, gets the rounding bound 1e-15, i times.  A
+    binomial part c0 + ck X^k, whose k roots all have modulus
+    |c0 / ck|^(1/k), is measured as max(|c0|, |ck| t^k) with no roots, and
+    gets the rounding bound (k + 4) 1.2e-16, i times."""
 
     def __init__(self, coeffs: dict[int, Fraction | int]):
         coeffs = {k: c for k, c in coeffs.items() if c}
@@ -232,6 +235,9 @@ class UnivariateRoots:
         self.parts = []
         for f, m in split:
             poly = np.array([float(c) for c in reversed(f)])  # descending
+            if len(poly) > 2 and not poly[1:-1].any():  # a binomial needs no roots
+                self.parts.append((poly, None, m))
+                continue
             roots, dpoly = np.roots(poly), np.polyder(poly)
             for _ in range(2):
                 vals = np.polyval(poly, roots)
@@ -246,15 +252,25 @@ class UnivariateRoots:
         value, errs = self.lead * t**self.lo, []
         for poly, radii, m in self.parts:
             deg = len(poly) - 1
-            v = float(abs(poly[0]) * t**deg * np.prod(np.maximum(1.0, radii / t)))
+            if radii is None:
+                # a binomial has no root finder error: M = max(|c0|, |ck| t^k)
+                # is within k + 4 roundings of 2^-53 (the coefficient as a
+                # float, t as a float raised to k, 2 for pow's last ulp and
+                # 1 for the product), and 1.2e-16 > 2^-53 covers their
+                # second-order terms, m times for v^m
+                v = float(max(abs(poly[-1]), abs(poly[0]) * t**deg))
+                err = v * (deg + 4) * 1.2e-16
+            else:
+                v = float(abs(poly[0]) * t**deg * np.prod(np.maximum(1.0, radii / t)))
+                # a part of degree <= 1 has no root finder error: its root r
+                # is one quotient, within 4 roundings of 2^-53 of the exact
+                # root (2 for its coefficients as floats, 2 for the last
+                # Newton residual and update), and v adds at most 4 more (the
+                # leading coefficient as a float, t as a float, |r| / t and
+                # the product), so 8 * 2^-53 = 8.9e-16 < 1e-15 relative, m
+                # times for v^m
+                err = v * 5e-12 * (deg + 1) ** 2 + 1e-14 if deg > 1 else v * 1e-15
             value *= v**m
-            # a part of degree <= 1 has no root finder error: its root r is
-            # one quotient, within 4 roundings of 2^-53 of the exact root
-            # (2 for its coefficients as floats, 2 for the last Newton
-            # residual and update), and v adds at most 4 more (the leading
-            # coefficient as a float, t as a float, |r| / t and the product),
-            # so 8 * 2^-53 = 8.9e-16 < 1e-15 relative, m times for v^m
-            err = v * 5e-12 * (deg + 1) ** 2 + 1e-14 if deg > 1 else v * 1e-15
             errs.append((v, m * err))
         return value, sum(e * (value / v) for v, e in errs)
 
@@ -1287,22 +1303,16 @@ def epsilon_estimate(
         best, err_log, variable = v_sqrt, e_sqrt, "sqrt(eps)"
     else:
         best, err_log, variable = v_lin, e_lin, "eps"
+    diagnostics = {
+        "epsilons": epsilons,
+        "log_dets": logs,
+        "extrapolation_variable": variable,
+        "rank": rank,
+        "radius": mom.radius,
+        "series_len": series_len,
+        # the smallest eps scales the walked truncation delta the least
+        "truncation_delta": series[-1].diagnostics["truncation_delta"],
+        "exact_moments": mom.exact_moments,
+    }
     err_log = 2.0 * err_log + series_err + 1e-12
-    value = exp(0.5 * best)
-    err = value * (exp(0.5 * err_log) - 1.0)
-    return FKEstimate(
-        value,
-        err,
-        "epsilon_reg",
-        {
-            "epsilons": epsilons,
-            "log_dets": logs,
-            "extrapolation_variable": variable,
-            "rank": rank,
-            "radius": mom.radius,
-            "series_len": series_len,
-            # the smallest eps scales the walked truncation delta the least
-            "truncation_delta": series[-1].diagnostics["truncation_delta"],
-            "exact_moments": mom.exact_moments,
-        },
-    )
+    return _series_to_estimate(_SeriesResult(best, err_log, diagnostics), "epsilon_reg")

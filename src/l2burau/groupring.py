@@ -589,30 +589,20 @@ def _kernel(group: CoefficientGroup, rows: list[list[dict]]):
     Every term the caller builds must be a product of at most one entry
     term from each of ``rows`` (a row of a Laplace expansion, or the
     column of one braid letter).  Over a commutative group the keys are
-    packed ints, and a row object that occurs more than once is packed
-    once but counted in the base as often as it occurs; over a free group
-    of rank >= 2 they stay (element, exponent) pairs.
+    packed ints; over a free group of rank >= 2 they stay (element,
+    exponent) pairs.
     """
     if not is_commutative(group):
         gmul = group.mul
         return rows, _DictRing(
             lambda a, b: (gmul(a[0], b[0]), a[1] + b[1]), (group.identity(), 0)
         )
-    index: dict = {}  # id of a distinct row -> its place in ``distinct``
-    distinct = []
-    for row in rows:
-        if id(row) not in index:
-            index[id(row)] = len(distinct)
-            distinct.append(row)
-    picks = [index[id(row)] for row in rows]
     vrows = [
-        [{(*_coords(group, g), k): c for (g, k), c in d.items()} for d in row]
-        for row in distinct
+        [{(*_coords(group, g), k): c for (g, k), c in d.items()} for d in row] for row in rows
     ]
     # the sum over rows of each row's largest coordinate bounds every
     # coordinate a product can reach, so no digit of a key ever carries
-    tops = [max((abs(x) for d in row for v in d for x in v), default=0) for row in vrows]
-    half = sum(tops[p] for p in picks)
+    half = sum(max((abs(x) for d in row for v in d for x in v), default=0) for row in vrows)
     base = 2 * half + 1
     dim = len(_coords(group, group.identity())) + 1
 
@@ -633,7 +623,7 @@ def _kernel(group: CoefficientGroup, rows: list[list[dict]]):
         return _from_coords(group, v[:-1]), v[-1]
 
     packed = [[{pack(v): c for v, c in d.items()} for d in row] for row in vrows]
-    return [packed[p] for p in picks], _DictRing(operator.add, 0, unpack)
+    return packed, _DictRing(operator.add, 0, unpack)
 
 
 def _fold_columns(
@@ -642,8 +632,8 @@ def _fold_columns(
     """The m x m identity composed with one matrix per letter that is the
     identity but for one column: letter (i, where, col) sets entry i of
     every row to sum_r col[r] * row[r] over the rows r in ``where``, each
-    product taken col * row.  A column object that repeats is converted
-    once.
+    product taken col * row.  On the line a column object that repeats
+    is converted once.
 
     Every column entry must be one term of coefficient +-1 (a Burau
     generator column), so an entry of the new column i has l1 norm at

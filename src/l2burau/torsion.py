@@ -39,6 +39,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from fractions import Fraction
+from itertools import combinations
 from math import log
 from typing import TYPE_CHECKING, Sequence
 
@@ -186,8 +187,8 @@ class FQValue:
 # Everything before t = t0 is substituted depends only on (braid, family),
 # so a t sweep folds the braid once: reduced_burau, E = Burau - Id and the
 # symbolic determinant all read one cached fold, and alexander_polynomial
-# reads the same determinant.  Four entries cover the t loops of fq,
-# markov and the CLI.
+# reads the same determinant.  fq and markov_reports take every t of one
+# braid in a row, so four entries cover their t loops at any chain length.
 # Nothing that depends on t0, the grid or the series length (an estimate,
 # a walk, a ball) is cached.
 @functools.lru_cache(maxsize=4)
@@ -382,6 +383,10 @@ class MarkovStage:
     fq: FQValue
 
 
+# the fields of FQValue.to_json_obj a stage repeats, after its move
+_STAGE_FIELDS = ("braid", "value", "error_bound", "method", "diagnostics")
+
+
 @dataclasses.dataclass
 class MarkovReport:
     braid: BraidWord
@@ -392,20 +397,14 @@ class MarkovReport:
     max_deviation: float
 
     def to_json_obj(self) -> dict:
+        fqs = [s.fq.to_json_obj() for s in self.stages]
         return {
             "braid": self.braid.render(),
             "family": self.family_name,
             "t": str(self.t0),
             "stages": [
-                {
-                    "move": s.move,
-                    "braid": s.braid.render(),
-                    "value": s.fq.value,
-                    "error_bound": s.fq.error_bound,
-                    "method": s.fq.estimate.method,
-                    "diagnostics": s.fq.estimate.diagnostics,
-                }
-                for s in self.stages
+                {"move": s.move, **{k: fq[k] for k in _STAGE_FIELDS}}
+                for s, fq in zip(self.stages, fqs)
             ],
             "verdict": self.verdict,
             "max_deviation": self.max_deviation,
@@ -424,6 +423,49 @@ def _pair_deviation(v1: FQValue, v2: FQValue, t0: Fraction) -> float:
     return abs(a - b * float(t0) ** m)
 
 
+def markov_reports(
+    beta: BraidWord,
+    moves: Sequence[Move],
+    family,
+    t_values: Sequence,
+    *,
+    tolerance: float = 1e-6,
+    **fq_options,
+) -> list[MarkovReport]:
+    """Apply moves cumulatively and compare the function values, one
+    report per t, in the order of ``t_values``.
+
+    Each stage is evaluated at every t before the next stage is built, so
+    its fold and determinant are read from the cache for every t after
+    the first, however many stages the chain has.  At t = 1 values are
+    compared directly; elsewhere each pair is compared after fitting the
+    best integer power of t (the function is only defined up to
+    monomials).
+    """
+    ts = [Fraction(t0) for t0 in t_values]
+    braids = [beta]
+    labels = ["start"]
+    for mv in moves:
+        braids.append(apply_move(braids[-1], mv))
+        labels.append(mv.label())
+
+    by_stage = [[fq_value(b, family, t0, **fq_options) for t0 in ts] for b in braids]
+
+    name = getattr(family, "name", str(family))
+    reports = []
+    for t0, fqs in zip(ts, zip(*by_stage)):
+        max_dev = 0.0
+        violation = False
+        for v1, v2 in combinations(fqs, 2):
+            dev = _pair_deviation(v1, v2, t0)
+            max_dev = max(max_dev, dev)
+            violation |= dev > v1.error_bound + v2.error_bound + tolerance
+        verdict = "violation" if violation else "invariant"
+        stages = [MarkovStage(lab, b, f) for lab, b, f in zip(labels, braids, fqs)]
+        reports.append(MarkovReport(beta, name, t0, stages, verdict, max_dev))
+    return reports
+
+
 def markov_report(
     beta: BraidWord,
     moves: Sequence[Move],
@@ -433,35 +475,5 @@ def markov_report(
     tolerance: float = 1e-6,
     **fq_options,
 ) -> MarkovReport:
-    """Apply moves cumulatively and compare the function values.
-
-    At t = 1 values are compared directly; elsewhere each pair is compared
-    after fitting the best integer power of t (the function is only
-    defined up to monomials).
-    """
-    t0 = Fraction(t0)
-    braids = [beta]
-    labels = ["start"]
-    for mv in moves:
-        braids.append(apply_move(braids[-1], mv))
-        labels.append(mv.label())
-
-    fqs = [fq_value(b, family, t0, **fq_options) for b in braids]
-
-    stages = [MarkovStage(lab, b, f) for lab, b, f in zip(labels, braids, fqs)]
-    max_dev = 0.0
-    violation = False
-    for i in range(len(fqs)):
-        for j in range(i + 1, len(fqs)):
-            dev = _pair_deviation(fqs[i], fqs[j], t0)
-            max_dev = max(max_dev, dev)
-            if dev > fqs[i].error_bound + fqs[j].error_bound + tolerance:
-                violation = True
-    return MarkovReport(
-        braid=beta,
-        family_name=getattr(family, "name", str(family)),
-        t0=t0,
-        stages=stages,
-        verdict="violation" if violation else "invariant",
-        max_deviation=max_dev,
-    )
+    """:func:`markov_reports` at the one t = t0."""
+    return markov_reports(beta, moves, family, [t0], tolerance=tolerance, **fq_options)[0]

@@ -152,7 +152,10 @@ def test_fq_twelve_strands_within_budget(capsys):
     assert time.perf_counter() - start < 10.0
 
 
-def test_markov_t_sweep_builds_each_stage_once(capsys, monkeypatch):
+@pytest.fixture
+def counted(monkeypatch):
+    """The braids torsion folds and the sizes of the matrices it expands,
+    one entry per call of ``_burau_fold`` and ``_laplace``."""
     folded, expanded = [], []
     fold, laplace = torsion._burau_fold, torsion._laplace
 
@@ -166,6 +169,11 @@ def test_markov_t_sweep_builds_each_stage_once(capsys, monkeypatch):
 
     monkeypatch.setattr(torsion, "_burau_fold", counted_fold)
     monkeypatch.setattr(torsion, "_laplace", counted_laplace)
+    return folded, expanded
+
+
+def test_markov_t_sweep_builds_each_stage_once(capsys, counted):
+    folded, expanded = counted
     code, out, _ = run(
         capsys, "markov", "-b", "1 -2 1 -2", "-f", "phi",
         "--moves", "conj:1, stab:+1", "-t", "1/2 2",
@@ -173,6 +181,32 @@ def test_markov_t_sweep_builds_each_stage_once(capsys, monkeypatch):
     assert code == 0 and out.count("verdict=") == 2
     assert len(folded) == len(set(folded)) == 3
     assert sorted(expanded) == [2, 2, 3]
+
+
+MARKOV_CHAIN = ("markov", "-b", "1 1 1", "--moves", "conj:1, conj:-1, conj:1, conj:-1")
+
+
+def test_markov_chain_longer_than_the_caches_folds_each_stage_once(capsys, counted):
+    # five stages outgrow the four-entry fold and determinant caches, so
+    # only a loop that takes every t of a stage in a row reads each fold
+    # and determinant back for the later t
+    folded, expanded = counted
+    code, out, _ = run(capsys, *MARKOV_CHAIN, "-t", "1/2 1 2")
+    assert code == 0 and out.count("verdict=") == 3
+    assert len(folded) == len(set(folded)) == 5
+    assert len(expanded) == 5
+
+
+def test_markov_t_sweep_json_is_the_one_t_runs_in_order(capsys):
+    code, out, _ = run(capsys, *MARKOV_CHAIN, "-t", "1/2 1 2", "--json")
+    assert code == 0
+    one_t = []
+    for t0 in ("1/2", "1", "2"):
+        code, single, _ = run(capsys, *MARKOV_CHAIN, "-t", t0, "--json")
+        assert code == 0
+        one_t += json.loads(single)
+    assert json.loads(out) == one_t
+    assert [r["t"] for r in one_t] == ["1/2", "1", "2"]
 
 
 def test_route_in_diagnostics(capsys):

@@ -172,14 +172,16 @@ def test_quadrature_rank_one_supports_are_exact():
     # rank-1 support on both axes, so F = max(1, t^k) / max(1, t)^2 comes
     # from one root solve, also at t = 1, where the torus grid sits on the
     # zero set of the determinant; for k = 2, 3 the polynomial in the
-    # line's step is linear, its root one quotient, so its bound is a
-    # rounding bound (for k = 4 it is X^2 - 1, which gets the a-priori one)
-    for letters, k in (((1, 1), 2), ((-1, -1), -2), ((1, 1, 1), 3), ((1,) * 4, 4)):
+    # line's step is linear, its root one quotient, and for k = 4, 6 it is
+    # the binomial X^(k/2) - 1, so every bound is a rounding bound
+    cases = (((1, 1), 2), ((-1, -1), -2), ((1, 1, 1), 3), ((1,) * 4, 4), ((-1,) * 4, -4),
+             ((1,) * 6, 6))
+    for letters, k in cases:
         for t0 in (Fraction(1, 2), Fraction(1), Fraction(2)):
             f = fq_value(BraidWord(2, letters), AbelianImage(), t0)
             want = max(1.0, float(t0) ** k) / max(1.0, float(t0)) ** 2
             assert f.estimate.diagnostics == {"reduced_to_univariate": True}
-            assert f.error_bound <= (1e-14 * max(1, want) if abs(k) < 4 else 1e-9)
+            assert f.error_bound <= 1e-14 * max(1, want)
             assert abs(f.value - want) <= f.error_bound, (letters, t0)
     # sigma_1^+-1 over id: a rank-1 subgroup, det(E) = -(z t)^+-1 - 1, so
     # F = max(1, t^+-1) / max(1, t)^2, exactly
@@ -1065,6 +1067,17 @@ def test_mahler_univariate_repeated_roots(coeffs, value):
     # square-free split runs at every multiplicity and gets them back
     got, err = mahler_univariate({k: Fraction(c) for k, c in coeffs.items()})
     assert abs(got - value) <= min(err, 1e-12 * value)
+
+
+def test_mahler_univariate_binomials_are_exact():
+    # the roots of 2 - z^3 all have modulus 2^(1/3), so M = max(2, 1) = 2
+    # with no root solve, also for its square, which Yun's split sends
+    # through the same binomial as a part of multiplicity 2
+    for coeffs, value, parts in (({0: 2, 3: -1}, 2.0, None), ({0: 4, 3: -4, 6: 1}, 4.0, [2])):
+        solve = fkdet.UnivariateRoots({k: Fraction(c) for k, c in coeffs.items()})
+        assert solve.multiplicities == parts
+        got, err = solve.at(1)
+        assert got == value and err <= 1e-14 * value
 
 
 def test_yun_over_z_matches_yun_over_fractions(rng):

@@ -54,6 +54,7 @@ from l2burau.torsion import (
     alexander_polynomial,
     fq_value,
     markov_report,
+    markov_reports,
     reduced_burau,
     render_poly,
 )
@@ -655,6 +656,29 @@ def test_markov_threaded_matches_serial(monkeypatch):
     ]
     # the environment variable is ignored: every stage runs in this thread
     assert threads == [threading.get_ident()] * len(threaded.stages)
+
+
+def test_markov_reports_are_the_one_t_reports(rng):
+    # one stage-major loop over t gives, per t, the report of its own run:
+    # seeded chains over phi, ab, a custom family (conjugations only, as
+    # its rows fix the strand count) and id (short braids, series backend)
+    t_values = (Fraction(1, 2), Fraction(1), Fraction(2))
+    cases = [(TotalWinding(), 4, 8, True), (AbelianImage(), 3, 6, True),
+             (AbelianImage([[1, 0], [0, 1], [1, 1]]), 3, 6, False), (Identity(), 3, 2, True)]
+    for family, n, length, stabilize in cases:
+        for _ in range(3):
+            beta = random_braid(rng, n, rng.randint(1, length))
+            moves, strands = [], n
+            for _ in range(rng.randint(1, 3)):
+                if stabilize and rng.random() < 0.4:
+                    moves.append(Stabilize(rng.choice((1, -1))))
+                    strands += 1
+                else:
+                    moves.append(Conjugate(random_braid(rng, strands, rng.randint(1, 2))))
+            got = [r.to_json_obj() for r in markov_reports(beta, moves, family, t_values)]
+            clear_t_free_caches()
+            want = [markov_report(beta, moves, family, t0).to_json_obj() for t0 in t_values]
+            assert got == want, (family.name, beta.render(), moves)
 
 
 # --- proof-level identities -------------------------------------------------------------
