@@ -23,6 +23,9 @@ reaches a backend (the dispatch of ``torsion.fq_value``).
   coefficient box and one phase table per axis, on the half of the grid
   that conjugate symmetry leaves, in fixed-size blocks.  Supports
   touching at most one coordinate fall back to the exact root method.
+  When the point budget coarsens the grid and a coordinate has span 1,
+  P = x^lo (A + B x), that coordinate is integrated exactly by Jensen's
+  formula, log max(|A|, |B|), and the other axes run one doubling finer.
 * ``series_estimate`` (``det_free_group``) - a von Neumann trace series
   for log det.  Traces tr((Id - B/c)^k) are computed by propagating a
   vector over a radius-truncated ball of a free group (numbered in suffix
@@ -354,7 +357,7 @@ def _drop_unused_axes(P: dict[tuple, Fraction]) -> tuple[dict[tuple, Fraction], 
 _QUAD_BLOCK = 2**15  # grid points evaluated per matrix product
 
 
-def _log_abs_mean(P: dict[tuple, Fraction], d: int, n_grid: int) -> float:
+def _log_abs_mean(P: dict[tuple, Fraction], d: int, n_grid: int, pair: bool = False) -> float:
     """Mean of log|P| over the midpoint tensor grid.
 
     The coefficients go into a dense array over the exponent box, so the
@@ -365,6 +368,11 @@ def _log_abs_mean(P: dict[tuple, Fraction], d: int, n_grid: int) -> float:
     the midpoint grid to its negative, so only axis-0 rows j < n/2 are
     evaluated and counted twice (the middle row of an odd grid is its own
     mirror and counts once).  Exact zeros count as log 1e-300.
+
+    With ``pair`` axis 0 has span 1, P = x0^lo (A + B x0), and the mean is
+    of log max(|A|, |B|) over the grid of axes 1, ..., d-1 (Jensen's
+    formula integrates x0 exactly): axis 0 stays uncontracted, A and B are
+    evaluated side by side, and axis 1 takes the halving.
     """
     lo = [min(k[a] for k in P) for a in range(d)]
     hi = [max(k[a] for k in P) for a in range(d)]
@@ -373,23 +381,26 @@ def _log_abs_mean(P: dict[tuple, Fraction], d: int, n_grid: int) -> float:
         C[tuple(k[a] - lo[a] for a in range(d))] = float(c)
     theta = 2.0 * np.pi * (np.arange(n_grid) + 0.5) / n_grid
     W = [np.exp(1j * np.outer(np.arange(lo[a], hi[a] + 1), theta)) for a in range(d)]
+    h = int(pair)  # the axis that conjugate symmetry halves
     T = C
-    for a in range(d - 1, 0, -1):
+    for a in range(d - 1, h, -1):
         T = np.tensordot(T, W[a], axes=([a], [0]))
-    T = T.reshape(C.shape[0], -1)
+    T = T.reshape(C.shape[: h + 1] + (-1,))
     half = n_grid // 2
-    rows = [(W[0][:, :half].T, 2.0)]
+    rows = [(W[h][:, :half].T, 2.0)]
     if n_grid % 2:
-        rows.append((W[0][:, half : half + 1].T, 1.0))
+        rows.append((W[h][:, half : half + 1].T, 1.0))
     total = 0.0
     for W0, weight in rows:
         step = max(1, _QUAD_BLOCK // W0.shape[0])
-        for start in range(0, T.shape[1], step):
-            A = np.abs(W0 @ T[:, start : start + step])
+        for start in range(0, T.shape[-1], step):
+            A = np.abs(W0 @ T[..., start : start + step])
+            if pair:
+                A = np.maximum(A[0], A[1])
             np.maximum(A, 1e-300, out=A)
             np.log(A, out=A)
             total += weight * float(A.sum())
-    return total / float(n_grid**d)
+    return total / float(n_grid ** (d - h))
 
 
 def _require_free_abelian(group, grid: int) -> None:
@@ -413,7 +424,8 @@ def quadrature_estimate(group, D: dict, t0, grid: int = 128) -> FKEstimate:
     only t = t0 is substituted here, so one D serves every t.  A support
     on one line once shifted by one of its points (``groupring._line_steps``)
     is solved by roots, as a polynomial in the line's step; any other is
-    integrated over the torus of the axes it uses.
+    integrated over the torus of the axes it uses, less the coordinate
+    ``jensen_axis`` (diagnostics) that Jensen's formula integrates exactly.
     """
     t0 = _require_positive(t0)
     _require_free_abelian(group, grid)
@@ -436,7 +448,20 @@ def quadrature_estimate(group, D: dict, t0, grid: int = 128) -> FKEstimate:
             f"torus dimension {d} needs a grid below 16 to keep (4n)^{d} "
             "within the 2^26-point quadrature budget"
         )
-    logs = [float(_log_abs_mean(P, d, m)) for m in (n, 2 * n, 4 * n)]
+    # Under a coarsened grid, Jensen's formula integrates a coordinate of
+    # span 1 exactly, and the other axes run one doubling finer on fewer
+    # points: 2 (8n)^(d-1) < (4n)^d for n >= 16 and d <= 5.  On a grid the
+    # budget leaves alone the d-axis midpoint rule is the tighter one.
+    spans = [max(k[a] for k in P0) - min(k[a] for k in P0) for a in range(len(k0))]
+    pair = n < grid and 1 in spans
+    diagnostics: dict = {"torus_dim": d}
+    if pair:
+        j = spans.index(1)
+        P, _ = _drop_unused_axes({(k[j],) + k[:j] + k[j + 1 :]: c for k, c in P0.items()})
+        diagnostics = {"torus_dim": d - 1, "jensen_axis": j}
+        n *= 2
+    grids = [n, 2 * n, 4 * n]
+    logs = [float(_log_abs_mean(P, d, m, pair)) for m in grids]
     e1, e2 = logs[1] - logs[0], logs[2] - logs[1]
     val_log, err_log = logs[2], abs(e2) * 2.0 + 1e-13
     if e2 != 0.0 and abs(e1) > 1.5 * abs(e2):
@@ -444,12 +469,8 @@ def quadrature_estimate(group, D: dict, t0, grid: int = 128) -> FKEstimate:
         val_log = logs[2] + e2 / (2.0**p - 1.0)
     value = exp(val_log)
     err = value * (exp(err_log) - 1.0) + 1e-12
-    return FKEstimate(
-        value,
-        err,
-        "quadrature",
-        {"torus_dim": d, "grids": [n, 2 * n, 4 * n], "refinement_diffs": [e1, e2]},
-    )
+    diagnostics.update(grids=grids, refinement_diffs=[e1, e2])
+    return FKEstimate(value, err, "quadrature", diagnostics)
 
 
 # --- subgroup rewriting (Stallings folding) ----------------------------------

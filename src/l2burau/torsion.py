@@ -270,19 +270,22 @@ def fq_value(
             method = "series"
     from . import fkdet  # the one entry into a backend, and into numpy
 
-    if method == "roots":
-        fkdet._require_integers(grp)  # before the determinant refuses a free group
-        est = fkdet.roots_estimate(grp, _symbolic_det(beta, family), t0)
-    elif method == "quad":
-        fkdet._require_free_abelian(grp, grid)
-        est = fkdet.quadrature_estimate(grp, _symbolic_det(beta, family), t0, grid=grid)
-    elif method == "series":
-        est = fkdet.series_estimate(grp, _minus_identity(beta, family), t0, series_len, accel)
-    elif method == "eps":
-        est = fkdet.epsilon_estimate(grp, _minus_identity(beta, family), t0)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    norm = float(max(Fraction(1), t0)) ** n
+    try:
+        if method == "roots":
+            fkdet._require_integers(grp)  # before the determinant refuses a free group
+            est = fkdet.roots_estimate(grp, _symbolic_det(beta, family), t0)
+        elif method == "quad":
+            fkdet._require_free_abelian(grp, grid)
+            est = fkdet.quadrature_estimate(grp, _symbolic_det(beta, family), t0, grid=grid)
+        elif method == "series":
+            est = fkdet.series_estimate(grp, _minus_identity(beta, family), t0, series_len, accel)
+        elif method == "eps":
+            est = fkdet.epsilon_estimate(grp, _minus_identity(beta, family), t0)
+        else:
+            raise ValueError(f"unknown method {method!r}")
+        norm = float(max(Fraction(1), t0)) ** n
+    except OverflowError as exc:
+        raise ValueError(f"F at t={t0} overflows a float") from exc
     return FQValue(
         braid=beta,
         family_name=getattr(family, "name", str(family)),

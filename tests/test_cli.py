@@ -116,16 +116,17 @@ def test_text_output_warns_on_diagnostic_flags(capsys):
 
 
 def test_text_output_warns_on_a_vacuous_bound(capsys):
-    # the 4-torus quadrature of this ab braid answers 1.11 +- 8.77, a bound
+    # the free-group series of this id braid answers 1.08 +- 1.30, a bound
     # that cannot tell the value from zero
-    argv = ["fq", "-b", "1 2 3 1 2 3", "-n", "4", "-f", "ab"]
+    argv = ["fq", "-b", "1 -2 3", "-n", "4", "-f", "id"]
     code, out, _ = run(capsys, *argv, "--json")
     (fq,) = json.loads(out)
     assert code == 0 and fq["error_bound"] >= fq["value"] > 0
     assert fq["diagnostics"]["bound_vacuous"] is True
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out.splitlines() == [
-        "t=1: F = 1.113484798 (+- 8.77)",
+        "t=1: F = 1.079557061 (+- 1.3)",
+        "  warning: injectivity_assumed: no reduction applies; the operator is assumed injective",
         "  warning: bound_vacuous: the error bound is not below the value",
     ]
     # a bound below the value sets no flag
@@ -289,6 +290,18 @@ def test_backend_error_exit_code(capsys):
     assert code == 3 and "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["fq", "-b", "1 1", "-n", "2"],
+    ["fq", "-b", "1 2 3", "-n", "4", "-f", "id"],
+    ["markov", "-b", "1 1", "-n", "2", "--moves", "conj:1"],
+])
+def test_a_t_that_overflows_a_float_is_named(capsys, argv):
+    # F at t = 1e200 overflows a float in max(1, t)^n, or already in the
+    # backend's float coefficients; either way the message names t
+    message = f"error: F at t={10**200} overflows a float\n"
+    assert run(capsys, *argv, "-t", "1e200") == (3, "", message)
+
+
 def test_out_of_range_backend_options_are_argument_errors(capsys):
     # --grid and --series-len are checked against the library's own limits
     # and messages before any backend runs, whichever backend the request
@@ -332,7 +345,9 @@ def test_quadrature_smyth_closed_form(capsys):
     assert code == 0
     (row,) = json.loads(out)
     assert row["method"] == "quadrature"
-    assert abs(row["value"] - smyth) <= row["error_bound"]
+    # a span-1 coordinate on a coarsened 3-torus: Jensen's formula
+    assert row["diagnostics"]["jensen_axis"] == 0 and row["diagnostics"]["torus_dim"] == 2
+    assert abs(row["value"] - smyth) <= row["error_bound"] <= 1e-8
 
 
 def test_quadrature_figure_eight_golden_fast(capsys):

@@ -163,7 +163,7 @@ def test_quadrature_high_dimension_capped():
     m = GroupRingMatrix(grp, [[e]])
     for t0 in (Fraction(1, 2), 2):
         est = det_free_abelian(m, t0)
-        assert max(est.diagnostics["grids"]) ** 4 <= 2**26
+        assert max(est.diagnostics["grids"]) ** est.diagnostics["torus_dim"] <= 2**26
         assert est.value == pytest.approx(2 * float(max(Fraction(1), Fraction(t0))), abs=1e-4)
 
 
@@ -206,16 +206,33 @@ def test_quadrature_grid_validation():
         det_free_abelian(m, 1, grid=32)
 
 
-def per_term_log_abs_mean(P, d, n_grid):
-    """Reference: one complex exp per term per grid point, summed as given."""
+def per_term_values(P, d, n_grid):
+    """P on the midpoint grid: one complex exp per term per point, summed as given."""
     theta = 2.0 * np.pi * (np.arange(n_grid) + 0.5) / n_grid
     grids = np.meshgrid(*([theta] * d), indexing="ij")
     acc = np.zeros((n_grid,) * d, dtype=complex)
     for k, c in P.items():
         acc += float(c) * np.exp(1j * sum(k[a] * grids[a] for a in range(d)))
+    return acc
+
+
+def mean_log(M):
     with np.errstate(divide="ignore"):
-        L = np.log(np.abs(acc))
-    return float(np.where(np.isfinite(L), L, np.log(1e-300)).sum()) / n_grid**d
+        L = np.log(M)
+    return float(np.where(np.isfinite(L), L, np.log(1e-300)).mean())
+
+
+def per_term_log_abs_mean(P, d, n_grid):
+    """Reference: the mean of log|P| over the grid, from :func:`per_term_values`."""
+    return mean_log(np.abs(per_term_values(P, d, n_grid)))
+
+
+def per_term_jensen_mean(P, d, n_grid):
+    """Reference for a span-1 axis 0, P = x0^lo (A + B x0): the mean of
+    log max(|A|, |B|) over the grid of the other d - 1 axes."""
+    lo = min(k[0] for k in P)
+    A, B = ({k[1:]: c for k, c in P.items() if k[0] == lo + i} for i in (0, 1))
+    return mean_log(np.maximum(*(np.abs(per_term_values(Q, d - 1, n_grid)) for Q in (A, B))))
 
 
 @pytest.mark.parametrize(
@@ -229,6 +246,10 @@ def test_log_abs_mean_matches_per_term_sum(rng, d, n_grid):
             P[k] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
         ref = per_term_log_abs_mean(P, d, n_grid)
         assert fkdet._log_abs_mean(P, d, n_grid) == pytest.approx(ref, rel=1e-12)
+        # the same terms with axis 0 squeezed to span 1, integrated by Jensen
+        J = {(i % 2 - 1,) + k[1:]: c for i, (k, c) in enumerate(P.items())}
+        ref = per_term_jensen_mean(J, d, n_grid)
+        assert fkdet._log_abs_mean(J, d, n_grid, pair=True) == pytest.approx(ref, rel=1e-12)
 
 
 def test_quadrature_ignores_term_order():

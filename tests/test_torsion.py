@@ -303,6 +303,22 @@ def test_fq_stabilized_abelian_boyd():
     assert abs(v.value - BOYD) <= v.error_bound
 
 
+@pytest.mark.parametrize("letters", [
+    (1, 2, 1, 2),
+    (2, -1, -2, 1, 1),
+    (1, -2, 1, 1, -1, 2, -1, -2, 1),
+    (1, -2, 1, -1, -2, -1, -2, -2, -2),
+])
+def test_fq_three_axis_abelian_boyd(letters):
+    # over ab these determinants use all three axes, so the budget coarsens
+    # the grid, and one coordinate has span 1: Jensen's formula integrates
+    # it exactly; the 3-axis midpoint rule read the last three as
+    # 1.38147037 +- 2.5e-5, a bound that excludes Boyd's value
+    v = fq_value(BraidWord(3, letters), AbelianImage(), 1)
+    assert "jensen_axis" in v.estimate.diagnostics
+    assert abs(v.value - BOYD) <= v.error_bound <= 2e-5
+
+
 def test_fq_identity_family_free_value():
     v = fq_value(BraidWord(3, (-1, 2)), Identity(), 1)
     assert abs(v.value - 2 / math.sqrt(3)) < 2e-2
