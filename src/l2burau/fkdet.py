@@ -12,8 +12,9 @@ numpy, and the rest of the package loads it only on the first call that
 reaches a backend (the dispatch of ``torsion.fq_value``).
 
 * ``roots_estimate`` (``det_integers``) - the Mahler measure of the
-  one-variable determinant from its roots (exact up to root-finding
-  tolerance; P is proved square-free modulo a prime or split exactly
+  one-variable determinant from its roots, each certified by its Smith
+  inclusion disk, with fixed-point Aberth-Newton steps where the float
+  roots do not certify (P is proved square-free modulo a prime or split exactly
   first).  Under phi det is one polynomial Q(s), s = z t: 1 + s + ... +
   s^(m-1) is divided out exactly and one cached solve of the quotient
   serves every t.
@@ -58,7 +59,7 @@ import functools
 import itertools
 import operator
 from fractions import Fraction
-from math import exp, frexp, fsum, gcd, lcm, log, sqrt
+from math import exp, expm1, frexp, fsum, gcd, hypot, isqrt, lcm, log, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -208,6 +209,151 @@ def _squarefree_mod_p(p: list[int]) -> bool:
     return len(a) == 1
 
 
+_ULP = 1.2e-16  # one rounding, 2^-53, with room for second-order terms
+_WIDEN = 1 + 2.0**-30  # covers the roundings in computing a radius, fewer than 2^20
+_CERTIFIED = 1e-12  # the relative bound at which a solve stops refining
+_FIXED_BITS = (64, 128, 256, 512)  # the fixed-point precisions, tried in order
+
+
+def _smith_disks(az: np.ndarray, num: np.ndarray, diff: np.ndarray, lead, extra):
+    """Smith's inclusion disks (B. T. Smith, J. ACM 17, 1970) about the
+    approximations z_i of the n roots of a polynomial P with leading
+    coefficient ``lead``: the disk of radius
+
+        rho_i = n |P(z_i)| / |lead prod_{j != i} (z_i - z_j)|
+
+    about z_i, where a union of k disks that meets no other holds exactly k
+    roots.  ``num`` is an upper bound on |P(z_i)| to a rounding and
+    ``diff`` the matrix |z_i - z_j| to 4 roundings (it is overwritten,
+    shrunk by them); rho is widened by _WIDEN for the roundings here.  The
+    disks returned are about points w_i within ``extra`` of z_i (the roots
+    the caller keeps), so their radii add it, and ``az`` is |w_i| to a
+    rounding.
+
+    Returns (rho, spread, floor, worst) as lists and a float: the root r_i
+    paired with w_i has | |r_i| - |w_i| | <= spread_i and min(|r_i|, |w_i|)
+    >= floor_i, so log max(t, |r_i|) is within spread_i / max(t, floor_i)
+    of log max(t, |w_i|), and worst = sum spread_i / floor_i bounds the sum
+    at every t > 0 (inf unless every floor is positive).  When 2 sum rho <
+    min(1, |z_i - z_j|) every disk is apart from every other and spread_i =
+    rho_i; otherwise the disks of each connected union share its annulus
+    [lo, hi], with spread hi - lo and floor lo.
+    """
+    n, c = len(az), _WIDEN / abs(float(lead))
+    diff *= 1 - 4 * _ULP
+    diag = diff.reshape(-1)[:: n + 1]  # a view
+    diag[:] = 1.0
+    with np.errstate(all="ignore"):  # a zero or overflowing product reads as rho = inf
+        rho = n * c * num / diff.prod(axis=1) + extra
+        # (the reductions run on lists: numpy's cost more than the arithmetic)
+        if 2 * sum(rho.tolist()) < min(diff.reshape(-1).tolist()):  # nan fails
+            # then every disk is apart from every other and holds one root
+            # r_j, |z_i - r_j| >= |z_i - z_j| - rho_j, and |P(z_i)| = |lead|
+            # prod_j |z_i - r_j| bounds |z_i - r_i| by about rho_i / n (the
+            # diagonal's 1 - rho_i < 1 only widens it)
+            rho = np.minimum(rho, c * num / (diff - rho).prod(axis=1) + extra)
+            spread, floor = rho, az * (1 - 4 * _ULP) - rho
+        else:
+            diag[:] = 0.0
+            apart = diff > rho[:, None] + rho  # False on the diagonal, and for a nan
+            rho[np.isnan(rho)] = np.inf
+            lab = np.arange(n)  # the least index in each connected union
+            while True:
+                new = np.where(apart, n, lab).min(axis=1)
+                if (new == lab).all():
+                    break
+                lab = new
+            lo, hi = np.full(n, np.inf), np.zeros(n)
+            np.minimum.at(lo, lab, az * (1 - 4 * _ULP) - rho)
+            np.maximum.at(hi, lab, az * (1 + 4 * _ULP) + rho)
+            lo, hi = lo[lab], hi[lab]
+            spread, floor = hi - lo + 4 * _ULP * hi, lo
+    spread, floor = spread.tolist(), floor.tolist()
+    worst = sum(map(operator.truediv, spread, floor)) if min(floor) > 0 else np.inf
+    return rho.tolist(), spread, floor, worst
+
+
+def _float_disks(lead: float, z: np.ndarray, val: np.ndarray, new: np.ndarray):
+    """Smith's disks about the float roots ``new`` of an exact polynomial P
+    whose float rounding has leading coefficient ``lead``, from the disks
+    about the points z one Newton step before: each of those holds a root,
+    and so does the disk about new_i wider by |new_i - z_i|.  ``val`` is
+    the float P(z_i), P'(z_i) and sum |c_k| |z_i|^k by Horner's rule, end
+    to end; the first is within 4 deg + 1 roundings of the last of the
+    exact P(z_i): per step 2 sqrt(2) for the complex product (Higham,
+    Accuracy and Stability, lemma 3.5) and 1 for the sum, and 1 for the
+    coefficients as floats."""
+    n = len(z)
+    num = np.abs(val[:n]) + (4 * n + 1) * _ULP * val[2 * n :].real
+    step = np.abs(new - z) * (1 + 4 * _ULP)  # to 2 roundings, and 1 for adding it
+    return _smith_disks(np.abs(new), num, np.abs(z[:, None] - z), lead, step)
+
+
+def _horner_fixed(a: list[int], x: int, y: int, bits: int) -> tuple[int, int, int, int]:
+    """P and P' at z = (x + i y) 2^-bits for ascending integer coefficients
+    a, as 2^bits-scaled Gaussian integers (re P, im P, re P', im P').  Each
+    step truncates, so re and im of P are each within sqrt(2) sum_{j<n} |z|^j
+    units of the exact value."""
+    pr = pi = dr = di = 0
+    for c in reversed(a):
+        dr, di = ((dr * x - di * y) >> bits) + pr, ((dr * y + di * x) >> bits) + pi
+        pr, pi = ((pr * x - pi * y) >> bits) + (c << bits), (pr * y + pi * x) >> bits
+    return pr, pi, dr, di
+
+
+def _fixed_disks(f: list, start: np.ndarray):
+    """Aberth's iteration on f (ascending rationals) in fixed-point Python
+    ints from the float roots ``start``, at 64 bits and then doubled until
+    its Smith disks certify or _FIXED_BITS runs out: (roots as complex
+    floats, disks about them, bits).  Rounding widens every radius: |P| is
+    bounded above from the truncation error of :func:`_horner_fixed`, and
+    the rounding of each root to a float is added to its disk."""
+    scale = lcm(*(Fraction(c).denominator for c in f))
+    a = [int(c * scale) for c in f]
+    n = len(a) - 1
+    start = np.where(np.isfinite(start), start, 0.0)
+    roots = [(int(z.real * 2.0**64), int(z.imag * 2.0**64)) for z in start]
+    prev = 64
+    for bits in _FIXED_BITS:
+        roots = [(x << (bits - prev), y << (bits - prev)) for x, y in roots]
+        prev, unit, done = bits, 2**bits, 1 << (bits // 2 - 4)
+        for _ in range(16):  # cubic once close: a sweep of steps below 2^(-bits/2) is the last
+            moved = 0
+            for i, (x, y) in enumerate(roots):
+                pr, pi, dr, di = _horner_fixed(a, x, y, bits)
+                # P' - P sum_{j != i} 1 / (z - z_j): Newton's step on P /
+                # prod_{j != i} (z - z_j), which keeps two approximations
+                # off one root (Aberth)
+                sr = si = 0
+                for u, v in roots:
+                    ex, ey = x - u, y - v
+                    e2 = ex * ex + ey * ey
+                    if e2:
+                        sr, si = sr + (ex << 2 * bits) // e2, si - (ey << 2 * bits) // e2
+                dr, di = dr - ((pr * sr - pi * si) >> bits), di - ((pr * si + pi * sr) >> bits)
+                den = dr * dr + di * di
+                if den:
+                    sx, sy = ((pr * dr + pi * di) << bits) // den, ((pi * dr - pr * di) << bits) // den
+                    roots[i] = x - sx, y - sy
+                    moved = max(moved, abs(sx) + abs(sy))
+            if moved < done:
+                break
+        num = []
+        for x, y in roots:
+            pr, pi, _, _ = _horner_fixed(a, x, y, bits)
+            # sqrt(2) n R^(n-1) units, R >= max(1, |z|) on 16 fractional bits
+            r16 = max((isqrt(x * x + y * y) >> (bits - 16)) + 1, 1 << 16)
+            trunc = -(-3 * n * r16 ** (n - 1) >> (16 * n - 15))
+            num.append((isqrt(pr * pr + pi * pi) + 2 + trunc) / unit)
+        z = np.array([complex(x / unit, y / unit) for x, y in roots])
+        diff = np.array([[hypot((x - u) / unit, (y - v) / unit) for u, v in roots] for x, y in roots])
+        az = np.abs(z)
+        disks = _smith_disks(az, np.array(num), diff, a[-1], 2 * _ULP * az)
+        if disks[3] <= _CERTIFIED:
+            break
+    return z, disks, bits
+
+
 class UnivariateRoots:
     """The roots of a Laurent polynomial P, found once, and its Mahler
     measure M(P(t .)) = |lead| t^hi prod max(1, |r| / t) at every t > 0.
@@ -215,12 +361,24 @@ class UnivariateRoots:
     An m-fold root costs the root finder all but 1/m of its digits, so P
     is proved square-free (:func:`_squarefree_mod_p`) or else split exactly
     as lead z^lo prod f_i^i (:func:`_squarefree_parts`, ``multiplicities``
-    the i).  Each part gets ``np.roots``, two Newton steps and relative
-    bound 5e-12 (deg + 1)^2 + 1e-14 / M, i times; a part of degree 0 or 1,
-    whose root is one quotient, gets the rounding bound 1e-15, i times.  A
-    binomial part c0 + ck X^k, whose k roots all have modulus
-    |c0 / ck|^(1/k), is measured as max(|c0|, |ck| t^k) with no roots, and
-    gets the rounding bound (k + 4) 1.2e-16, i times."""
+    the i).  Each part of degree 2 or more gets ``np.roots``, two Newton
+    steps and Smith's inclusion disks about them (:func:`_float_disks`).
+    Disks that meet share the annulus of their union, which bounds the
+    moduli of the roots they hold.  When the disks leave more than
+    _CERTIFIED of relative error at some t, Aberth's iteration (Newton's
+    method with the other roots divided out, so no two approximations
+    settle on one root) reruns from the same start in fixed-point ints at
+    64, 128, 256 and 512 bits until they certify (:func:`_fixed_disks`);
+    ``bits`` is 53 when no part needed it, else the largest precision
+    used.  Past 512 bits the disks are kept as they are.  A
+    part of degree 0 or 1, whose root is one quotient, gets the rounding
+    bound 1e-15.  A binomial part c0 + ck X^k, whose k roots all have
+    modulus |c0 / ck|^(1/k), is measured as max(|c0|, |ck| t^k) with no
+    roots, and gets the rounding bound (k + 4) 1.2e-16.  Each bound counts
+    i times for a part f_i^i.  ``parts`` keeps (descending coefficients,
+    roots, their moduli, i, disks) per part, roots None for a binomial and
+    disks (radii, spread, floor, worst) of :func:`_smith_disks`, or None
+    below degree 2."""
 
     def __init__(self, coeffs: dict[int, Fraction | int]):
         coeffs = {k: c for k, c in coeffs.items() if c}
@@ -235,53 +393,97 @@ class UnivariateRoots:
         else:
             self.lead, split = float(abs(p[-1])), _squarefree_parts(p)
             self.multiplicities = [m for _, m in split]
-        self.parts = []
+        self.parts, self.bits = [], 53
         for f, m in split:
             poly = np.array([float(c) for c in reversed(f)])  # descending
             if len(poly) > 2 and not poly[1:-1].any():  # a binomial needs no roots
-                self.parts.append((poly, None, m))
+                self.parts.append((poly, None, None, m, None))
                 continue
-            roots, dpoly = np.roots(poly), np.polyder(poly)
+            start, deg = np.roots(poly), len(poly) - 1
+            roots = start.copy()
+            # P, P' and sum |c_k| |z|^k in one Horner pass, step for step
+            # np.polyval's
+            coef = np.zeros((deg + 1, 3 * deg))
+            coef[:, :deg], coef[:, 2 * deg :] = poly[:, None], np.abs(poly)[:, None]
+            coef[1:, deg : 2 * deg] = np.polyder(poly)[:, None]
             for _ in range(2):
-                vals = np.polyval(poly, roots)
-                dvals = np.polyval(dpoly, roots)
-                ok = np.abs(dvals) > 1e-30
-                roots[ok] = roots[ok] - vals[ok] / dvals[ok]
-            self.parts.append((poly, np.abs(roots), m))
+                last, x, val = roots.copy(), np.concatenate((roots, roots, np.abs(roots))), 0.0
+                for c in coef:
+                    val = val * x + c
+                ok = np.abs(val[deg : 2 * deg]) > 1e-30
+                roots[ok] = roots[ok] - val[:deg][ok] / val[deg : 2 * deg][ok]
+            disks = None
+            if deg > 1:
+                disks = _float_disks(poly[0], last, val, roots)
+                if not disks[3] <= _CERTIFIED:  # nan too
+                    roots, disks, bits = _fixed_disks(f, start)
+                    self.bits = max(self.bits, bits)
+            self.parts.append((poly, roots, np.abs(roots), m, disks))
 
     def at(self, t=1) -> tuple[float, float]:
         """(M(P(t .)), error bound); t = 1 is the Mahler measure of P."""
         t = float(t)
-        value, errs = self.lead * t**self.lo, []
-        for poly, radii, m in self.parts:
+        value = self.lead * t**self.lo
+        # the lead as a float, float(t) raised to lo, 2 for pow's last ulp
+        # and 1 for the product, in units of 2^-53 relative; _ULP > 2^-53
+        # covers their second-order terms, and log_err bounds the sum of
+        # the relative errors of every factor
+        log_err = (abs(self.lo) + 4) * _ULP
+        for poly, _, radii, m, disks in self.parts:
             deg = len(poly) - 1
             if radii is None:
                 # a binomial has no root finder error: M = max(|c0|, |ck| t^k)
-                # is within k + 4 roundings of 2^-53 (the coefficient as a
-                # float, t as a float raised to k, 2 for pow's last ulp and
-                # 1 for the product), and 1.2e-16 > 2^-53 covers their
-                # second-order terms, m times for v^m
+                # is within k + 4 roundings (the coefficient as a float, t as
+                # a float raised to k, 2 for pow's last ulp and 1 for the
+                # product)
                 v = float(max(abs(poly[-1]), abs(poly[0]) * t**deg))
-                err = v * (deg + 4) * 1.2e-16
+                rel = (deg + 4) * _ULP
             else:
                 v = float(abs(poly[0]) * t**deg * np.prod(np.maximum(1.0, radii / t)))
-                # a part of degree <= 1 has no root finder error: its root r
-                # is one quotient, within 4 roundings of 2^-53 of the exact
-                # root (2 for its coefficients as floats, 2 for the last
-                # Newton residual and update), and v adds at most 4 more (the
-                # leading coefficient as a float, t as a float, |r| / t and
-                # the product), so 8 * 2^-53 = 8.9e-16 < 1e-15 relative, m
-                # times for v^m
-                err = v * 5e-12 * (deg + 1) ** 2 + 1e-14 if deg > 1 else v * 1e-15
+                if disks is None:
+                    # a part of degree <= 1 has no root finder error: its root
+                    # r is one quotient, within 4 roundings of the exact root
+                    # (2 for its coefficients as floats, 2 for the last Newton
+                    # residual and update), and v adds at most 4 more (the
+                    # leading coefficient as a float, t as a float, |r| / t
+                    # and the product), so 8 * 2^-53 = 8.9e-16 < 1e-15
+                    rel = 1e-15
+                else:
+                    # each root moves its factor max(t, |r|) by spread /
+                    # max(t, floor) in log (_smith_disks); v itself is 5 deg
+                    # + 4 roundings off the product over the float roots: t
+                    # as a float in each factor, |z| (2), |z| / t, the
+                    # product, t^deg (2), the coefficient and the product
+                    rel = (5 * deg + 4) * _ULP
+                    for s, f in zip(disks[1], disks[2]):
+                        rel += s / (f if f > t else t)
             value *= v**m
-            errs.append((v, m * err))
-        return value, sum(e * (value / v) for v, e in errs)
+            log_err += m * rel + 3 * _ULP  # v^m: pow's last ulp (2) and the product
+        return value, value * expm1(log_err)
 
 
 def mahler_univariate(coeffs: dict[int, Fraction]) -> tuple[float, float]:
     """Mahler measure |lead| * prod max(1, |root|) of a Laurent polynomial,
     as (value, error_bound): the t = 1 case of :class:`UnivariateRoots`."""
     return UnivariateRoots(coeffs).at(1)
+
+
+def _mahler_estimate(coeffs: dict[int, Fraction], diagnostics: dict) -> FKEstimate:
+    """:func:`mahler_univariate` as a roots estimate, with the precision its
+    roots needed as ``root_bits`` (53 when the float pass certified)."""
+    solve = UnivariateRoots(coeffs)
+    value, err = solve.at(1)
+    diagnostics["root_bits"] = solve.bits
+    return FKEstimate(value, err, "roots", diagnostics)
+
+
+def _power_rounding(x: Fraction, k: int) -> float:
+    """A relative bound on the error of float(x) ** k, and of one product or
+    quotient by it, against x^k for x >= 1: 0 when x is a power of two (as
+    x = 1 and x = 2 are), whose powers are exact, else k + 3 roundings
+    (float(x) k times, 2 for pow's last ulp and 1 for the product)."""
+    a = x.numerator
+    return 0.0 if x.denominator == 1 and a & (a - 1) == 0 else (k + 3) * _ULP
 
 
 def _require_integers(group) -> None:
@@ -317,16 +519,18 @@ def roots_estimate(group, D: dict, t0) -> FKEstimate:
         diagnostics = {"degree_span": [lo, hi], "cyclotomic_factor": m}
         if solve.multiplicities:
             diagnostics["multiplicities"] = list(solve.multiplicities)
+        diagnostics["root_bits"] = solve.bits
         value, err = solve.at(t0)
-        cyc = float(max(Fraction(1), t0)) ** (m - 1)
+        x = max(Fraction(1), t0)
+        cyc = float(x) ** (m - 1)
+        err += value * _power_rounding(x, m - 1)
         return FKEstimate(value * cyc, err * cyc, "roots", diagnostics)
     P = _at(D, t0)
     diagnostics: dict = {"degree_span": [min(P), max(P)] if P else None}
     if not P:
         diagnostics["non_injective"] = True
         return FKEstimate(0.0, 0.0, "roots", diagnostics)
-    value, err = mahler_univariate(P)
-    return FKEstimate(value, err, "roots", diagnostics)
+    return _mahler_estimate(P, diagnostics)
 
 
 @functools.lru_cache(maxsize=4)
@@ -437,8 +641,8 @@ def quadrature_estimate(group, D: dict, t0, grid: int = 128) -> FKEstimate:
     line = _line_steps(group, ((v, 0) for v in shifted))
     if line is not None:
         steps = line[1]
-        value, err = mahler_univariate({steps[v, 0]: c for v, c in shifted.items()})
-        return FKEstimate(value, err, "roots", {"reduced_to_univariate": True})
+        P = {steps[v, 0]: c for v, c in shifted.items()}
+        return _mahler_estimate(P, {"reduced_to_univariate": True})
     P, d = _drop_unused_axes(P0)
     n = grid
     while (4 * n) ** d > 2**26:  # keep even the doubled grids affordable
@@ -1221,9 +1425,7 @@ def _det_free_single(e: dict[FreeWord, Fraction], series_len: int, accel: bool) 
     rank, [[a]] = _rewrite_entries([[{w0inv * w: c for w, c in e.items()}]])
     if rank == 1:  # a Laurent polynomial in the one generator: exact roots
         uni = {sum(x for _, x in w.syllables): c for w, c in a.items()}
-        value, err = mahler_univariate(uni)
-        diagnostics = {"subgroup_rank": 1, "reduced_to_univariate": True}
-        return FKEstimate(value, err, "roots", diagnostics)
+        return _mahler_estimate(uni, {"subgroup_rank": 1, "reduced_to_univariate": True})
     b: dict[FreeWord, Fraction] = {}  # A* A over the subgroup basis
     _flat_addmul(b, {w.inverse(): c for w, c in a.items()}, a, operator.mul)
     mom = _trace_moments([[b]], rank, series_len, _SERIES_STATE_BUDGET)

@@ -283,7 +283,10 @@ def fq_value(
             est = fkdet.epsilon_estimate(grp, _minus_identity(beta, family), t0)
         else:
             raise ValueError(f"unknown method {method!r}")
-        norm = float(max(Fraction(1), t0)) ** n
+        x = max(Fraction(1), t0)
+        norm = float(x) ** n
+        # the other backends' bounds dwarf the rounding of est.value / norm
+        rounding = abs(est.value) * fkdet._power_rounding(x, n) if est.method == "roots" else 0.0
     except OverflowError as exc:
         raise ValueError(f"F at t={t0} overflows a float") from exc
     return FQValue(
@@ -291,7 +294,7 @@ def fq_value(
         family_name=getattr(family, "name", str(family)),
         t0=t0,
         value=est.value / norm,
-        error_bound=est.error_bound / norm,
+        error_bound=(est.error_bound + rounding) / norm,
         normalization=f"divided by max(1,t)^{n}",
         estimate=est,
     )

@@ -25,7 +25,11 @@ None of them is needed by the library itself.
   edge scan after every merge, kept as the reference for the one-pass
   worklist fold of ``fkdet.fold_subgroup_basis``, and
   ``fraction_squarefree_parts`` is Yun's algorithm over Fractions, kept
-  as the reference for the integer one of ``fkdet._squarefree_parts``.  The Fox
+  as the reference for the integer one of ``fkdet._squarefree_parts``.
+  ``fixed_point_roots`` finds the roots of a square-free polynomial by
+  Durand-Kerner iteration in Python ints, and ``oracle_mahler`` reads
+  M(P(t .)) from them to 40 digits: the reference for the roots backend,
+  with no numpy root finder and no ``fkdet.UnivariateRoots``.  The Fox
   jacobian, the evaluation helpers and the Gaussian elimination use plain
   dict and Fraction arithmetic only, so they check the group-ring kernel
   and the Burau fold without running through them.
@@ -46,15 +50,19 @@ None of them is needed by the library itself.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
+import functools
 import itertools
+import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from l2burau import braid as braidmod
 from l2burau.braid import BraidWord
 from l2burau.epifamilies import AbelianImage, Identity, TotalWinding
-from l2burau.fkdet import _derivative, _trimmed, det_integers, roots_estimate
+from l2burau.fkdet import _derivative, _squarefree_parts, _trimmed, det_integers, roots_estimate
 from l2burau.freegroup import (
     Basis,
     FreeWord,
@@ -443,6 +451,95 @@ def fraction_squarefree_parts(p: list) -> list[tuple[list, int]]:
         b, c = _poly_divmod(b, a)[0], _poly_divmod(d, a)[0]
         mult += 1
     return parts
+
+
+def fixed_point_roots(p: Sequence, bits: int = 256) -> list[tuple[Fraction, Fraction]]:
+    """The roots of a square-free polynomial p (ascending rationals), as
+    exact (re, im) pairs on a 2^-bits grid.
+
+    Durand-Kerner (Weierstrass) iteration z_i -= P(z_i) / (lead prod_{j !=
+    i} (z_i - z_j)), run in complex floats from the deterministic start
+    R (0.4 + 0.9i)^k, R = 2 max |p_k / p_n|^(1 / (n - k)) (Fujiwara's bound
+    on the moduli) until 50 sweeps in a row fail to halve the largest step,
+    and then in 2^bits-scaled Gaussian integers until a sweep moves no root
+    by 2^(-bits/2) and two more sweeps square that.  Raises AssertionError
+    when the ints do not settle.
+    """
+    scale = math.lcm(*(Fraction(c).denominator for c in p))
+    a = [int(Fraction(c) * scale) for c in p]
+    n, lead = len(a) - 1, a[-1]
+    if n < 1:
+        return []
+    mono = [c / lead for c in a]  # int / int rounds once
+    R = 2 * max(abs(c) ** (1 / (n - k)) for k, c in enumerate(mono[:-1]))
+    z = [R * (0.4 + 0.9j) ** k for k in range(n)]
+    best, stale = math.inf, 0
+    while stale < 50:  # until the floats stop halving their steps
+        moved = 0.0
+        for i, zi in enumerate(z):
+            v, q = 0j, 1 + 0j
+            for c in reversed(mono):
+                v = v * zi + c
+            for j, zj in enumerate(z):
+                if j != i:
+                    q *= zi - zj
+            step = v / q if q else 0j
+            if cmath.isfinite(step):
+                z[i] = zi - step
+            moved = max(moved, abs(step) if cmath.isfinite(step) else math.inf)
+        if moved <= 1e-13 * R:
+            break
+        best, stale = (moved, 0) if moved < best / 2 else (best, stale + 1)
+    one = 1 << bits
+    fixed = [(int(Fraction(w.real) * one), int(Fraction(w.imag) * one)) for w in z]
+    settle, tol = 2, 1 << (bits // 2)
+    for _ in range(200):
+        moved = 0
+        for i, (x, y) in enumerate(fixed):
+            vr = vi = 0
+            for c in reversed(a):
+                vr, vi = ((vr * x - vi * y) >> bits) + (c << bits), (vr * y + vi * x) >> bits
+            qr, qi = lead << bits, 0
+            for j, (u, w) in enumerate(fixed):
+                if j != i:
+                    dx, dy = x - u, y - w
+                    qr, qi = (qr * dx - qi * dy) >> bits, (qr * dy + qi * dx) >> bits
+            den = qr * qr + qi * qi
+            if not den:
+                raise AssertionError("two Durand-Kerner approximations met")
+            sr = ((vr * qr + vi * qi) << bits) // den
+            si = ((vi * qr - vr * qi) << bits) // den
+            fixed[i] = x - sr, y - si
+            moved = max(moved, abs(sr) + abs(si))
+        if moved < tol:
+            settle -= 1
+            if not settle:
+                return [(Fraction(x, one), Fraction(y, one)) for x, y in fixed]
+    raise AssertionError("Durand-Kerner did not settle")
+
+
+@functools.lru_cache(maxsize=8)
+def _squared_moduli(p: tuple[Fraction, ...]) -> list[tuple[Fraction, int]]:
+    """(|r|^2, multiplicity) for the roots r of p (ascending), from
+    :func:`fixed_point_roots` on each part of its exact square-free split."""
+    return [(x * x + y * y, m) for f, m in _squarefree_parts(list(p)) for x, y in fixed_point_roots(f)]
+
+
+def oracle_mahler(coeffs: Mapping[int, RationalLike], t: RationalLike = 1) -> Decimal:
+    """M(P(t .)) = |lead| t^hi prod max(1, |r| / t) over the roots r of the
+    Laurent polynomial P = {exponent: coefficient}, to 40 digits, each root
+    counted with its multiplicity."""
+    p = tuple(Fraction(coeffs.get(k, 0)) for k in range(min(coeffs), max(coeffs) + 1))
+    t = Fraction(t)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        dt = Decimal(t.numerator) / t.denominator
+        value = abs(Decimal(p[-1].numerator) / p[-1].denominator) * dt ** max(coeffs)
+        for r2, m in _squared_moduli(p):
+            if r2 > t * t:
+                r = Decimal(r2.numerator).sqrt() / Decimal(r2.denominator).sqrt()
+                value *= (r / dt) ** m
+        return +value
 
 
 def evaluate(e: GroupRingElement, z: Sequence[Fraction], t: Fraction) -> Fraction:

@@ -56,6 +56,16 @@ def test_fq_json_round_trip(capsys):
     assert abs(payload[0]["value"] - BOYD) <= payload[0]["error_bound"]
 
 
+def test_fq_json_reports_the_root_precision(capsys):
+    # 7_1 (deg Delta = 6): the float pass certifies every root, so each t
+    # reads root_bits 53 and a bound within 1e-13 of the value
+    code, out, _ = run(capsys, "fq", "-b", "1 1 1 1 1 1 1", "-n", "2", "-f", "phi", "-t", "1/2 1 2", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert [r["diagnostics"]["root_bits"] for r in payload] == [53, 53, 53]
+    assert all(r["error_bound"] <= 1e-13 * r["value"] for r in payload)
+
+
 def test_markov_command(capsys):
     code, out, _ = run(
         capsys,

@@ -148,7 +148,7 @@ def test_quadrature_diagonal_support():
     # is solved by its roots
     m = one_by_one(z2elt({(0, 0): {0: 1}, (1, 1): {0: -2}}))
     est = det_free_abelian(m, 1)
-    assert (est.method, est.diagnostics) == ("roots", {"reduced_to_univariate": True})
+    assert (est.method, est.diagnostics) == ("roots", {"reduced_to_univariate": True, "root_bits": 53})
     assert est.value == pytest.approx(2.0, abs=1e-12)
 
 
@@ -180,7 +180,7 @@ def test_quadrature_rank_one_supports_are_exact():
         for t0 in (Fraction(1, 2), Fraction(1), Fraction(2)):
             f = fq_value(BraidWord(2, letters), AbelianImage(), t0)
             want = max(1.0, float(t0) ** k) / max(1.0, float(t0)) ** 2
-            assert f.estimate.diagnostics == {"reduced_to_univariate": True}
+            assert f.estimate.diagnostics == {"reduced_to_univariate": True, "root_bits": 53}
             assert f.error_bound <= 1e-14 * max(1, want)
             assert abs(f.value - want) <= f.error_bound, (letters, t0)
     # sigma_1^+-1 over id: a rank-1 subgroup, det(E) = -(z t)^+-1 - 1, so

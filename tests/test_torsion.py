@@ -329,7 +329,9 @@ def test_fq_rank_one_support_is_exact(letters):
     # the support lies in one cyclic subgroup: a Mahler measure by roots
     v = fq_value(BraidWord(2, letters), Identity(), 1)
     assert v.estimate.method == "roots"
-    assert v.estimate.diagnostics == {"subgroup_rank": 1, "reduced_to_univariate": True}
+    assert v.estimate.diagnostics == {
+        "subgroup_rank": 1, "reduced_to_univariate": True, "root_bits": 53
+    }
     assert abs(v.value - 1.0) <= v.error_bound < 1e-9
 
 
@@ -356,6 +358,7 @@ def test_fq_four_trefoils_is_exact():
         "degree_span": [0, 12],
         "cyclotomic_factor": 5,
         "multiplicities": [4],
+        "root_bits": 53,
     }
     for t0 in (Fraction(1, 2), Fraction(2)):
         v = fq_value(FOUR_TREFOILS, TotalWinding(), t0)
@@ -365,7 +368,9 @@ def test_fq_four_trefoils_is_exact():
 
 def test_fq_square_free_delta_records_no_split():
     v = fq_value(BraidWord(3, (1, -2, 1, -2)), TotalWinding(), 1)  # figure eight
-    assert v.estimate.diagnostics == {"degree_span": [-2, 2], "cyclotomic_factor": 3}
+    assert v.estimate.diagnostics == {
+        "degree_span": [-2, 2], "cyclotomic_factor": 3, "root_bits": 53
+    }
     assert abs(v.value - (3 + math.sqrt(5)) / 2) <= v.error_bound
 
 
